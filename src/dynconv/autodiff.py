@@ -380,37 +380,32 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1):
 
 
 def _conv2d_weight_grad(g, xv, wshape, stride, padding, groups):
-    c_out, c_in_g, kh, kw = wshape
-    n = xv.shape[0]
-    og = c_out // groups
-    dw = np.empty(wshape)
-    for grp in range(groups):
-        xg = xv[:, grp * c_in_g : (grp + 1) * c_in_g]
-        gg = g[:, grp * og : (grp + 1) * og]
-        cols = T.im2col(xg, kh, kw, stride, padding)  # (ci*kh*kw, N*Ho*Wo)
-        gflat = np.ascontiguousarray(gg.transpose(1, 0, 2, 3)).reshape(og, -1)
-        dw[grp * og : (grp + 1) * og] = T.matmul(gflat, cols.T).reshape(og, c_in_g, kh, kw)
-    return dw
+    """dL/dW: patch rows against output gradients, per sample for a
+    per-sample kernel and summed over samples and positions for a shared one."""
+    c_out, c_in_g, kh, kw = wshape[-4:]
+    n, og, kg = xv.shape[0], c_out // groups, c_in_g * kh * kw
+    cols = T.im2col(xv, kh, kw, stride, padding).reshape(n, groups, kg, -1)
+    gq = g.reshape(n, groups, og, -1)
+    if len(wshape) == 5:
+        return np.matmul(gq, cols.transpose(0, 1, 3, 2)).reshape(wshape)
+    gq = gq.transpose(1, 2, 0, 3).reshape(groups, og, -1)
+    cols = cols.transpose(1, 0, 3, 2).reshape(groups, -1, kg)
+    return np.matmul(gq, cols).reshape(wshape)
 
 
 def _conv2d_input_grad(g, xshape, wv, stride, padding, groups):
+    """dL/dx: kernel-transposed contraction to patch gradients, then col2im
+    as one strided add per kernel element."""
     n, c, h, w = xshape
-    c_out, c_in_g, kh, kw = wv.shape
-    og = c_out // groups
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    c_out, c_in_g, kh, kw = wv.shape[-4:]
     ho, wo = g.shape[2], g.shape[3]
-    for grp in range(groups):
-        gg = g[:, grp * og : (grp + 1) * og]
-        gflat = np.ascontiguousarray(gg.transpose(1, 0, 2, 3)).reshape(og, -1)
-        dcols = T.matmul(wv[grp * og : (grp + 1) * og].reshape(og, -1).T, gflat)
-        row = 0
-        base = grp * c_in_g
-        for ci in range(c_in_g):
-            for dy in range(kh):
-                for dx in range(kw):
-                    patch = dcols[row].reshape(n, ho, wo)
-                    dxp[:, base + ci, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride] += patch
-                    row += 1
+    wmat = wv.reshape(wv.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
+    dcols = np.matmul(wmat.swapaxes(-1, -2), g.reshape(n, groups, c_out // groups, ho * wo))
+    dcols = dcols.reshape(n, c, kh, kw, ho, wo)
+    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    for dy in range(kh):
+        for dx in range(kw):
+            dxp[:, :, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride] += dcols[:, :, dy, dx]
     if padding:
         return np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + w])
     return dxp

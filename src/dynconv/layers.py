@@ -230,19 +230,11 @@ def _lifter(tape, params: list[Parameter]):
     return lambda p: nodes[id(p)]
 
 
-def _per_sample_conv(x, kernels, n: int, stride: int, padding: int, groups: int):
-    """Convolve sample i with kernel slice i; kernels is (N, C_out, C_in/g, k, k)."""
-    outs = []
-    taped = ad._is_node(x) or ad._is_node(kernels)
-    for i in range(n):
-        xi = ad.narrow(x, 0, i, i + 1)
-        ki = ad.narrow(kernels, 0, i, i + 1)
-        kshape = ad.value_of(kernels).shape[1:]
-        ki = ad.reshape(ki, kshape)
-        outs.append(ad.conv2d(xi, ki, stride=stride, padding=padding, groups=groups))
-    if taped:
-        return ad.concat(outs, axis=0)
-    return np.concatenate([ad.value_of(o) for o in outs], axis=0)
+def _stack_rows(rows: list, shape: tuple):
+    """Concatenate per-sample (1, *shape) kernels; no rows give (0, *shape)."""
+    if not rows:
+        return np.zeros((0,) + shape)
+    return ad.concat(rows, axis=0) if ad._is_node(rows[0]) else np.concatenate(rows, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +445,7 @@ class DcdConv:
                 lam_i = ad.reshape(ad.narrow(lam, 0, i, i + 1), (self.c_out, 1))
                 w = ad.add(ad.mul(lam_i, w0), res)
             rows.append(ad.reshape(w, (1, self.c_out, self.c_in)))
-        return ad.concat(rows, axis=0) if ad._is_node(rows[0]) else np.concatenate(rows, axis=0)
+        return _stack_rows(rows, (self.c_out, self.c_in))
 
     def _depthwise_weight(self, n, lam, phi, w0, lift):
         l_k = self.dims.l_k
@@ -469,7 +461,7 @@ class DcdConv:
                 lam_i = ad.reshape(ad.narrow(lam, 0, i, i + 1), (self.c_in, 1))
                 w = ad.add(ad.mul(lam_i, w0), res)
             rows.append(ad.reshape(w, (1, self.c_in, kk)))
-        return ad.concat(rows, axis=0) if ad._is_node(rows[0]) else np.concatenate(rows, axis=0)
+        return _stack_rows(rows, (self.c_in, kk))
 
     def _full_kxk_weight(self, n, lam, phi, w0, lift):
         l, l_k = self.dims.l, self.dims.l_k
@@ -486,7 +478,7 @@ class DcdConv:
                 lam_i = ad.reshape(ad.narrow(lam, 0, i, i + 1), (1, self.c_out, 1))
                 w = ad.add(ad.mul(lam_i, w0), res)
             rows.append(ad.reshape(w, (1, self.c_in, self.c_out, kk)))
-        return ad.concat(rows, axis=0) if ad._is_node(rows[0]) else np.concatenate(rows, axis=0)
+        return _stack_rows(rows, (self.c_in, self.c_out, kk))
 
     def _center_slice_weight(self, n, lam, phi, w0, lift):
         kk = self.k * self.k
@@ -502,7 +494,7 @@ class DcdConv:
                 lam_i = ad.reshape(ad.narrow(lam, 0, i, i + 1), (1, self.c_out, 1))
                 w = ad.add(ad.mul(lam_i, w0), res_full)
             rows.append(ad.reshape(w, (1, self.c_in, self.c_out, kk)))
-        return ad.concat(rows, axis=0) if ad._is_node(rows[0]) else np.concatenate(rows, axis=0)
+        return _stack_rows(rows, (self.c_in, self.c_out, kk))
 
     def conv_kernels(self, weights):
         """Variant-native weights → (N, C_out, C_in/groups, k, k) conv kernels."""
@@ -519,7 +511,6 @@ class DcdConv:
     def forward(self, x, train: bool = False, tape=None):
         lift = _lifter(tape, self.parameters())
         xv = tape.leaf(x) if tape is not None and not ad._is_node(x) else x
-        n = ad.value_of(xv).shape[0]
         pooled = ad.global_avg_pool(xv)
         if self.observer is not None:
             lam, phi = self.coefficients(ad.value_of(pooled), lambda p: p.value)
@@ -527,7 +518,7 @@ class DcdConv:
                           None if lam is None else ad.value_of(lam), ad.value_of(phi))
         weights = self.weight_for(pooled, lift)
         kernels = self.conv_kernels(weights)
-        out = _per_sample_conv(xv, kernels, n, self.stride, self.padding, self.groups)
+        out = ad.conv2d(xv, kernels, stride=self.stride, padding=self.padding, groups=self.groups)
         if self.bias is not None:
             out = ad.add(out, ad.reshape(lift(self.bias), (1, self.c_out, 1, 1)))
         if self.bn is not None:
@@ -686,7 +677,7 @@ class VanillaDynConv:
         pooled = ad.global_avg_pool(xv)
         weights = self.weight_for(pooled, lift)
         kernels = ad.reshape(weights, (n, self.c_out, self.c_in, 1, 1))
-        out = _per_sample_conv(xv, kernels, n, self.stride, 0, 1)
+        out = ad.conv2d(xv, kernels, stride=self.stride)
         if self.bn is not None:
             out = self.bn.forward(out, train, lift)
         if self.activation == "relu":

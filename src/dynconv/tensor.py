@@ -1,10 +1,19 @@
 """Deterministic float64 tensor kernels.
 
-Arrays are plain numpy ndarrays (C-order, float64).  The reductions that
-feed algebraic identity checks (matmul, conv2d) accumulate strictly
-left-to-right over the contraction axis so results are bit-identical to a
-naive loop oracle running in the same order.  Everything else relies on
-numpy's deterministic elementwise semantics.
+Arrays are plain numpy ndarrays (C-order, float64).  The contractions run
+as ``np.matmul`` with the sample (and, in conv2d, the group) as a stack
+axis, so each sample's product is the same BLAS call whatever the batch
+size.  Two kinds of contract rest on this:
+
+* bit-exact: ``matmul_reference``/``conv2d_reference`` equal naive loop
+  oracles summing left to right over the contraction axis; a dynamic model
+  equals its static twin at initialization; a batch-N forward equals the
+  stacked batch-1 forwards; a checkpoint round-trips; the same config and
+  seed give byte-identical logs at a fixed BLAS thread count.
+* tolerance: the BLAS kernels ``matmul``/``conv2d`` (and the conv VJPs in
+  ``dynconv.autodiff``) against the reference kernels, to 1e-12 relative.
+
+Everything else relies on numpy's deterministic elementwise semantics.
 """
 
 from __future__ import annotations
@@ -36,20 +45,36 @@ def check_finite(a: np.ndarray, what: str = "tensor") -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m,k) @ (k,n) with a fixed left-to-right sum over k.
-
-    Each output entry accumulates a[i,0]*b[0,j], then a[i,1]*b[1,j], ...
-    exactly as a scalar triple loop would, so an oracle using that order
-    reproduces the result bit-for-bit.
-    """
+def _check_matmul(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = as_tensor(a)
     b = as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    k = a.shape[1]
+    return a, b
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m,k) @ (k,n), each row of `a` contracted as its own (1,k) stack item.
+
+    Row i of the result is the same BLAS call whether `a` has 1 row or
+    many, so a batch of rows gives the stacked single-row results bit for
+    bit.  A plain 2-d product would switch between gemv and gemm with m.
+    """
+    a, b = _check_matmul(a, b)
+    return check_finite(np.matmul(a[:, None, :], b)[:, 0, :], "matmul result")
+
+
+def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m,k) @ (k,n) with a fixed left-to-right sum over k.
+
+    Each output entry accumulates a[i,0]*b[0,j], then a[i,1]*b[1,j], ...
+    exactly as a scalar triple loop would, so an oracle using that order
+    reproduces the result bit-for-bit.  The reference `matmul` is tested
+    against; nothing else calls it.
+    """
+    a, b = _check_matmul(a, b)
     out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(k):
+    for i in range(a.shape[1]):
         out += a[:, i : i + 1] * b[i : i + 1, :]
     return check_finite(out, "matmul result")
 
@@ -165,10 +190,11 @@ def conv_out_size(h: int, k: int, stride: int, padding: int) -> int:
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """(N,C,H,W) -> (C*kh*kw, N*Ho*Wo) patch matrix.
+    """(N,C,H,W) -> (N, C*kh*kw, Ho*Wo) per-sample patch matrices.
 
-    Rows are ordered (c, dy, dx) row-major, matching the reduction order of
-    the naive seven-loop convolution.
+    Rows are ordered (c, dy, dx) row-major, the reduction order of the
+    naive seven-loop convolution.  A 1×1 stride-1 unpadded kernel needs no
+    copy, so the result is then a view of `x`.
     """
     x = as_tensor(x)
     n, c, h, w = x.shape
@@ -176,20 +202,25 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     wo = conv_out_size(w, kw, stride, padding)
     if ho <= 0 or wo <= 0:
         raise ValueError(f"empty conv output for input {x.shape} kernel {(kh, kw)}")
-    if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-    else:
-        xp = x
-    cols = np.empty((c * kh * kw, n * ho * wo))
-    row = 0
-    for ci in range(c):
-        for dy in range(kh):
-            for dx in range(kw):
-                patch = xp[:, ci, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
-                cols[row] = patch.reshape(-1)
-                row += 1
-    return cols
+    if kh == kw == stride == 1 and not padding:
+        return x.reshape(n, c, h * w)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    sn, sc, sh, sw = xp.strides
+    patches = np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False
+    )
+    return patches.reshape(n, c * kh * kw, ho * wo)
+
+
+def _conv_shapes(x: np.ndarray, weight: np.ndarray, stride: int, padding: int, groups: int):
+    """Validate a conv and return (n, c_out, c_in/groups, kh, kw, ho, wo)."""
+    n, c, h, w = x.shape
+    if weight.ndim not in (4, 5) or (weight.ndim == 5 and weight.shape[0] != n):
+        raise ValueError(f"conv weight {weight.shape} is neither shared nor one kernel per sample of {x.shape}")
+    c_out, c_in_g, kh, kw = weight.shape[-4:]
+    if c % groups or c_out % groups or c_in_g != c // groups:
+        raise ValueError(f"bad group structure: input {c} ch, weight {weight.shape}, groups {groups}")
+    return n, c_out, c_in_g, kh, kw, conv_out_size(h, kh, stride, padding), conv_out_size(w, kw, stride, padding)
 
 
 def conv2d(
@@ -199,33 +230,46 @@ def conv2d(
     padding: int = 0,
     groups: int = 1,
 ) -> np.ndarray:
-    """Cross-correlation of NCHW input with (C_out, C_in/groups, kh, kw) kernel.
+    """Cross-correlation of NCHW input with a (C_out, C_in/groups, kh, kw)
+    kernel, or with one such kernel per sample, (N, C_out, C_in/groups, kh, kw).
 
-    The contraction over (c_in, dy, dx) runs in that row-major order,
-    left-to-right, so a scalar loop oracle matches exactly.
+    One ``np.matmul`` contracts (c_in, dy, dx) with samples and groups as
+    stack axes, so each sample's output is the same BLAS call at any batch
+    size and with a shared or a per-sample kernel.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
-    n, c, h, w = x.shape
-    c_out, c_in_g, kh, kw = weight.shape
-    if c % groups or c_out % groups or c_in_g != c // groups:
-        raise ValueError(f"bad group structure: input {c} ch, weight {weight.shape}, groups {groups}")
-    ho = conv_out_size(h, kh, stride, padding)
-    wo = conv_out_size(w, kw, stride, padding)
-    if groups == 1:
-        cols = im2col(x, kh, kw, stride, padding)
-        flat = matmul(weight.reshape(c_out, c_in_g * kh * kw), cols)
-        out = flat.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(out)
-    og = c_out // groups
-    out = np.empty((n, c_out, ho, wo))
-    for g in range(groups):
-        xg = x[:, g * c_in_g : (g + 1) * c_in_g]
-        wg = weight[g * og : (g + 1) * og]
-        cols = im2col(xg, kh, kw, stride, padding)
-        flat = matmul(wg.reshape(og, c_in_g * kh * kw), cols)
-        out[:, g * og : (g + 1) * og] = flat.reshape(og, n, ho, wo).transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(out)
+    n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
+    cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
+    wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
+    return check_finite(np.matmul(wmat, cols).reshape(n, c_out, ho, wo), "conv2d result")
+
+
+def conv2d_reference(
+    x: np.ndarray,
+    weight: np.ndarray,
+    stride: int = 1,
+    padding: int = 0,
+    groups: int = 1,
+) -> np.ndarray:
+    """conv2d with a shared kernel, as `matmul_reference` over the patch rows.
+
+    Per group, the contraction over (c_in, dy, dx) runs in that row-major
+    order, left to right, so a scalar loop oracle matches exactly.  The
+    reference `conv2d` is tested against; nothing else calls it.
+    """
+    x = as_tensor(x)
+    weight = as_tensor(weight)
+    if weight.ndim != 4:
+        raise ValueError(f"conv2d_reference takes a shared (C_out, C_in/groups, kh, kw) kernel, got {weight.shape}")
+    n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
+    cols = im2col(x, kh, kw, stride, padding).transpose(1, 0, 2).reshape(-1, n * ho * wo)
+    og, kg = c_out // groups, c_in_g * kh * kw
+    flat = np.concatenate([
+        matmul_reference(weight[g * og : (g + 1) * og].reshape(og, kg), cols[g * kg : (g + 1) * kg])
+        for g in range(groups)
+    ])
+    return np.ascontiguousarray(flat.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3))
 
 
 # ---------------------------------------------------------------------------

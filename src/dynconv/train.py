@@ -111,6 +111,10 @@ def _batch_grads(graph, x, y, workers: int):
     else:
         with ThreadPoolExecutor(max_workers=len(losses)) as pool:
             grad_maps = list(pool.map(ad.backward, losses))
+    for loss in losses:
+        # Node.tape <-> Tape.nodes is a cycle; breaking it frees the step's
+        # activations and VJP closures now instead of at the next gc pass
+        loss.tape.nodes.clear()
 
     total = len(y)
     value = sum(float(ad.value_of(l)) * n / total for l, n in zip(losses, sizes))

@@ -426,3 +426,18 @@ def test_static_conv_forward_shapes_and_bias():
     assert out.shape == (2, 5, 5, 5)
     ref = T.conv2d(x, layer.weight.value, stride=2, padding=1) + layer.bias.value.reshape(1, 5, 1, 1)
     assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize(
+    "name,make",
+    [(name, lambda cfg=cfg, name=name: DcdConv(name, padding=cfg["k"] // 2, rng=np.random.default_rng(35), **cfg))
+     for name, cfg in ALL_VARIANT_LAYERS]
+    + [("vanilla", lambda: VanillaDynConv("v", 16, 16, rng=np.random.default_rng(35)))],
+)
+def test_dynamic_layers_accept_an_empty_batch(name, make):
+    layer = make()
+    x = np.zeros((0, layer.c_in, 6, 6))
+    shape = (0, layer.c_out, layer.out_size(6), layer.out_size(6))
+    assert ad.value_of(layer.forward(x)).shape == shape
+    tape = ad.Tape()
+    assert ad.value_of(layer.forward(tape.leaf(x), tape=tape)).shape == shape

@@ -18,6 +18,7 @@ from dynconv.models import (
     golden_rows,
     make_divisible,
 )
+from dynconv.task import TASK_MODEL_KINDS, build_task_model
 
 
 def _conv_layers(graph):
@@ -286,3 +287,27 @@ def test_iter_layers_tracks_spatial_sizes():
     assert sizes["s2b0.down"] == (56, 28)
     assert sizes["s4b1.conv2"] == (7, 7)
     assert sizes["fc"] == (1, 1)
+
+
+BATCH_INVARIANCE_MODELS = [(row.row_id, row.build) for row in golden_rows() if row.row_id.endswith("/dcd")] + [
+    (f"task/{kind}", lambda kind=kind: build_task_model(kind=kind, seed=3)) for kind in TASK_MODEL_KINDS
+]
+
+
+@pytest.mark.parametrize("row_id,build", BATCH_INVARIANCE_MODELS, ids=[r for r, _ in BATCH_INVARIANCE_MODELS])
+def test_batch_logits_equal_stacked_single_sample_logits(row_id, build):
+    """Each sample's contractions are the same BLAS calls at batch 1 and 4,
+    for the dynamic model with live branches and for its static twin."""
+    graph = build()
+    rng = np.random.default_rng(61)
+    for layer, *_ in graph.iter_layers():
+        if isinstance(layer, DcdConv):  # Λ ≠ 1 and Φ ≠ 0, as in a trained model
+            bound = 1.0 / np.sqrt(layer.branch.squeeze)
+            layer.branch.w2.value = rng.uniform(-bound, bound, size=layer.branch.w2.value.shape)
+            layer.branch.b2.value = rng.uniform(-bound, bound, size=layer.branch.b2.value.shape)
+    size = min(graph.resolution, 32)
+    x = rng.normal(size=(4, graph.input_channels, size, size))
+    for g in (graph, graph.static_twin()):
+        batch = np.asarray(g.forward(x))
+        stacked = np.concatenate([np.asarray(g.forward(x[i : i + 1])) for i in range(len(x))])
+        assert np.array_equal(batch, stacked), f"{g.name}: batch-4 logits differ from stacked batch-1"

@@ -1,4 +1,5 @@
-"""Tensor kernel tests against independent loop oracles."""
+"""Tensor kernel tests: reference kernels against independent loop oracles
+(bit-exact), BLAS kernels against reference kernels (tolerance)."""
 
 import math
 
@@ -82,7 +83,7 @@ def test_matmul_matches_triple_loop_exactly():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 7))
     b = rng.standard_normal((7, 3))
-    got = T.matmul(a, b)
+    got = T.matmul_reference(a, b)
     want = matmul_oracle(a, b)
     assert got.shape == (5, 3)
     assert np.array_equal(got, want)
@@ -214,11 +215,11 @@ def test_conv1x1_equals_per_pixel_matmul_exactly():
     rng = np.random.default_rng(41)
     x = rng.standard_normal((2, 6, 5, 4))
     w = rng.standard_normal((3, 6, 1, 1))
-    got = T.conv2d(x, w)
+    got = T.conv2d_reference(x, w)
     n, c, h, wd = x.shape
     for b in range(n):
         pix = x[b].reshape(c, h * wd)
-        want = T.matmul(w.reshape(3, 6), pix).reshape(3, h, wd)
+        want = T.matmul_reference(w.reshape(3, 6), pix).reshape(3, h, wd)
         assert np.array_equal(got[b], want)
 
 
@@ -226,7 +227,7 @@ def test_conv2d_matches_seven_loop_oracle():
     rng = np.random.default_rng(43)
     x = rng.standard_normal((2, 3, 8, 8))
     w = rng.standard_normal((4, 3, 3, 3))
-    got = T.conv2d(x, w, stride=1, padding=1)
+    got = T.conv2d_reference(x, w, stride=1, padding=1)
     want = conv2d_oracle(x, w, stride=1, padding=1)
     assert got.shape == want.shape == (2, 4, 8, 8)
     assert np.array_equal(got, want)
@@ -237,7 +238,7 @@ def test_conv2d_stride_padding_shape_law():
     for h, k, s, p in [(8, 3, 2, 1), (7, 3, 1, 0), (16, 5, 2, 2), (9, 1, 2, 0)]:
         x = rng.standard_normal((1, 2, h, h))
         w = rng.standard_normal((3, 2, k, k))
-        out = T.conv2d(x, w, stride=s, padding=p)
+        out = T.conv2d_reference(x, w, stride=s, padding=p)
         expect = (h + 2 * p - k) // s + 1
         assert out.shape == (1, 3, expect, expect)
         assert np.array_equal(out, conv2d_oracle(x, w, stride=s, padding=p))
@@ -247,10 +248,81 @@ def test_depthwise_conv_matches_per_channel_oracle():
     rng = np.random.default_rng(53)
     x = rng.standard_normal((2, 4, 6, 6))
     w = rng.standard_normal((4, 1, 3, 3))
-    got = T.conv2d(x, w, stride=1, padding=1, groups=4)
+    got = T.conv2d_reference(x, w, stride=1, padding=1, groups=4)
     for c in range(4):
         want = conv2d_oracle(x[:, c : c + 1], w[c : c + 1], stride=1, padding=1)
         assert np.array_equal(got[:, c : c + 1], want)
+
+
+def _reference_conv(x, w, stride, padding, groups):
+    """conv2d_reference per sample for a per-sample (5-d) kernel."""
+    if w.ndim == 4:
+        return T.conv2d_reference(x, w, stride, padding, groups)
+    return np.concatenate([T.conv2d_reference(x[i : i + 1], w[i], stride, padding, groups) for i in range(len(x))])
+
+
+def _reference_grad(f, shape, g):
+    """Gradient of <g, f(v)> for a linear f, one reference conv per basis tensor."""
+    out = np.empty(math.prod(shape))
+    for j in range(out.size):
+        e = np.zeros(out.size)
+        e[j] = 1.0
+        out[j] = np.sum(g * f(e.reshape(shape)))
+    return out.reshape(shape)
+
+
+def assert_rel_close(got, want, tol=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "xshape,wshape,stride,padding,groups",
+    [
+        pytest.param((2, 4, 5, 5), (3, 4, 1, 1), 1, 0, 1, id="k1"),
+        pytest.param((2, 4, 7, 7), (6, 4, 3, 3), 2, 1, 1, id="k3-stride2-pad1"),
+        pytest.param((2, 4, 6, 6), (4, 1, 3, 3), 1, 1, 4, id="depthwise"),
+        pytest.param((2, 4, 6, 6), (6, 2, 3, 3), 2, 0, 2, id="groups2-stride2"),
+        pytest.param((3, 4, 5, 5), (3, 5, 4, 3, 3), 1, 1, 1, id="per-sample-k3"),
+        pytest.param((2, 4, 5, 5), (2, 4, 1, 3, 3), 2, 1, 4, id="per-sample-depthwise"),
+        pytest.param((2, 4, 5, 5), (2, 3, 4, 1, 1), 1, 0, 1, id="per-sample-k1"),
+        pytest.param((2, 4, 1, 1), (5, 4, 3, 3), 1, 1, 1, id="1x1-spatial"),
+        pytest.param((2, 4, 1, 1), (2, 5, 4, 1, 1), 1, 0, 1, id="1x1-spatial-per-sample"),
+    ],
+)
+def test_blas_kernels_and_conv_vjps_match_reference_kernels(xshape, wshape, stride, padding, groups):
+    from dynconv import autodiff as ad
+
+    rng = np.random.default_rng(59)
+    x = rng.standard_normal(xshape)
+    w = rng.standard_normal(wshape)
+    kh, kw = wshape[-2:]
+    cols = T.im2col(x, kh, kw, stride, padding)
+    kg = cols.shape[1] // groups
+    for i in range(len(x)):
+        wi = (w[i] if w.ndim == 5 else w).reshape(groups, -1, kg)
+        for grp in range(groups):
+            a, b = wi[grp], cols[i, grp * kg : (grp + 1) * kg]
+            assert_rel_close(T.matmul(a, b), T.matmul_reference(a, b))
+            assert_rel_close(T.matmul(b.T, a.T), T.matmul_reference(b.T, a.T))
+
+    want = _reference_conv(x, w, stride, padding, groups)
+    assert_rel_close(T.conv2d(x, w, stride, padding, groups), want)
+
+    g = rng.standard_normal(want.shape)
+    xp, wp = ad.Parameter("x", x), ad.Parameter("w", w)
+    tape = ad.Tape()
+    out = ad.conv2d(tape.leaf(x, param=xp), tape.leaf(w, param=wp), stride, padding, groups)
+    grads = ad.backward(ad.sum_all(ad.mul(out, g)))
+    assert_rel_close(grads[xp], _reference_grad(lambda e: _reference_conv(e, w, stride, padding, groups), xshape, g))
+    assert_rel_close(grads[wp], _reference_grad(lambda e: _reference_conv(x, e, stride, padding, groups), wshape, g))
+
+
+def test_conv2d_rejects_mismatched_per_sample_kernels():
+    with pytest.raises(ValueError):
+        T.conv2d(np.zeros((2, 3, 4, 4)), np.zeros((3, 5, 3, 1, 1)))
+    with pytest.raises(ValueError):
+        T.conv2d(np.zeros((2, 3, 4, 4)), np.zeros((5, 3, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -174,3 +175,17 @@ def test_worker_count_validation_and_config_key():
         RunConfig(workers=0)
     cfg = RunConfig.from_mapping({"train.workers": "3"})
     assert cfg.workers == 3
+
+
+def test_training_step_frees_its_tape_without_the_cycle_collector():
+    tr, va = make_linear_control(n_train=16, n_val=8, seed=0)
+    model = build_task_model(kind="dcd", seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sum(isinstance(o, ad.Node) for o in gc.get_objects())
+        train(model, tr, va, RunConfig(epochs=1, batch=16, seed=0))
+        after = sum(isinstance(o, ad.Node) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert after == before
