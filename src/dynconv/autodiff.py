@@ -32,14 +32,13 @@ class Parameter:
 
 
 class Node:
-    __slots__ = ("value", "tape", "parents", "vjp", "recompute", "param", "op")
+    __slots__ = ("value", "tape", "parents", "vjp", "param", "op")
 
-    def __init__(self, value, tape, parents, vjp, recompute, param=None, op=""):
+    def __init__(self, value, tape, parents, vjp, param=None, op=""):
         self.value = value
         self.tape = tape
         self.parents = parents
         self.vjp = vjp
-        self.recompute = recompute
         self.param = param
         self.op = op
 
@@ -55,30 +54,14 @@ class Tape:
         self.nodes: list[Node] = []
 
     def leaf(self, value, param: Parameter | None = None) -> Node:
-        node = Node(T.as_tensor(value), self, [], None, None, param=param, op="leaf")
+        node = Node(T.as_tensor(value), self, [], None, param=param, op="leaf")
         self.nodes.append(node)
         return node
 
-    def record(self, value, parents: list[Node], vjp, recompute, op="") -> Node:
-        node = Node(value, self, parents, vjp, recompute, op=op)
+    def record(self, value, parents: list[Node], vjp, op="") -> Node:
+        node = Node(value, self, parents, vjp, op=op)
         self.nodes.append(node)
         return node
-
-    def replay(self) -> bool:
-        """Re-execute every recorded primitive from the leaf values.
-
-        Returns True when every node's output is reproduced bit-exactly.
-        """
-        vals: dict[int, np.ndarray] = {}
-        for node in self.nodes:
-            if node.recompute is None:
-                vals[id(node)] = node.value
-            else:
-                out = node.recompute([vals[id(p)] for p in node.parents])
-                if not np.array_equal(out, node.value):
-                    return False
-                vals[id(node)] = out
-        return True
 
 
 def _is_node(x) -> bool:
@@ -127,19 +110,7 @@ def _binary(op_name, fwd, vjp_builder):
             full = lambda g: vjp(g)[:1]
         else:
             full = lambda g: vjp(g)[1:]
-        consts = (av, bv)
-
-        def recompute(pv, a_node=_is_node(a), b_node=_is_node(b)):
-            i = 0
-            if a_node:
-                x = pv[i]
-                i += 1
-            else:
-                x = consts[0]
-            y = pv[i] if b_node else consts[1]
-            return fwd(x, y)
-
-        return tape.record(out, parents, full, recompute, op=op_name)
+        return tape.record(out, parents, full, op=op_name)
 
     return op
 
@@ -157,17 +128,13 @@ mul = _binary(
 )
 
 
-def sub(a, b):
-    return add(a, scale(b, -1.0))
-
-
 def scale(a, alpha: float):
     tape = _tape(a)
     av = value_of(a)
     out = T.scale(av, alpha)
     if tape is None:
         return out
-    return tape.record(out, [a], lambda g: [g * alpha], lambda pv: T.scale(pv[0], alpha), op="scale")
+    return tape.record(out, [a], lambda g: [g * alpha], op="scale")
 
 
 def matmul(a, b):
@@ -186,14 +153,7 @@ def matmul(a, b):
             grads.append(T.matmul(av.T, g))
         return grads
 
-    def recompute(pv):
-        i = 0
-        x = pv[i] if _is_node(a) else av
-        i += _is_node(a)
-        y = pv[i] if _is_node(b) else bv
-        return T.matmul(x, y)
-
-    return tape.record(out, parents, vjp, recompute, op="matmul")
+    return tape.record(out, parents, vjp, op="matmul")
 
 
 def relu(a):
@@ -203,7 +163,7 @@ def relu(a):
     if tape is None:
         return out
     mask = (av > 0).astype(np.float64)
-    return tape.record(out, [a], lambda g: [g * mask], lambda pv: T.relu(pv[0]), op="relu")
+    return tape.record(out, [a], lambda g: [g * mask], op="relu")
 
 
 def sigmoid(a):
@@ -212,7 +172,7 @@ def sigmoid(a):
     out = T.sigmoid(av)
     if tape is None:
         return out
-    return tape.record(out, [a], lambda g: [g * out * (1.0 - out)], lambda pv: T.sigmoid(pv[0]), op="sigmoid")
+    return tape.record(out, [a], lambda g: [g * out * (1.0 - out)], op="sigmoid")
 
 
 def softmax_rows(a):
@@ -226,10 +186,16 @@ def softmax_rows(a):
         dot = np.sum(g * out, axis=-1, keepdims=True)
         return [(g - dot) * out]
 
-    return tape.record(out, [a], vjp, lambda pv: T.softmax_rows(pv[0]), op="softmax")
+    return tape.record(out, [a], vjp, op="softmax")
 
 
 def attention_activation(logits, mode: str = "softmax", tau: float = 1.0):
+    """Row-wise attention over K kernels.
+
+    softmax: rows in [0,1] and summing to 1; temperature divides the
+    logits.  sigmoid: independent gates in [0,1]; tau is ignored (it only
+    parameterizes the softmax).
+    """
     if mode == "softmax":
         if tau <= 0:
             raise ValueError("softmax temperature must be positive")
@@ -247,9 +213,7 @@ def reshape(a, shape):
     if tape is None:
         return out
     orig = av.shape
-    return tape.record(
-        out, [a], lambda g: [np.ascontiguousarray(g.reshape(orig))], lambda pv: T.reshape(pv[0], shape), op="reshape"
-    )
+    return tape.record(out, [a], lambda g: [np.ascontiguousarray(g.reshape(orig))], op="reshape")
 
 
 def transpose_axes(a, axes):
@@ -259,13 +223,7 @@ def transpose_axes(a, axes):
     if tape is None:
         return out
     inv = np.argsort(axes)
-    return tape.record(
-        out,
-        [a],
-        lambda g: [np.ascontiguousarray(np.transpose(g, inv))],
-        lambda pv: np.ascontiguousarray(np.transpose(pv[0], axes)),
-        op="transpose",
-    )
+    return tape.record(out, [a], lambda g: [np.ascontiguousarray(np.transpose(g, inv))], op="transpose")
 
 
 def narrow(a, axis: int, start: int, stop: int):
@@ -283,7 +241,7 @@ def narrow(a, axis: int, start: int, stop: int):
         full[sl] = g
         return [full]
 
-    return tape.record(out, [a], vjp, lambda pv: np.ascontiguousarray(pv[0][sl]), op="narrow")
+    return tape.record(out, [a], vjp, op="narrow")
 
 
 def concat(parts: list, axis: int = 0):
@@ -305,9 +263,7 @@ def concat(parts: list, axis: int = 0):
             ofs += n
         return grads
 
-    return tape.record(
-        out, list(parts), vjp, lambda pv: np.ascontiguousarray(np.concatenate(pv, axis=axis)), op="concat"
-    )
+    return tape.record(out, list(parts), vjp, op="concat")
 
 
 def sum_all(a):
@@ -317,8 +273,7 @@ def sum_all(a):
     if tape is None:
         return out
     shape = av.shape
-    return tape.record(out, [a], lambda g: [np.broadcast_to(np.asarray(g), shape).astype(np.float64).copy()],
-                       lambda pv: np.asarray(pv[0].sum()), op="sum")
+    return tape.record(out, [a], lambda g: [np.broadcast_to(np.asarray(g), shape).astype(np.float64).copy()], op="sum")
 
 
 def mean_all(a):
@@ -337,7 +292,7 @@ def global_avg_pool(a):
     def vjp(g):
         return [np.broadcast_to(g.reshape(n, c, 1, 1) / (h * w), (n, c, h, w)).copy()]
 
-    return tape.record(out, [a], vjp, lambda pv: T.global_avg_pool(pv[0]), op="gap")
+    return tape.record(out, [a], vjp, op="gap")
 
 
 def max_pool2d(a, k: int, stride: int, padding: int = 0):
@@ -350,7 +305,7 @@ def max_pool2d(a, k: int, stride: int, padding: int = 0):
     def vjp(g):
         return [T.max_pool2d_backward(av, g, k, stride, padding)]
 
-    return tape.record(out, [a], vjp, lambda pv: T.max_pool2d(pv[0], k, stride, padding), op="max_pool2d")
+    return tape.record(out, [a], vjp, op="max_pool2d")
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1):
@@ -369,14 +324,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1):
             grads.append(_conv2d_weight_grad(g, xv, wv.shape, stride, padding, groups))
         return grads
 
-    def recompute(pv):
-        i = 0
-        xx = pv[i] if _is_node(x) else xv
-        i += _is_node(x)
-        ww = pv[i] if _is_node(weight) else wv
-        return T.conv2d(xx, ww, stride=stride, padding=padding, groups=groups)
-
-    return tape.record(out, parents, vjp, recompute, op="conv2d")
+    return tape.record(out, parents, vjp, op="conv2d")
 
 
 def _conv2d_weight_grad(g, xv, wshape, stride, padding, groups):
@@ -443,17 +391,7 @@ def batchnorm_train(x, gamma, beta, eps: float = T.BN_EPS):
             grads.append(g.sum(axis=(0, 2, 3)))
         return grads
 
-    def recompute(pv):
-        i = 0
-        xx = pv[i] if _is_node(x) else xv
-        i += _is_node(x)
-        gg = pv[i] if _is_node(gamma) else gv
-        i += _is_node(gamma)
-        bb = pv[i] if _is_node(beta) else bv
-        mm, vv2 = T.batchnorm_stats(xx)
-        return T.batchnorm_apply(xx, gg, bb, mm, vv2, eps)
-
-    node = tape.record(out, parents, vjp, recompute, op="batchnorm")
+    node = tape.record(out, parents, vjp, op="batchnorm")
     return node, mean, var
 
 
@@ -476,14 +414,7 @@ def mode_n_product(t, m, mode: int):
             grads.append(T.matmul(gu, tu.T))
         return grads
 
-    def recompute(pv):
-        i = 0
-        tt = pv[i] if _is_node(t) else tv
-        i += _is_node(t)
-        mm = pv[i] if _is_node(m) else mv
-        return T.mode_n_product(tt, mm, mode)
-
-    return tape.record(out, parents, vjp, recompute, op="mode_n")
+    return tape.record(out, parents, vjp, op="mode_n")
 
 
 def block_diag(blocks: list):
@@ -505,7 +436,7 @@ def block_diag(blocks: list):
             c += bc
         return grads
 
-    return tape.record(out, list(blocks), vjp, lambda pv: T.block_diag(pv), op="block_diag")
+    return tape.record(out, list(blocks), vjp, op="block_diag")
 
 
 def cross_entropy(logits, labels: np.ndarray):
@@ -527,13 +458,7 @@ def cross_entropy(logits, labels: np.ndarray):
         d[np.arange(n), labels] -= 1.0
         return [d * (float(g) / n)]
 
-    def recompute(pv):
-        z = pv[0]
-        zm = z.max(axis=1, keepdims=True)
-        l2 = np.log(np.exp(z - zm).sum(axis=1, keepdims=True)) + zm
-        return np.asarray((l2.ravel() - z[np.arange(n), labels]).sum() / n)
-
-    return tape.record(out, [logits], vjp, recompute, op="cross_entropy")
+    return tape.record(out, [logits], vjp, op="cross_entropy")
 
 
 # ---------------------------------------------------------------------------

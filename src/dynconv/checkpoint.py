@@ -78,8 +78,10 @@ def save_checkpoint(path: str | Path, state: list[tuple[str, np.ndarray]]) -> No
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     blob = Path(path).read_bytes()
-    if len(blob) < 20 or blob[:4] != MAGIC:
+    if blob[:4] != MAGIC:
         raise BadMagicError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
+    if len(blob) < 20:
+        raise CheckpointError(f"{path}: truncated checkpoint ({len(blob)} bytes, header and checksum need 20)")
     body, stored = blob[:-8], struct.unpack("<Q", blob[-8:])[0]
     actual = fnv1a64(body)
     if actual != stored:
@@ -91,22 +93,27 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: unsupported version {version}")
     pos = 12
     entries: list[tuple[str, tuple[int, ...], int]] = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", body, pos)
-        pos += 2
-        name = body[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", body, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", body, pos)
-        pos += 4 * ndim
-        (offset,) = struct.unpack_from("<Q", body, pos)
-        pos += 8
+    for i in range(count):
+        try:
+            (name_len,) = struct.unpack_from("<H", body, pos)
+            pos += 2
+            name = body[pos : pos + name_len].decode("utf-8")
+            pos += name_len
+            (ndim,) = struct.unpack_from("<B", body, pos)
+            pos += 1
+            shape = struct.unpack_from(f"<{ndim}I", body, pos)
+            pos += 4 * ndim
+            (offset,) = struct.unpack_from("<Q", body, pos)
+            pos += 8
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"{path}: malformed manifest entry {i} of {count}: {exc}") from None
         entries.append((name, shape, offset))
     out: dict[str, np.ndarray] = {}
-    for name, shape, offset in entries:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for i, (name, shape, offset) in enumerate(entries):
+        n = int(np.prod(shape, dtype=object))  # Python ints: a forged shape cannot overflow
         start = pos + offset
+        if start + 8 * n > len(body):
+            raise CheckpointError(f"{path}: manifest entry {i} ({name!r}, shape {shape}) runs past the payload")
         arr = np.frombuffer(body, dtype="<f8", count=n, offset=start).reshape(shape)
         out[name] = arr.copy()
     return out

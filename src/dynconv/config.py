@@ -56,7 +56,6 @@ _TRAIN_KEYS = {
     "train.batch": ("batch", int),
     "train.epochs": ("epochs", int),
     "train.seed": ("seed", int),
-    "train.workers": ("workers", int),
 }
 
 
@@ -74,7 +73,6 @@ class RunConfig:
     batch: int = 32
     epochs: int = 10
     seed: int = 0
-    workers: int = 1
     out: str | None = None
 
     def __post_init__(self):
@@ -82,8 +80,6 @@ class RunConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}; choose from {SCHEDULES}")
         if self.epochs < 0 or self.batch < 1:
             raise ConfigError("epochs must be >= 0 and batch >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     @classmethod
     def from_mapping(cls, cfg: dict[str, str]) -> "RunConfig":

@@ -188,6 +188,9 @@ class BatchNorm2d:
 
     def forward(self, x, train: bool, lift):
         if train:
+            shape = ad.value_of(x).shape
+            if shape[0] * shape[2] * shape[3] == 0:
+                raise ValueError(f"{self.name}: train-mode batch norm has no statistics for an empty batch {shape}")
             out, mean, var = ad.batchnorm_train(x, lift(self.gamma), lift(self.beta), eps=self.eps)
             m = self.momentum
             self.running_mean = m * self.running_mean + (1.0 - m) * mean

@@ -18,15 +18,12 @@ Everything else relies on numpy's deterministic elementwise semantics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
-SVD_TOL = 1e-12
-SVD_MAX_SWEEPS = 60
 
 
 class NonFiniteError(ValueError):
@@ -79,10 +76,6 @@ def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return check_finite(out, "matmul result")
 
 
-def transpose(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(as_tensor(a).T)
-
-
 def reshape(a: np.ndarray, shape) -> np.ndarray:
     return np.ascontiguousarray(as_tensor(a).reshape(shape))
 
@@ -119,23 +112,6 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def attention_activation(logits: np.ndarray, mode: str = "softmax", tau: float = 1.0) -> np.ndarray:
-    """Row-wise attention over K kernels.
-
-    softmax: rows in [0,1] and summing to 1; temperature divides the
-    max-subtracted logits.  sigmoid: independent gates in [0,1]; tau is
-    ignored (it only parameterizes the softmax).
-    """
-    logits = as_tensor(logits)
-    if mode == "softmax":
-        if tau <= 0:
-            raise ValueError("softmax temperature must be positive")
-        return check_finite(softmax_rows(logits / float(tau)), "attention")
-    if mode == "sigmoid":
-        return check_finite(sigmoid(logits), "attention")
-    raise ValueError(f"unknown attention mode {mode!r}")
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -304,15 +280,6 @@ def batchnorm_apply(
 # structured assembly
 
 
-def apply_diag_rows(lam: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """diag(lam) @ mat without materializing the diagonal matrix."""
-    lam = as_tensor(lam)
-    mat = as_tensor(mat)
-    if lam.ndim != 1 or lam.shape[0] != mat.shape[0]:
-        raise ValueError(f"diag length {lam.shape} vs rows {mat.shape}")
-    return lam[:, None] * mat
-
-
 def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
     """Dense block-diagonal assembly of 2-d blocks."""
     blocks = [as_tensor(b) for b in blocks]
@@ -351,7 +318,7 @@ def mode_n_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# SVD: one-sided Jacobi
+# SVD: thin LAPACK decomposition with exact zeros below the rank cutoff
 
 
 @dataclass
@@ -361,82 +328,16 @@ class SvdResult:
     v: np.ndarray  # (n, r) column-orthonormal
 
 
-def _orthonormal_fill(u: np.ndarray, col: int) -> np.ndarray:
-    """A unit vector orthogonal to the first `col` columns of u."""
-    m = u.shape[0]
-    for seed in range(m):
-        cand = np.zeros(m)
-        cand[seed] = 1.0
-        for j in range(col):
-            cand -= (u[:, j] @ cand) * u[:, j]
-        nrm = math.sqrt(float(cand @ cand))
-        if nrm > 1e-8:
-            return cand / nrm
-    raise np.linalg.LinAlgError("could not complete orthonormal basis")
+def svd(a: np.ndarray) -> SvdResult:
+    """Thin SVD a = u @ diag(s) @ v.T with r = min(m, n).
 
-
-def svd(a: np.ndarray, tol: float = SVD_TOL, max_sweeps: int = SVD_MAX_SWEEPS) -> SvdResult:
-    """Thin SVD a = u @ diag(s) @ v.T via one-sided Jacobi rotations.
-
-    Columns of the working matrix are rotated pairwise until the relative
-    off-diagonal mass of A^T A drops below `tol` or `max_sweeps` passes
-    complete.  Rank-deficient inputs yield exact trailing zeros in s; the
-    matching u columns are filled with an orthonormal complement.
+    Singular values at or below ``max(m, n) * eps * s[0]`` are rounding
+    noise of a rank-deficient input and are set to exact zeros.
     """
     a = as_tensor(a)
     if a.ndim != 2:
         raise ValueError(f"svd expects a matrix, got {a.shape}")
-    m, n = a.shape
-    if m < n:
-        flipped = svd(np.ascontiguousarray(a.T), tol=tol, max_sweeps=max_sweeps)
-        return SvdResult(u=flipped.v, s=flipped.s, v=flipped.u)
-
-    work = a.copy()
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = 0.0
-        diag = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = float(work[:, p] @ work[:, p])
-                aqq = float(work[:, q] @ work[:, q])
-                apq = float(work[:, p] @ work[:, q])
-                off += 2.0 * apq * apq
-                if apq == 0.0:
-                    continue
-                # classic two-sided Jacobi angle on the 2x2 Gram block
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                wp = work[:, p].copy()
-                wq = work[:, q].copy()
-                work[:, p] = c * wp - s * wq
-                work[:, q] = s * wp + c * wq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        for p in range(n):
-            dpp = float(work[:, p] @ work[:, p])
-            diag += dpp * dpp
-        if off <= tol * tol * max(diag, 1.0) or off == 0.0:
-            break
-
-    norms = np.sqrt(np.sum(work * work, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    work = work[:, order]
-    v = v[:, order]
-    # tiny columns are exact zeros of the decomposition
-    cutoff = max(m, n) * np.finfo(np.float64).eps * (norms[0] if norms.size else 0.0)
-    u = np.empty((m, n))
-    s = np.empty(n)
-    for j in range(n):
-        if norms[j] > cutoff:
-            s[j] = norms[j]
-            u[:, j] = work[:, j] / norms[j]
-        else:
-            s[j] = 0.0
-            u[:, j] = _orthonormal_fill(u, j)
-    return SvdResult(u=u, s=s, v=v)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s.size:
+        s[s <= max(a.shape) * np.finfo(np.float64).eps * s[0]] = 0.0
+    return SvdResult(u=u, s=s, v=np.ascontiguousarray(vt.T))

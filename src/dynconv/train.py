@@ -13,19 +13,11 @@ Conventions:
 * A non-finite training loss aborts the run: the offending epoch/step is
   recorded, rows collected so far are still written, and no further updates
   are applied.
-* ``workers > 1`` opts into data parallelism: each batch is split into
-  ``workers`` shards; forwards run in shard order (so batch-norm statistics
-  update exactly as for sequential micro-batches), backwards run
-  concurrently on independent tapes, and shard gradients merge in fixed
-  shard-then-parameter order weighted by shard size.  Results are
-  deterministic for a given worker count but differ across counts (batch
-  normalization sees shard-sized batches).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,43 +83,17 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _batch_grads(graph, x, y, workers: int):
-    """(mean loss, correct count, merged gradients) for one training batch.
-
-    With ``workers > 1`` the batch is sharded; see the module docstring for
-    the determinism contract.
-    """
-    pieces = [i for i in np.array_split(np.arange(len(y)), workers) if len(i)]
-    losses, logits_vals, sizes = [], [], []
-    for idx in pieces:
-        tape = ad.Tape()
-        logits = graph.forward(tape.leaf(x[idx]), train=True, tape=tape)
-        losses.append(ad.cross_entropy(logits, y[idx]))
-        logits_vals.append(ad.value_of(logits))
-        sizes.append(len(idx))
-
-    if len(losses) == 1:
-        grad_maps = [ad.backward(losses[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(losses)) as pool:
-            grad_maps = list(pool.map(ad.backward, losses))
-    for loss in losses:
-        # Node.tape <-> Tape.nodes is a cycle; breaking it frees the step's
-        # activations and VJP closures now instead of at the next gc pass
-        loss.tape.nodes.clear()
-
-    total = len(y)
-    value = sum(float(ad.value_of(l)) * n / total for l, n in zip(losses, sizes))
-    correct = sum(
-        int((np.argmax(lv, axis=1) == y[idx]).sum())
-        for lv, idx in zip(logits_vals, pieces)
-    )
-    merged: dict[ad.Parameter, np.ndarray] = {}
-    for grads, n in zip(grad_maps, sizes):
-        w = n / total
-        for p, g in grads.items():
-            merged[p] = merged[p] + w * g if p in merged else w * g
-    return value, correct, merged
+def _batch_grads(graph, x, y):
+    """(mean loss, correct count, gradients) for one training batch."""
+    tape = ad.Tape()
+    logits = graph.forward(tape.leaf(x), train=True, tape=tape)
+    loss = ad.cross_entropy(logits, y)
+    grads = ad.backward(loss)
+    # Node.tape <-> Tape.nodes is a cycle; breaking it frees the step's
+    # activations and VJP closures now instead of at the next gc pass
+    tape.nodes.clear()
+    correct = int((np.argmax(ad.value_of(logits), axis=1) == y).sum())
+    return float(ad.value_of(loss)), correct, grads
 
 
 def train(
@@ -156,7 +122,7 @@ def train(
         loss_sum, correct, step = 0.0, 0, 0
         try:
             for x, y in train_set.batches(cfg.batch, order):
-                value, batch_correct, grads = _batch_grads(graph, x, y, cfg.workers)
+                value, batch_correct, grads = _batch_grads(graph, x, y)
                 if not math.isfinite(value):
                     raise T.NonFiniteError("training loss is not finite")
                 opt.step(grads, lr)
@@ -226,7 +192,7 @@ def run_sweep(
             run_cfg = RunConfig(
                 lr=cfg.lr, momentum=cfg.momentum, schedule=cfg.schedule,
                 step_size=cfg.step_size, gamma=cfg.gamma, batch=cfg.batch,
-                epochs=cfg.epochs, seed=seed, workers=cfg.workers,
+                epochs=cfg.epochs, seed=seed,
             )
             res = train(model, train_set, val_set, run_cfg,
                         csv_path=out / f"{arm}_seed{seed}.csv")

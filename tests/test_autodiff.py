@@ -1,4 +1,4 @@
-"""Reverse-mode engine: adjoints vs central differences, replay, linearity."""
+"""Reverse-mode engine: adjoints vs central differences, linearity."""
 
 import numpy as np
 import pytest
@@ -193,7 +193,6 @@ def test_max_pool_eager_matches_taped():
     tape = ad.Tape()
     taped = ad.max_pool2d(tape.leaf(x), 2, 2, 0)
     assert np.array_equal(eager, taped.value)
-    assert tape.replay()
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
@@ -324,15 +323,6 @@ def test_backward_deterministic_across_rebuilds():
         assert np.array_equal(ga[pa], gb[pb])
 
 
-def test_replay_reproduces_every_node_bit_exactly():
-    tape, loss, _ = build_small_graph()
-    assert tape.replay() is True
-    # tampering with a stored activation must be detected
-    mid = next(n for n in tape.nodes if n.op == "relu")
-    mid.value = mid.value + 1e-12
-    assert tape.replay() is False
-
-
 def test_corrupted_adjoint_is_caught():
     rng = np.random.default_rng(13)
     p = ad.Parameter("p", rng.standard_normal((3, 3)))
@@ -340,7 +330,7 @@ def test_corrupted_adjoint_is_caught():
     def bad_double(node):
         out = T.scale(node.value, 2.0)
         # deliberately wrong adjoint (claims 3x instead of 2x)
-        return node.tape.record(out, [node], lambda g: [g * 3.0], lambda pv: T.scale(pv[0], 2.0), op="bad")
+        return node.tape.record(out, [node], lambda g: [g * 3.0], op="bad")
 
     def loss():
         tape = ad.Tape()

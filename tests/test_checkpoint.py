@@ -6,6 +6,7 @@ import pytest
 from dynconv.checkpoint import (
     MAGIC,
     BadMagicError,
+    CheckpointError,
     ChecksumError,
     MissingTensorError,
     ShapeMismatchError,
@@ -83,6 +84,29 @@ def test_truncated_file_is_rejected(tmp_path):
     path.write_bytes(b"DC")
     with pytest.raises(BadMagicError):
         load_checkpoint(path)
+
+
+def test_every_truncation_and_malformed_manifest_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "two.ckpt"
+    save_checkpoint(path, [("w", np.arange(6.0)), ("bias", np.ones(3))])
+    blob = path.read_bytes()
+    body = blob[:-8]
+
+    def resign(b):
+        return b + struct.pack("<Q", fnv1a64(b))
+
+    # after the 12-byte header, entry 0 is name_len u16, "w", ndim u8, dim u32,
+    # offset u64 (16 bytes); entry 1's dim follows its name_len, "bias" and ndim
+    dim1 = 12 + 16 + 2 + 4 + 1
+    cases = [(blob[:n], "truncated" if 4 <= n < 20 else None) for n in range(len(blob))] + [
+        (resign(body[:14] + b"\xff" + body[15:]), "entry 0"),  # non-UTF-8 name
+        (resign(body[:8] + struct.pack("<I", 7) + body[12:]), r"entry \d+"),  # inflated count
+        (resign(body[:dim1] + struct.pack("<I", 1000) + body[dim1 + 4 :]), "entry 1"),  # shape past payload
+    ]
+    for data, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
 
 def test_flipped_payload_byte_fails_checksum(tmp_path):

@@ -441,3 +441,16 @@ def test_dynamic_layers_accept_an_empty_batch(name, make):
     assert ad.value_of(layer.forward(x)).shape == shape
     tape = ad.Tape()
     assert ad.value_of(layer.forward(tape.leaf(x), tape=tape)).shape == shape
+
+
+def test_train_mode_batchnorm_rejects_an_empty_batch_and_keeps_running_stats():
+    layer = StaticConv("s", 4, 4, k=3, padding=1)
+    layer.forward(np.random.default_rng(36).standard_normal((2, 4, 6, 6)), train=True)
+    mean, var = layer.bn.running_mean.copy(), layer.bn.running_var.copy()
+    x = np.zeros((0, 4, 6, 6))
+    for tape in (None, ad.Tape()):
+        with pytest.raises(ValueError, match=r"^s\.bn: .*empty batch"):
+            layer.forward(x if tape is None else tape.leaf(x), train=True, tape=tape)
+    assert np.array_equal(layer.bn.running_mean, mean)
+    assert np.array_equal(layer.bn.running_var, var)
+    assert ad.value_of(layer.forward(x, train=False)).shape == (0, 4, 6, 6)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dynconv import autodiff as ad
 from dynconv import tensor as T
 
 
@@ -291,8 +292,6 @@ def assert_rel_close(got, want, tol=1e-12):
     ],
 )
 def test_blas_kernels_and_conv_vjps_match_reference_kernels(xshape, wshape, stride, padding, groups):
-    from dynconv import autodiff as ad
-
     rng = np.random.default_rng(59)
     x = rng.standard_normal(xshape)
     w = rng.standard_normal(wshape)
@@ -341,7 +340,7 @@ def test_global_avg_pool_matches_means():
 def test_softmax_rows_sum_to_one_and_bounds():
     rng = np.random.default_rng(61)
     z = rng.standard_normal((10, 4)) * 5
-    a = T.attention_activation(z, "softmax", tau=1.0)
+    a = ad.attention_activation(z, "softmax", tau=1.0)
     assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-12
     assert np.all(a >= 0) and np.all(a <= 1)
 
@@ -349,23 +348,23 @@ def test_softmax_rows_sum_to_one_and_bounds():
 def test_softmax_high_temperature_near_uniform():
     rng = np.random.default_rng(67)
     z = rng.standard_normal((6, 4))
-    a = T.attention_activation(z, "softmax", tau=1e6)
+    a = ad.attention_activation(z, "softmax", tau=1e6)
     assert np.max(np.abs(a - 0.25)) < 1e-5
 
 
 def test_sigmoid_attention_ignores_tau():
     rng = np.random.default_rng(71)
     z = rng.standard_normal((5, 3))
-    a1 = T.attention_activation(z, "sigmoid", tau=1.0)
-    a2 = T.attention_activation(z, "sigmoid", tau=30.0)
+    a1 = ad.attention_activation(z, "sigmoid", tau=1.0)
+    a2 = ad.attention_activation(z, "sigmoid", tau=30.0)
     assert np.array_equal(a1, a2)
     assert np.all((a1 > 0) & (a1 < 1))
 
 
 def test_softmax_temperature_flattens():
     z = np.array([[3.0, 0.0, -1.0]])
-    sharp = T.attention_activation(z, "softmax", tau=1.0)
-    flat = T.attention_activation(z, "softmax", tau=30.0)
+    sharp = ad.attention_activation(z, "softmax", tau=1.0)
+    flat = ad.attention_activation(z, "softmax", tau=30.0)
     assert sharp.max() > flat.max()
 
 
@@ -391,13 +390,6 @@ def test_block_diag_layout():
     assert np.array_equal(out[:2, :3], a)
     assert np.array_equal(out[2:, 3:], b)
     assert np.all(out[:2, 3:] == 0) and np.all(out[2:, :3] == 0)
-
-
-def test_apply_diag_rows():
-    rng = np.random.default_rng(79)
-    lam = rng.standard_normal(4)
-    m = rng.standard_normal((4, 6))
-    assert np.array_equal(T.apply_diag_rows(lam, m), np.diag(lam) @ m)
 
 
 def test_nonfinite_rejected():

@@ -2,12 +2,12 @@ import gc
 import math
 
 import numpy as np
+import pytest
 
 from dynconv import autodiff as ad
-from dynconv.config import RunConfig
+from dynconv.config import ConfigError, RunConfig
 from dynconv.task import build_task_model, make_linear_control
-from dynconv.train import (CSV_HEADER, SGD, _batch_grads, evaluate, lr_at,
-                           run_sweep, train)
+from dynconv.train import CSV_HEADER, SGD, evaluate, lr_at, run_sweep, train
 
 
 def test_step_schedule_matches_closed_form():
@@ -127,54 +127,9 @@ def test_run_sweep_writes_per_run_and_summary_csvs(tmp_path):
     assert len(summary) == 3
 
 
-def _bn_free_model():
-    from dynconv.layers import StaticConv
-    from dynconv.models import GlobalPool, Leaf, ModelGraph
-
-    rng = np.random.default_rng(3)
-    mix = StaticConv("mix", 8, 8, with_bn=False, activation="relu", rng=rng)
-    fc = StaticConv("fc", 8, 4, bias=True, with_bn=False, activation=None, rng=rng)
-    modules = [Leaf(mix, "mix"), Leaf(GlobalPool("pool", 8), "global_pool"),
-               Leaf(fc, "classifier")]
-    return ModelGraph("tiny/static", modules, 8, 4, 16, {})
-
-
-def test_sharded_gradients_match_single_worker_without_batchnorm():
-    # no batch norm -> the shard split cannot change the math, only the
-    # floating-point reduction order
-    tr, _ = make_linear_control(n_train=32, n_val=16, seed=0)
-    x, y = tr.inputs[:16], tr.labels[:16]
-    loss1, correct1, grads1 = _batch_grads(_bn_free_model(), x, y, 1)
-    loss2, correct2, grads2 = _batch_grads(_bn_free_model(), x, y, 2)
-    assert correct1 == correct2
-    assert abs(loss1 - loss2) < 1e-12
-    by_name1 = {p.name: g for p, g in grads1.items()}
-    by_name2 = {p.name: g for p, g in grads2.items()}
-    assert set(by_name1) == set(by_name2)
-    for name, g in by_name1.items():
-        assert np.allclose(g, by_name2[name], atol=1e-12), name
-
-
-def test_workers_two_is_deterministic_per_worker_count(tmp_path):
-    def run(path, workers):
-        tr, va = make_linear_control(n_train=48, n_val=16, seed=0)
-        model = build_task_model(kind="dcd", seed=0)
-        cfg = RunConfig(lr=0.2, epochs=2, batch=16, seed=0, workers=workers)
-        train(model, tr, va, cfg, csv_path=path)
-
-    run(tmp_path / "a.csv", 2)
-    run(tmp_path / "b.csv", 2)
-    run(tmp_path / "c.csv", 1)
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    # batch norm sees shard-sized batches, so counts are not interchangeable
-    assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "c.csv").read_bytes()
-
-
-def test_worker_count_validation_and_config_key():
-    with np.testing.assert_raises(Exception):
-        RunConfig(workers=0)
-    cfg = RunConfig.from_mapping({"train.workers": "3"})
-    assert cfg.workers == 3
+def test_removed_workers_key_is_rejected_by_name():
+    with pytest.raises(ConfigError, match="train.workers"):
+        RunConfig.from_mapping({"train.workers": "2"})
 
 
 def test_training_step_frees_its_tape_without_the_cycle_collector():
