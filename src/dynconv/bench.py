@@ -1,7 +1,7 @@
 """Wall-clock comparison of a dynamic model against its static twin.
 
-Times single-sample inference (the regime where per-sample kernel assembly
-costs the most relative to the convolution itself), excluding warmup
+Times single-sample inference (the regime where the dynamic branch and the
+latent residual cost the most relative to the static conv), excluding warmup
 iterations, and reports mean / median / 95th-percentile latencies plus the
 dynamic/static mean ratio.
 """

@@ -14,6 +14,7 @@ Layout (all integers little-endian):
 State covers every parameter plus batch-norm running statistics, in model
 iteration order.  Loading verifies magic, checksum, and per-tensor shapes
 before touching the model, and reports the first offending tensor by name.
+Tensor names are unique: saving or loading a repeated name is an error.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ class UnexpectedTensorError(CheckpointError):
 
 
 def save_checkpoint(path: str | Path, state: list[tuple[str, np.ndarray]]) -> None:
+    names = [name for name, _ in state]
+    if len(set(names)) != len(names):
+        dup = next(n for i, n in enumerate(names) if n in names[:i])
+        raise CheckpointError(f"{path}: duplicate tensor name {dup!r}; nothing written")
     manifest = bytearray()
     payload = bytearray()
     for name, value in state:
@@ -110,6 +115,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         entries.append((name, shape, offset))
     out: dict[str, np.ndarray] = {}
     for i, (name, shape, offset) in enumerate(entries):
+        if name in out:
+            raise CheckpointError(f"{path}: manifest entry {i} repeats tensor name {name!r}")
         n = int(np.prod(shape, dtype=object))  # Python ints: a forged shape cannot overflow
         start = pos + offset
         if start + 8 * n > len(body):

@@ -1,8 +1,7 @@
 """Dynamic-convolution layers.
 
-Every layer here computes a per-sample kernel W(x) from a pooled view of
-its input, convolves each sample with its own kernel, then applies batch
-norm and ReLU.  Two families are provided:
+Every layer here conditions its kernel W(x) on a pooled view of its input,
+convolves, then applies batch norm and ReLU.  Two families are provided:
 
 * ``VanillaDynConv`` — K static kernels mixed by an attention branch
   (softmax with temperature, or sigmoid gates).
@@ -22,6 +21,13 @@ norm and ReLU.  Two families are provided:
 The dynamic branch is pool → FC → ReLU → FC with the second FC
 zero-initialized, so W(x) = W0 exactly at initialization and every DCD
 layer starts bit-identical to its static counterpart.
+
+``DcdConv.forward`` never builds W(x).  It runs the decomposition as
+Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx): the static conv its twin runs, one scale,
+and a residual of convs through the L-channel latent space (for
+``depthwise``, one C×k² kernel per sample).  ``weight_for`` and
+``conv_kernels`` materialise W(x) as the reference the factored path is
+tested against.
 
 All math goes through ``dynconv.autodiff`` ops, which run eagerly on
 plain arrays and record adjoints when handed tape nodes, so the same
@@ -405,8 +411,9 @@ class DcdConv:
     # -- per-variant weight generation ----------------------------------
 
     def weight_for(self, pooled, lift=None):
-        """Per-sample kernels from pooled features (N×C_in).
+        """Materialised reference: per-sample kernels W(x) from pooled features (N×C_in).
 
+        `forward` never calls this; analyses and tests compare against it.
         Layouts: (N, C_out, C_in) for pointwise/block_sparse,
         (N, C_in, k²) for depthwise, (N, C_in, C_out, k²) for the k×k
         tensor forms (modes: input / output / kernel element).
@@ -500,7 +507,7 @@ class DcdConv:
         return _stack_rows(rows, (self.c_in, self.c_out, kk))
 
     def conv_kernels(self, weights):
-        """Variant-native weights → (N, C_out, C_in/groups, k, k) conv kernels."""
+        """Materialised reference: `weight_for` layouts → (N, C_out, C_in/groups, k, k) conv kernels."""
         n = ad.value_of(weights).shape[0]
         if self.variant in ("pointwise", "block_sparse"):
             return ad.reshape(weights, (n, self.c_out, self.c_in, 1, 1))
@@ -514,14 +521,16 @@ class DcdConv:
     def forward(self, x, train: bool = False, tape=None):
         lift = _lifter(tape, self.parameters())
         xv = tape.leaf(x) if tape is not None and not ad._is_node(x) else x
+        n = ad.value_of(xv).shape[0]
         pooled = ad.global_avg_pool(xv)
+        lam, phi = self.coefficients(pooled, lift)
         if self.observer is not None:
-            lam, phi = self.coefficients(ad.value_of(pooled), lambda p: p.value)
             self.observer(self, ad.value_of(pooled),
                           None if lam is None else ad.value_of(lam), ad.value_of(phi))
-        weights = self.weight_for(pooled, lift)
-        kernels = self.conv_kernels(weights)
-        out = ad.conv2d(xv, kernels, stride=self.stride, padding=self.padding, groups=self.groups)
+        out = ad.conv2d(xv, self._w0_kernel(lift), stride=self.stride, padding=self.padding, groups=self.groups)
+        if lam is not None:
+            out = ad.mul(out, ad.reshape(lam, (n, self.c_out, 1, 1)))
+        out = ad.add(out, self._residual(xv, phi, lift))
         if self.bias is not None:
             out = ad.add(out, ad.reshape(lift(self.bias), (1, self.c_out, 1, 1)))
         if self.bn is not None:
@@ -529,6 +538,49 @@ class DcdConv:
         if self.activation == "relu":
             out = ad.relu(out)
         return out
+
+    def _w0_kernel(self, lift):
+        """W0 in conv layout (C_out, C_in/groups, k, k); k×k tensors pay one transpose copy."""
+        w0 = lift(self.w0)
+        if self.variant in ("full_kxk", "channel_only_kxk"):
+            w0 = ad.transpose_axes(w0, (1, 0, 2))
+        return ad.reshape(w0, (self.c_out, self.c_in // self.groups, self.k, self.k))
+
+    def _residual(self, x, phi, lift):
+        """Dynamic part of the output, P·Φ(x)·(Qᵀx), as a chain of small convs."""
+        n = ad.value_of(x).shape[0]
+        l, l_k, k, s = self.dims.l, self.dims.l_k, self.k, self.stride
+
+        def t(p):
+            return ad.transpose_axes(lift(p), (1, 0))
+
+        if self.variant == "depthwise":  # per-sample kernels P·Φ_i·Rᵀ, built one stacked row at a time
+            m = ad.reshape(ad.matmul(ad.reshape(phi, (n * l_k, l_k)), t(self.r_mat)), (n, l_k, k * k))
+            m = ad.reshape(ad.transpose_axes(m, (0, 2, 1)), (n * k * k, l_k))
+            res = ad.transpose_axes(ad.reshape(ad.matmul(m, t(self.p)), (n, k * k, self.c_in)), (0, 2, 1))
+            return ad.conv2d(x, ad.reshape(res, (n, self.c_in, 1, k, k)), s, self.padding, self.c_in)
+        if self.p_blocks:  # stacked per-block projections, run as grouped convs
+            groups = self.blocks
+            qt = ad.concat([t(q) for q in self.q_blocks], axis=0)
+            p = ad.concat([lift(p) for p in self.p_blocks], axis=0)
+        else:
+            groups, qt, p = 1, t(self.q), lift(self.p)
+        c_lat = groups * l
+        if self.variant == "full_kxk":  # Qᵀ, then the per-sample k×k kernel Φ_i ×₃ R on L channels
+            z = ad.conv2d(x, ad.reshape(qt, (l, self.c_in, 1, 1)))
+            phi_r = ad.reshape(ad.matmul(ad.reshape(phi, (n * l * l, l_k)), t(self.r_mat)), (n, l, l, k, k))
+            z = ad.conv2d(z, ad.transpose_axes(phi_r, (0, 2, 1, 3, 4)), s, self.padding)
+        else:
+            padding = self.padding
+            if self.variant == "channel_only_kxk":  # the centre tap is a 1×1 conv offset by d
+                d = self.padding - (k - 1) // 2
+                if d < 0:
+                    h, w = ad.value_of(x).shape[2:]
+                    x = ad.narrow(ad.narrow(x, 2, -d, h + d), 3, -d, w + d)
+                padding = max(d, 0)
+            z = ad.conv2d(x, ad.reshape(qt, (c_lat, self.c_in // groups, 1, 1)), s, padding, groups)
+            z = ad.conv2d(z, ad.reshape(phi, (n, c_lat, l, 1, 1)), groups=groups)
+        return ad.conv2d(z, ad.reshape(p, (self.c_out, l, 1, 1)), groups=groups)
 
     def static_equivalent(self) -> "StaticConv":
         """Static layer sharing this layer's W0 / bias / batch-norm state."""
@@ -544,12 +596,7 @@ class DcdConv:
 
     def static_kernel(self) -> np.ndarray:
         """W0 in conv layout (C_out, C_in/groups, k, k)."""
-        w0 = self.w0.value
-        if self.variant in ("pointwise", "block_sparse"):
-            return w0.reshape(self.c_out, self.c_in, 1, 1)
-        if self.variant == "depthwise":
-            return w0.reshape(self.c_in, 1, self.k, self.k)
-        return np.ascontiguousarray(w0.transpose(1, 0, 2)).reshape(self.c_out, self.c_in, self.k, self.k)
+        return self._w0_kernel(lambda p: p.value)
 
 
 class StaticConv:

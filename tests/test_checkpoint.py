@@ -102,11 +102,18 @@ def test_every_truncation_and_malformed_manifest_raises_checkpoint_error(tmp_pat
         (resign(body[:14] + b"\xff" + body[15:]), "entry 0"),  # non-UTF-8 name
         (resign(body[:8] + struct.pack("<I", 7) + body[12:]), r"entry \d+"),  # inflated count
         (resign(body[:dim1] + struct.pack("<I", 1000) + body[dim1 + 4 :]), "entry 1"),  # shape past payload
+        # entry 1 renamed "bias" -> "w"; payload offsets are relative, so the rest still parses
+        (resign(body.replace(struct.pack("<H", 4) + b"bias", struct.pack("<H", 1) + b"w")), "entry 1 .*'w'"),
     ]
     for data, message in cases:
         path.write_bytes(data)
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+    # saving a repeated name is refused before any byte is written
+    fresh = tmp_path / "dup.ckpt"
+    with pytest.raises(CheckpointError, match="'w'"):
+        save_checkpoint(fresh, [("w", np.arange(3.0)), ("w", np.ones(3))])
+    assert not fresh.exists()
 
 
 def test_flipped_payload_byte_fails_checksum(tmp_path):

@@ -356,6 +356,97 @@ def test_layer_forward_matches_static_at_init(name, cfg):
         assert np.array_equal(out_dyn, out_static), f"{name}: init forward differs (train={train})"
 
 
+# ---------------------------------------------------------------------------
+# factored execution against the materialised reference
+
+
+FACTORED_LAYERS = [
+    ("pointwise", dict(c_in=16, c_out=12, variant="pointwise")),
+    ("pointwise-no-lambda-bias-s2", dict(c_in=16, c_out=16, variant="pointwise", lambda_enabled=False,
+                                         bias=True, stride=2)),
+    ("block_sparse-B1", dict(c_in=16, c_out=16, variant="block_sparse", blocks=1)),
+    ("block_sparse-B2-s2", dict(c_in=16, c_out=16, variant="block_sparse", blocks=2, dims=LatentDims(2, 1),
+                                stride=2)),
+    ("block_sparse-B4-no-lambda-bias", dict(c_in=16, c_out=16, variant="block_sparse", blocks=4,
+                                            dims=LatentDims(2, 1), lambda_enabled=False, bias=True)),
+    ("depthwise", dict(c_in=8, c_out=8, k=3, variant="depthwise", padding=1)),
+    ("depthwise-no-lambda-s2", dict(c_in=8, c_out=8, k=3, variant="depthwise", padding=1, stride=2,
+                                    lambda_enabled=False)),
+    ("full_kxk-bias", dict(c_in=16, c_out=12, k=3, variant="full_kxk", padding=1, bias=True, dims=LatentDims(3, 4))),
+    ("full_kxk-no-lambda-s2", dict(c_in=16, c_out=16, k=3, variant="full_kxk", stride=2, lambda_enabled=False)),
+    ("channel_only-pad0", dict(c_in=16, c_out=12, k=3, variant="channel_only_kxk")),  # d = -1
+    ("channel_only-pad1-s2", dict(c_in=16, c_out=16, k=3, variant="channel_only_kxk", padding=1, stride=2)),
+    ("channel_only-pad2-no-lambda-bias", dict(c_in=16, c_out=16, k=3, variant="channel_only_kxk", padding=2,
+                                              lambda_enabled=False, bias=True)),  # d = 1
+    ("channel_only-k5-pad1-s2", dict(c_in=16, c_out=16, k=5, variant="channel_only_kxk", padding=1, stride=2)),
+]
+
+
+def _factored_layer(cfg, seed):
+    layer = DcdConv("f", with_bn=False, activation=None, enforce_budget=False,
+                    rng=np.random.default_rng(seed), **cfg)
+    randomize_branch(layer, np.random.default_rng(seed + 1))
+    return layer
+
+
+def _materialised(layer, x, lift):
+    """conv2d(x, conv_kernels(weight_for(pooled))): one full kernel per sample."""
+    kernels = layer.conv_kernels(layer.weight_for(ad.global_avg_pool(x), lift))
+    out = ad.conv2d(x, kernels, stride=layer.stride, padding=layer.padding, groups=layer.groups)
+    return out if layer.bias is None else ad.add(out, ad.reshape(lift(layer.bias), (1, layer.c_out, 1, 1)))
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("name,cfg", FACTORED_LAYERS, ids=[n for n, _ in FACTORED_LAYERS])
+def test_factored_forward_matches_materialised_kernels(name, cfg):
+    """Λ⊙(W0∗x) + P·Φ·(Qᵀx) equals the per-sample kernel path, in value and,
+    on a tape, in every parameter and input gradient; batch 4 equals the
+    stacked batch-1 outputs bit for bit."""
+    layer = _factored_layer(cfg, 40)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((4, cfg["c_in"], 7, 7))
+    ref = _materialised(layer, x, lambda p: p.value)
+    out = layer.forward(x)
+    assert out.shape == ref.shape and _rel_err(out, ref) <= 1e-10
+    assert np.array_equal(out, np.concatenate([layer.forward(x[i : i + 1]) for i in range(4)]))
+    target = rng.standard_normal(out.shape)
+    grads = []
+    for factored in (True, False):
+        tape = ad.Tape()
+        x_param = ad.Parameter("x", x)
+        xn = tape.leaf(x, param=x_param)
+        if factored:
+            y = layer.forward(xn, tape=tape)
+        else:
+            leaves = {id(p): tape.leaf(p.value, param=p) for p in layer.parameters()}
+            y = _materialised(layer, xn, lambda p: leaves[id(p)])
+        assert _rel_err(ad.value_of(y), ref) <= 1e-10
+        g = ad.backward(ad.sum_all(ad.mul(y, target)))
+        grads.append({p.name: g.get(p, np.zeros_like(p.value)) for p in layer.parameters() + [x_param]})
+    for pname, g in grads[0].items():
+        assert _rel_err(g, grads[1][pname]) <= 1e-10, f"{name}: gradient of {pname}"
+
+
+def test_observer_sees_the_forward_coefficients_without_changing_outputs():
+    layer = DcdConv("o", 16, 16, k=3, variant="full_kxk", padding=1, rng=np.random.default_rng(44))
+    randomize_branch(layer, np.random.default_rng(45))
+    x = np.random.default_rng(46).standard_normal((3, 16, 6, 6))
+    plain = layer.forward(x)
+    seen, branch_runs, branch_forward = [], [], layer.branch.forward
+    layer.branch.forward = lambda *a: branch_runs.append(1) or branch_forward(*a)
+    layer.observer = lambda lay, pooled, lam, phi: seen.append((pooled, lam, phi))
+    observed = layer.forward(x)
+    layer.observer = None
+    del layer.branch.forward
+    assert np.array_equal(observed, plain)
+    assert len(seen) == 1 and len(branch_runs) == 1
+    lam, phi = layer.coefficients(T.global_avg_pool(x), lambda p: p.value)
+    assert np.array_equal(seen[0][1], lam) and np.array_equal(seen[0][2], phi)
+
+
 def test_identical_samples_get_identical_outputs():
     rng = np.random.default_rng(25)
     layer = DcdConv("pw", 8, 8, variant="pointwise", rng=np.random.default_rng(26))

@@ -144,3 +144,19 @@ def test_training_step_frees_its_tape_without_the_cycle_collector():
     finally:
         gc.enable()
     assert after == before
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_training_step_tape_size_does_not_grow_with_the_batch(blocks):
+    """The factored DCD forward has no per-sample loop, so one step records
+    the same number of tape nodes at batch 8 and at batch 32."""
+    tr, _ = make_linear_control(n_train=32, n_val=8, seed=0)
+    model = build_task_model(kind="dcd", sparse_blocks=blocks, seed=0)
+    sizes = []
+    for n in (8, 32):
+        tape = ad.Tape()
+        logits = model.forward(tape.leaf(tr.inputs[:n]), train=True, tape=tape)
+        ad.backward(ad.cross_entropy(logits, tr.labels[:n]))
+        sizes.append(len(tape.nodes))
+        tape.nodes.clear()
+    assert sizes[0] == sizes[1]
