@@ -4,7 +4,9 @@ Ops mirror `dynconv.tensor` and dispatch on their inputs: plain ndarrays
 flow through the eager kernels, `Node` inputs are recorded on their tape
 with an explicit adjoint rule.  A layer written against these functions
 therefore produces bit-identical forwards whether or not a tape is
-attached.
+attached.  A taped forward starts from a leaf, as in
+``graph.forward(tape.leaf(x), train=True)``: each op finds the tape
+through its inputs.
 """
 
 from __future__ import annotations

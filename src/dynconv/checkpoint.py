@@ -15,10 +15,13 @@ State covers every parameter plus batch-norm running statistics, in model
 iteration order.  Loading verifies magic, checksum, and per-tensor shapes
 before touching the model, and reports the first offending tensor by name.
 Tensor names are unique: saving or loading a repeated name is an error.
+Saving writes a temporary file next to the target and renames it into
+place, so an interrupted save leaves any earlier checkpoint intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -78,7 +81,13 @@ def save_checkpoint(path: str | Path, state: list[tuple[str, np.ndarray]]) -> No
         manifest += struct.pack("<Q", len(payload))
         payload += arr.tobytes()
     body = MAGIC + struct.pack("<II", VERSION, len(state)) + bytes(manifest) + bytes(payload)
-    Path(path).write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

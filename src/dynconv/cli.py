@@ -116,8 +116,9 @@ def cmd_train(args) -> int:
 
     result = train(model, train_set, val_set, run_cfg, csv_path=out / "metrics.csv")
     if result.aborted:
+        what = f"values in layer {result.abort_layer}" if result.abort_layer else "loss"
         print(
-            f"training aborted: non-finite loss at epoch {result.abort_epoch} "
+            f"training aborted: non-finite {what} at epoch {result.abort_epoch} "
             f"step {result.abort_step}; partial metrics in {out / 'metrics.csv'}",
             file=sys.stderr,
         )

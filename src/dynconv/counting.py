@@ -113,8 +113,6 @@ def _bucket_params(layer, is_classifier: bool) -> tuple[int, dict[str, int]]:
         for p in (layer.p, layer.q, layer.r_mat):
             if p is not None:
                 cats["projections"] += p.value.size
-        for p in layer.p_blocks + layer.q_blocks:
-            cats["projections"] += p.value.size
         cats["dynamic_branch"] += sum(p.value.size for p in layer.branch.parameters())
         if layer.bn is not None:
             cats["batch_norm"] += sum(p.value.size for p in layer.bn.parameters())
@@ -139,7 +137,7 @@ def _branch_madds(layer: DcdConv) -> int:
 def _assembly_madds(layer: DcdConv) -> int:
     l, l_k = layer.dims.l, layer.dims.l_k
     kk = layer.k * layer.k
-    if layer.variant == "block_sparse" and layer.blocks > 1:
+    if layer.variant == "block_sparse":
         cb = layer.c_in // layer.blocks
         return layer.blocks * (l * l * cb + cb * l * cb)
     if layer.variant in ("pointwise", "channel_only_kxk"):
@@ -160,13 +158,10 @@ def _lambda_madds(layer: DcdConv, h_out: int, w_out: int) -> int:
 
 def layer_madds(layer, h_in: int) -> tuple[int, int]:
     """(madds, h_out) for one layer at spatial size h_in (square maps)."""
-    if isinstance(layer, (StaticConv, DcdConv, VanillaDynConv)):
-        h_out = layer.out_size(h_in)
-        conv = layer.c_out * (layer.c_in // getattr(layer, "groups", 1)) * (
-            getattr(layer, "k", 1) ** 2
-        ) * h_out * h_out
-    else:
+    if not isinstance(layer, (StaticConv, DcdConv, VanillaDynConv)):
         raise TypeError(f"cannot count layer of type {type(layer).__name__}")
+    h_out = layer.out_size(h_in)
+    conv = layer.c_out * (layer.c_in // layer.groups) * layer.k * layer.k * h_out * h_out
     if isinstance(layer, StaticConv):
         return conv, h_out
     if isinstance(layer, VanillaDynConv):

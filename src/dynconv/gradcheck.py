@@ -70,7 +70,7 @@ def variant_gradcheck(
     def loss_fn():
         tape = ad.Tape()
         xn = tape.leaf(x_param.value, param=x_param)
-        out = layer.forward(xn, train=False, tape=tape)
+        out = layer.forward(xn, train=False)
         return ad.sum_all(ad.mul(out, weights))
 
     params = [x_param] + layer.parameters()

@@ -29,8 +29,13 @@ and a residual of convs through the L-channel latent space (for
 ``conv_kernels`` materialise W(x) as the reference the factored path is
 tested against.
 
+``pointwise`` and ``block_sparse`` store P (C_out × L) and Q (C_in × L) in
+one layout: B stacked row blocks (B = 1 for pointwise), run as grouped convs.
+
 All math goes through ``dynconv.autodiff`` ops, which run eagerly on
-plain arrays and record adjoints when handed tape nodes, so the same
+plain arrays and record adjoints when handed tape nodes.  No forward takes
+a tape: when its input is a tape node, a layer puts its parameters on that
+node's tape as leaves; otherwise it runs eagerly on raw values.  The same
 code path serves inference, analysis, and training.
 """
 
@@ -231,11 +236,11 @@ class DynamicBranch:
         return ad.add(ad.matmul(hidden, lift(self.w2)), lift(self.b2))
 
 
-def _lifter(tape, params: list[Parameter]):
-    """Map each Parameter to a tape leaf (or its raw value when untaped)."""
-    if tape is None:
+def _lifter(x, layer):
+    """Map each of the layer's Parameters to a leaf on x's tape, or to its raw value when x is untaped."""
+    if not ad._is_node(x):
         return lambda p: p.value
-    nodes = {id(p): tape.leaf(p.value, param=p) for p in params}
+    nodes = {id(p): x.tape.leaf(p.value, param=p) for p in layer.parameters()}
     return lambda p: nodes[id(p)]
 
 
@@ -246,11 +251,33 @@ def _stack_rows(rows: list, shape: tuple):
     return ad.concat(rows, axis=0) if ad._is_node(rows[0]) else np.concatenate(rows, axis=0)
 
 
+class _ConvLayer:
+    """What the three conv layers share: parameters, batch-norm buffers,
+    output size, and the bias → batch norm → activation head."""
+
+    def parameters(self) -> list[Parameter]:
+        own = [p for p in self._own_parameters() if p is not None]
+        return own + (self.bn.parameters() if self.bn is not None else [])
+
+    def buffers(self) -> list[tuple[str, np.ndarray]]:
+        return self.bn.buffers() if self.bn is not None else []
+
+    def out_size(self, h: int) -> int:
+        return T.conv_out_size(h, self.k, self.stride, self.padding)
+
+    def _head(self, out, train: bool, lift):
+        if self.bias is not None:
+            out = ad.add(out, ad.reshape(lift(self.bias), (1, self.c_out, 1, 1)))
+        if self.bn is not None:
+            out = self.bn.forward(out, train, lift)
+        return ad.relu(out) if self.activation == "relu" else out
+
+
 # ---------------------------------------------------------------------------
 # the decomposed dynamic layer
 
 
-class DcdConv:
+class DcdConv(_ConvLayer):
     """Convolution with a statically-anchored, input-conditioned kernel.
 
     Parameters
@@ -333,33 +360,24 @@ class DcdConv:
             self.w0 = Parameter(f"{name}.w0", fan_in_uniform(rng, (c_in, c_out, kk), c_in * kk))
         self.bias = Parameter(f"{name}.bias", np.zeros(c_out)) if bias else None
 
-        self.p_blocks: list[Parameter] = []
-        self.q_blocks: list[Parameter] = []
-        self.p = self.q = self.r_mat = None
-        if variant == "block_sparse" and blocks > 1:
-            cb = c_in // blocks
-            for b in range(blocks):
-                self.p_blocks.append(Parameter(f"{name}.p{b}", fan_in_uniform(rng, (cb, l), l)))
-                self.q_blocks.append(Parameter(f"{name}.q{b}", fan_in_uniform(rng, (cb, l), cb)))
-            phi_len = blocks * l * l
-        elif variant in ("pointwise", "block_sparse"):
-            self.p = Parameter(f"{name}.p", fan_in_uniform(rng, (c_out, l), l))
-            self.q = Parameter(f"{name}.q", fan_in_uniform(rng, (c_in, l), c_in))
-            phi_len = l * l
-        elif variant == "depthwise":
+        self.q = self.r_mat = None
+        if variant == "depthwise":
             self.p = Parameter(f"{name}.p", fan_in_uniform(rng, (c_in, l_k), l_k))
             self.r_mat = Parameter(f"{name}.r", fan_in_uniform(rng, (kk, l_k), l_k))
             phi_len = l_k * l_k
-        elif variant == "full_kxk":
-            self.p = Parameter(f"{name}.p", fan_in_uniform(rng, (c_out, l), l))
-            self.q = Parameter(f"{name}.q", fan_in_uniform(rng, (c_in, l), c_in))
+        else:  # P, Q as B stacked row blocks (B = 1 outside block_sparse), drawn p0, q0, p1, q1, ...
+            ps, qs = [], []
+            for _ in range(blocks):
+                ps.append(fan_in_uniform(rng, (c_out // blocks, l), l))
+                qs.append(fan_in_uniform(rng, (c_in // blocks, l), c_in // blocks))
+            self.p = Parameter(f"{name}.p", np.concatenate(ps))
+            self.q = Parameter(f"{name}.q", np.concatenate(qs))
+            phi_len = blocks * l * l
+        if variant == "full_kxk":
             self.r_mat = Parameter(f"{name}.r", fan_in_uniform(rng, (kk, l_k), l_k))
             phi_len = l * l * l_k
-        else:  # channel_only_kxk: fixed center selector, not learnable
-            self.p = Parameter(f"{name}.p", fan_in_uniform(rng, (c_out, l), l))
-            self.q = Parameter(f"{name}.q", fan_in_uniform(rng, (c_in, l), c_in))
+        elif variant == "channel_only_kxk":  # fixed center selector, not learnable
             self.center = center_one_hot(k)
-            phi_len = l * l
 
         self.phi_len = phi_len
         d_out = (c_out if lambda_enabled else 0) + phi_len
@@ -375,25 +393,8 @@ class DcdConv:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def parameters(self) -> list[Parameter]:
-        out = [self.w0]
-        if self.bias is not None:
-            out.append(self.bias)
-        for p in (self.p, self.q, self.r_mat):
-            if p is not None:
-                out.append(p)
-        out.extend(self.p_blocks)
-        out.extend(self.q_blocks)
-        out.extend(self.branch.parameters())
-        if self.bn is not None:
-            out.extend(self.bn.parameters())
-        return out
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return self.bn.buffers() if self.bn is not None else []
-
-    def out_size(self, h: int) -> int:
-        return T.conv_out_size(h, self.k, self.stride, self.padding)
+    def _own_parameters(self) -> list:
+        return [self.w0, self.bias, self.p, self.q, self.r_mat, *self.branch.parameters()]
 
     # -- dynamic coefficients -------------------------------------------
 
@@ -431,19 +432,14 @@ class DcdConv:
         return self._center_slice_weight(n, lam, phi, w0, lift)
 
     def _residual_matrix(self, phi_i, lift):
-        """P·Φ·Qᵀ for one sample, composed as (Φ·Qᵀ) then P·(·)."""
-        if self.variant == "block_sparse" and self.blocks > 1:
-            l = self.dims.l
-            blocks = []
-            for b in range(self.blocks):
-                phi_b = ad.reshape(ad.narrow(phi_i, 0, b * l * l, (b + 1) * l * l), (l, l))
-                qt = ad.transpose_axes(lift(self.q_blocks[b]), (1, 0))
-                blocks.append(ad.matmul(lift(self.p_blocks[b]), ad.matmul(phi_b, qt)))
-            return ad.block_diag(blocks)
-        l = self.dims.l
-        phi_m = ad.reshape(phi_i, (l, l))
-        qt = ad.transpose_axes(lift(self.q), (1, 0))
-        return ad.matmul(lift(self.p), ad.matmul(phi_m, qt))
+        """P·Φ·Qᵀ for one sample, composed as (Φ·Qᵀ) then P·(·), one diagonal block at a time."""
+        l, co, ci = self.dims.l, self.c_out // self.blocks, self.c_in // self.blocks
+        blocks = []
+        for b in range(self.blocks):
+            phi_b = ad.reshape(ad.narrow(phi_i, 0, b * l * l, (b + 1) * l * l), (l, l))
+            qt = ad.transpose_axes(ad.narrow(lift(self.q), 0, b * ci, (b + 1) * ci), (1, 0))
+            blocks.append(ad.matmul(ad.narrow(lift(self.p), 0, b * co, (b + 1) * co), ad.matmul(phi_b, qt)))
+        return blocks[0] if self.blocks == 1 else ad.block_diag(blocks)
 
     def _matrix_weight(self, n, lam, phi, w0, lift):
         rows = []
@@ -518,26 +514,18 @@ class DcdConv:
 
     # -- full layer ------------------------------------------------------
 
-    def forward(self, x, train: bool = False, tape=None):
-        lift = _lifter(tape, self.parameters())
-        xv = tape.leaf(x) if tape is not None and not ad._is_node(x) else x
-        n = ad.value_of(xv).shape[0]
-        pooled = ad.global_avg_pool(xv)
+    def forward(self, x, train: bool = False):
+        lift = _lifter(x, self)
+        n = ad.value_of(x).shape[0]
+        pooled = ad.global_avg_pool(x)
         lam, phi = self.coefficients(pooled, lift)
         if self.observer is not None:
             self.observer(self, ad.value_of(pooled),
                           None if lam is None else ad.value_of(lam), ad.value_of(phi))
-        out = ad.conv2d(xv, self._w0_kernel(lift), stride=self.stride, padding=self.padding, groups=self.groups)
+        out = ad.conv2d(x, self._w0_kernel(lift), stride=self.stride, padding=self.padding, groups=self.groups)
         if lam is not None:
             out = ad.mul(out, ad.reshape(lam, (n, self.c_out, 1, 1)))
-        out = ad.add(out, self._residual(xv, phi, lift))
-        if self.bias is not None:
-            out = ad.add(out, ad.reshape(lift(self.bias), (1, self.c_out, 1, 1)))
-        if self.bn is not None:
-            out = self.bn.forward(out, train, lift)
-        if self.activation == "relu":
-            out = ad.relu(out)
-        return out
+        return self._head(ad.add(out, self._residual(x, phi, lift)), train, lift)
 
     def _w0_kernel(self, lift):
         """W0 in conv layout (C_out, C_in/groups, k, k); k×k tensors pay one transpose copy."""
@@ -559,15 +547,10 @@ class DcdConv:
             m = ad.reshape(ad.transpose_axes(m, (0, 2, 1)), (n * k * k, l_k))
             res = ad.transpose_axes(ad.reshape(ad.matmul(m, t(self.p)), (n, k * k, self.c_in)), (0, 2, 1))
             return ad.conv2d(x, ad.reshape(res, (n, self.c_in, 1, k, k)), s, self.padding, self.c_in)
-        if self.p_blocks:  # stacked per-block projections, run as grouped convs
-            groups = self.blocks
-            qt = ad.concat([t(q) for q in self.q_blocks], axis=0)
-            p = ad.concat([lift(p) for p in self.p_blocks], axis=0)
-        else:
-            groups, qt, p = 1, t(self.q), lift(self.p)
-        c_lat = groups * l
+        g, ci = self.blocks, self.c_in // self.blocks  # the B diagonal blocks run as grouped convs
+        qt = ad.reshape(ad.transpose_axes(ad.reshape(lift(self.q), (g, ci, l)), (0, 2, 1)), (g * l, ci, 1, 1))
         if self.variant == "full_kxk":  # Qᵀ, then the per-sample k×k kernel Φ_i ×₃ R on L channels
-            z = ad.conv2d(x, ad.reshape(qt, (l, self.c_in, 1, 1)))
+            z = ad.conv2d(x, qt)
             phi_r = ad.reshape(ad.matmul(ad.reshape(phi, (n * l * l, l_k)), t(self.r_mat)), (n, l, l, k, k))
             z = ad.conv2d(z, ad.transpose_axes(phi_r, (0, 2, 1, 3, 4)), s, self.padding)
         else:
@@ -578,9 +561,9 @@ class DcdConv:
                     h, w = ad.value_of(x).shape[2:]
                     x = ad.narrow(ad.narrow(x, 2, -d, h + d), 3, -d, w + d)
                 padding = max(d, 0)
-            z = ad.conv2d(x, ad.reshape(qt, (c_lat, self.c_in // groups, 1, 1)), s, padding, groups)
-            z = ad.conv2d(z, ad.reshape(phi, (n, c_lat, l, 1, 1)), groups=groups)
-        return ad.conv2d(z, ad.reshape(p, (self.c_out, l, 1, 1)), groups=groups)
+            z = ad.conv2d(x, qt, s, padding, g)
+            z = ad.conv2d(z, ad.reshape(phi, (n, g * l, l, 1, 1)), groups=g)
+        return ad.conv2d(z, ad.reshape(lift(self.p), (self.c_out, l, 1, 1)), groups=g)
 
     def static_equivalent(self) -> "StaticConv":
         """Static layer sharing this layer's W0 / bias / batch-norm state."""
@@ -599,7 +582,7 @@ class DcdConv:
         return self._w0_kernel(lambda p: p.value)
 
 
-class StaticConv:
+class StaticConv(_ConvLayer):
     """Plain conv → (bias) → batch norm → activation, same head options as DcdConv."""
 
     def __init__(
@@ -626,34 +609,16 @@ class StaticConv:
         self.bias = Parameter(f"{name}.bias", np.zeros(c_out)) if bias else None
         self.bn = BatchNorm2d(f"{name}.bn", c_out) if with_bn else None
 
-    def parameters(self) -> list[Parameter]:
-        out = [self.weight]
-        if self.bias is not None:
-            out.append(self.bias)
-        if self.bn is not None:
-            out.extend(self.bn.parameters())
-        return out
+    def _own_parameters(self) -> list:
+        return [self.weight, self.bias]
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return self.bn.buffers() if self.bn is not None else []
-
-    def out_size(self, h: int) -> int:
-        return T.conv_out_size(h, self.k, self.stride, self.padding)
-
-    def forward(self, x, train: bool = False, tape=None):
-        lift = _lifter(tape, self.parameters())
-        xv = tape.leaf(x) if tape is not None and not ad._is_node(x) else x
-        out = ad.conv2d(xv, lift(self.weight), stride=self.stride, padding=self.padding, groups=self.groups)
-        if self.bias is not None:
-            out = ad.add(out, ad.reshape(lift(self.bias), (1, self.c_out, 1, 1)))
-        if self.bn is not None:
-            out = self.bn.forward(out, train, lift)
-        if self.activation == "relu":
-            out = ad.relu(out)
-        return out
+    def forward(self, x, train: bool = False):
+        lift = _lifter(x, self)
+        out = ad.conv2d(x, lift(self.weight), stride=self.stride, padding=self.padding, groups=self.groups)
+        return self._head(out, train, lift)
 
 
-class VanillaDynConv:
+class VanillaDynConv(_ConvLayer):
     """K static 1×1 kernels mixed per sample by attention scores.
 
     The attention branch is pool → FC(C→C/reduction) → ReLU → FC(→K),
@@ -683,8 +648,9 @@ class VanillaDynConv:
         self.c_in, self.c_out = c_in, c_out
         self.k_kernels = kernels
         self.mode, self.tau = mode, tau
-        self.stride = stride
+        self.k, self.stride, self.padding, self.groups = 1, stride, 0, 1
         self.activation = activation
+        self.bias = None
         self.kernels = Parameter(f"{name}.kernels", fan_in_uniform(rng, (kernels, c_out, c_in), c_in))
         hidden = max(c_in // reduction, 1)
         self.w1 = Parameter(f"{name}.att_w1", fan_in_uniform(rng, (c_in, hidden), c_in))
@@ -693,17 +659,8 @@ class VanillaDynConv:
         self.b2 = Parameter(f"{name}.att_b2", np.zeros(kernels))
         self.bn = BatchNorm2d(f"{name}.bn", c_out) if with_bn else None
 
-    def parameters(self) -> list[Parameter]:
-        out = [self.kernels, self.w1, self.b1, self.w2, self.b2]
-        if self.bn is not None:
-            out.extend(self.bn.parameters())
-        return out
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return self.bn.buffers() if self.bn is not None else []
-
-    def out_size(self, h: int) -> int:
-        return T.conv_out_size(h, 1, self.stride, 0)
+    def _own_parameters(self) -> list:
+        return [self.kernels, self.w1, self.b1, self.w2, self.b2]
 
     def attention(self, pooled, lift=None):
         lift = lift or (lambda p: p.value)
@@ -720,16 +677,9 @@ class VanillaDynConv:
         mixed = ad.matmul(att, flat)
         return ad.reshape(mixed, (n, self.c_out, self.c_in))
 
-    def forward(self, x, train: bool = False, tape=None):
-        lift = _lifter(tape, self.parameters())
-        xv = tape.leaf(x) if tape is not None and not ad._is_node(x) else x
-        n = ad.value_of(xv).shape[0]
-        pooled = ad.global_avg_pool(xv)
-        weights = self.weight_for(pooled, lift)
-        kernels = ad.reshape(weights, (n, self.c_out, self.c_in, 1, 1))
-        out = ad.conv2d(xv, kernels, stride=self.stride)
-        if self.bn is not None:
-            out = self.bn.forward(out, train, lift)
-        if self.activation == "relu":
-            out = ad.relu(out)
-        return out
+    def forward(self, x, train: bool = False):
+        lift = _lifter(x, self)
+        n = ad.value_of(x).shape[0]
+        weights = self.weight_for(ad.global_avg_pool(x), lift)
+        out = ad.conv2d(x, ad.reshape(weights, (n, self.c_out, self.c_in, 1, 1)), stride=self.stride)
+        return self._head(out, train, lift)

@@ -1,12 +1,15 @@
 """Model zoo: MobileNetV2- and ResNet-style graphs with static or dynamic
 convolutions sharing one architecture.
 
-A `ModelGraph` is an ordered list of modules (leaf layers, inverted
-residuals, residual blocks).  It can run a forward pass (eager or taped),
-enumerate its layers with the spatial size each one sees (for accounting),
-rebuild itself from a flat config mapping, and derive a *static twin* whose
-plain convolutions share the dynamic model's base kernels — at
-initialization the two produce bit-identical outputs.
+A `ModelGraph` is an ordered list of `Block`s.  A block runs its layers in
+order, then optionally adds a skip (the input itself, or a downsample
+layer applied to it) and a ReLU: a plain layer chain, a MobileNetV2
+inverted residual and a ResNet residual block differ only in those flags.
+A graph runs a forward pass (taped when its input is a tape leaf, eager
+otherwise), enumerates its layers with the spatial size each one sees (for
+accounting), rebuilds itself from a flat config mapping, and derives a
+*static twin* whose plain convolutions share the dynamic model's base
+kernels — at initialization the two produce bit-identical outputs.
 
 Latent/squeeze policies for the dynamic variants (fixed here so parameter
 budgets are reproducible):
@@ -55,7 +58,7 @@ class MaxPool2d:
     def __init__(self, name: str, k: int, stride: int, padding: int = 0):
         self.name, self.k, self.stride, self.padding = name, k, stride, padding
 
-    def forward(self, x, train: bool = False, tape=None):
+    def forward(self, x, train: bool = False):
         return ad.max_pool2d(x, self.k, self.stride, self.padding)
 
     def out_size(self, h: int) -> int:
@@ -74,7 +77,7 @@ class GlobalPool:
     def __init__(self, name: str, channels: int):
         self.name, self.channels = name, channels
 
-    def forward(self, x, train: bool = False, tape=None):
+    def forward(self, x, train: bool = False):
         n = value_of(x).shape[0]
         return ad.reshape(ad.global_avg_pool(x), (n, self.channels, 1, 1))
 
@@ -88,76 +91,32 @@ class GlobalPool:
         return []
 
 
-class Leaf:
-    def __init__(self, layer, role: str):
-        self.layer, self.role = layer, role
-
-    def forward(self, x, train: bool = False, tape=None):
-        return self.layer.forward(x, train=train, tape=tape)
-
-    def walk(self, h: int):
-        h_out = self.layer.out_size(h)
-        return [(self.layer, self.role, h, h_out)], h_out
-
-    def map_layers(self, fn):
-        return Leaf(fn(self.layer), self.role)
-
-    def parameters(self):
-        return self.layer.parameters()
-
-    def buffers(self):
-        return self.layer.buffers()
+def _run(layer, x, train: bool):
+    """`layer.forward`, re-raising a NonFiniteError under the layer's name."""
+    try:
+        return layer.forward(x, train=train)
+    except T.NonFiniteError as exc:
+        raise T.NonFiniteError(f"{layer.name}: {exc}", layer=layer.name) from exc
 
 
-class InvertedResidual:
-    """(expand) → depthwise → project, with identity skip when shapes allow."""
+class Block:
+    """Steps run in order; `skip` then adds `downsample(x)`, or `x` itself
+    when there is no downsample, and `relu` ends the block with a ReLU."""
 
-    def __init__(self, steps: list[tuple[object, str]], use_skip: bool):
-        self.steps = steps
-        self.use_skip = use_skip
+    def __init__(self, steps: list[tuple[object, str]], skip: bool = False, downsample=None, relu: bool = False):
+        self.steps, self.skip, self.downsample, self.relu = steps, skip, downsample, relu
 
-    def forward(self, x, train: bool = False, tape=None):
+    def forward(self, x, train: bool = False):
         h = x
         for layer, _ in self.steps:
-            h = layer.forward(h, train=train, tape=tape)
-        return ad.add(h, x) if self.use_skip else h
+            h = _run(layer, h, train)
+        if self.skip:
+            h = ad.add(h, x if self.downsample is None else _run(self.downsample, x, train))
+        return ad.relu(h) if self.relu else h
 
     def walk(self, h: int):
         rows, cur = [], h
         for layer, role in self.steps:
-            nxt = layer.out_size(cur)
-            rows.append((layer, role, cur, nxt))
-            cur = nxt
-        return rows, cur
-
-    def map_layers(self, fn):
-        return InvertedResidual([(fn(layer), role) for layer, role in self.steps], self.use_skip)
-
-    def parameters(self):
-        return [p for layer, _ in self.steps for p in layer.parameters()]
-
-    def buffers(self):
-        return [b for layer, _ in self.steps for b in layer.buffers()]
-
-
-class ResidualBlock:
-    """Stacked convolutions plus identity (or 1×1-projected) shortcut; the
-    last convolution is linear and the joining ReLU lives here."""
-
-    def __init__(self, convs: list[tuple[object, str]], downsample=None):
-        self.convs = convs
-        self.downsample = downsample
-
-    def forward(self, x, train: bool = False, tape=None):
-        h = x
-        for layer, _ in self.convs:
-            h = layer.forward(h, train=train, tape=tape)
-        shortcut = self.downsample.forward(x, train=train, tape=tape) if self.downsample is not None else x
-        return ad.relu(ad.add(h, shortcut))
-
-    def walk(self, h: int):
-        rows, cur = [], h
-        for layer, role in self.convs:
             nxt = layer.out_size(cur)
             rows.append((layer, role, cur, nxt))
             cur = nxt
@@ -167,19 +126,16 @@ class ResidualBlock:
 
     def map_layers(self, fn):
         down = fn(self.downsample) if self.downsample is not None else None
-        return ResidualBlock([(fn(layer), role) for layer, role in self.convs], down)
+        return Block([(fn(layer), role) for layer, role in self.steps], self.skip, down, self.relu)
+
+    def _layers(self) -> list:
+        return [layer for layer, _ in self.steps] + ([self.downsample] if self.downsample is not None else [])
 
     def parameters(self):
-        out = [p for layer, _ in self.convs for p in layer.parameters()]
-        if self.downsample is not None:
-            out.extend(self.downsample.parameters())
-        return out
+        return [p for layer in self._layers() for p in layer.parameters()]
 
     def buffers(self):
-        out = [b for layer, _ in self.convs for b in layer.buffers()]
-        if self.downsample is not None:
-            out.extend(self.downsample.buffers())
-        return out
+        return [b for layer in self._layers() for b in layer.buffers()]
 
 
 class ModelGraph:
@@ -192,13 +148,14 @@ class ModelGraph:
         self.resolution = resolution
         self.config = config
 
-    def forward(self, x, train: bool = False, tape=None):
+    def forward(self, x, train: bool = False):
+        """Logits; taped when `x` is a tape leaf (`graph.forward(tape.leaf(x), train=True)`)."""
         xv = value_of(x)
         if xv.ndim != 4 or xv.shape[1] != self.input_channels:
             raise ValueError(f"{self.name} expects (N,{self.input_channels},H,W), got {xv.shape}")
         h = x
         for module in self.modules:
-            h = module.forward(h, train=train, tape=tape)
+            h = module.forward(h, train=train)
         return ad.reshape(h, (xv.shape[0], self.num_classes))
 
     def iter_layers(self, resolution: int | None = None):
@@ -317,8 +274,8 @@ def build_mobilenetv2(width: float = 1.0, placement=(), r: float | None = None,
 
     c_stem = make_divisible(32 * width)
     c_last = make_divisible(1280 * max(1.0, width))
-    modules: list = [Leaf(StaticConv("stem", 3, c_stem, k=3, stride=2, padding=1,
-                                     activation="relu", rng=rng()), "stem")]
+    modules: list = [Block([(StaticConv("stem", 3, c_stem, k=3, stride=2, padding=1,
+                                        activation="relu", rng=rng()), "stem")])]
 
     c_prev = c_stem
     block_idx = 0
@@ -333,14 +290,11 @@ def build_mobilenetv2(width: float = 1.0, placement=(), r: float | None = None,
                 steps.append((pointwise(f"{prefix}.expand", c_prev, c_mid, "relu"), "pw"))
             steps.append((depthwise(f"{prefix}.dw", c_mid, stride), "dw"))
             steps.append((pointwise(f"{prefix}.project", c_mid, c_out, None), "pw"))
-            modules.append(InvertedResidual(steps, use_skip=(stride == 1 and c_prev == c_out)))
+            modules.append(Block(steps, skip=(stride == 1 and c_prev == c_out)))
             c_prev = c_out
             block_idx += 1
 
-    modules.append(Leaf(pointwise("head", c_prev, c_last, "relu",
-                                  base_latent=default_latent_dim(c_prev)), "pw"))
-    modules.append(Leaf(GlobalPool("pool", c_last), "global_pool"))
-
+    head = pointwise("head", c_prev, c_last, "relu", base_latent=default_latent_dim(c_prev))
     if "cls" in placement:
         cls_base = min(latent_dim_pow2(c_last), num_classes)
         cls_dims = LatentDims(l=_scaled_latent(cls_base, l_multiplier))
@@ -349,7 +303,7 @@ def build_mobilenetv2(width: float = 1.0, placement=(), r: float | None = None,
     else:
         cls = StaticConv("cls", c_last, num_classes, k=1, bias=True, with_bn=False,
                          activation=None, rng=rng())
-    modules.append(Leaf(cls, "classifier"))
+    modules.append(Block([(head, "pw"), (GlobalPool("pool", c_last), "global_pool"), (cls, "classifier")]))
 
     config = {
         "model.family": "mobilenetv2",
@@ -402,10 +356,10 @@ def build_resnet(depth: int = 18, dcd: str = "off", r: float = 16.0,
         return StaticConv(name, c_in, c_out, k=k, stride=stride, padding=padding,
                           activation=activation, rng=rng())
 
-    modules: list = [
-        Leaf(StaticConv("stem", 3, 64, k=7, stride=2, padding=3, activation="relu", rng=rng()), "stem"),
-        Leaf(MaxPool2d("maxpool", 3, 2, 1), "max_pool"),
-    ]
+    modules: list = [Block([
+        (StaticConv("stem", 3, 64, k=7, stride=2, padding=3, activation="relu", rng=rng()), "stem"),
+        (MaxPool2d("maxpool", 3, 2, 1), "max_pool"),
+    ])]
 
     expansion = 1 if block_kind == "basic" else 4
     c_prev = 64
@@ -430,12 +384,11 @@ def build_resnet(depth: int = 18, dcd: str = "off", r: float = 16.0,
             if stride != 1 or c_prev != c_out:
                 down = StaticConv(f"{prefix}.down", c_prev, c_out, k=1, stride=stride,
                                   activation=None, rng=rng())
-            modules.append(ResidualBlock(convs, down))
+            modules.append(Block(convs, skip=True, downsample=down, relu=True))
             c_prev = c_out
 
-    modules.append(Leaf(GlobalPool("pool", c_prev), "global_pool"))
-    modules.append(Leaf(StaticConv("fc", c_prev, num_classes, k=1, bias=True, with_bn=False,
-                                   activation=None, rng=rng()), "classifier"))
+    fc = StaticConv("fc", c_prev, num_classes, k=1, bias=True, with_bn=False, activation=None, rng=rng())
+    modules.append(Block([(GlobalPool("pool", c_prev), "global_pool"), (fc, "classifier")]))
 
     config = {
         "model.family": "resnet",

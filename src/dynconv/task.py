@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .layers import DcdConv, LatentDims, StaticConv, VanillaDynConv
-from .models import BUILDERS, GlobalPool, Leaf, ModelGraph, _scaled_latent
+from .models import BUILDERS, Block, GlobalPool, ModelGraph, _scaled_latent
 
 
 @dataclass
@@ -278,11 +278,7 @@ def build_task_model(
     fc = StaticConv(
         "fc", channels, num_classes, bias=True, with_bn=False, activation=None, rng=rng()
     )
-    modules = [
-        Leaf(mix, "mix"),
-        Leaf(GlobalPool("pool", channels), "global_pool"),
-        Leaf(fc, "classifier"),
-    ]
+    modules = [Block([(mix, "mix"), (GlobalPool("pool", channels), "global_pool"), (fc, "classifier")])]
     config = {
         "model.family": "task",
         "model.kind": kind,

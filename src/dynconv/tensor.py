@@ -27,7 +27,12 @@ BN_MOMENTUM = 0.9
 
 
 class NonFiniteError(ValueError):
-    """Raised when an operation produces NaN or +/-Inf."""
+    """Raised when an operation produces NaN or +/-Inf; `layer` names the
+    model layer it came from, once a model block has re-raised it."""
+
+    def __init__(self, message: str, layer: str | None = None):
+        super().__init__(message)
+        self.layer = layer
 
 
 def as_tensor(x) -> np.ndarray:

@@ -10,8 +10,8 @@ Conventions:
   Epoch 0 is an evaluation-only row taken before any update; training rows
   follow, one per completed epoch.  With ``epochs = 0`` the file contains the
   header and the initial row only.
-* A non-finite training loss aborts the run: the offending epoch/step is
-  recorded, rows collected so far are still written, and no further updates
+* A non-finite training loss aborts the run: the offending epoch/step, and
+  the layer when a layer's output went non-finite first, are recorded, rows collected so far are still written, and no further updates
   are applied.
 """
 
@@ -71,6 +71,7 @@ class TrainResult:
     aborted: bool = False
     abort_epoch: int | None = None
     abort_step: int | None = None
+    abort_layer: str | None = None  # None when only the loss is non-finite
     final_train_acc: float = 0.0
     final_val_acc: float = 0.0
 
@@ -86,7 +87,7 @@ class TrainResult:
 def _batch_grads(graph, x, y):
     """(mean loss, correct count, gradients) for one training batch."""
     tape = ad.Tape()
-    logits = graph.forward(tape.leaf(x), train=True, tape=tape)
+    logits = graph.forward(tape.leaf(x), train=True)
     loss = ad.cross_entropy(logits, y)
     grads = ad.backward(loss)
     # Node.tape <-> Tape.nodes is a cycle; breaking it frees the step's
@@ -130,9 +131,9 @@ def train(
                 correct += batch_correct
                 step += 1
             record(epoch + 1, loss_sum / len(train_set), correct / len(train_set), lr)
-        except T.NonFiniteError:
+        except T.NonFiniteError as exc:
             result.aborted = True
-            result.abort_epoch, result.abort_step = epoch + 1, step
+            result.abort_epoch, result.abort_step, result.abort_layer = epoch + 1, step, exc.layer
             if csv_path is not None:
                 Path(csv_path).write_text(result.csv_text())
             return result

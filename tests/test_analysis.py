@@ -24,7 +24,7 @@ def test_two_pass_std_of_constant_column_is_zero():
 def _woken_model(seed=0):
     """Task model whose coefficient branch produces input-dependent output."""
     model = build_task_model(kind="dcd", seed=seed)
-    mix = model.modules[0].layer
+    mix = next(layer for layer, role, *_ in model.iter_layers() if role == "mix")
     rng = np.random.default_rng(42)
     mix.branch.w2.value = rng.normal(size=mix.branch.w2.value.shape) * 0.5
     return model, mix

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -104,6 +105,8 @@ def test_every_truncation_and_malformed_manifest_raises_checkpoint_error(tmp_pat
         (resign(body[:dim1] + struct.pack("<I", 1000) + body[dim1 + 4 :]), "entry 1"),  # shape past payload
         # entry 1 renamed "bias" -> "w"; payload offsets are relative, so the rest still parses
         (resign(body.replace(struct.pack("<H", 4) + b"bias", struct.pack("<H", 1) + b"w")), "entry 1 .*'w'"),
+    ] + [  # every single-bit flip
+        (blob[:i // 8] + bytes([blob[i // 8] ^ (1 << i % 8)]) + blob[i // 8 + 1 :], None) for i in range(8 * len(blob))
     ]
     for data, message in cases:
         path.write_bytes(data)
@@ -114,6 +117,21 @@ def test_every_truncation_and_malformed_manifest_raises_checkpoint_error(tmp_pat
     with pytest.raises(CheckpointError, match="'w'"):
         save_checkpoint(fresh, [("w", np.arange(3.0)), ("w", np.ones(3))])
     assert not fresh.exists()
+
+
+def test_failed_save_leaves_the_previous_checkpoint_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(path, _state(np.random.default_rng(4)))
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        save_checkpoint(path, _state(np.random.default_rng(5)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.ckpt"]
 
 
 def test_flipped_payload_byte_fails_checksum(tmp_path):

@@ -77,6 +77,23 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert "val acc" in capsys.readouterr().out
 
 
+def test_train_abort_message_names_the_layer(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "model.family = task\n"
+        "model.kind = static\n"
+        "task.kind = linear_control\n"
+        "task.n_train = 64\n"
+        "task.n_val = 32\n"
+        "train.epochs = 3\n"
+        "train.batch = 16\n"
+        "train.lr = 1e25\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert "training aborted: non-finite values in layer mix at epoch" in capsys.readouterr().err
+
+
 def test_train_rejects_malformed_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("train.lr 0.5\n")

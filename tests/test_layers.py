@@ -232,7 +232,7 @@ def test_block_sparse_zero_pattern_and_diagonal_limit():
         residual = w[i] - lam[i][:, None] * diag_layer.w0.value
         assert np.max(np.abs(residual - np.diag(np.diag(residual)))) == 0.0
         for b in range(8):
-            expected = diag_layer.p_blocks[b].value[0, 0] * phi[i, b] * diag_layer.q_blocks[b].value[0, 0]
+            expected = diag_layer.p.value[b][0] * phi[i, b] * diag_layer.q.value[b][0]
             assert abs(residual[b, b] - expected) < 1e-12
 
 
@@ -419,7 +419,7 @@ def test_factored_forward_matches_materialised_kernels(name, cfg):
         x_param = ad.Parameter("x", x)
         xn = tape.leaf(x, param=x_param)
         if factored:
-            y = layer.forward(xn, tape=tape)
+            y = layer.forward(xn)
         else:
             leaves = {id(p): tape.leaf(p.value, param=p) for p in layer.parameters()}
             y = _materialised(layer, xn, lambda p: leaves[id(p)])
@@ -500,7 +500,7 @@ def test_depthwise_layer_gradcheck():
     def loss():
         tape = ad.Tape()
         x_node = tape.leaf(x_param.value, param=x_param)
-        out = layer.forward(x_node, train=True, tape=tape)
+        out = layer.forward(x_node, train=True)
         return ad.sum_all(ad.mul(out, target))
 
     params = [p for p in layer.parameters()] + [x_param]
@@ -531,7 +531,7 @@ def test_dynamic_layers_accept_an_empty_batch(name, make):
     shape = (0, layer.c_out, layer.out_size(6), layer.out_size(6))
     assert ad.value_of(layer.forward(x)).shape == shape
     tape = ad.Tape()
-    assert ad.value_of(layer.forward(tape.leaf(x), tape=tape)).shape == shape
+    assert ad.value_of(layer.forward(tape.leaf(x))).shape == shape
 
 
 def test_train_mode_batchnorm_rejects_an_empty_batch_and_keeps_running_stats():
@@ -541,7 +541,7 @@ def test_train_mode_batchnorm_rejects_an_empty_batch_and_keeps_running_stats():
     x = np.zeros((0, 4, 6, 6))
     for tape in (None, ad.Tape()):
         with pytest.raises(ValueError, match=r"^s\.bn: .*empty batch"):
-            layer.forward(x if tape is None else tape.leaf(x), train=True, tape=tape)
+            layer.forward(x if tape is None else tape.leaf(x), train=True)
     assert np.array_equal(layer.bn.running_mean, mean)
     assert np.array_equal(layer.bn.running_var, var)
     assert ad.value_of(layer.forward(x, train=False)).shape == (0, 4, 6, 6)

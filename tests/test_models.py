@@ -4,6 +4,7 @@ config round-trips."""
 import numpy as np
 import pytest
 
+import dynconv.autodiff as ad
 import dynconv.tensor as T
 from dynconv.counting import count_madds, count_model, count_params
 from dynconv.layers import DcdConv, StaticConv
@@ -235,6 +236,47 @@ def test_twin_shares_base_kernel_storage():
             variants.add(dcd.variant)
             heads.update(name for name in ("bias", "bn") if getattr(dcd, name) is not None)
     assert variants == {"channel_only_kxk", "pointwise", "depthwise"} and heads == {"bias", "bn"}
+
+
+def _seeded_resnet10():
+    """ResNet-10-DCD whose branches produce input-dependent Λ and Φ."""
+    graph = build_resnet(depth=10, dcd="channel_only_3x3", num_classes=5, resolution=16, seed=4)
+    rng = np.random.default_rng(8)
+    for layer, _ in _conv_layers(graph):
+        if isinstance(layer, DcdConv):
+            layer.branch.w2.value = rng.normal(size=layer.branch.w2.value.shape) * 0.1
+            layer.branch.b2.value = rng.normal(size=layer.branch.b2.value.shape) * 0.1
+    return graph
+
+
+def test_taped_forward_takes_its_tape_from_the_input():
+    graph = _seeded_resnet10()
+    x = np.random.default_rng(3).normal(size=(2, 3, 16, 16))
+    assert isinstance(graph.forward(x), np.ndarray)
+    tape = ad.Tape()
+    logits = graph.forward(tape.leaf(x), train=True)
+    grads = ad.backward(ad.cross_entropy(logits, np.array([1, 3])))
+    missing = [p.name for p in graph.parameters() if p not in grads]
+    assert not missing, f"no gradient for {missing}"
+
+
+def test_static_twin_walks_the_same_layers():
+    graph = _seeded_resnet10()
+    rows = [(layer.name, role, h_in, h_out) for layer, role, h_in, h_out in graph.iter_layers()]
+    twin = [(layer.name.removesuffix(".static"), role, h_in, h_out)
+            for layer, role, h_in, h_out in graph.static_twin().iter_layers()]
+    assert twin == rows
+
+
+def test_non_finite_error_names_the_layer():
+    graph = _seeded_resnet10()
+    layer = next(layer for layer, _ in _conv_layers(graph) if layer.name == "s2b0.conv2")
+    layer.w0.value[0, 0, 0] = np.nan
+    with pytest.raises(T.NonFiniteError) as info:
+        graph.forward(np.random.default_rng(3).normal(size=(2, 3, 16, 16)))
+    assert str(info.value).startswith("s2b0.conv2: ") and info.value.layer == "s2b0.conv2"
+    assert isinstance(info.value.__cause__, T.NonFiniteError)
+    assert str(info.value) == f"s2b0.conv2: {info.value.__cause__}"
 
 
 # ---------------------------------------------------------------------------

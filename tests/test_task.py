@@ -80,10 +80,14 @@ def test_linear_control_is_solved_by_static_model():
     assert perfect and perfect[0] <= 30, "static model should hit 100% train accuracy"
 
 
+def _mix(model):
+    return next(layer for layer, role, *_ in model.iter_layers() if role == "mix")
+
+
 def test_task_model_kinds_use_the_right_mixing_layer():
-    static = build_task_model(kind="static", seed=0).modules[0].layer
-    dcd = build_task_model(kind="dcd", seed=0).modules[0].layer
-    van = build_task_model(kind="vanilla", tau=30.0, seed=0).modules[0].layer
+    static = _mix(build_task_model(kind="static", seed=0))
+    dcd = _mix(build_task_model(kind="dcd", seed=0))
+    van = _mix(build_task_model(kind="vanilla", tau=30.0, seed=0))
     assert isinstance(static, StaticConv)
     assert isinstance(dcd, DcdConv) and dcd.variant == "pointwise"
     assert isinstance(van, VanillaDynConv) and van.tau == 30.0
@@ -91,14 +95,14 @@ def test_task_model_kinds_use_the_right_mixing_layer():
 
 def test_task_model_sparse_blocks_variant():
     model = build_task_model(kind="dcd", sparse_blocks=4, seed=0)
-    mix = model.modules[0].layer
+    mix = _mix(model)
     assert mix.variant == "block_sparse" and mix.blocks == 4
     assert mix.dims.l == 2  # 8 channels / 4 blocks
 
 
 def test_task_model_l_multiplier_scales_latent():
-    full = build_task_model(kind="dcd", seed=0).modules[0].layer
-    half = build_task_model(kind="dcd", l_multiplier=0.5, seed=0).modules[0].layer
+    full = _mix(build_task_model(kind="dcd", seed=0))
+    half = _mix(build_task_model(kind="dcd", l_multiplier=0.5, seed=0))
     assert full.dims.l == 8 and half.dims.l == 4
 
 
@@ -119,8 +123,8 @@ def test_task_model_config_roundtrip():
 
 
 def test_mix_kernel_init_is_shared_across_kinds():
-    static = build_task_model(kind="static", seed=7).modules[0].layer
-    dcd = build_task_model(kind="dcd", seed=7).modules[0].layer
+    static = _mix(build_task_model(kind="static", seed=7))
+    dcd = _mix(build_task_model(kind="dcd", seed=7))
     # same per-layer stream: identical values, stored (C,C,1,1) vs (C,C)
     assert np.array_equal(static.weight.value.reshape(8, 8), dcd.w0.value)
 

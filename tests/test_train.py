@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dynconv import autodiff as ad
+from dynconv import train as train_module
 from dynconv.config import ConfigError, RunConfig
 from dynconv.task import build_task_model, make_linear_control
 from dynconv.train import CSV_HEADER, SGD, evaluate, lr_at, run_sweep, train
@@ -106,6 +107,18 @@ def test_divergence_aborts_and_records_position(tmp_path):
     assert lines[0] == CSV_HEADER and len(lines) >= 2  # partial log still written
 
 
+def test_abort_records_the_layer_whose_output_went_non_finite(monkeypatch):
+    tr, va = make_linear_control(n_train=64, n_val=32, seed=0)
+    cfg = RunConfig(lr=1e25, epochs=3, batch=16, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = train(build_task_model(kind="static", seed=0), tr, va, cfg)
+    assert result.aborted and result.abort_layer == "mix"
+    # a non-finite loss with finite layer outputs names no layer
+    monkeypatch.setattr(train_module, "_batch_grads", lambda graph, x, y: (math.nan, 0, {}))
+    result = train(build_task_model(kind="static", seed=0), tr, va, cfg)
+    assert result.aborted and (result.abort_epoch, result.abort_step, result.abort_layer) == (1, 0, None)
+
+
 def test_evaluate_accuracy_is_fraction_correct():
     model, tr, _ = _tiny()
     loss, acc = evaluate(model, tr, batch=16)
@@ -155,7 +168,7 @@ def test_training_step_tape_size_does_not_grow_with_the_batch(blocks):
     sizes = []
     for n in (8, 32):
         tape = ad.Tape()
-        logits = model.forward(tape.leaf(tr.inputs[:n]), train=True, tape=tape)
+        logits = model.forward(tape.leaf(tr.inputs[:n]), train=True)
         ad.backward(ad.cross_entropy(logits, tr.labels[:n]))
         sizes.append(len(tape.nodes))
         tape.nodes.clear()
