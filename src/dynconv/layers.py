@@ -356,8 +356,9 @@ class DcdConv(_ConvLayer):
             self.w0 = Parameter(f"{name}.w0", fan_in_uniform(rng, (c_out, c_in), c_in))
         elif variant == "depthwise":
             self.w0 = Parameter(f"{name}.w0", fan_in_uniform(rng, (c_in, kk), kk))
-        else:  # kernel tensors, stored (C_in, C_out, k²): modes 1/2/3 = in / out / element
-            self.w0 = Parameter(f"{name}.w0", fan_in_uniform(rng, (c_in, c_out, kk), c_in * kk))
+        else:  # k×k tensors: stored in conv layout (C_out, C_in, k, k), drawn in (C_in, C_out, k²) order
+            w0 = fan_in_uniform(rng, (c_in, c_out, kk), c_in * kk).transpose(1, 0, 2)
+            self.w0 = Parameter(f"{name}.w0", np.ascontiguousarray(w0).reshape(c_out, c_in, k, k))
         self.bias = Parameter(f"{name}.bias", np.zeros(c_out)) if bias else None
 
         self.q = self.r_mat = None
@@ -417,7 +418,8 @@ class DcdConv(_ConvLayer):
         `forward` never calls this; analyses and tests compare against it.
         Layouts: (N, C_out, C_in) for pointwise/block_sparse,
         (N, C_in, k²) for depthwise, (N, C_in, C_out, k²) for the k×k
-        tensor forms (modes: input / output / kernel element).
+        tensor forms (modes: input / output / kernel element), for which the
+        stored conv-layout W0 is transposed here.
         """
         lift = lift or (lambda p: p.value)
         n = ad.value_of(pooled).shape[0]
@@ -427,6 +429,7 @@ class DcdConv(_ConvLayer):
             return self._matrix_weight(n, lam, phi, w0, lift)
         if self.variant == "depthwise":
             return self._depthwise_weight(n, lam, phi, w0, lift)
+        w0 = ad.transpose_axes(ad.reshape(w0, (self.c_out, self.c_in, self.k * self.k)), (1, 0, 2))
         if self.variant == "full_kxk":
             return self._full_kxk_weight(n, lam, phi, w0, lift)
         return self._center_slice_weight(n, lam, phi, w0, lift)
@@ -528,11 +531,8 @@ class DcdConv(_ConvLayer):
         return self._head(ad.add(out, self._residual(x, phi, lift)), train, lift)
 
     def _w0_kernel(self, lift):
-        """W0 in conv layout (C_out, C_in/groups, k, k); k×k tensors pay one transpose copy."""
-        w0 = lift(self.w0)
-        if self.variant in ("full_kxk", "channel_only_kxk"):
-            w0 = ad.transpose_axes(w0, (1, 0, 2))
-        return ad.reshape(w0, (self.c_out, self.c_in // self.groups, self.k, self.k))
+        """W0 in conv layout (C_out, C_in/groups, k, k): a view of the stored W0."""
+        return ad.reshape(lift(self.w0), (self.c_out, self.c_in // self.groups, self.k, self.k))
 
     def _residual(self, x, phi, lift):
         """Dynamic part of the output, P·Φ(x)·(Qᵀx), as a chain of small convs."""

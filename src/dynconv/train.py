@@ -10,9 +10,10 @@ Conventions:
   Epoch 0 is an evaluation-only row taken before any update; training rows
   follow, one per completed epoch.  With ``epochs = 0`` the file contains the
   header and the initial row only.
-* A non-finite training loss aborts the run: the offending epoch/step, and
-  the layer when a layer's output went non-finite first, are recorded, rows collected so far are still written, and no further updates
-  are applied.
+* A non-finite training loss or evaluation aborts the run: the offending
+  epoch/step (epoch 0 for the initial evaluation), and the layer when a
+  layer's output went non-finite first, are recorded, rows collected so far
+  are still written, and no further updates are applied.
 """
 
 from __future__ import annotations
@@ -112,16 +113,16 @@ def train(
         result.rows.append((epoch, tl, ta, vl, va, lr))
         result.final_train_acc, result.final_val_acc = ta, va
 
-    tl0, ta0 = evaluate(graph, train_set, cfg.batch)
-    record(0, tl0, ta0, lr_at(cfg, 0))
-
-    for epoch in range(cfg.epochs):
-        lr = lr_at(cfg, epoch)
-        order = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, epoch))
-        ).permutation(len(train_set))
-        loss_sum, correct, step = 0.0, 0, 0
-        try:
+    epoch, step = -1, 0  # epoch -1 is the initial evaluation, recorded as abort epoch 0
+    try:
+        tl0, ta0 = evaluate(graph, train_set, cfg.batch)
+        record(0, tl0, ta0, lr_at(cfg, 0))
+        for epoch in range(cfg.epochs):
+            lr = lr_at(cfg, epoch)
+            order = np.random.default_rng(
+                np.random.SeedSequence((cfg.seed, epoch))
+            ).permutation(len(train_set))
+            loss_sum, correct, step = 0.0, 0, 0
             for x, y in train_set.batches(cfg.batch, order):
                 value, batch_correct, grads = _batch_grads(graph, x, y)
                 if not math.isfinite(value):
@@ -131,12 +132,9 @@ def train(
                 correct += batch_correct
                 step += 1
             record(epoch + 1, loss_sum / len(train_set), correct / len(train_set), lr)
-        except T.NonFiniteError as exc:
-            result.aborted = True
-            result.abort_epoch, result.abort_step, result.abort_layer = epoch + 1, step, exc.layer
-            if csv_path is not None:
-                Path(csv_path).write_text(result.csv_text())
-            return result
+    except T.NonFiniteError as exc:
+        result.aborted = True
+        result.abort_epoch, result.abort_step, result.abort_layer = epoch + 1, step, exc.layer
 
     if csv_path is not None:
         Path(csv_path).write_text(result.csv_text())

@@ -197,7 +197,7 @@ def test_criterion_7_structural_weight_properties():
     pooled = rng.normal(size=(3, 8))
     weights = layer.weight_for(pooled, _value_lift)  # (N, C_in, C_out, k²)
     center = (3 * 3) // 2
-    w0 = layer.w0.value
+    w0 = layer.w0.value.reshape(8, 8, 9).transpose(1, 0, 2)  # conv layout → (C_in, C_out, k²)
     center_ok = all(
         np.array_equal(weights[:, :, :, j], np.broadcast_to(w0[:, :, j], weights.shape[:3]))
         for j in range(9)

@@ -1,5 +1,6 @@
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from dynconv.checkpoint import (
     save_checkpoint,
     save_model,
 )
+from dynconv.layers import DcdConv
+from dynconv.models import build_resnet
 from dynconv.task import build_task_model, make_linear_control
 from dynconv.train import train
 from dynconv.config import RunConfig
@@ -65,9 +68,56 @@ def test_file_layout_starts_with_magic_and_version(tmp_path):
     blob = path.read_bytes()
     assert blob[:4] == MAGIC
     version, count = struct.unpack_from("<II", blob, 4)
-    assert version == 1 and count == 3
+    assert version == 2 and count == 3
     # trailing checksum covers everything before it
-    assert struct.unpack("<Q", blob[-8:])[0] == fnv1a64(blob[:-8])
+    assert struct.unpack("<Q", blob[-8:])[0] == zlib.crc32(blob[:-8])
+
+
+def _with_version(blob, version, checksum):
+    """`blob` with its version field replaced and its trailer re-signed by `checksum`."""
+    body = blob[:4] + struct.pack("<I", version) + blob[8:-8]
+    return body + struct.pack("<Q", checksum(body))
+
+
+def test_version_1_file_is_verified_with_fnv1a64_and_loads(tmp_path):
+    state = _state(np.random.default_rng(6))
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(path, state)
+    v1 = _with_version(path.read_bytes(), 1, fnv1a64)
+    path.write_bytes(v1)
+    loaded = load_checkpoint(path)
+    for name, value in state:
+        assert loaded[name].tobytes() == np.asarray(value).tobytes()
+    path.write_bytes(v1[:-1] + bytes([v1[-1] ^ 1]))
+    with pytest.raises(ChecksumError, match="checksum mismatch"):
+        load_checkpoint(path)
+
+
+def test_unknown_version_is_refused(tmp_path):
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(path, _state(np.random.default_rng(7)))
+    path.write_bytes(_with_version(path.read_bytes(), 3, zlib.crc32))
+    with pytest.raises(CheckpointError, match="unsupported version 3"):
+        load_checkpoint(path)
+
+
+def test_version_1_kxk_w0_fails_shape_check_instead_of_loading_transposed(tmp_path):
+    """A version-1 file stored k×k W0 as (C_in, C_out, k²); it must not load into a model that stores (C_out, C_in, k, k)."""
+    model = build_resnet(depth=10, dcd="channel_only_3x3", num_classes=5, resolution=16)
+    kxk = {f"{layer.name}.w0": layer for layer, *_ in model.iter_layers()
+           if isinstance(layer, DcdConv) and layer.k > 1}
+    state = []
+    for name, value in model.state_items():  # every tensor up to the first k×k W0, which v1 wrote transposed
+        if name in kxk:
+            state.append((name, value.reshape(kxk[name].c_out, kxk[name].c_in, -1).transpose(1, 0, 2)))
+            break
+        state.append((name, value))
+    path = tmp_path / "r10.ckpt"
+    save_checkpoint(path, state)
+    path.write_bytes(_with_version(path.read_bytes(), 1, fnv1a64))
+    with pytest.raises(ShapeMismatchError, match=rf"'{state[-1][0]}' has shape \(64, 64, 9\)") as info:
+        load_into(model, path)
+    assert state[-1][0].endswith(".w0") and "(64, 64, 3, 3)" in str(info.value)
 
 
 def test_bad_magic_is_reported(tmp_path):
@@ -94,7 +144,7 @@ def test_every_truncation_and_malformed_manifest_raises_checkpoint_error(tmp_pat
     body = blob[:-8]
 
     def resign(b):
-        return b + struct.pack("<Q", fnv1a64(b))
+        return b + struct.pack("<Q", zlib.crc32(b))
 
     # after the 12-byte header, entry 0 is name_len u16, "w", ndim u8, dim u32,
     # offset u64 (16 bytes); entry 1's dim follows its name_len, "bias" and ndim

@@ -13,6 +13,7 @@ from dynconv.layers import (
     center_one_hot,
     default_latent_dim,
     default_latent_dims_kxk,
+    fan_in_uniform,
     latent_dim_pow2,
     validate_latent_dims,
 )
@@ -145,6 +146,13 @@ ALL_VARIANT_LAYERS = [
 ]
 
 
+def materialised_w0(layer):
+    """W0 in `weight_for`'s layout: k×k tensors are stored (C_out, C_in, k, k) and materialised (C_in, C_out, k²)."""
+    if layer.variant in ("full_kxk", "channel_only_kxk"):
+        return layer.w0.value.reshape(layer.c_out, layer.c_in, -1).transpose(1, 0, 2)
+    return layer.w0.value
+
+
 @pytest.mark.parametrize("name,cfg", ALL_VARIANT_LAYERS)
 def test_initialization_weight_equals_static_kernel(name, cfg):
     rng = np.random.default_rng(3)
@@ -152,7 +160,7 @@ def test_initialization_weight_equals_static_kernel(name, cfg):
     pooled = pooled_input(rng, 3, cfg["c_in"])
     w = ad.value_of(layer.weight_for(pooled))
     for i in range(3):
-        assert np.array_equal(w[i], layer.w0.value), f"{name}: W(x) != W0 at init"
+        assert np.array_equal(w[i], materialised_w0(layer)), f"{name}: W(x) != W0 at init"
 
 
 def test_pointwise_rank1_sum_oracle_and_rank_bound():
@@ -236,6 +244,19 @@ def test_block_sparse_zero_pattern_and_diagonal_limit():
             assert abs(residual[b, b] - expected) < 1e-12
 
 
+def test_block_sparse_initial_values_are_drawn_p0_q0_p1_q1():
+    layer = DcdConv("bs", 8, 8, variant="block_sparse", blocks=2, dims=LatentDims(2, 1),
+                    rng=np.random.default_rng(25))
+    rng = np.random.default_rng(25)
+    assert np.array_equal(layer.w0.value, fan_in_uniform(rng, (8, 8), 8))
+    ps, qs = [], []
+    for _ in range(2):
+        ps.append(fan_in_uniform(rng, (4, 2), 2))
+        qs.append(fan_in_uniform(rng, (4, 2), 4))
+    assert np.array_equal(layer.p.value, np.concatenate(ps))
+    assert np.array_equal(layer.q.value, np.concatenate(qs))
+
+
 def test_block_sparse_requires_divisible_blocks():
     with pytest.raises(ValueError):
         DcdConv("bad", 8, 8, variant="block_sparse", blocks=3)
@@ -269,7 +290,7 @@ def test_full_kxk_triple_sum_oracle():
     lam, phi = ad.value_of(lam), ad.value_of(phi)
     q_m, p_m, r_m = layer.q.value, layer.p.value, layer.r_mat.value
     for i in range(2):
-        residual = w[i] - lam[i][None, :, None] * layer.w0.value
+        residual = w[i] - lam[i][None, :, None] * materialised_w0(layer)
         phi_t = phi[i].reshape(l, l, l_k)
         oracle = np.zeros((16, 16, 9))
         for a in range(l):
@@ -294,7 +315,7 @@ def test_full_kxk_projection_free_case():
     _, phi = layer.coefficients(pooled, lambda p: p.value)
     phi = ad.value_of(phi)
     for i in range(2):
-        assert np.max(np.abs(w[i] - (layer.w0.value + phi[i].reshape(4, 4, 9)))) < 1e-12
+        assert np.max(np.abs(w[i] - (materialised_w0(layer) + phi[i].reshape(4, 4, 9)))) < 1e-12
 
 
 def test_channel_only_center_slice_structure():
@@ -308,7 +329,7 @@ def test_channel_only_center_slice_structure():
     l = layer.dims.l
     center = 4
     for i in range(3):
-        static_part = lam[i][None, :, None] * layer.w0.value
+        static_part = lam[i][None, :, None] * materialised_w0(layer)
         # off-center slices carry no residual at all (bit-exact)
         for e in range(9):
             if e != center:
@@ -332,7 +353,7 @@ def test_channel_only_layer_splits_into_static_plus_pointwise_conv():
     l = layer.dims.l
     qt = np.ascontiguousarray(layer.q.value.T)
     for i in range(2):
-        static_kernel = (lam[i][None, :, None] * layer.w0.value).transpose(1, 0, 2).reshape(8, 8, 3, 3)
+        static_kernel = lam[i][:, None, None, None] * layer.w0.value
         res = T.matmul(layer.p.value, T.matmul(phi[i].reshape(l, l), qt)).reshape(8, 8, 1, 1)
         xi = x[i : i + 1]
         split = T.conv2d(xi, static_kernel, padding=1) + T.conv2d(xi, res, padding=0)

@@ -216,9 +216,8 @@ def test_static_twin_diverges_once_branch_is_nonzero():
 
 
 def test_twin_shares_base_kernel_storage():
-    """Each twin layer's kernel is W0 in conv layout, bit for bit; bias and batch
-    norm are the DCD layer's own objects; a 1×1 or depthwise W0 is shared as a
-    view, a k×k tensor W0 is copied into conv layout."""
+    """Each twin layer's kernel is W0 in conv layout, bit for bit and as a view
+    of W0's memory; bias and batch norm are the DCD layer's own objects."""
     graphs = [build_resnet(depth=10, dcd="channel_only_3x3", num_classes=5, resolution=32),
               build_mobilenetv2(width=0.35, placement=("pw", "dw", "cls"), num_classes=5, resolution=32)]
     variants, heads = set(), set()
@@ -231,8 +230,7 @@ def test_twin_shares_base_kernel_storage():
             assert twin.weight.value.shape == kernel.shape
             assert twin.weight.value.tobytes() == kernel.tobytes()
             assert twin.bias is dcd.bias and twin.bn is dcd.bn
-            tensor_w0 = dcd.variant in ("full_kxk", "channel_only_kxk")
-            assert np.shares_memory(dcd.w0.value, twin.weight.value) != tensor_w0
+            assert np.shares_memory(dcd.w0.value, twin.weight.value)
             variants.add(dcd.variant)
             heads.update(name for name in ("bias", "bn") if getattr(dcd, name) is not None)
     assert variants == {"channel_only_kxk", "pointwise", "depthwise"} and heads == {"bias", "bn"}

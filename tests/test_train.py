@@ -119,6 +119,17 @@ def test_abort_records_the_layer_whose_output_went_non_finite(monkeypatch):
     assert result.aborted and (result.abort_epoch, result.abort_step, result.abort_layer) == (1, 0, None)
 
 
+def test_non_finite_initial_evaluation_aborts_at_epoch_0(tmp_path):
+    tr, va = make_linear_control(n_train=64, n_val=32, seed=0)
+    model = build_task_model(kind="dcd", seed=0)
+    layer = next(layer for layer, role, *_ in model.iter_layers() if role == "mix")
+    layer.w0.value[0, 0] = np.nan
+    path = tmp_path / "nan.csv"
+    result = train(model, tr, va, RunConfig(lr=0.1, epochs=2, batch=16, seed=0), csv_path=path)
+    assert result.aborted and (result.abort_epoch, result.abort_step, result.abort_layer) == (0, 0, "mix")
+    assert result.rows == [] and path.read_text() == CSV_HEADER + "\n"
+
+
 def test_evaluate_accuracy_is_fraction_correct():
     model, tr, _ = _tiny()
     loss, acc = evaluate(model, tr, batch=16)
