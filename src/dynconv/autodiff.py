@@ -246,28 +246,6 @@ def narrow(a, axis: int, start: int, stop: int):
     return tape.record(out, [a], vjp, op="narrow")
 
 
-def concat(parts: list, axis: int = 0):
-    tape = _tape(*parts)
-    vals = [value_of(p) for p in parts]
-    out = np.ascontiguousarray(np.concatenate(vals, axis=axis))
-    if tape is None:
-        return out
-    if not all(_is_node(p) for p in parts):
-        raise ValueError("concat on a tape requires all parts recorded")
-    sizes = [v.shape[axis] for v in vals]
-
-    def vjp(g):
-        grads = []
-        ofs = 0
-        for n in sizes:
-            sl = tuple(slice(ofs, ofs + n) if ax == axis else slice(None) for ax in range(g.ndim))
-            grads.append(np.ascontiguousarray(g[sl]))
-            ofs += n
-        return grads
-
-    return tape.record(out, list(parts), vjp, op="concat")
-
-
 def sum_all(a):
     tape = _tape(a)
     av = value_of(a)
@@ -397,48 +375,29 @@ def batchnorm_train(x, gamma, beta, eps: float = T.BN_EPS):
     return node, mean, var
 
 
-def mode_n_product(t, m, mode: int):
-    tape = _tape(t, m)
-    tv, mv = value_of(t), value_of(m)
-    out = T.mode_n_product(tv, mv, mode)
+def einsum(spec: str, *operands):
+    """``np.einsum(spec, *operands)`` for an explicit spec such as ``"ij,jk->ik"``.
+
+    The adjoint of each taped operand is again an einsum, of the output
+    gradient with the other operands, so every subscript of an operand must
+    appear in another operand or in the output.  Untaped operands (constants
+    such as ``np.eye(B)``) get no gradient.
+    """
+    tape = _tape(*operands)
+    vals = [value_of(x) for x in operands]
+    out = T.check_finite(np.einsum(spec, *vals, optimize=True), "einsum result")
     if tape is None:
         return out
-    ax = mode - 1
-    parents = [p for p in (t, m) if _is_node(p)]
+    ins, out_sub = spec.split("->")
+    ins = ins.split(",")
+    taped = [j for j, x in enumerate(operands) if _is_node(x)]
 
     def vjp(g):
-        grads = []
-        if _is_node(t):
-            grads.append(T.mode_n_product(g, mv.T, mode))
-        if _is_node(m):
-            gu = np.moveaxis(g, ax, 0).reshape(g.shape[ax], -1)
-            tu = np.moveaxis(tv, ax, 0).reshape(tv.shape[ax], -1)
-            grads.append(T.matmul(gu, tu.T))
-        return grads
+        return [np.einsum(",".join([out_sub, *ins[:j], *ins[j + 1:]]) + "->" + ins[j],
+                          g, *vals[:j], *vals[j + 1:], optimize=True)
+                for j in taped]
 
-    return tape.record(out, parents, vjp, op="mode_n")
-
-
-def block_diag(blocks: list):
-    tape = _tape(*blocks)
-    vals = [value_of(b) for b in blocks]
-    out = T.block_diag(vals)
-    if tape is None:
-        return out
-    if not all(_is_node(b) for b in blocks):
-        raise ValueError("block_diag on a tape requires all blocks recorded")
-    shapes = [v.shape for v in vals]
-
-    def vjp(g):
-        grads = []
-        r = c = 0
-        for (br, bc) in shapes:
-            grads.append(np.ascontiguousarray(g[r : r + br, c : c + bc]))
-            r += br
-            c += bc
-        return grads
-
-    return tape.record(out, list(blocks), vjp, op="block_diag")
+    return tape.record(out, [operands[j] for j in taped], vjp, op="einsum")
 
 
 def cross_entropy(logits, labels: np.ndarray):

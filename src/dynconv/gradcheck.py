@@ -76,6 +76,3 @@ def variant_gradcheck(
     params = [x_param] + layer.parameters()
     return ad.finite_diff_check(loss_fn, params, step=step, tol=tol, max_coords=max_coords)
 
-
-def check_all_variants(seed: int = 0, tol: float = 1e-6) -> dict[str, ad.GradCheckReport]:
-    return {variant: variant_gradcheck(variant, seed=seed, tol=tol) for variant in VARIANTS}

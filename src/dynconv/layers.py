@@ -244,13 +244,6 @@ def _lifter(x, layer):
     return lambda p: nodes[id(p)]
 
 
-def _stack_rows(rows: list, shape: tuple):
-    """Concatenate per-sample (1, *shape) kernels; no rows give (0, *shape)."""
-    if not rows:
-        return np.zeros((0,) + shape)
-    return ad.concat(rows, axis=0) if ad._is_node(rows[0]) else np.concatenate(rows, axis=0)
-
-
 class _ConvLayer:
     """What the three conv layers share: parameters, batch-norm buffers,
     output size, and the bias → batch norm → activation head."""
@@ -384,7 +377,6 @@ class DcdConv(_ConvLayer):
         d_out = (c_out if lambda_enabled else 0) + phi_len
         if squeeze is None:
             squeeze = max(int(c_in / r), 1)
-        self.r = r
         self.squeeze = squeeze
         self.branch = DynamicBranch(f"{name}.branch", c_in, d_out, squeeze, rng)
         self.bn = BatchNorm2d(f"{name}.bn", c_out) if with_bn else None
@@ -415,7 +407,8 @@ class DcdConv(_ConvLayer):
     def weight_for(self, pooled, lift=None):
         """Materialised reference: per-sample kernels W(x) from pooled features (N×C_in).
 
-        `forward` never calls this; analyses and tests compare against it.
+        `forward` never calls this; tests compare against it.  Each residual
+        is one contraction over the batch, as the paper writes it.
         Layouts: (N, C_out, C_in) for pointwise/block_sparse,
         (N, C_in, k²) for depthwise, (N, C_in, C_out, k²) for the k×k
         tensor forms (modes: input / output / kernel element), for which the
@@ -424,86 +417,26 @@ class DcdConv(_ConvLayer):
         lift = lift or (lambda p: p.value)
         n = ad.value_of(pooled).shape[0]
         lam, phi = self.coefficients(pooled, lift)
+        l, l_k, kk, g = self.dims.l, self.dims.l_k, self.k * self.k, self.blocks
         w0 = lift(self.w0)
-        if self.variant in ("pointwise", "block_sparse"):
-            return self._matrix_weight(n, lam, phi, w0, lift)
-        if self.variant == "depthwise":
-            return self._depthwise_weight(n, lam, phi, w0, lift)
-        w0 = ad.transpose_axes(ad.reshape(w0, (self.c_out, self.c_in, self.k * self.k)), (1, 0, 2))
-        if self.variant == "full_kxk":
-            return self._full_kxk_weight(n, lam, phi, w0, lift)
-        return self._center_slice_weight(n, lam, phi, w0, lift)
-
-    def _residual_matrix(self, phi_i, lift):
-        """P·Φ·Qᵀ for one sample, composed as (Φ·Qᵀ) then P·(·), one diagonal block at a time."""
-        l, co, ci = self.dims.l, self.c_out // self.blocks, self.c_in // self.blocks
-        blocks = []
-        for b in range(self.blocks):
-            phi_b = ad.reshape(ad.narrow(phi_i, 0, b * l * l, (b + 1) * l * l), (l, l))
-            qt = ad.transpose_axes(ad.narrow(lift(self.q), 0, b * ci, (b + 1) * ci), (1, 0))
-            blocks.append(ad.matmul(ad.narrow(lift(self.p), 0, b * co, (b + 1) * co), ad.matmul(phi_b, qt)))
-        return blocks[0] if self.blocks == 1 else ad.block_diag(blocks)
-
-    def _matrix_weight(self, n, lam, phi, w0, lift):
-        rows = []
-        for i in range(n):
-            res = self._residual_matrix(ad.reshape(ad.narrow(phi, 0, i, i + 1), (self.phi_len,)), lift)
-            if lam is None:
-                w = ad.add(w0, res)
-            else:
-                lam_i = ad.reshape(ad.narrow(lam, 0, i, i + 1), (self.c_out, 1))
-                w = ad.add(ad.mul(lam_i, w0), res)
-            rows.append(ad.reshape(w, (1, self.c_out, self.c_in)))
-        return _stack_rows(rows, (self.c_out, self.c_in))
-
-    def _depthwise_weight(self, n, lam, phi, w0, lift):
-        l_k = self.dims.l_k
-        kk = self.k * self.k
-        rt = ad.transpose_axes(lift(self.r_mat), (1, 0))
-        rows = []
-        for i in range(n):
-            phi_m = ad.reshape(ad.narrow(phi, 0, i, i + 1), (l_k, l_k))
-            res = ad.matmul(lift(self.p), ad.matmul(phi_m, rt))
-            if lam is None:
-                w = ad.add(w0, res)
-            else:
-                lam_i = ad.reshape(ad.narrow(lam, 0, i, i + 1), (self.c_in, 1))
-                w = ad.add(ad.mul(lam_i, w0), res)
-            rows.append(ad.reshape(w, (1, self.c_in, kk)))
-        return _stack_rows(rows, (self.c_in, kk))
-
-    def _full_kxk_weight(self, n, lam, phi, w0, lift):
-        l, l_k = self.dims.l, self.dims.l_k
-        kk = self.k * self.k
-        rows = []
-        for i in range(n):
-            phi_t = ad.reshape(ad.narrow(phi, 0, i, i + 1), (l, l, l_k))
-            res = ad.mode_n_product(phi_t, lift(self.q), 1)
-            res = ad.mode_n_product(res, lift(self.p), 2)
-            res = ad.mode_n_product(res, lift(self.r_mat), 3)
-            if lam is None:
-                w = ad.add(w0, res)
-            else:
-                lam_i = ad.reshape(ad.narrow(lam, 0, i, i + 1), (1, self.c_out, 1))
-                w = ad.add(ad.mul(lam_i, w0), res)
-            rows.append(ad.reshape(w, (1, self.c_in, self.c_out, kk)))
-        return _stack_rows(rows, (self.c_in, self.c_out, kk))
-
-    def _center_slice_weight(self, n, lam, phi, w0, lift):
-        kk = self.k * self.k
-        rows = []
-        for i in range(n):
-            # the center slice is computed exactly like a pointwise residual
-            res = self._residual_matrix(ad.reshape(ad.narrow(phi, 0, i, i + 1), (self.phi_len,)), lift)
-            res_t = ad.reshape(ad.transpose_axes(res, (1, 0)), (self.c_in, self.c_out, 1))
-            res_full = ad.mul(res_t, self.center.reshape(1, 1, kk))
-            if lam is None:
-                w = ad.add(w0, res_full)
-            else:
-                lam_i = ad.reshape(ad.narrow(lam, 0, i, i + 1), (1, self.c_out, 1))
-                w = ad.add(ad.mul(lam_i, w0), res_full)
-            rows.append(ad.reshape(w, (1, self.c_in, self.c_out, kk)))
-        return _stack_rows(rows, (self.c_in, self.c_out, kk))
+        if self.variant in ("pointwise", "block_sparse"):  # P_b·Φ_b·Q_bᵀ on the B diagonal blocks
+            p = ad.reshape(lift(self.p), (g, self.c_out // g, l))
+            q = ad.reshape(lift(self.q), (g, self.c_in // g, l))
+            res = ad.einsum("boa,nbac,dic,bd->nbodi", p, ad.reshape(phi, (n, g, l, l)), q, np.eye(g))
+            res, lam_shape = ad.reshape(res, (n, self.c_out, self.c_in)), (n, self.c_out, 1)
+        elif self.variant == "depthwise":  # P·Φ·Rᵀ
+            res = ad.einsum("ca,nab,eb->nce", lift(self.p), ad.reshape(phi, (n, l_k, l_k)), lift(self.r_mat))
+            lam_shape = (n, self.c_in, 1)
+        else:
+            w0 = ad.transpose_axes(ad.reshape(w0, (self.c_out, self.c_in, kk)), (1, 0, 2))
+            lam_shape = (n, 1, self.c_out, 1)
+            if self.variant == "full_kxk":  # Φ ×₁ Q ×₂ P ×₃ R
+                res = ad.einsum("nabc,ia,ob,ec->nioe", ad.reshape(phi, (n, l, l, l_k)),
+                                lift(self.q), lift(self.p), lift(self.r_mat))
+            else:  # (P·Φ·Qᵀ)ᵀ at the centre kernel element
+                res = ad.einsum("oa,nac,ic->nio", lift(self.p), ad.reshape(phi, (n, l, l)), lift(self.q))
+                res = ad.mul(ad.reshape(res, (n, self.c_in, self.c_out, 1)), self.center.reshape(1, 1, 1, kk))
+        return ad.add(w0 if lam is None else ad.mul(ad.reshape(lam, lam_shape), w0), res)
 
     def conv_kernels(self, weights):
         """Materialised reference: `weight_for` layouts → (N, C_out, C_in/groups, k, k) conv kernels."""

@@ -443,7 +443,11 @@ def build_from_config(cfg: dict) -> ModelGraph:
     family = cfg.get("model.family")
     if family not in BUILDERS:
         raise ValueError(f"unknown model family {family!r}; known: {sorted(BUILDERS)}")
-    return BUILDERS[family](cfg)
+    twin = cfg.get("model.twin")
+    if twin not in (None, "static"):
+        raise ValueError(f"unknown model.twin {twin!r}; known: 'static'")
+    graph = BUILDERS[family](cfg)
+    return graph.static_twin() if twin == "static" else graph
 
 
 # ---------------------------------------------------------------------------

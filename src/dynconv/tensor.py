@@ -282,47 +282,6 @@ def batchnorm_apply(
 
 
 # ---------------------------------------------------------------------------
-# structured assembly
-
-
-def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    """Dense block-diagonal assembly of 2-d blocks."""
-    blocks = [as_tensor(b) for b in blocks]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
-def mode_n_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-n product T x_n M for a 3-d tensor, modes numbered 1..3.
-
-    (T x_n M)[..., j, ...] = sum_i M[j, i] * T[..., i, ...] with the sum
-    over the mode-n index.
-    """
-    t = as_tensor(t)
-    m = as_tensor(m)
-    if t.ndim != 3:
-        raise ValueError(f"mode_n_product expects a 3-d tensor, got {t.shape}")
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1..3, got {mode}")
-    ax = mode - 1
-    if m.shape[1] != t.shape[ax]:
-        raise ValueError(f"mode-{mode} extent {t.shape[ax]} vs matrix {m.shape}")
-    moved = np.moveaxis(t, ax, 0)
-    rest = moved.shape[1:]
-    unfolded = moved.reshape(t.shape[ax], -1)
-    prod = matmul(m, unfolded)
-    folded = prod.reshape((m.shape[0],) + rest)
-    return np.ascontiguousarray(np.moveaxis(folded, 0, ax))
-
-
-# ---------------------------------------------------------------------------
 # SVD: thin LAPACK decomposition with exact zeros below the rank cutoff
 
 

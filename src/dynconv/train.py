@@ -19,7 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -188,12 +188,7 @@ def run_sweep(
         for seed in seeds:
             train_set, val_set = make_context_gated(seed=seed, **task_kw)
             model = _arm_model(arm, seed, task_kw)
-            run_cfg = RunConfig(
-                lr=cfg.lr, momentum=cfg.momentum, schedule=cfg.schedule,
-                step_size=cfg.step_size, gamma=cfg.gamma, batch=cfg.batch,
-                epochs=cfg.epochs, seed=seed,
-            )
-            res = train(model, train_set, val_set, run_cfg,
+            res = train(model, train_set, val_set, replace(cfg, seed=seed),
                         csv_path=out / f"{arm}_seed{seed}.csv")
             results[arm].append(res.final_val_acc)
             summary.append(f"{arm},{seed},{res.final_val_acc:.6f}")

@@ -163,6 +163,22 @@ def test_initialization_weight_equals_static_kernel(name, cfg):
         assert np.array_equal(w[i], materialised_w0(layer)), f"{name}: W(x) != W0 at init"
 
 
+@pytest.mark.parametrize("name,cfg", ALL_VARIANT_LAYERS)
+def test_weight_for_on_an_empty_batch(name, cfg):
+    layer = DcdConv(name, rng=np.random.default_rng(42), **cfg)
+    shape = (0,) + materialised_w0(layer).shape
+    pooled = np.zeros((0, cfg["c_in"]))
+    assert layer.weight_for(pooled).shape == shape
+    tape = ad.Tape()
+    leaves = {id(p): tape.leaf(p.value, param=p) for p in layer.parameters()}
+    w = layer.weight_for(tape.leaf(pooled), lambda p: leaves[id(p)])
+    assert isinstance(w, ad.Node) and w.shape == shape
+    grads = ad.backward(ad.sum_all(w))
+    assert layer.w0 in grads
+    for p, g in grads.items():
+        assert g.shape == p.value.shape and not np.any(g), p.name
+
+
 def test_pointwise_rank1_sum_oracle_and_rank_bound():
     rng = np.random.default_rng(4)
     layer = DcdConv("pw", 16, 16, variant="pointwise", rng=np.random.default_rng(5))

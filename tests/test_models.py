@@ -297,6 +297,8 @@ def test_same_seed_reproduces_same_weights():
                               resolution=48, seed=11, l_multiplier=0.5),
     lambda: build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9,
                          resolution=64, seed=4, r=8.0),
+    lambda: build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9,
+                         resolution=64, seed=4, r=8.0).static_twin(),
 ])
 def test_config_round_trip_rebuilds_identical_model(build):
     graph = build()
@@ -311,6 +313,13 @@ def test_config_round_trip_rebuilds_identical_model(build):
     rb = count_model(rebuilt, rebuilt.resolution)
     assert ra.total_params == rb.total_params
     assert ra.total_madds == rb.total_madds
+
+
+def test_config_with_an_unknown_twin_is_refused():
+    cfg = build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9, resolution=64).static_twin().to_config()
+    cfg["model.twin"] = "dynamic"
+    with pytest.raises(ValueError, match="unknown model.twin 'dynamic'"):
+        build_from_config(cfg)
 
 
 def test_build_from_config_rejects_unknown_family():

@@ -114,48 +114,6 @@ def test_matmul_identity():
 
 
 # ---------------------------------------------------------------------------
-# mode-n product
-
-
-def test_mode_n_product_matches_manual_sum():
-    rng = np.random.default_rng(5)
-    t = rng.standard_normal((2, 3, 4))
-    for mode, j in ((1, 5), (2, 6), (3, 2)):
-        m = rng.standard_normal((j, t.shape[mode - 1]))
-        got = T.mode_n_product(t, m, mode)
-        want = np.zeros([j if ax == mode - 1 else t.shape[ax] for ax in range(3)])
-        for i0 in range(want.shape[0]):
-            for i1 in range(want.shape[1]):
-                for i2 in range(want.shape[2]):
-                    idx = [i0, i1, i2]
-                    acc = 0.0
-                    for r in range(t.shape[mode - 1]):
-                        src = list(idx)
-                        src[mode - 1] = r
-                        acc += m[idx[mode - 1], r] * t[tuple(src)]
-                    want[i0, i1, i2] = acc
-        assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_mode_n_product_mode_validation():
-    t = np.zeros((2, 3, 4))
-    with pytest.raises(ValueError):
-        T.mode_n_product(t, np.zeros((2, 2)), 0)
-    with pytest.raises(ValueError):
-        T.mode_n_product(t, np.zeros((5, 5)), 2)
-
-
-def test_mode_products_commute_across_distinct_modes():
-    rng = np.random.default_rng(17)
-    t = rng.standard_normal((3, 4, 5))
-    m1 = rng.standard_normal((2, 3))
-    m2 = rng.standard_normal((6, 4))
-    ab = T.mode_n_product(T.mode_n_product(t, m1, 1), m2, 2)
-    ba = T.mode_n_product(T.mode_n_product(t, m2, 2), m1, 1)
-    assert np.max(np.abs(ab - ba)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # svd
 
 
@@ -380,16 +338,6 @@ def test_batchnorm_train_stats_normalize():
     b = np.array([1.0, -1.0, 0.0])
     y2 = T.batchnorm_apply(x, g, b, mean, var)
     assert np.max(np.abs(y2 - (y * g.reshape(1, 3, 1, 1) + b.reshape(1, 3, 1, 1)))) < 1e-12
-
-
-def test_block_diag_layout():
-    a = np.ones((2, 3))
-    b = 2 * np.ones((1, 2))
-    out = T.block_diag([a, b])
-    assert out.shape == (3, 5)
-    assert np.array_equal(out[:2, :3], a)
-    assert np.array_equal(out[2:, 3:], b)
-    assert np.all(out[:2, 3:] == 0) and np.all(out[2:, :3] == 0)
 
 
 def test_nonfinite_rejected():
