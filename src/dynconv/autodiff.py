@@ -1,10 +1,12 @@
-"""Tape-based reverse-mode differentiation over the tensor kernels.
+"""Tape-based reverse-mode differentiation: every differentiable op.
 
-Ops mirror `dynconv.tensor` and dispatch on their inputs: plain ndarrays
-flow through the eager kernels, `Node` inputs are recorded on their tape
-with an explicit adjoint rule.  A layer written against these functions
-therefore produces bit-identical forwards whether or not a tape is
-attached.  A taped forward starts from a leaf, as in
+Each op is defined once, here, and dispatches on its inputs: with only
+plain ndarrays it returns the eager result, and with a `Node` among them
+it records the same result on that node's tape through `_record`, with an
+explicit adjoint rule.  A layer written against these functions therefore
+produces bit-identical forwards whether or not a tape is attached.  The
+contractions call `dynconv.tensor`'s kernels, looked up at call time.  A
+taped forward starts from a leaf, as in
 ``graph.forward(tape.leaf(x), train=True)``: each op finds the tape
 through its inputs.
 """
@@ -60,24 +62,16 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def record(self, value, parents: list[Node], vjp, op="") -> Node:
-        node = Node(value, self, parents, vjp, op=op)
-        self.nodes.append(node)
-        return node
-
-
-def _is_node(x) -> bool:
-    return isinstance(x, Node)
-
 
 def value_of(x):
-    return x.value if _is_node(x) else T.as_tensor(x)
+    """A node's value as it is (an einsum result may be a strided view), or x as a tensor."""
+    return x.value if isinstance(x, Node) else T.as_tensor(x)
 
 
 def _tape(*xs) -> Tape | None:
     tape = None
     for x in xs:
-        if _is_node(x):
+        if isinstance(x, Node):
             if tape is None:
                 tape = x.tape
             elif tape is not x.tape:
@@ -97,46 +91,45 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(op_name, fwd, vjp_builder):
-    def op(a, b):
-        tape = _tape(a, b)
-        av, bv = value_of(a), value_of(b)
-        out = fwd(av, bv)
-        if tape is None:
-            return out
-        parents = [x for x in (a, b) if _is_node(x)]
-        vjp = vjp_builder(a, b, av, bv, out)
-        if _is_node(a) and _is_node(b):
-            full = vjp
-        elif _is_node(a):
-            full = lambda g: vjp(g)[:1]
-        else:
-            full = lambda g: vjp(g)[1:]
-        return tape.record(out, parents, full, op=op_name)
+def _record(tape: Tape, name: str, out, inputs, vjp) -> Node:
+    """Append op `name` with result `out` to `tape`; every op records here.
 
-    return op
+    Only the taped `inputs` become parents, in input order; ``vjp(g, j)``
+    returns the gradient of input j given the output gradient g, and is
+    called for taped inputs only.
+    """
+    taped = [j for j, x in enumerate(inputs) if isinstance(x, Node)]
+    node = Node(out, tape, [inputs[j] for j in taped], lambda g: [vjp(g, j) for j in taped], op=name)
+    tape.nodes.append(node)
+    return node
 
 
-add = _binary(
-    "add",
-    T.add,
-    lambda a, b, av, bv, out: lambda g: [_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)],
-)
+def add(a, b):
+    tape = _tape(a, b)
+    av, bv = value_of(a), value_of(b)
+    out = T.check_finite(T.as_tensor(av) + T.as_tensor(bv), "add result")
+    if tape is None:
+        return out
+    return _record(tape, "add", out, (a, b), lambda g, j: _unbroadcast(g, av.shape if j == 0 else bv.shape))
 
-mul = _binary(
-    "mul",
-    T.mul,
-    lambda a, b, av, bv, out: lambda g: [_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)],
-)
+
+def mul(a, b):
+    tape = _tape(a, b)
+    av, bv = value_of(a), value_of(b)
+    out = T.check_finite(T.as_tensor(av) * T.as_tensor(bv), "mul result")
+    if tape is None:
+        return out
+    return _record(tape, "mul", out, (a, b),
+                   lambda g, j: _unbroadcast(g * bv, av.shape) if j == 0 else _unbroadcast(g * av, bv.shape))
 
 
 def scale(a, alpha: float):
     tape = _tape(a)
     av = value_of(a)
-    out = T.scale(av, alpha)
+    out = T.check_finite(T.as_tensor(av) * float(alpha), "scale result")
     if tape is None:
         return out
-    return tape.record(out, [a], lambda g: [g * alpha], op="scale")
+    return _record(tape, "scale", out, (a,), lambda g, j: g * alpha)
 
 
 def matmul(a, b):
@@ -145,50 +138,42 @@ def matmul(a, b):
     out = T.matmul(av, bv)
     if tape is None:
         return out
-    parents = [x for x in (a, b) if _is_node(x)]
-
-    def vjp(g):
-        grads = []
-        if _is_node(a):
-            grads.append(T.matmul(g, bv.T))
-        if _is_node(b):
-            grads.append(T.matmul(av.T, g))
-        return grads
-
-    return tape.record(out, parents, vjp, op="matmul")
+    return _record(tape, "matmul", out, (a, b), lambda g, j: T.matmul(g, bv.T) if j == 0 else T.matmul(av.T, g))
 
 
 def relu(a):
     tape = _tape(a)
     av = value_of(a)
-    out = T.relu(av)
+    out = np.maximum(T.as_tensor(av), 0.0)
     if tape is None:
         return out
     mask = (av > 0).astype(np.float64)
-    return tape.record(out, [a], lambda g: [g * mask], op="relu")
+    return _record(tape, "relu", out, (a,), lambda g, j: g * mask)
 
 
 def sigmoid(a):
     tape = _tape(a)
-    av = value_of(a)
-    out = T.sigmoid(av)
+    av = T.as_tensor(value_of(a))
+    # split by sign to stay stable for large |a|
+    out = np.empty_like(av)
+    pos = av >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
+    ea = np.exp(av[~pos])
+    out[~pos] = ea / (1.0 + ea)
     if tape is None:
         return out
-    return tape.record(out, [a], lambda g: [g * out * (1.0 - out)], op="sigmoid")
+    return _record(tape, "sigmoid", out, (a,), lambda g, j: g * out * (1.0 - out))
 
 
 def softmax_rows(a):
     tape = _tape(a)
-    av = value_of(a)
-    out = T.softmax_rows(av)
+    z = T.as_tensor(value_of(a))
+    z = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z)
+    out = e / np.sum(e, axis=-1, keepdims=True)
     if tape is None:
         return out
-
-    def vjp(g):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        return [(g - dot) * out]
-
-    return tape.record(out, [a], vjp, op="softmax")
+    return _record(tape, "softmax", out, (a,), lambda g, j: (g - np.sum(g * out, axis=-1, keepdims=True)) * out)
 
 
 def attention_activation(logits, mode: str = "softmax", tau: float = 1.0):
@@ -211,11 +196,10 @@ def attention_activation(logits, mode: str = "softmax", tau: float = 1.0):
 def reshape(a, shape):
     tape = _tape(a)
     av = value_of(a)
-    out = T.reshape(av, shape)
+    out = np.ascontiguousarray(T.as_tensor(av).reshape(shape))
     if tape is None:
         return out
-    orig = av.shape
-    return tape.record(out, [a], lambda g: [np.ascontiguousarray(g.reshape(orig))], op="reshape")
+    return _record(tape, "reshape", out, (a,), lambda g, j: np.ascontiguousarray(g.reshape(av.shape)))
 
 
 def transpose_axes(a, axes):
@@ -225,7 +209,7 @@ def transpose_axes(a, axes):
     if tape is None:
         return out
     inv = np.argsort(axes)
-    return tape.record(out, [a], lambda g: [np.ascontiguousarray(np.transpose(g, inv))], op="transpose")
+    return _record(tape, "transpose", out, (a,), lambda g, j: np.ascontiguousarray(np.transpose(g, inv)))
 
 
 def narrow(a, axis: int, start: int, stop: int):
@@ -236,14 +220,13 @@ def narrow(a, axis: int, start: int, stop: int):
     out = np.ascontiguousarray(av[sl])
     if tape is None:
         return out
-    shape = av.shape
 
-    def vjp(g):
-        full = np.zeros(shape)
+    def vjp(g, j):
+        full = np.zeros(av.shape)
         full[sl] = g
-        return [full]
+        return full
 
-    return tape.record(out, [a], vjp, op="narrow")
+    return _record(tape, "narrow", out, (a,), vjp)
 
 
 def sum_all(a):
@@ -252,8 +235,8 @@ def sum_all(a):
     out = np.asarray(av.sum())
     if tape is None:
         return out
-    shape = av.shape
-    return tape.record(out, [a], lambda g: [np.broadcast_to(np.asarray(g), shape).astype(np.float64).copy()], op="sum")
+    return _record(tape, "sum", out, (a,),
+                   lambda g, j: np.broadcast_to(np.asarray(g), av.shape).astype(np.float64).copy())
 
 
 def mean_all(a):
@@ -262,17 +245,17 @@ def mean_all(a):
 
 
 def global_avg_pool(a):
+    """(N,C,H,W) -> (N,C) spatial mean."""
     tape = _tape(a)
-    av = value_of(a)
-    out = T.global_avg_pool(av)
+    av = T.as_tensor(value_of(a))
+    if av.ndim != 4:
+        raise ValueError(f"expected NCHW, got shape {av.shape}")
+    n, c, h, w = av.shape
+    out = T.check_finite(av.reshape(n, c, h * w).sum(axis=2) / float(h * w), "pooled")
     if tape is None:
         return out
-    n, c, h, w = av.shape
-
-    def vjp(g):
-        return [np.broadcast_to(g.reshape(n, c, 1, 1) / (h * w), (n, c, h, w)).copy()]
-
-    return tape.record(out, [a], vjp, op="gap")
+    return _record(tape, "gap", out, (a,),
+                   lambda g, j: np.broadcast_to(g.reshape(n, c, 1, 1) / (h * w), (n, c, h, w)).copy())
 
 
 def max_pool2d(a, k: int, stride: int, padding: int = 0):
@@ -281,11 +264,7 @@ def max_pool2d(a, k: int, stride: int, padding: int = 0):
     out = T.max_pool2d(av, k, stride, padding)
     if tape is None:
         return out
-
-    def vjp(g):
-        return [T.max_pool2d_backward(av, g, k, stride, padding)]
-
-    return tape.record(out, [a], vjp, op="max_pool2d")
+    return _record(tape, "max_pool2d", out, (a,), lambda g, j: T.max_pool2d_backward(av, g, k, stride, padding))
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1):
@@ -294,17 +273,9 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1):
     out = T.conv2d(xv, wv, stride=stride, padding=padding, groups=groups)
     if tape is None:
         return out
-    parents = [p for p in (x, weight) if _is_node(p)]
-
-    def vjp(g):
-        grads = []
-        if _is_node(x):
-            grads.append(_conv2d_input_grad(g, xv.shape, wv, stride, padding, groups))
-        if _is_node(weight):
-            grads.append(_conv2d_weight_grad(g, xv, wv.shape, stride, padding, groups))
-        return grads
-
-    return tape.record(out, parents, vjp, op="conv2d")
+    return _record(tape, "conv2d", out, (x, weight),
+                   lambda g, j: _conv2d_input_grad(g, xv.shape, wv, stride, padding, groups) if j == 0
+                   else _conv2d_weight_grad(g, xv, wv.shape, stride, padding, groups))
 
 
 def _conv2d_weight_grad(g, xv, wshape, stride, padding, groups):
@@ -355,24 +326,18 @@ def batchnorm_train(x, gamma, beta, eps: float = T.BN_EPS):
     m = float(n * h * w)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xv - mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    parents = [p for p in (x, gamma, beta) if _is_node(p)]
 
-    def vjp(g):
-        grads = []
-        if _is_node(x):
+    def vjp(g, j):
+        if j == 0:
             dxhat = g * gv.reshape(1, c, 1, 1)
             s1 = dxhat.sum(axis=(0, 2, 3))
             s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
-            dx = (inv.reshape(1, c, 1, 1) / m) * (m * dxhat - s1.reshape(1, c, 1, 1) - xhat * s2.reshape(1, c, 1, 1))
-            grads.append(dx)
-        if _is_node(gamma):
-            grads.append((g * xhat).sum(axis=(0, 2, 3)))
-        if _is_node(beta):
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return grads
+            return (inv.reshape(1, c, 1, 1) / m) * (m * dxhat - s1.reshape(1, c, 1, 1) - xhat * s2.reshape(1, c, 1, 1))
+        if j == 1:
+            return (g * xhat).sum(axis=(0, 2, 3))
+        return g.sum(axis=(0, 2, 3))
 
-    node = tape.record(out, parents, vjp, op="batchnorm")
-    return node, mean, var
+    return _record(tape, "batchnorm", out, (x, gamma, beta), vjp), mean, var
 
 
 def einsum(spec: str, *operands):
@@ -390,14 +355,12 @@ def einsum(spec: str, *operands):
         return out
     ins, out_sub = spec.split("->")
     ins = ins.split(",")
-    taped = [j for j, x in enumerate(operands) if _is_node(x)]
 
-    def vjp(g):
-        return [np.einsum(",".join([out_sub, *ins[:j], *ins[j + 1:]]) + "->" + ins[j],
-                          g, *vals[:j], *vals[j + 1:], optimize=True)
-                for j in taped]
+    def vjp(g, j):
+        return np.einsum(",".join([out_sub, *ins[:j], *ins[j + 1:]]) + "->" + ins[j],
+                         g, *vals[:j], *vals[j + 1:], optimize=True)
 
-    return tape.record(out, [operands[j] for j in taped], vjp, op="einsum")
+    return _record(tape, "einsum", out, operands, vjp)
 
 
 def cross_entropy(logits, labels: np.ndarray):
@@ -414,12 +377,12 @@ def cross_entropy(logits, labels: np.ndarray):
         return out
     probs = np.exp(zv - lse)
 
-    def vjp(g):
+    def vjp(g, j):
         d = probs.copy()
         d[np.arange(n), labels] -= 1.0
-        return [d * (float(g) / n)]
+        return d * (float(g) / n)
 
-    return tape.record(out, [logits], vjp, op="cross_entropy")
+    return _record(tape, "cross_entropy", out, (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ a message on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -94,9 +95,9 @@ def cmd_train(args) -> int:
     cfg_map = _load_cfg(args)
     run_cfg = RunConfig.from_mapping(cfg_map)
     if getattr(args, "seed", None) is not None:
-        run_cfg.seed = args.seed
+        run_cfg = dataclasses.replace(run_cfg, seed=args.seed)
     if args.epochs is not None:
-        run_cfg.epochs = args.epochs
+        run_cfg = dataclasses.replace(run_cfg, epochs=args.epochs)
     out = _out_dir(args, run_cfg.out or "out")
 
     if args.sweep:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import tensor as T
 
 ATTENTION_SUM_TOL = 1e-9
@@ -139,7 +140,7 @@ def compare_aggregation_mechanisms(
     for _ in range(trials):
         kernels = rng.standard_normal((k, c, c))
         d = residual_decompose(kernels)
-        att = T.softmax_rows(rng.standard_normal((1, k)))
+        att = ad.softmax_rows(rng.standard_normal((1, k)))
         res = aggregate_decomposed(att, d)[0] - d.w0
         att_rank = max(att_rank, numerical_rank(res))
 

@@ -238,7 +238,7 @@ class DynamicBranch:
 
 def _lifter(x, layer):
     """Map each of the layer's Parameters to a leaf on x's tape, or to its raw value when x is untaped."""
-    if not ad._is_node(x):
+    if not isinstance(x, ad.Node):
         return lambda p: p.value
     nodes = {id(p): x.tape.leaf(p.value, param=p) for p in layer.parameters()}
     return lambda p: nodes[id(p)]

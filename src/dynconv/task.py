@@ -176,15 +176,13 @@ def _read_netpbm(path: Path) -> np.ndarray:
 def load_image_folder(
     root: str | Path,
     val_every: int = 5,
-    seed: int = 0,
 ) -> tuple[Dataset, Dataset]:
     """Labeled 32×32 images from ``<root>/<class-name>/*.pgm|*.ppm``.
 
     Classes are the sorted subdirectory names.  Within each class, files are
     sorted and every ``val_every``-th one goes to validation, so the split is
-    a pure function of the directory contents (``seed`` is accepted for
-    interface uniformity but has no effect).  All images must be 32×32 and
-    share one channel count.
+    a pure function of the directory contents.  All images must be 32×32
+    and share one channel count.
     """
     root = Path(root)
     classes = sorted(d.name for d in root.iterdir() if d.is_dir()) if root.is_dir() else []
@@ -329,8 +327,6 @@ def make_task_from_config(cfg: dict) -> tuple[Dataset, Dataset]:
         kwargs["root"] = cfg["task.dir"]
         if "task.val_every" in cfg:
             kwargs["val_every"] = int(cfg["task.val_every"])
-        if "task.seed" in cfg:
-            kwargs["seed"] = int(cfg["task.seed"])
         return make_task(kind, **kwargs)
     int_keys = ("n_train", "n_val", "contexts", "channels", "size", "num_classes", "seed")
     float_keys = ("cue_strength", "content_strength", "pixel_noise", "noise")

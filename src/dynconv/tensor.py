@@ -1,4 +1,7 @@
-"""Deterministic float64 tensor kernels.
+"""Deterministic float64 tensor kernels: the contractions and their
+reference loops, im2col, max pooling, batch-norm statistics and SVD.
+The differentiable ops, elementwise ones included, are defined once, in
+`dynconv.autodiff`, and call these kernels.
 
 Arrays are plain numpy ndarrays (C-order, float64).  The contractions run
 as ``np.matmul`` with the sample (and, in conv2d, the group) as a stack
@@ -79,53 +82,6 @@ def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(a.shape[1]):
         out += a[:, i : i + 1] * b[i : i + 1, :]
     return check_finite(out, "matmul result")
-
-
-def reshape(a: np.ndarray, shape) -> np.ndarray:
-    return np.ascontiguousarray(as_tensor(a).reshape(shape))
-
-
-def add(a, b) -> np.ndarray:
-    return check_finite(as_tensor(a) + as_tensor(b), "add result")
-
-
-def mul(a, b) -> np.ndarray:
-    return check_finite(as_tensor(a) * as_tensor(b), "mul result")
-
-
-def scale(a, alpha: float) -> np.ndarray:
-    return check_finite(as_tensor(a) * float(alpha), "scale result")
-
-
-def relu(a) -> np.ndarray:
-    return np.maximum(as_tensor(a), 0.0)
-
-
-def sigmoid(a) -> np.ndarray:
-    a = as_tensor(a)
-    # split by sign to stay stable for large |a|
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
-
-
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = as_tensor(z)
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> (N,C) spatial mean."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise ValueError(f"expected NCHW, got shape {x.shape}")
-    n, c, h, w = x.shape
-    return check_finite(x.reshape(n, c, h * w).sum(axis=2) / float(h * w), "pooled")
 
 
 def max_pool2d(x: np.ndarray, k: int, stride: int, padding: int = 0) -> np.ndarray:

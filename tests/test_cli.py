@@ -101,6 +101,17 @@ def test_train_rejects_malformed_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_rejects_negative_epochs_from_flag_and_config(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--epochs", "-1", "--out", str(out)]) == 1
+    assert "error: epochs must be >= 0 and batch >= 1" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train.epochs = -1\n")
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: epochs must be >= 0 and batch >= 1" in capsys.readouterr().err
+
+
 def test_analyze_phi_writes_csv(tmp_path):
     path = tmp_path / "phi.csv"
     assert main(["analyze-phi", "task_dcd", "--samples", "4", "--out", str(path)]) == 0

@@ -26,7 +26,7 @@ def mixture_oracle(attention, kernels):
 
 
 def random_attention(rng, n, k):
-    return T.softmax_rows(rng.standard_normal((n, k)))
+    return ad.softmax_rows(rng.standard_normal((n, k)))
 
 
 def test_single_kernel_decomposes_to_zero_residual():

@@ -363,7 +363,7 @@ def test_channel_only_layer_splits_into_static_plus_pointwise_conv():
     randomize_branch(layer, rng)
     x = rng.standard_normal((2, 8, 6, 6))
     out = ad.value_of(layer.forward(x))
-    pooled = T.global_avg_pool(x)
+    pooled = ad.global_avg_pool(x)
     lam, phi = layer.coefficients(pooled, lambda p: p.value)
     lam, phi = ad.value_of(lam), ad.value_of(phi)
     l = layer.dims.l
@@ -480,7 +480,7 @@ def test_observer_sees_the_forward_coefficients_without_changing_outputs():
     del layer.branch.forward
     assert np.array_equal(observed, plain)
     assert len(seen) == 1 and len(branch_runs) == 1
-    lam, phi = layer.coefficients(T.global_avg_pool(x), lambda p: p.value)
+    lam, phi = layer.coefficients(ad.global_avg_pool(x), lambda p: p.value)
     assert np.array_equal(seen[0][1], lam) and np.array_equal(seen[0][2], phi)
 
 
@@ -543,6 +543,26 @@ def test_depthwise_layer_gradcheck():
     params = [p for p in layer.parameters()] + [x_param]
     report = ad.finite_diff_check(loss, params, tol=1e-6)
     assert report.passed, "\n".join(report.summary_lines())
+
+
+def test_taped_dcd_conv_calls_tensor_kernels_through_the_module(monkeypatch):
+    """Ops look tensor kernels up at call time, so wrapping the module
+    attributes (as the benchmark tracer does) sees every call."""
+    calls = {}
+    for kernel in ("conv2d", "matmul", "im2col"):
+        def counted(*args, _kernel=kernel, _original=getattr(T, kernel), **kwargs):
+            calls[_kernel] = calls.get(_kernel, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(T, kernel, counted)
+    layer = DcdConv("kxk", 4, 4, k=3, variant="channel_only_kxk", padding=1, r=2.0,
+                    rng=np.random.default_rng(35))
+    tape = ad.Tape()
+    out = layer.forward(tape.leaf(np.random.default_rng(36).standard_normal((2, 4, 5, 5))), train=True)
+    forward_calls = dict(calls)
+    ad.backward(ad.sum_all(out))
+    assert set(forward_calls) == {"conv2d", "matmul", "im2col"}
+    assert calls["matmul"] > forward_calls["matmul"] and calls["im2col"] > forward_calls["im2col"]
 
 
 def test_static_conv_forward_shapes_and_bias():
