@@ -19,7 +19,9 @@ a `ShapeMismatchError` naming the ``.w0`` instead of loading it transposed.
 State covers every parameter plus batch-norm running statistics, in model
 iteration order.  Loading verifies magic, version, checksum, and per-tensor
 shapes before touching the model, and reports the first offending tensor by
-name.  Tensor names are unique: saving or loading a repeated name is an error.
+name; it then writes into the model's own arrays, so views of them (a static
+twin's kernel) stay live.  Tensor names are unique: saving or loading a
+repeated name is an error.
 Saving streams the header, manifest and each tensor to a temporary file next
 to the target, checksumming as it writes, and renames it into place, so an
 interrupted save leaves any earlier checkpoint intact.
@@ -101,6 +103,7 @@ def save_checkpoint(path: str | Path, state: list[tuple[str, np.ndarray]]) -> No
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Name -> tensor, verified; every tensor is a read-only view of the file's bytes."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise BadMagicError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
@@ -140,20 +143,19 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         start = pos + offset
         if start + 8 * n > len(body):
             raise CheckpointError(f"{path}: manifest entry {i} ({name!r}, shape {shape}) runs past the payload")
-        arr = np.frombuffer(body, dtype="<f8", count=n, offset=start).reshape(shape)
-        out[name] = arr.copy()
+        out[name] = np.frombuffer(body, dtype="<f8", count=n, offset=start).reshape(shape)
     return out
 
 
 def load_into(graph, path: str | Path) -> None:
-    """Restore a model's state, validating names and shapes first."""
+    """Copy a checkpoint into the arrays of `graph.state_items()`, in place,
+    after validating every name and shape; the file's bytes are the only other copy."""
     data = load_checkpoint(path)
     expected = graph.state_items()
     for name, current in expected:
         if name not in data:
             raise MissingTensorError(f"{path}: checkpoint is missing tensor {name!r}")
-        have = data[name].shape
-        want = np.asarray(current).shape
+        have, want = data[name].shape, current.shape
         if have != want:
             raise ShapeMismatchError(
                 f"{path}: tensor {name!r} has shape {have}, model expects {want}"
@@ -162,7 +164,8 @@ def load_into(graph, path: str | Path) -> None:
     for name in data:
         if name not in known:
             raise UnexpectedTensorError(f"{path}: checkpoint has unknown tensor {name!r}")
-    graph.load_state(data)
+    for name, current in expected:
+        np.copyto(current, data[name])
 
 
 def save_model(graph, path: str | Path) -> None:

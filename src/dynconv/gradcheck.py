@@ -58,10 +58,10 @@ def variant_gradcheck(
     # wake the dynamic path: the branch output stage initializes to zero
     branch = getattr(layer, "branch", None)
     if branch is not None:
-        branch.w2.value = rng.normal(size=branch.w2.value.shape) * 0.3
-        branch.b2.value = rng.normal(size=branch.b2.value.shape) * 0.1
+        branch.w2.value[...] = rng.normal(size=branch.w2.value.shape) * 0.3
+        branch.b2.value[...] = rng.normal(size=branch.b2.value.shape) * 0.1
     else:
-        layer.b2.value = rng.normal(size=layer.b2.value.shape) * 0.5
+        layer.b2.value[...] = rng.normal(size=layer.b2.value.shape) * 0.5
 
     x_param = ad.Parameter("input", rng.normal(size=(_N, _C, _H, _H)))
     out_shape = ad.value_of(layer.forward(x_param.value)).shape

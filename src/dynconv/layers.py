@@ -204,8 +204,8 @@ class BatchNorm2d:
                 raise ValueError(f"{self.name}: train-mode batch norm has no statistics for an empty batch {shape}")
             out, mean, var = ad.batchnorm_train(x, lift(self.gamma), lift(self.beta), eps=self.eps)
             m = self.momentum
-            self.running_mean = m * self.running_mean + (1.0 - m) * mean
-            self.running_var = m * self.running_var + (1.0 - m) * var
+            self.running_mean[...] = m * self.running_mean + (1.0 - m) * mean
+            self.running_var[...] = m * self.running_var + (1.0 - m) * var
             return out
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         w = (self.gamma.value * inv).reshape(1, self.channels, 1, 1)

@@ -38,6 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from . import tensor as T
 from .autodiff import value_of
+from .config import ConfigError
 from .layers import (
     DcdConv,
     LatentDims,
@@ -179,16 +180,6 @@ class ModelGraph:
     def state_items(self) -> list[tuple[str, np.ndarray]]:
         """Every persistent tensor: learnable parameters plus running stats."""
         return [(p.name, p.value) for p in self.parameters()] + list(self.buffers())
-
-    def load_state(self, data: dict[str, np.ndarray]) -> None:
-        """Install tensors by name; callers validate names/shapes first."""
-        for p in self.parameters():
-            p.value = np.array(data[p.name], dtype=float)
-        for layer, *_ in self.iter_layers():
-            bn = getattr(layer, "bn", None)
-            if bn is not None:
-                bn.running_mean = np.array(data[f"{bn.name}.running_mean"], dtype=float)
-                bn.running_var = np.array(data[f"{bn.name}.running_var"], dtype=float)
 
     def static_twin(self) -> "ModelGraph":
         """Same graph with every dynamic convolution replaced by its static
@@ -447,6 +438,9 @@ def build_from_config(cfg: dict) -> ModelGraph:
     if twin not in (None, "static"):
         raise ValueError(f"unknown model.twin {twin!r}; known: 'static'")
     graph = BUILDERS[family](cfg)
+    for key in cfg:
+        if key.startswith("model.") and key not in graph.config and key != "model.twin":
+            raise ConfigError(f"unknown key {key!r} for model.family = {family}")
     return graph.static_twin() if twin == "static" else graph
 
 

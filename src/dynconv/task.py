@@ -24,11 +24,13 @@ classifier.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
 from .layers import DcdConv, LatentDims, StaticConv, VanillaDynConv
 from .models import BUILDERS, Block, GlobalPool, ModelGraph, _scaled_latent
 
@@ -319,21 +321,29 @@ BUILDERS["task"] = _task_from_config
 
 
 def make_task_from_config(cfg: dict) -> tuple[Dataset, Dataset]:
+    """Datasets from the ``task.*`` keys of `cfg`: each names a parameter of the
+    chosen generator, typed like its default, and any other is a `ConfigError`.
+    ``image_folder`` takes its root from ``task.dir`` and ignores ``task.seed``,
+    which `dynconv train` sets on every run."""
     kind = cfg.get("task.kind", "context_gated")
-    kwargs = {}
+    if kind not in TASK_GENERATORS:
+        raise ValueError(f"unknown task {kind!r}; known: {sorted(TASK_GENERATORS)}")
+    params = inspect.signature(TASK_GENERATORS[kind]).parameters
+    names = {f"task.{name}": name for name in params}
     if kind == "image_folder":
         if "task.dir" not in cfg:
             raise ValueError("task.kind = image_folder requires task.dir")
-        kwargs["root"] = cfg["task.dir"]
-        if "task.val_every" in cfg:
-            kwargs["val_every"] = int(cfg["task.val_every"])
-        return make_task(kind, **kwargs)
-    int_keys = ("n_train", "n_val", "contexts", "channels", "size", "num_classes", "seed")
-    float_keys = ("cue_strength", "content_strength", "pixel_noise", "noise")
-    for key in int_keys:
-        if f"task.{key}" in cfg:
-            kwargs[key] = int(cfg[f"task.{key}"])
-    for key in float_keys:
-        if f"task.{key}" in cfg:
-            kwargs[key] = float(cfg[f"task.{key}"])
+        del names["task.root"]
+        names |= {"task.dir": "root", "task.seed": None}
+    kwargs = {}
+    for key, value in cfg.items():
+        if not key.startswith("task.") or key == "task.kind":
+            continue
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} for task.kind = {kind}")
+        name = names[key]
+        if name is None:
+            continue
+        default = params[name].default
+        kwargs[name] = value if default is inspect.Parameter.empty else type(default)(value)
     return make_task(kind, **kwargs)

@@ -2,7 +2,8 @@
 
 Conventions:
 
-* momentum update: ``v <- momentum * v + g``; ``p <- p - lr * v``.
+* momentum update: ``v <- momentum * v + g``; ``p <- p - lr * v``, written
+  into the parameter's own array.
 * ``step`` schedule: ``lr = base * gamma ** (epoch // step_size)``;
   ``cosine``: ``lr = base * 0.5 * (1 + cos(pi * epoch / epochs))`` — both
   evaluated at the 0-based index of the epoch being trained.
@@ -26,8 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tensor as T
-from .config import RunConfig
-from .task import Dataset
+from .config import ConfigError, RunConfig
+from .models import build_from_config
+from .task import Dataset, make_task_from_config
 
 CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc,lr"
 
@@ -52,7 +54,7 @@ class SGD:
                 continue
             v = self.momentum * self.velocity[id(p)] + g
             self.velocity[id(p)] = v
-            p.value = p.value - lr * v
+            p.value -= lr * v
 
 
 def evaluate(graph, data: Dataset, batch: int = 64) -> tuple[float, float]:
@@ -141,53 +143,39 @@ def train(
     return result
 
 
-SWEEP_ARMS = ("static", "dcd", "vanilla_tau1", "vanilla_tau30")
-
-
-def _arm_model(arm: str, seed: int, task_kw: dict):
-    from .task import build_task_model
-
-    common = dict(
-        channels=task_kw.get("channels", 8),
-        num_classes=task_kw.get("num_classes", 4),
-        resolution=task_kw.get("size", 16),
-        seed=seed,
-    )
-    if arm == "static":
-        return build_task_model(kind="static", **common)
-    if arm == "dcd":
-        return build_task_model(kind="dcd", **common)
-    if arm == "vanilla_tau1":
-        return build_task_model(kind="vanilla", tau=1.0, **common)
-    if arm == "vanilla_tau30":
-        return build_task_model(kind="vanilla", tau=30.0, **common)
-    raise ValueError(f"unknown sweep arm {arm!r}; known: {SWEEP_ARMS}")
+SWEEP_ARMS = {  # arm -> the model.* keys that set it apart
+    "static": {"model.kind": "static"},
+    "dcd": {"model.kind": "dcd"},
+    "vanilla_tau1": {"model.kind": "vanilla", "model.tau": "1.0"},
+    "vanilla_tau30": {"model.kind": "vanilla", "model.tau": "30.0"},
+}
 
 
 def run_sweep(
     out_dir: str | Path,
     seeds: tuple[int, ...] = (0, 1, 2),
-    arms: tuple[str, ...] = SWEEP_ARMS,
+    arms: tuple[str, ...] = tuple(SWEEP_ARMS),
     cfg: RunConfig | None = None,
-    task_kw: dict | None = None,
 ) -> dict[str, list[float]]:
-    """Train every (arm, seed) pair on the context-gated task.
+    """Train every (arm, seed) pair, each built like a single run from
+    ``cfg.task`` and ``cfg.model`` plus the arm's keys, as a ``task`` model.
 
     Writes one metrics CSV per run plus ``summary.csv`` with the final
     validation accuracy of each run; returns arm -> per-seed accuracies.
     """
-    from .task import make_context_gated
-
+    cfg = cfg or RunConfig(epochs=20, lr=0.2, batch=32)
+    family = cfg.model.get("model.family", "task")
+    if family != "task":
+        raise ConfigError(f"the sweep trains task models, not model.family = {family}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = cfg or RunConfig(epochs=20, lr=0.2, batch=32)
-    task_kw = dict(task_kw or {})
     results: dict[str, list[float]] = {arm: [] for arm in arms}
     summary = ["arm,seed,final_val_acc"]
     for arm in arms:
         for seed in seeds:
-            train_set, val_set = make_context_gated(seed=seed, **task_kw)
-            model = _arm_model(arm, seed, task_kw)
+            train_set, val_set = make_task_from_config(cfg.task | {"task.seed": str(seed)})
+            model = build_from_config(cfg.model | {"model.family": "task"} | SWEEP_ARMS[arm]
+                                      | {"model.seed": str(seed)})
             res = train(model, train_set, val_set, replace(cfg, seed=seed),
                         csv_path=out / f"{arm}_seed{seed}.csv")
             results[arm].append(res.final_val_acc)

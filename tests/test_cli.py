@@ -112,6 +112,35 @@ def test_train_rejects_negative_epochs_from_flag_and_config(tmp_path, capsys):
     assert "error: epochs must be >= 0 and batch >= 1" in capsys.readouterr().err
 
 
+
+def test_sweep_reads_the_config_task_and_model_keys(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("task.n_train = 16\ntask.n_val = 3\nmodel.family = task\n")
+    out = tmp_path / "sweep"
+    assert main(["train", "--sweep", "--config", str(cfg), "--epochs", "0", "--out", str(out)]) == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    thirds = {"0.000000", "0.333333", "0.666667", "1.000000"}  # 3 validation samples
+    assert {row.split(",")[2] for row in rows} <= thirds
+    cfg.write_text("model.family = resnet\n")
+    assert main(["train", "--sweep", "--config", str(cfg), "--epochs", "0", "--out", str(out)]) == 1
+    assert "error: the sweep trains task models, not model.family = resnet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,key", [
+    (["count"], "model.family = mobilenetv2\nmodel.widht = 0.25\n", "model.widht"),
+    (["train"], "task.fooo = 1\ntrain.epochs = 0\n", "task.fooo"),
+    (["train"], "task.noise = 0.3\ntrain.epochs = 0\n", "task.noise"),
+], ids=["model.widht", "task.fooo", "task.noise"])
+def test_unread_config_keys_are_refused_by_name(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not (out / "model.ckpt").exists()
+
 def test_analyze_phi_writes_csv(tmp_path):
     path = tmp_path / "phi.csv"
     assert main(["analyze-phi", "task_dcd", "--samples", "4", "--out", str(path)]) == 0

@@ -140,9 +140,8 @@ def test_evaluate_accuracy_is_fraction_correct():
 
 
 def test_run_sweep_writes_per_run_and_summary_csvs(tmp_path):
-    cfg = RunConfig(lr=0.2, epochs=1, batch=32, seed=0)
-    results = run_sweep(tmp_path, seeds=(0,), arms=("static", "dcd"), cfg=cfg,
-                        task_kw={"n_train": 64, "n_val": 32})
+    cfg = RunConfig(task={"task.n_train": "64", "task.n_val": "32"}, lr=0.2, epochs=1, batch=32, seed=0)
+    results = run_sweep(tmp_path, seeds=(0,), arms=("static", "dcd"), cfg=cfg)
     assert set(results) == {"static", "dcd"}
     assert (tmp_path / "static_seed0.csv").exists()
     assert (tmp_path / "dcd_seed0.csv").exists()
