@@ -8,7 +8,8 @@ produces bit-identical forwards whether or not a tape is attached.  The
 contractions call `dynconv.tensor`'s kernels, looked up at call time.  A
 taped forward starts from a leaf, as in
 ``graph.forward(tape.leaf(x), train=True)``: each op finds the tape
-through its inputs.
+through its inputs.  Every op returns a C-contiguous float64 array, so
+`value_of` is the one place where an operand is coerced.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class Tape:
 
 
 def value_of(x):
-    """A node's value as it is (an einsum result may be a strided view), or x as a tensor."""
+    """A node's value as it is, or a raw operand coerced by `T.as_tensor`."""
     return x.value if isinstance(x, Node) else T.as_tensor(x)
 
 
@@ -107,7 +108,7 @@ def _record(tape: Tape, name: str, out, inputs, vjp) -> Node:
 def add(a, b):
     tape = _tape(a, b)
     av, bv = value_of(a), value_of(b)
-    out = T.check_finite(T.as_tensor(av) + T.as_tensor(bv), "add result")
+    out = T.check_finite(av + bv, "add result")
     if tape is None:
         return out
     return _record(tape, "add", out, (a, b), lambda g, j: _unbroadcast(g, av.shape if j == 0 else bv.shape))
@@ -116,7 +117,7 @@ def add(a, b):
 def mul(a, b):
     tape = _tape(a, b)
     av, bv = value_of(a), value_of(b)
-    out = T.check_finite(T.as_tensor(av) * T.as_tensor(bv), "mul result")
+    out = T.check_finite(av * bv, "mul result")
     if tape is None:
         return out
     return _record(tape, "mul", out, (a, b),
@@ -126,7 +127,7 @@ def mul(a, b):
 def scale(a, alpha: float):
     tape = _tape(a)
     av = value_of(a)
-    out = T.check_finite(T.as_tensor(av) * float(alpha), "scale result")
+    out = T.check_finite(av * float(alpha), "scale result")
     if tape is None:
         return out
     return _record(tape, "scale", out, (a,), lambda g, j: g * alpha)
@@ -144,7 +145,7 @@ def matmul(a, b):
 def relu(a):
     tape = _tape(a)
     av = value_of(a)
-    out = np.maximum(T.as_tensor(av), 0.0)
+    out = np.maximum(av, 0.0)
     if tape is None:
         return out
     mask = (av > 0).astype(np.float64)
@@ -153,7 +154,7 @@ def relu(a):
 
 def sigmoid(a):
     tape = _tape(a)
-    av = T.as_tensor(value_of(a))
+    av = value_of(a)
     # split by sign to stay stable for large |a|
     out = np.empty_like(av)
     pos = av >= 0
@@ -167,7 +168,7 @@ def sigmoid(a):
 
 def softmax_rows(a):
     tape = _tape(a)
-    z = T.as_tensor(value_of(a))
+    z = value_of(a)
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
     out = e / np.sum(e, axis=-1, keepdims=True)
@@ -196,7 +197,7 @@ def attention_activation(logits, mode: str = "softmax", tau: float = 1.0):
 def reshape(a, shape):
     tape = _tape(a)
     av = value_of(a)
-    out = np.ascontiguousarray(T.as_tensor(av).reshape(shape))
+    out = np.ascontiguousarray(av.reshape(shape))
     if tape is None:
         return out
     return _record(tape, "reshape", out, (a,), lambda g, j: np.ascontiguousarray(g.reshape(av.shape)))
@@ -247,7 +248,7 @@ def mean_all(a):
 def global_avg_pool(a):
     """(N,C,H,W) -> (N,C) spatial mean."""
     tape = _tape(a)
-    av = T.as_tensor(value_of(a))
+    av = value_of(a)
     if av.ndim != 4:
         raise ValueError(f"expected NCHW, got shape {av.shape}")
     n, c, h, w = av.shape
@@ -350,7 +351,7 @@ def einsum(spec: str, *operands):
     """
     tape = _tape(*operands)
     vals = [value_of(x) for x in operands]
-    out = T.check_finite(np.einsum(spec, *vals, optimize=True), "einsum result")
+    out = T.check_finite(np.asarray(np.einsum(spec, *vals, optimize=True), order="C"), "einsum result")
     if tape is None:
         return out
     ins, out_sub = spec.split("->")

@@ -71,15 +71,16 @@ def _load_cfg(args) -> dict[str, str]:
     return load_config(path) if path else {}
 
 
-def _model_from_args(args, cfg: dict[str, str], default: str = "task_dcd"):
-    seed = getattr(args, "seed", None)
+def _model_from_args(args, cfg: dict[str, str], seed: int | None = None):
+    seed = getattr(args, "seed", None) if seed is None else seed
     if cfg.get("model.family"):
         if seed is not None:
             cfg = dict(cfg) | {"model.seed": str(seed)}
         return build_from_config(cfg)
-    name = getattr(args, "model", None) or default
-    return resolve_model(name, seed=seed or 0,
-                         resolution=getattr(args, "resolution", None))
+    if keys := sorted(key for key in cfg if key.startswith("model.")):
+        raise ConfigError(f"model.family is required to read {', '.join(map(repr, keys))}")
+    name = getattr(args, "model", None) or "task_dcd"
+    return resolve_model(name, seed=seed or 0, resolution=getattr(args, "resolution", None))
 
 
 def _out_dir(args, default: str = "out") -> Path:
@@ -107,10 +108,7 @@ def cmd_train(args) -> int:
             print(f"{arm}: final val acc [{fmt}]")
         return 0
 
-    if cfg_map.get("model.family"):
-        model = build_from_config(dict(cfg_map) | {"model.seed": str(run_cfg.seed)})
-    else:
-        model = resolve_model(args.model or "task_dcd", seed=run_cfg.seed)
+    model = _model_from_args(args, cfg_map, seed=run_cfg.seed)
     train_set, val_set = make_task_from_config(
         dict(cfg_map) | {"task.seed": str(run_cfg.seed)}
     )

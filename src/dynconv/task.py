@@ -345,5 +345,8 @@ def make_task_from_config(cfg: dict) -> tuple[Dataset, Dataset]:
         if name is None:
             continue
         default = params[name].default
-        kwargs[name] = value if default is inspect.Parameter.empty else type(default)(value)
+        try:
+            kwargs[name] = value if default is inspect.Parameter.empty else type(default)(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     return make_task(kind, **kwargs)

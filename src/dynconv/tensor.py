@@ -3,7 +3,8 @@ reference loops, im2col, max pooling, batch-norm statistics and SVD.
 The differentiable ops, elementwise ones included, are defined once, in
 `dynconv.autodiff`, and call these kernels.
 
-Arrays are plain numpy ndarrays (C-order, float64).  The contractions run
+Every differentiable op returns a C-contiguous float64 ndarray, so an op
+coerces a raw operand once, in `autodiff.value_of`.  The contractions run
 as ``np.matmul`` with the sample (and, in conv2d, the group) as a stack
 axis, so each sample's product is the same BLAS call whatever the batch
 size.  Two kinds of contract rest on this:
@@ -40,12 +41,11 @@ class NonFiniteError(ValueError):
 
 def as_tensor(x) -> np.ndarray:
     """Coerce to a C-contiguous float64 array."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    return a
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def check_finite(a: np.ndarray, what: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite values in {what}")
     return a
 
@@ -131,7 +131,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
 
     Rows are ordered (c, dy, dx) row-major, the reduction order of the
     naive seven-loop convolution.  A 1×1 stride-1 unpadded kernel needs no
-    copy, so the result is then a view of `x`.
+    copy, so the result is then a view of `x`; padding fills a zero buffer.
     """
     x = as_tensor(x)
     n, c, h, w = x.shape
@@ -141,7 +141,10 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
         raise ValueError(f"empty conv output for input {x.shape} kernel {(kh, kw)}")
     if kh == kw == stride == 1 and not padding:
         return x.reshape(n, c, h * w)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    xp = x
+    if padding:
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:padding + h, padding:padding + w] = x
     sn, sc, sh, sw = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False

@@ -89,6 +89,46 @@ def _record_case(name, taped):
     return out, inputs, [grads.get(p) for p in params]
 
 
+# every eager op, with operands whose values survive any of the raw layouts below
+EAGER_CASES = RECORD_CASES | {
+    "scale": (lambda a: ad.scale(a, 0.3), [(3, 4)]),
+    "relu": (ad.relu, [(2, 3, 4)]),
+    "sigmoid": (ad.sigmoid, [(3, 4)]),
+    "softmax_rows": (ad.softmax_rows, [(3, 4)]),
+    "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
+    "transpose_axes": (lambda a: ad.transpose_axes(a, (2, 0, 1)), [(2, 3, 4)]),
+    "narrow": (lambda a: ad.narrow(a, 1, 1, 3), [(3, 4)]),
+    "sum_all": (ad.sum_all, [(3, 4)]),
+    "global_avg_pool": (ad.global_avg_pool, [(2, 3, 4, 4)]),
+    "max_pool2d": (lambda a: ad.max_pool2d(a, 3, 2, 1), [(2, 3, 5, 5)]),
+    "cross_entropy": (lambda a: ad.cross_entropy(a, np.array([0, 3, 1])), [(3, 4)]),
+    "einsum_transpose": (lambda a: ad.einsum("ij->ji", a), [(3, 4)]),
+}
+RAW_OPERANDS = {
+    "int": lambda v: np.round(4.0 * v).astype(np.int64),
+    "float32": lambda v: v.astype(np.float32),
+    "fortran": np.asfortranarray,
+    "strided": lambda v: np.stack([v, -v], axis=-1)[..., 0],
+}
+
+
+@pytest.mark.parametrize("kind", list(RAW_OPERANDS))
+@pytest.mark.parametrize("name", list(EAGER_CASES))
+def test_every_op_returns_c_contiguous_float64(name, kind):
+    """`value_of` is the one coercion point: an op's result is the same bytes
+    whether a raw operand is converted first or not, and a taped result is
+    C-contiguous float64 too, so ops can use node values without coercing."""
+    op, shapes = EAGER_CASES[name]
+    raw = [RAW_OPERANDS[kind](np.random.default_rng(4).standard_normal(shape)) for shape in shapes]
+    converted = [np.ascontiguousarray(v, dtype=np.float64) for v in raw]
+    got, want = op(*raw), op(*converted)
+    tape = ad.Tape()
+    taped = op(*[tape.leaf(v) for v in converted]).value
+    for out in (got, taped):
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", list(RECORD_CASES))
 def test_record_keeps_only_taped_inputs_as_parents(name):
     n = len(RECORD_VALUES[name])

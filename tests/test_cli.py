@@ -131,7 +131,9 @@ def test_sweep_reads_the_config_task_and_model_keys(tmp_path, capsys):
     (["count"], "model.family = mobilenetv2\nmodel.widht = 0.25\n", "model.widht"),
     (["train"], "task.fooo = 1\ntrain.epochs = 0\n", "task.fooo"),
     (["train"], "task.noise = 0.3\ntrain.epochs = 0\n", "task.noise"),
-], ids=["model.widht", "task.fooo", "task.noise"])
+    (["count"], "model.kind = static\nmodel.widht = 3\n", "model.widht"),
+    (["train"], "model.kind = static\ntrain.epochs = 0\n", "model.kind"),
+], ids=["model.widht", "task.fooo", "task.noise", "count-model-key-without-family", "train-model-key-without-family"])
 def test_unread_config_keys_are_refused_by_name(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -140,6 +142,16 @@ def test_unread_config_keys_are_refused_by_name(tmp_path, capsys, command, text,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
     assert not (out / "model.ckpt").exists()
+    if "model.family" not in text and key.startswith("model."):
+        assert "model.family is required" in err
+
+
+def test_malformed_task_value_is_reported_with_its_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("task.n_train = 1.5\ntrain.epochs = 0\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: task.n_train: invalid literal for int() with base 10: '1.5'\n"
+
 
 def test_analyze_phi_writes_csv(tmp_path):
     path = tmp_path / "phi.csv"

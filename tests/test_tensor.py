@@ -1,7 +1,9 @@
 """Tensor kernel tests: reference kernels against independent loop oracles
 (bit-exact), BLAS kernels against reference kernels (tolerance)."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +277,29 @@ def test_blas_kernels_and_conv_vjps_match_reference_kernels(xshape, wshape, stri
     assert_rel_close(grads[wp], _reference_grad(lambda e: _reference_conv(x, e, stride, padding, groups), wshape, g))
 
 
+def im2col_oracle(x, kh, kw, stride, padding):
+    """Patch rows read one entry at a time; positions outside `x` read 0."""
+    n, c, h, w = x.shape
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, c, kh, kw, ho, wo))
+    for ci, dy, dx, y, xx in itertools.product(range(c), range(kh), range(kw), range(ho), range(wo)):
+        sy, sx = y * stride + dy - padding, xx * stride + dx - padding
+        if 0 <= sy < h and 0 <= sx < w:
+            out[:, ci, dy, dx, y, xx] = x[:, ci, sy, sx]
+    return out.reshape(n, c * kh * kw, ho * wo)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3])
+def test_im2col_pads_with_zeros_and_leaves_input_unchanged(k, padding, stride):
+    x = np.random.default_rng(61).standard_normal((2, 3, 5, 4))
+    before = x.copy()
+    got = T.im2col(x, k, k, stride, padding)
+    assert got.tobytes() == im2col_oracle(x, k, k, stride, padding).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
 def test_conv2d_rejects_mismatched_per_sample_kernels():
     with pytest.raises(ValueError):
         T.conv2d(np.zeros((2, 3, 4, 4)), np.zeros((3, 5, 3, 1, 1)))
@@ -338,6 +363,27 @@ def test_batchnorm_train_stats_normalize():
     b = np.array([1.0, -1.0, 0.0])
     y2 = T.batchnorm_apply(x, g, b, mean, var)
     assert np.max(np.abs(y2 - (y * g.reshape(1, 3, 1, 1) + b.reshape(1, 3, 1, 1)))) < 1e-12
+
+
+def _strided(a):
+    """`a` as a non-contiguous view: every other entry of a twice-as-long row."""
+    return np.stack([a, np.zeros_like(a)], axis=-1)[..., 0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("layout", ["strided", "0-d"])
+def test_check_finite_rejects_nan_and_inf(bad, layout):
+    a = _strided(np.array([[1.0, 2.0], [3.0, bad]])) if layout == "strided" else np.array(bad)
+    with pytest.raises(T.NonFiniteError, match="non-finite values in probe"):
+        T.check_finite(a, "probe")
+
+
+@pytest.mark.parametrize("a", [np.zeros((0, 3)), np.array([1e308, 1e308]), _strided(np.full((2, 3), -1e308))],
+                         ids=["empty", "huge", "huge-strided"])
+def test_check_finite_passes_finite_arrays_without_warnings(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert T.check_finite(a) is a
 
 
 def test_nonfinite_rejected():
