@@ -9,7 +9,8 @@ contractions call `dynconv.tensor`'s kernels, looked up at call time.  A
 taped forward starts from a leaf, as in
 ``graph.forward(tape.leaf(x), train=True)``: each op finds the tape
 through its inputs.  Every op returns a C-contiguous float64 array, so
-`value_of` is the one place where an operand is coerced.
+`value_of` is the one place where an operand is coerced.  `affine`, one op for
+``a * w + b``, is the tail of eval batch norm and of the DCD layer, Λ ⊙ (W0∗x) + residual.
 """
 
 from __future__ import annotations
@@ -124,6 +125,20 @@ def mul(a, b):
                    lambda g, j: _unbroadcast(g * bv, av.shape) if j == 0 else _unbroadcast(g * av, bv.shape))
 
 
+def affine(a, w, b):
+    """``a * w + b`` with one finite check, rounding exactly as `add(mul(a, w), b)`;
+    `b` is added in place, so it must broadcast to the shape of ``a * w``."""
+    tape = _tape(a, w, b)
+    av, wv, bv = value_of(a), value_of(w), value_of(b)
+    out = av * wv
+    out += bv
+    T.check_finite(out, "affine result")
+    if tape is None:
+        return out
+    return _record(tape, "affine", out, (a, w, b), lambda g, j: _unbroadcast(g, bv.shape) if j == 2
+                   else _unbroadcast(g * wv, av.shape) if j == 0 else _unbroadcast(g * av, wv.shape))
+
+
 def scale(a, alpha: float):
     tape = _tape(a)
     av = value_of(a)
@@ -197,7 +212,7 @@ def attention_activation(logits, mode: str = "softmax", tau: float = 1.0):
 def reshape(a, shape):
     tape = _tape(a)
     av = value_of(a)
-    out = np.ascontiguousarray(av.reshape(shape))
+    out = av.reshape(shape)
     if tape is None:
         return out
     return _record(tape, "reshape", out, (a,), lambda g, j: np.ascontiguousarray(g.reshape(av.shape)))
@@ -217,7 +232,7 @@ def narrow(a, axis: int, start: int, stop: int):
     """Contiguous slice along one axis."""
     tape = _tape(a)
     av = value_of(a)
-    sl = tuple(slice(start, stop) if ax == axis else slice(None) for ax in range(av.ndim))
+    sl = (slice(None),) * axis + (slice(start, stop),)
     out = np.ascontiguousarray(av[sl])
     if tape is None:
         return out

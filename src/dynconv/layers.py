@@ -210,7 +210,7 @@ class BatchNorm2d:
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         w = (self.gamma.value * inv).reshape(1, self.channels, 1, 1)
         b = (self.beta.value - self.running_mean * self.gamma.value * inv).reshape(1, self.channels, 1, 1)
-        return ad.add(ad.mul(x, w), b)
+        return ad.affine(x, w, b)
 
 
 class DynamicBranch:
@@ -395,7 +395,7 @@ class DcdConv(_ConvLayer):
         """(Λ, Φ-raw) from the branch; Λ is None when disabled (implicit 1)."""
         raw = self.branch.forward(pooled, lift)
         if self.lambda_enabled:
-            lam = ad.add(ad.narrow(raw, 1, 0, self.c_out), np.ones(1))
+            lam = ad.add(ad.narrow(raw, 1, 0, self.c_out), 1.0)
             phi = ad.narrow(raw, 1, self.c_out, self.c_out + self.phi_len)
         else:
             lam = None
@@ -459,9 +459,9 @@ class DcdConv(_ConvLayer):
             self.observer(self, ad.value_of(pooled),
                           None if lam is None else ad.value_of(lam), ad.value_of(phi))
         out = ad.conv2d(x, self._w0_kernel(lift), stride=self.stride, padding=self.padding, groups=self.groups)
-        if lam is not None:
-            out = ad.mul(out, ad.reshape(lam, (n, self.c_out, 1, 1)))
-        return self._head(ad.add(out, self._residual(x, phi, lift)), train, lift)
+        res = self._residual(x, phi, lift)
+        out = ad.add(out, res) if lam is None else ad.affine(out, ad.reshape(lam, (n, self.c_out, 1, 1)), res)
+        return self._head(out, train, lift)
 
     def _w0_kernel(self, lift):
         """W0 in conv layout (C_out, C_in/groups, k, k): a view of the stored W0."""

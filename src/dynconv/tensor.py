@@ -40,8 +40,8 @@ class NonFiniteError(ValueError):
 
 
 def as_tensor(x) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(x, dtype=np.float64)
+    """Coerce to a C-contiguous float64 array of the same shape (0-d stays 0-d)."""
+    return np.asarray(x, dtype=np.float64, order="C")
 
 
 def check_finite(a: np.ndarray, what: str = "tensor") -> np.ndarray:
@@ -175,7 +175,9 @@ def conv2d(
 
     One ``np.matmul`` contracts (c_in, dy, dx) with samples and groups as
     stack axes, so each sample's output is the same BLAS call at any batch
-    size and with a shared or a per-sample kernel.
+    size and with a shared or a per-sample kernel.  For a 1×1 stride-1
+    unpadded conv the patch matrix is a reshaped view of `x`, so the product
+    is one reshape and that `np.matmul`.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)

@@ -63,10 +63,13 @@ def test_taped_forward_bit_identical_to_eager():
 
 
 # every input of an op has its own shape, so a gradient handed to the wrong input shows
+# (but for affine's full-shape shift, which test_grad_affine covers)
 _RNG = np.random.default_rng(2)
 RECORD_CASES = {
     "add": (ad.add, [(3, 4), (1, 4)]),
     "mul": (ad.mul, [(3, 4), (3, 1)]),
+    "affine": (ad.affine, [(2, 3, 4, 4), (2, 3, 1, 1), (1, 3, 1, 1)]),
+    "affine_full_shift": (ad.affine, [(2, 3, 4, 4), (2, 3, 1, 1), (2, 3, 4, 4)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
     "conv2d": (lambda x, w: ad.conv2d(x, w, padding=1), [(2, 3, 5, 5), (4, 3, 3, 3)]),
     "batchnorm_train": (lambda x, g, b: ad.batchnorm_train(x, g, b)[0], [(2, 3, 4, 4), (3,), (3,)]),
@@ -177,6 +180,48 @@ def test_grad_mul_broadcast():
         return ad.mean_all(ad.mul(prod, prod))
 
     check_grads(loss, [a, b])
+
+
+@pytest.mark.parametrize("bshape", [(1, 3, 1, 1), (2, 3, 4, 4)], ids=["channel-shift", "full-shift"])
+def test_grad_affine(bshape):
+    rng = np.random.default_rng(5)
+    a = ad.Parameter("a", rng.standard_normal((2, 3, 4, 4)))
+    w = ad.Parameter("w", away_from_zero(rng, (2, 3, 1, 1)))
+    b = ad.Parameter("b", rng.standard_normal(bshape))
+    c = away_from_zero(rng, (2, 3, 4, 4))  # no tiny adjoint of a for the difference noise to swamp
+
+    def loss():
+        tape = ad.Tape()
+        out = ad.affine(*(tape.leaf(p.value, param=p) for p in (a, w, b)))
+        return ad.sum_all(ad.mul(out, c))
+
+    check_grads(loss, [a, w, b])
+
+
+@pytest.mark.parametrize("bshape", [(1, 3, 1, 1), (2, 3, 4, 4)], ids=["channel-shift", "full-shift"])
+def test_affine_rounds_like_mul_then_add(bshape):
+    """One op, the same bits as the two it replaces, eager and on a tape."""
+    rng = np.random.default_rng(6)
+    values = [rng.standard_normal(shape) for shape in ((2, 3, 4, 4), (2, 3, 1, 1), bshape)]
+    assert np.array_equal(ad.affine(*values), ad.add(ad.mul(*values[:2]), values[2]))
+    target = rng.standard_normal((2, 3, 4, 4))
+    grads = []
+    for op in (ad.affine, lambda a, w, b: ad.add(ad.mul(a, w), b)):
+        params = [ad.Parameter(f"in{j}", v) for j, v in enumerate(values)]
+        tape = ad.Tape()
+        out = op(*(tape.leaf(p.value, param=p) for p in params))
+        g = ad.backward(ad.sum_all(ad.mul(out, target)))
+        grads.append([g[p] for p in params])
+    assert all(np.array_equal(f, u) for f, u in zip(*grads))
+
+
+def test_ops_on_0d_values_keep_their_shape_eager_and_taped():
+    x = np.arange(6.0).reshape(2, 3)
+    tape = ad.Tape()
+    assert ad.mean_all(x).shape == ad.mean_all(tape.leaf(x)).value.shape == ()
+    s = np.asarray(2.5)
+    assert ad.add(s, s).shape == ad.add(tape.leaf(s), s).value.shape == ()
+    assert ad.mul(s, 2.0).shape == ad.mul(tape.leaf(s), 2.0).value.shape == ()
 
 
 def test_grad_relu_sigmoid_softmax():

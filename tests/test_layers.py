@@ -6,6 +6,7 @@ import pytest
 from dynconv import autodiff as ad
 from dynconv import tensor as T
 from dynconv.layers import (
+    BatchNorm2d,
     DcdConv,
     LatentDims,
     StaticConv,
@@ -465,6 +466,52 @@ def test_factored_forward_matches_materialised_kernels(name, cfg):
         grads.append({p.name: g.get(p, np.zeros_like(p.value)) for p in layer.parameters() + [x_param]})
     for pname, g in grads[0].items():
         assert _rel_err(g, grads[1][pname]) <= 1e-10, f"{name}: gradient of {pname}"
+
+
+def _bn_layer(cfg, seed):
+    """A DCD layer with batch norm, seeded branches and non-trivial BN state."""
+    layer = DcdConv("f", enforce_budget=False, rng=np.random.default_rng(seed), **cfg)
+    rng = np.random.default_rng(seed + 1)
+    randomize_branch(layer, rng)
+    bn = layer.bn
+    bn.gamma.value[...] = rng.uniform(0.5, 1.5, bn.channels)
+    bn.beta.value[...] = rng.standard_normal(bn.channels)
+    bn.running_mean[...] = rng.standard_normal(bn.channels)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, bn.channels)
+    return layer
+
+
+def test_eval_batchnorm_is_one_scale_and_shift():
+    bn = _bn_layer(dict(c_in=6, c_out=6), 50).bn
+    x = np.random.default_rng(52).standard_normal((3, 6, 4, 4))
+    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    w = (bn.gamma.value * inv).reshape(1, 6, 1, 1)
+    b = (bn.beta.value - bn.running_mean * bn.gamma.value * inv).reshape(1, 6, 1, 1)
+    assert np.array_equal(bn.forward(x, False, lambda p: p.value), x * w + b)
+
+
+@pytest.mark.parametrize("name,cfg", FACTORED_LAYERS, ids=[n for n, _ in FACTORED_LAYERS])
+def test_fused_tails_equal_mul_then_add(name, cfg, monkeypatch):
+    """The DCD tail Λ⊙(W0∗x) + residual and eval batch norm, each one
+    `affine`, give the bits of the `mul`-then-`add` composition: eval
+    outputs, and gradients of eval and train-mode taped forwards."""
+    x = np.random.default_rng(53).standard_normal((3, cfg["c_in"], 6, 6))
+
+    def run():
+        out = [_bn_layer(cfg, 51).forward(x)]
+        for train in (False, True):
+            layer = _bn_layer(cfg, 51)
+            tape = ad.Tape()
+            x_param = ad.Parameter("x", x)
+            y = layer.forward(tape.leaf(x, param=x_param), train=train)
+            grads = ad.backward(ad.sum_all(ad.mul(y, np.random.default_rng(54).standard_normal(y.shape))))
+            out += [ad.value_of(y)] + [grads[p] for p in layer.parameters() + [x_param] if p in grads]
+        return out
+
+    fused = run()
+    monkeypatch.setattr(ad, "affine", lambda a, w, b: ad.add(ad.mul(a, w), b))
+    unfused = run()
+    assert len(fused) == len(unfused) and all(np.array_equal(f, u) for f, u in zip(fused, unfused))
 
 
 def test_observer_sees_the_forward_coefficients_without_changing_outputs():

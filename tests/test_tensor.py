@@ -277,6 +277,42 @@ def test_blas_kernels_and_conv_vjps_match_reference_kernels(xshape, wshape, stri
     assert_rel_close(grads[wp], _reference_grad(lambda e: _reference_conv(x, e, stride, padding, groups), wshape, g))
 
 
+@pytest.mark.parametrize("wshape,groups", [((6, 4, 1, 1), 1), ((8, 6, 4, 1, 1), 1), ((4, 2, 1, 1), 2)],
+                         ids=["shared", "per-sample", "grouped"])
+def test_pointwise_conv_is_one_matmul_on_a_view_of_x(wshape, groups):
+    """A 1×1 stride-1 unpadded conv contracts a reshaped view of `x`,
+    matches the reference kernel, keeps the bits of the patch-matrix product,
+    and a batch of 8 equals the 8 stacked single-sample convs bit for bit."""
+    rng = np.random.default_rng(67)
+    x = rng.standard_normal((8, 4, 5, 3))
+    w = rng.standard_normal(wshape)
+    cols = T.im2col(x, 1, 1, 1, 0)
+    assert np.shares_memory(cols, x)
+    got = T.conv2d(x, w, groups=groups)
+    assert_rel_close(got, _reference_conv(x, w, 1, 0, groups))
+    wmat = w.reshape(w.shape[:-4] + (groups, wshape[-4] // groups, 4 // groups))
+    assert np.array_equal(got, np.matmul(wmat, x.reshape(8, groups, 4 // groups, 15)).reshape(got.shape))
+    rows = [T.conv2d(x[i : i + 1], w[i : i + 1] if w.ndim == 5 else w, groups=groups) for i in range(8)]
+    assert np.array_equal(got, np.concatenate(rows))
+
+
+def test_as_tensor_keeps_the_shape_and_copies_only_when_needed():
+    assert T.as_tensor(np.asarray(3)).shape == () and T.as_tensor(np.asarray(3)).dtype == np.float64
+    c = np.arange(4.0)
+    assert T.as_tensor(c) is c
+    for raw in (np.arange(12.0).reshape(3, 4)[:, ::2], np.asfortranarray(np.arange(6.0).reshape(2, 3))):
+        out = T.as_tensor(raw)
+        assert out.flags.c_contiguous and np.array_equal(out, raw) and not np.shares_memory(out, raw)
+
+
+def test_conv2d_and_im2col_reject_an_empty_output():
+    for x, k in ((np.zeros((1, 2, 0, 4)), 1), (np.zeros((1, 2, 2, 2)), 3)):
+        with pytest.raises(ValueError, match="empty conv output"):
+            T.conv2d(x, np.zeros((3, 2, k, k)))
+        with pytest.raises(ValueError, match="empty conv output"):
+            T.im2col(x, k, k, 1, 0)
+
+
 def im2col_oracle(x, kh, kw, stride, padding):
     """Patch rows read one entry at a time; positions outside `x` read 0."""
     n, c, h, w = x.shape
