@@ -31,14 +31,8 @@ from .bench import bench_pair
 from .config import ConfigError, RunConfig, load_config
 from .counting import count_model, count_params
 from .gradcheck import VARIANTS, variant_gradcheck
-from .models import (
-    STATIC_INVARIANTS,
-    build_from_config,
-    build_mobilenetv2,
-    build_resnet,
-    check_golden,
-)
-from .task import build_task_model, make_task_from_config
+from .models import STATIC_INVARIANTS, build_from_config, check_golden
+from .task import make_task_from_config
 from .train import run_sweep, train
 
 _MOBILENET_RE = re.compile(r"^mobilenetv2_x([0-9.]+?)(_dcd)?$")
@@ -47,23 +41,25 @@ _TASK_RE = re.compile(r"^task_(static|dcd|vanilla)$")
 
 
 def resolve_model(name: str, seed: int = 0, resolution: int | None = None):
-    """Build a model from a zoo identifier like ``resnet18_dcd``."""
+    """Build a model from a zoo identifier like ``resnet18_dcd``, which is
+    shorthand for its ``model.*`` keys."""
     if (m := _MOBILENET_RE.match(name)):
-        width = float(m.group(1))
-        placement = ("pw", "cls") if m.group(2) else ()
-        kw = {"resolution": resolution} if resolution else {}
-        return build_mobilenetv2(width=width, placement=placement, seed=seed, **kw)
-    if (m := _RESNET_RE.match(name)):
-        dcd = "channel_only_3x3" if m.group(2) else "off"
-        kw = {"resolution": resolution} if resolution else {}
-        return build_resnet(depth=int(m.group(1)), dcd=dcd, seed=seed, **kw)
-    if (m := _TASK_RE.match(name)):
-        kw = {"resolution": resolution} if resolution else {}
-        return build_task_model(kind=m.group(1), seed=seed, **kw)
-    raise ValueError(
-        f"unknown model {name!r}; expected mobilenetv2_x<width>[_dcd], "
-        "resnet<depth>[_dcd], or task_<static|dcd|vanilla>"
-    )
+        cfg = {"model.family": "mobilenetv2", "model.width": m.group(1)}
+        cfg |= {"model.placement": "cls,pw"} if m.group(2) else {}
+    elif (m := _RESNET_RE.match(name)):
+        cfg = {"model.family": "resnet", "model.depth": m.group(1)}
+        cfg |= {"model.dcd": "channel_only_3x3"} if m.group(2) else {}
+    elif (m := _TASK_RE.match(name)):
+        cfg = {"model.family": "task", "model.kind": m.group(1)}
+    else:
+        raise ValueError(
+            f"unknown model {name!r}; expected mobilenetv2_x<width>[_dcd], "
+            "resnet<depth>[_dcd], or task_<static|dcd|vanilla>"
+        )
+    cfg["model.seed"] = str(seed)
+    if resolution:
+        cfg["model.resolution"] = str(resolution)
+    return build_from_config(cfg)
 
 
 def _load_cfg(args) -> dict[str, str]:

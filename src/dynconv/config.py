@@ -4,10 +4,15 @@ Grammar: one ``key = value`` pair per line; ``#`` starts a comment (whole
 line or trailing); blank lines are ignored; keys are dotted paths
 (``train.lr``); values are uninterpreted strings until a consumer types
 them.  Duplicate keys are an error, not a silent override.
+
+A ``model.*`` or ``task.*`` key names a keyword of the builder or generator
+it configures: `keyword_args` reads those keys into keyword arguments and
+`keyword_config` writes them back, both from the function's own signature.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +48,57 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 def save_config(path: str | Path, cfg: dict[str, str]) -> None:
     Path(path).write_text(format_config(cfg))
+
+
+def _key_type(default) -> type:
+    """A keyword's config value is typed like its default; one without a
+    default reads as a string, and one that defaults to None as a float."""
+    if default is inspect.Parameter.empty:
+        return str
+    return float if default is None else type(default)
+
+
+def keyword_args(fn, cfg: dict[str, str], prefix: str, owner: str, aliases=None) -> dict:
+    """`fn`'s keyword arguments from the ``prefix.*`` keys of `cfg`.
+
+    ``prefix.name`` sets parameter ``name``, typed like its default (a tuple
+    reads a comma list).  `aliases` maps more keys to a parameter, which then
+    loses its own key, or to None for a key that is accepted and ignored.  Any
+    other ``prefix.*`` key is refused as unknown for `owner`, and a value that
+    does not parse is refused under its key.
+    """
+    params = inspect.signature(fn).parameters
+    aliases = aliases or {}
+    names = {f"{prefix}.{name}": name for name in params if name not in aliases.values()} | aliases
+    kwargs = {}
+    for key, value in cfg.items():
+        if not key.startswith(f"{prefix}."):
+            continue
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} for {owner}")
+        if (name := names[key]) is None:
+            continue
+        typ = _key_type(params[name].default)
+        try:
+            kwargs[name] = tuple(part for part in value.split(",") if part) if typ is tuple else typ(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return kwargs
+
+
+def keyword_config(fn, prefix: str, values: dict) -> dict[str, str]:
+    """The ``prefix.*`` key of every parameter of `fn`, holding its entry in
+    `values` (the caller's ``locals()``) formatted so `keyword_args` reads it
+    back: a float by ``repr``, a tuple or set as a sorted comma list."""
+    out = {}
+    for name, param in inspect.signature(fn).parameters.items():
+        typ, value = _key_type(param.default), values[name]
+        if typ is float:
+            value = repr(float(value))
+        elif typ is tuple:
+            value = ",".join(sorted(value))
+        out[f"{prefix}.{name}"] = str(value)
+    return out
 
 
 SCHEDULES = ("step", "cosine")

@@ -29,6 +29,7 @@ budgets are reproducible):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -38,7 +39,7 @@ import numpy as np
 from . import autodiff as ad
 from . import tensor as T
 from .autodiff import value_of
-from .config import ConfigError
+from .config import keyword_args, keyword_config
 from .layers import (
     DcdConv,
     LatentDims,
@@ -201,8 +202,11 @@ class ModelGraph:
 # shared builder helpers
 
 
-def _layer_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+def _layer_rngs(seed: int, start: int) -> Callable[[], np.random.Generator]:
+    """One generator per call, for the layers in build order: streams
+    `start`, `start + 1`, … of `seed`."""
+    index = itertools.count(start)
+    return lambda: np.random.default_rng(np.random.SeedSequence((seed, next(index))))
 
 
 def _scaled_latent(base: int, multiplier: float) -> int:
@@ -235,11 +239,7 @@ def build_mobilenetv2(width: float = 1.0, placement=(), r: float | None = None,
     if r is None:
         r = 8.0 if width < 1.0 else 16.0
 
-    counter = {"i": 0}
-
-    def rng():
-        counter["i"] += 1
-        return _layer_rng(seed, counter["i"])
+    rng = _layer_rngs(seed, 1)
 
     def pw_squeeze(c_in: int, c_out: int) -> int:
         if width < 1.0:
@@ -296,16 +296,7 @@ def build_mobilenetv2(width: float = 1.0, placement=(), r: float | None = None,
                          activation=None, rng=rng())
     modules.append(Block([(head, "pw"), (GlobalPool("pool", c_last), "global_pool"), (cls, "classifier")]))
 
-    config = {
-        "model.family": "mobilenetv2",
-        "model.width": repr(width),
-        "model.placement": ",".join(sorted(placement)),
-        "model.r": repr(r),
-        "model.num_classes": str(num_classes),
-        "model.resolution": str(resolution),
-        "model.seed": str(seed),
-        "model.l_multiplier": repr(l_multiplier),
-    }
+    config = {"model.family": "mobilenetv2"} | keyword_config(build_mobilenetv2, "model", locals())
     tag = "+".join(sorted(placement)) if placement else "static"
     return ModelGraph(f"mobilenetv2_x{width:g}/{tag}", modules, 3, num_classes, resolution, config)
 
@@ -328,11 +319,7 @@ def build_resnet(depth: int = 18, dcd: str = "off", r: float = 16.0,
     block_kind, layout = RESNET_LAYOUTS[depth]
     dynamic = dcd != "off"
 
-    counter = {"i": 0}
-
-    def rng():
-        counter["i"] += 1
-        return _layer_rng(seed, counter["i"])
+    rng = _layer_rngs(seed, 1)
 
     def latent(c_out: int) -> LatentDims:
         return LatentDims(l=_scaled_latent(latent_dim_pow2(c_out), l_multiplier))
@@ -381,16 +368,7 @@ def build_resnet(depth: int = 18, dcd: str = "off", r: float = 16.0,
     fc = StaticConv("fc", c_prev, num_classes, k=1, bias=True, with_bn=False, activation=None, rng=rng())
     modules.append(Block([(GlobalPool("pool", c_prev), "global_pool"), (fc, "classifier")]))
 
-    config = {
-        "model.family": "resnet",
-        "model.depth": str(depth),
-        "model.dcd": dcd,
-        "model.r": repr(r),
-        "model.num_classes": str(num_classes),
-        "model.resolution": str(resolution),
-        "model.seed": str(seed),
-        "model.l_multiplier": repr(l_multiplier),
-    }
+    config = {"model.family": "resnet"} | keyword_config(build_resnet, "model", locals())
     tag = "static" if not dynamic else "dcd"
     return ModelGraph(f"resnet{depth}/{tag}", modules, 3, num_classes, resolution, config)
 
@@ -398,49 +376,22 @@ def build_resnet(depth: int = 18, dcd: str = "off", r: float = 16.0,
 # ---------------------------------------------------------------------------
 # config round-trip
 
-BUILDERS: dict[str, Callable[[dict], ModelGraph]] = {}
-
-
-def _mobilenet_from_config(cfg: dict) -> ModelGraph:
-    placement = tuple(p for p in cfg.get("model.placement", "").split(",") if p)
-    return build_mobilenetv2(
-        width=float(cfg.get("model.width", "1.0")),
-        placement=placement,
-        r=float(cfg["model.r"]) if "model.r" in cfg else None,
-        num_classes=int(cfg.get("model.num_classes", "1000")),
-        resolution=int(cfg.get("model.resolution", "224")),
-        seed=int(cfg.get("model.seed", "0")),
-        l_multiplier=float(cfg.get("model.l_multiplier", "1.0")),
-    )
-
-
-def _resnet_from_config(cfg: dict) -> ModelGraph:
-    return build_resnet(
-        depth=int(cfg.get("model.depth", "18")),
-        dcd=cfg.get("model.dcd", "off"),
-        r=float(cfg.get("model.r", "16.0")),
-        num_classes=int(cfg.get("model.num_classes", "1000")),
-        resolution=int(cfg.get("model.resolution", "224")),
-        seed=int(cfg.get("model.seed", "0")),
-        l_multiplier=float(cfg.get("model.l_multiplier", "1.0")),
-    )
-
-
-BUILDERS["mobilenetv2"] = _mobilenet_from_config
-BUILDERS["resnet"] = _resnet_from_config
-
 
 def build_from_config(cfg: dict) -> ModelGraph:
+    """The graph that ``model.family`` names, its builder's keywords read from
+    the other ``model.*`` keys; ``model.twin = static`` returns its twin."""
+    from .task import build_task_model  # task.py builds on this module
+
+    builders = {"mobilenetv2": build_mobilenetv2, "resnet": build_resnet, "task": build_task_model}
     family = cfg.get("model.family")
-    if family not in BUILDERS:
-        raise ValueError(f"unknown model family {family!r}; known: {sorted(BUILDERS)}")
+    if family not in builders:
+        raise ValueError(f"unknown model family {family!r}; known: {sorted(builders)}")
     twin = cfg.get("model.twin")
     if twin not in (None, "static"):
         raise ValueError(f"unknown model.twin {twin!r}; known: 'static'")
-    graph = BUILDERS[family](cfg)
-    for key in cfg:
-        if key.startswith("model.") and key not in graph.config and key != "model.twin":
-            raise ConfigError(f"unknown key {key!r} for model.family = {family}")
+    kwargs = keyword_args(builders[family], cfg, "model", f"model.family = {family}",
+                          {"model.family": None, "model.twin": None})
+    graph = builders[family](**kwargs)
     return graph.static_twin() if twin == "static" else graph
 
 

@@ -24,15 +24,14 @@ classifier.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import keyword_args, keyword_config
 from .layers import DcdConv, LatentDims, StaticConv, VanillaDynConv
-from .models import BUILDERS, Block, GlobalPool, ModelGraph, _scaled_latent
+from .models import Block, GlobalPool, ModelGraph, _layer_rngs, _scaled_latent
 
 
 @dataclass
@@ -255,13 +254,7 @@ def build_task_model(
     """
     if kind not in TASK_MODEL_KINDS:
         raise ValueError(f"unknown task model kind {kind!r}; known: {TASK_MODEL_KINDS}")
-    counter = [0]
-
-    def rng():
-        out = np.random.default_rng(np.random.SeedSequence((seed, counter[0])))
-        counter[0] += 1
-        return out
-
+    rng = _layer_rngs(seed, 0)
     if kind == "static":
         mix = StaticConv("mix", channels, channels, rng=rng())
     elif kind == "vanilla":
@@ -279,19 +272,7 @@ def build_task_model(
         "fc", channels, num_classes, bias=True, with_bn=False, activation=None, rng=rng()
     )
     modules = [Block([(mix, "mix"), (GlobalPool("pool", channels), "global_pool"), (fc, "classifier")])]
-    config = {
-        "model.family": "task",
-        "model.kind": kind,
-        "model.channels": str(channels),
-        "model.num_classes": str(num_classes),
-        "model.resolution": str(resolution),
-        "model.tau": repr(float(tau)),
-        "model.kernels": str(kernels),
-        "model.sparse_blocks": str(sparse_blocks),
-        "model.l_multiplier": repr(float(l_multiplier)),
-        "model.r": repr(float(r)),
-        "model.seed": str(seed),
-    }
+    config = {"model.family": "task"} | keyword_config(build_task_model, "model", locals())
     return ModelGraph(
         name=f"task/{kind}",
         modules=modules,
@@ -302,24 +283,6 @@ def build_task_model(
     )
 
 
-def _task_from_config(cfg: dict) -> ModelGraph:
-    return build_task_model(
-        kind=cfg.get("model.kind", "dcd"),
-        channels=int(cfg.get("model.channels", "8")),
-        num_classes=int(cfg.get("model.num_classes", "4")),
-        resolution=int(cfg.get("model.resolution", "16")),
-        tau=float(cfg.get("model.tau", "30.0")),
-        kernels=int(cfg.get("model.kernels", "4")),
-        sparse_blocks=int(cfg.get("model.sparse_blocks", "1")),
-        l_multiplier=float(cfg.get("model.l_multiplier", "1.0")),
-        r=float(cfg.get("model.r", "2.0")),
-        seed=int(cfg.get("model.seed", "0")),
-    )
-
-
-BUILDERS["task"] = _task_from_config
-
-
 def make_task_from_config(cfg: dict) -> tuple[Dataset, Dataset]:
     """Datasets from the ``task.*`` keys of `cfg`: each names a parameter of the
     chosen generator, typed like its default, and any other is a `ConfigError`.
@@ -328,25 +291,9 @@ def make_task_from_config(cfg: dict) -> tuple[Dataset, Dataset]:
     kind = cfg.get("task.kind", "context_gated")
     if kind not in TASK_GENERATORS:
         raise ValueError(f"unknown task {kind!r}; known: {sorted(TASK_GENERATORS)}")
-    params = inspect.signature(TASK_GENERATORS[kind]).parameters
-    names = {f"task.{name}": name for name in params}
+    aliases = {"task.kind": None}
     if kind == "image_folder":
         if "task.dir" not in cfg:
             raise ValueError("task.kind = image_folder requires task.dir")
-        del names["task.root"]
-        names |= {"task.dir": "root", "task.seed": None}
-    kwargs = {}
-    for key, value in cfg.items():
-        if not key.startswith("task.") or key == "task.kind":
-            continue
-        if key not in names:
-            raise ConfigError(f"unknown key {key!r} for task.kind = {kind}")
-        name = names[key]
-        if name is None:
-            continue
-        default = params[name].default
-        try:
-            kwargs[name] = value if default is inspect.Parameter.empty else type(default)(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-    return make_task(kind, **kwargs)
+        aliases |= {"task.dir": "root", "task.seed": None}
+    return make_task(kind, **keyword_args(TASK_GENERATORS[kind], cfg, "task", f"task.kind = {kind}", aliases))

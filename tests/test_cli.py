@@ -133,7 +133,9 @@ def test_sweep_reads_the_config_task_and_model_keys(tmp_path, capsys):
     (["train"], "task.noise = 0.3\ntrain.epochs = 0\n", "task.noise"),
     (["count"], "model.kind = static\nmodel.widht = 3\n", "model.widht"),
     (["train"], "model.kind = static\ntrain.epochs = 0\n", "model.kind"),
-], ids=["model.widht", "task.fooo", "task.noise", "count-model-key-without-family", "train-model-key-without-family"])
+    (["train"], "task.kind = image_folder\ntask.dir = d\ntask.root = d\ntrain.epochs = 0\n", "task.root"),
+], ids=["model.widht", "task.fooo", "task.noise", "count-model-key-without-family", "train-model-key-without-family",
+        "image_folder-task.root"])
 def test_unread_config_keys_are_refused_by_name(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -148,9 +150,15 @@ def test_unread_config_keys_are_refused_by_name(tmp_path, capsys, command, text,
 
 def test_malformed_task_value_is_reported_with_its_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("task.n_train = 1.5\ntrain.epochs = 0\n")
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err == "error: task.n_train: invalid literal for int() with base 10: '1.5'\n"
+    for keys, error in [
+        ("task.n_train = 1.5", "task.n_train: invalid literal for int() with base 10: '1.5'"),
+        ("model.family = mobilenetv2\nmodel.width = abc", "model.width: could not convert string to float: 'abc'"),
+        ("model.family = resnet\nmodel.depth = 1.5", "model.depth: invalid literal for int() with base 10: '1.5'"),
+        ("model.family = task\nmodel.channels = x", "model.channels: invalid literal for int() with base 10: 'x'"),
+    ]:
+        cfg.write_text(f"{keys}\ntrain.epochs = 0\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_analyze_phi_writes_csv(tmp_path):

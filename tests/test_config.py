@@ -4,6 +4,8 @@ from dynconv.config import (
     ConfigError,
     RunConfig,
     format_config,
+    keyword_args,
+    keyword_config,
     load_config,
     parse_config,
     save_config,
@@ -95,3 +97,17 @@ def test_runconfig_rejects_unknown_schedule():
 def test_runconfig_rejects_nonpositive_batch():
     with pytest.raises(ConfigError):
         RunConfig(batch=0)
+
+
+def _knobs(root, depth: int = 2, r: float | None = None, rate: float = 1.0, tags=(), mode: str = "off"):
+    return locals()
+
+
+def test_keyword_codec_types_each_key_like_its_default():
+    cfg = {"k.root": "/d", "k.depth": "3", "k.r": "4", "k.rate": "2", "k.tags": "b,,a", "k.skip": "x", "j.other": "y"}
+    kwargs = keyword_args(_knobs, cfg, "k", "k.kind = demo", {"k.skip": None})
+    assert kwargs == {"root": "/d", "depth": 3, "r": 4.0, "rate": 2.0, "tags": ("b", "a")}
+    written = keyword_config(_knobs, "k", _knobs(**kwargs))
+    assert written == {"k.root": "/d", "k.depth": "3", "k.r": "4.0", "k.rate": "2.0", "k.tags": "a,b", "k.mode": "off"}
+    assert keyword_config(_knobs, "k", _knobs(**keyword_args(_knobs, written, "k", "k.kind = demo"))) == written
+

@@ -1,9 +1,14 @@
 """Model-zoo tests: architecture shape, budget table, static twins, and
 config round-trips."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dynconv
 import dynconv.autodiff as ad
 import dynconv.tensor as T
 from dynconv.counting import count_madds, count_model, count_params
@@ -299,12 +304,16 @@ def test_same_seed_reproduces_same_weights():
                          resolution=64, seed=4, r=8.0),
     lambda: build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9,
                          resolution=64, seed=4, r=8.0).static_twin(),
+    # float arguments passed as ints are recorded as floats
+    lambda: build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9, resolution=64, r=8),
+    lambda: build_mobilenetv2(width=1, placement=("pw",), num_classes=9, resolution=32, r=4),
 ])
 def test_config_round_trip_rebuilds_identical_model(build):
     graph = build()
-    rebuilt = build_from_config(graph.to_config())
+    cfg = graph.to_config()
+    rebuilt = build_from_config(cfg)
     assert rebuilt.name == graph.name
-    assert rebuilt.to_config() == graph.to_config()
+    assert rebuilt.config == cfg
     pa, pb = graph.parameters(), rebuilt.parameters()
     assert [p.name for p in pa] == [p.name for p in pb]
     for x, y in zip(pa, pb):
@@ -325,6 +334,13 @@ def test_config_with_an_unknown_twin_is_refused():
 def test_build_from_config_rejects_unknown_family():
     with pytest.raises(ValueError):
         build_from_config({"model.family": "transformer"})
+
+
+def test_task_family_builds_before_dynconv_task_is_imported():
+    code = "from dynconv.models import build_from_config; print(build_from_config({'model.family': 'task'}).name)"
+    src = str(Path(dynconv.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src)
+    assert (out.returncode, out.stdout) == (0, "task/dcd\n"), out.stderr
 
 
 def test_latent_multiplier_scales_latents():
