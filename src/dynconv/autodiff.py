@@ -302,7 +302,7 @@ def _conv2d_weight_grad(g, xv, wshape, stride, padding, groups):
     cols = T.im2col(xv, kh, kw, stride, padding).reshape(n, groups, kg, -1)
     gq = g.reshape(n, groups, og, -1)
     if len(wshape) == 5:
-        return np.matmul(gq, cols.transpose(0, 1, 3, 2)).reshape(wshape)
+        return T.stacked_matmul(gq, cols.transpose(0, 1, 3, 2), n).reshape(wshape)
     gq = gq.transpose(1, 2, 0, 3).reshape(groups, og, -1)
     cols = cols.transpose(1, 0, 3, 2).reshape(groups, -1, kg)
     return np.matmul(gq, cols).reshape(wshape)
@@ -315,7 +315,7 @@ def _conv2d_input_grad(g, xshape, wv, stride, padding, groups):
     c_out, c_in_g, kh, kw = wv.shape[-4:]
     ho, wo = g.shape[2], g.shape[3]
     wmat = wv.reshape(wv.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
-    dcols = np.matmul(wmat.swapaxes(-1, -2), g.reshape(n, groups, c_out // groups, ho * wo))
+    dcols = T.stacked_matmul(wmat.swapaxes(-1, -2), g.reshape(n, groups, c_out // groups, ho * wo), n)
     dcols = dcols.reshape(n, c, kh, kw, ho, wo)
     dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     for dy in range(kh):

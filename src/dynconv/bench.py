@@ -3,17 +3,20 @@
 Times single-sample inference (the regime where the dynamic branch and the
 latent residual cost the most relative to the static conv), excluding warmup
 iterations, and reports mean / median / 95th-percentile latencies plus the
-dynamic/static mean ratio.
+dynamic/static mean ratio, next to the contraction worker count and BLAS
+thread setting they ran with.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import tensor as T
 
 
 @dataclass
@@ -38,6 +41,12 @@ class Timing:
             f"{self.name}: mean {self.mean * 1e3:.3f} ms, "
             f"median {self.median * 1e3:.3f} ms, p95 {self.p95 * 1e3:.3f} ms"
         )
+
+
+def environment_line() -> str:
+    """The contraction worker count and the BLAS thread setting timings run with."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"contraction workers: {T.contraction_workers()}, OPENBLAS_NUM_THREADS: {blas}"
 
 
 def time_forward(graph, x: np.ndarray, repeats: int = 20, warmup: int = 3) -> Timing:

@@ -27,7 +27,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import decompose
 from .analysis import phi_statistics
-from .bench import bench_pair
+from .bench import bench_pair, environment_line
 from .config import ConfigError, RunConfig, load_config
 from .counting import count_model, count_params
 from .gradcheck import VARIANTS, variant_gradcheck
@@ -262,7 +262,7 @@ def cmd_bench(args) -> int:
     seed = getattr(args, "seed", None) or 0
     report = bench_pair(model, batch=args.batch, resolution=args.resolution,
                         repeats=args.repeats, warmup=args.warmup, seed=seed)
-    print("\n".join(report.lines()))
+    print("\n".join(report.lines() + [environment_line()]))
     out = getattr(args, "out", None)
     if out:
         path = Path(out)

@@ -160,8 +160,9 @@ class RunConfig:
 
     def to_mapping(self) -> dict[str, str]:
         out = dict(self.model) | dict(self.task)
-        for key, (attr, _) in _TRAIN_KEYS.items():
-            out[key] = repr(getattr(self, attr)) if isinstance(getattr(self, attr), float) else str(getattr(self, attr))
+        for key, (attr, typ) in _TRAIN_KEYS.items():
+            value = typ(getattr(self, attr))
+            out[key] = repr(value) if typ is float else str(value)
         if self.out is not None:
             out["run.out"] = self.out
         return out

@@ -6,8 +6,11 @@ The differentiable ops, elementwise ones included, are defined once, in
 Every differentiable op returns a C-contiguous float64 ndarray, so an op
 coerces a raw operand once, in `autodiff.value_of`.  The contractions run
 as ``np.matmul`` with the sample (and, in conv2d, the group) as a stack
-axis, so each sample's product is the same BLAS call whatever the batch
-size.  Two kinds of contract rest on this:
+axis, through `stacked_matmul`, so each sample's product is the same BLAS
+call on the same memory whatever the batch size.  A large stacked product
+is split by sample across the process's CPUs, and every chunk still makes
+those same per-sample calls, so the bits do not depend on the worker count
+either.  Two kinds of contract rest on this:
 
 * bit-exact: ``matmul_reference``/``conv2d_reference`` equal naive loop
   oracles summing left to right over the contraction axis; a dynamic model
@@ -22,12 +25,18 @@ Everything else relies on numpy's deterministic elementwise semantics.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+# A stacked product of fewer multiply-adds runs on the calling thread.  Split
+# in two, a product gained nothing below ~1.5 M MAdds (the hand-off and the
+# wait cost ~0.1 ms) and halved its time above ~3 M (see CHANGES.md).
+SPLIT_MIN_MADDS = 2_000_000
 
 
 class NonFiniteError(ValueError):
@@ -50,6 +59,75 @@ def check_finite(a: np.ndarray, what: str = "tensor") -> np.ndarray:
     return a
 
 
+def contraction_workers() -> int:
+    """How many chunks a large stacked product is split into: the CPUs this
+    process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool object but not its threads
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            import concurrent.futures
+
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=max(contraction_workers() - 1, 1), thread_name_prefix="dynconv-matmul")
+        return _pool
+
+
+def stacked_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """``np.matmul(a, b)`` over `n` samples, the leading stack axis.
+
+    The operand with more dimensions (both, if they have as many) carries
+    every stack axis; one with fewer is shared by every sample.  With two or
+    more samples, at least `SPLIT_MIN_MADDS` multiply-adds and more than one
+    CPU, the samples are split into one contiguous chunk per CPU; each chunk
+    is ``np.matmul`` into its rows of a preallocated result, on a worker
+    thread (numpy releases the GIL) or, for the first chunk, on the calling
+    thread.  Each sample's product is the same BLAS call on the same memory
+    either way, so the result is the same bit for bit at any batch size and
+    worker count.  `matmul` and `conv2d` call ``np.matmul`` directly for one
+    sample: the call alone added ~2 % to a batch-1 `task_dcd` forward.
+    """
+    if n < 2:
+        return np.matmul(a, b)
+    big = b if b.ndim > a.ndim else a
+    # `big` holds every stack item's rows × k (or k × cols) entries
+    if big.size * (a.shape[-2] if big is b else b.shape[-1]) < SPLIT_MIN_MADDS:
+        return np.matmul(a, b)
+    workers = min(n, contraction_workers())
+    if workers < 2:
+        return np.matmul(a, b)
+    out = np.empty(big.shape[:-2] + (a.shape[-2], b.shape[-1]))
+
+    def chunk(i0: int, i1: int) -> None:
+        np.matmul(*(x[i0:i1] if x.ndim == big.ndim else x for x in (a, b)), out=out[i0:i1])
+
+    bounds = [n * i // workers for i in range(workers + 1)]
+    pool = _split_pool()
+    futures = [pool.submit(chunk, bounds[i], bounds[i + 1]) for i in range(1, workers)]
+    chunk(bounds[0], bounds[1])
+    for future in futures:
+        future.result()
+    return out
+
+
 def _check_matmul(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = as_tensor(a)
     b = as_tensor(b)
@@ -66,7 +144,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bit.  A plain 2-d product would switch between gemv and gemm with m.
     """
     a, b = _check_matmul(a, b)
-    return check_finite(np.matmul(a[:, None, :], b)[:, 0, :], "matmul result")
+    rows = a[:, None, :]
+    out = np.matmul(rows, b) if len(a) < 2 else stacked_matmul(rows, b, len(a))
+    return check_finite(out[:, 0, :], "matmul result")
 
 
 def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,7 +253,7 @@ def conv2d(
     """Cross-correlation of NCHW input with a (C_out, C_in/groups, kh, kw)
     kernel, or with one such kernel per sample, (N, C_out, C_in/groups, kh, kw).
 
-    One ``np.matmul`` contracts (c_in, dy, dx) with samples and groups as
+    One `stacked_matmul` contracts (c_in, dy, dx) with samples and groups as
     stack axes, so each sample's output is the same BLAS call at any batch
     size and with a shared or a per-sample kernel.  For a 1×1 stride-1
     unpadded conv the patch matrix is a reshaped view of `x`, so the product
@@ -184,7 +264,8 @@ def conv2d(
     n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
     cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
     wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
-    return check_finite(np.matmul(wmat, cols).reshape(n, c_out, ho, wo), "conv2d result")
+    out = np.matmul(wmat, cols) if n < 2 else stacked_matmul(wmat, cols, n)
+    return check_finite(out.reshape(n, c_out, ho, wo), "conv2d result")
 
 
 def conv2d_reference(

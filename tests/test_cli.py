@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynconv import tensor as T
 from dynconv.cli import main, resolve_model
 from dynconv.layers import DcdConv, StaticConv
 
@@ -177,6 +178,15 @@ def test_analyze_phi_requires_dynamic_model(capsys):
 def test_bench_reports_ratio(capsys):
     assert main(["bench", "task_dcd", "--repeats", "2", "--warmup", "1"]) == 0
     assert "ratio" in capsys.readouterr().out
+
+
+def test_bench_prints_workers_and_blas_threads_and_keeps_csv_columns(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    path = tmp_path / "bench.csv"
+    assert main(["bench", "task_dcd", "--repeats", "2", "--warmup", "1", "--out", str(path)]) == 0
+    workers = T.contraction_workers()
+    assert f"contraction workers: {workers}, OPENBLAS_NUM_THREADS: 1" in capsys.readouterr().out.splitlines()
+    assert path.read_text().splitlines()[0] == "model,mean_s,median_s,p95_s"
 
 
 def test_global_flags_accepted_before_subcommand(tmp_path):

@@ -79,6 +79,15 @@ def test_runconfig_roundtrips_through_mapping():
     assert again == rc
 
 
+@pytest.mark.parametrize("kwargs", [{"lr": 1, "gamma": 0}, {"momentum": 0, "epochs": 3, "out": "runs"}, {}])
+def test_runconfig_to_mapping_is_a_fixed_point_of_from_mapping(kwargs):
+    """A run config built in code with an int where a float is declared writes
+    the float's text, so reading its mapping back writes the same mapping."""
+    mapping = RunConfig(**kwargs).to_mapping()
+    assert RunConfig.from_mapping(mapping).to_mapping() == mapping
+    assert mapping["train.lr"] == repr(float(kwargs.get("lr", 0.1)))
+
+
 def test_runconfig_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key 'trian.lr'"):
         RunConfig.from_mapping({"trian.lr": "0.5"})

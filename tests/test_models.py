@@ -1,6 +1,7 @@
 """Model-zoo tests: architecture shape, budget table, static twins, and
 config round-trips."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import dynconv
 import dynconv.autodiff as ad
 import dynconv.tensor as T
+from dynconv.cli import resolve_model
 from dynconv.counting import count_madds, count_model, count_params
 from dynconv.layers import DcdConv, StaticConv
 from dynconv.models import (
@@ -368,6 +370,15 @@ def test_iter_layers_tracks_spatial_sizes():
     assert sizes["fc"] == (1, 1)
 
 
+def _seeded_branches(graph, rng):
+    for layer, *_ in graph.iter_layers():
+        if isinstance(layer, DcdConv):  # Λ ≠ 1 and Φ ≠ 0, as in a trained model
+            bound = 1.0 / np.sqrt(layer.branch.squeeze)
+            layer.branch.w2.value = rng.uniform(-bound, bound, size=layer.branch.w2.value.shape)
+            layer.branch.b2.value = rng.uniform(-bound, bound, size=layer.branch.b2.value.shape)
+    return graph
+
+
 BATCH_INVARIANCE_MODELS = [(row.row_id, row.build) for row in golden_rows() if row.row_id.endswith("/dcd")] + [
     (f"task/{kind}", lambda kind=kind: build_task_model(kind=kind, seed=3)) for kind in TASK_MODEL_KINDS
 ]
@@ -377,16 +388,67 @@ BATCH_INVARIANCE_MODELS = [(row.row_id, row.build) for row in golden_rows() if r
 def test_batch_logits_equal_stacked_single_sample_logits(row_id, build):
     """Each sample's contractions are the same BLAS calls at batch 1 and 4,
     for the dynamic model with live branches and for its static twin."""
-    graph = build()
     rng = np.random.default_rng(61)
-    for layer, *_ in graph.iter_layers():
-        if isinstance(layer, DcdConv):  # Λ ≠ 1 and Φ ≠ 0, as in a trained model
-            bound = 1.0 / np.sqrt(layer.branch.squeeze)
-            layer.branch.w2.value = rng.uniform(-bound, bound, size=layer.branch.w2.value.shape)
-            layer.branch.b2.value = rng.uniform(-bound, bound, size=layer.branch.b2.value.shape)
+    graph = _seeded_branches(build(), rng)
     size = min(graph.resolution, 32)
     x = rng.normal(size=(4, graph.input_channels, size, size))
     for g in (graph, graph.static_twin()):
         batch = np.asarray(g.forward(x))
         stacked = np.concatenate([np.asarray(g.forward(x[i : i + 1])) for i in range(len(x))])
         assert np.array_equal(batch, stacked), f"{g.name}: batch-4 logits differ from stacked batch-1"
+
+
+@pytest.mark.parametrize("zoo_id", ["resnet10_dcd", "mobilenetv2_x0.5_dcd"])
+def test_split_batch_logits_equal_whole_and_stacked_single_sample_logits(split_and_serial, zoo_id):
+    rng = np.random.default_rng(79)
+    graph = _seeded_branches(resolve_model(zoo_id, resolution=32), rng)
+    x = rng.normal(size=(8, 3, 32, 32))
+    for g in (graph, graph.static_twin()):
+        split, serial = split_and_serial(lambda: np.asarray(g.forward(x)))
+        stacked = np.concatenate([np.asarray(g.forward(x[i : i + 1])) for i in range(len(x))])
+        assert np.array_equal(split, serial) and np.array_equal(split, stacked), g.name
+
+
+def test_split_never_happens_at_batch_1(monkeypatch):
+    monkeypatch.setattr(T, "SPLIT_MIN_MADDS", 0)
+    monkeypatch.setattr(T, "_pool", None)
+    graph = _seeded_branches(resolve_model("resnet10_dcd", resolution=32), np.random.default_rng(83))
+    graph.forward(np.random.default_rng(83).normal(size=(1, 3, 32, 32)))
+    assert T._pool is None
+
+
+_SPLIT_FORWARD = """
+import os, sys, threading
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {0})
+import numpy as np
+from dynconv import tensor as T
+from dynconv.cli import resolve_model
+from dynconv.layers import DcdConv
+T.SPLIT_MIN_MADDS = 0
+rng = np.random.default_rng(89)
+graph = resolve_model("resnet10_dcd", resolution=32)
+for layer, *_ in graph.iter_layers():
+    if isinstance(layer, DcdConv):
+        layer.branch.w2.value = rng.uniform(-0.5, 0.5, size=layer.branch.w2.value.shape)
+logits = np.asarray(graph.forward(rng.normal(size=(8, 3, 32, 32))))
+print(logits.tobytes().hex(), T.contraction_workers(), threading.active_count())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_split_forward_pinned_to_one_cpu_gives_the_same_bytes_on_no_worker():
+    """A process pinned to one CPU contracts on its own thread, with the bytes
+    of an unpinned process; both exit once the forward is done."""
+    src = str(Path(dynconv.__file__).resolve().parents[1])
+    runs = {}
+    for mode in ("pin", "free"):
+        out = subprocess.run([sys.executable, "-c", _SPLIT_FORWARD, mode],
+                             capture_output=True, text=True, cwd=src, timeout=120)
+        assert out.returncode == 0, out.stderr
+        logits, workers, threads = out.stdout.split()
+        runs[mode] = logits, int(workers), int(threads)
+    assert runs["pin"][0] == runs["free"][0]
+    assert runs["pin"][1:] == (1, 1)
+    _, workers, threads = runs["free"]
+    assert (threads > 1) == (workers > 1)

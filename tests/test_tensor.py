@@ -3,7 +3,12 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +346,100 @@ def test_conv2d_rejects_mismatched_per_sample_kernels():
         T.conv2d(np.zeros((2, 3, 4, 4)), np.zeros((3, 5, 3, 1, 1)))
     with pytest.raises(ValueError):
         T.conv2d(np.zeros((2, 3, 4, 4)), np.zeros((5, 3, 1)))
+
+
+# ---------------------------------------------------------------------------
+# stacked products split by sample
+
+
+@pytest.mark.parametrize(
+    "xshape,wshape,padding,groups",
+    [
+        pytest.param((8, 512, 4, 4), (512, 512, 3, 3), 1, 1, id="512to512-k3"),
+        pytest.param((8, 16, 6, 6), (8, 12, 16, 3, 3), 1, 1, id="per-sample-k3"),
+        pytest.param((3, 16, 6, 6), (3, 12, 16, 3, 3), 0, 1, id="per-sample-k3-batch3"),
+        pytest.param((8, 32, 8, 8), (32, 1, 3, 3), 1, 32, id="depthwise"),
+    ],
+)
+def test_split_conv2d_and_its_vjps_keep_every_bit(split_and_serial, xshape, wshape, padding, groups):
+    rng = np.random.default_rng(71)
+    x, w = rng.standard_normal(xshape), rng.standard_normal(wshape)
+    g = rng.standard_normal(T.conv2d(x, w, 1, padding, groups).shape)
+
+    def conv_and_grads():
+        xp, wp = ad.Parameter("x", x), ad.Parameter("w", w)
+        tape = ad.Tape()
+        out = ad.conv2d(tape.leaf(x, param=xp), tape.leaf(w, param=wp), 1, padding, groups)
+        grads = ad.backward(ad.sum_all(ad.mul(out, g)))
+        return out.value, grads[xp], grads[wp]
+
+    split, serial = split_and_serial(conv_and_grads)
+    for got, want in zip(split, serial):
+        assert np.array_equal(got, want)
+    rows = [T.conv2d(x[i : i + 1], w[i : i + 1] if w.ndim == 5 else w, 1, padding, groups) for i in range(len(x))]
+    assert np.array_equal(split[0], np.concatenate(rows))
+
+
+def test_split_classifier_row_product_keeps_every_bit(split_and_serial):
+    rng = np.random.default_rng(73)
+    a, b = rng.standard_normal((8, 1280)), rng.standard_normal((1280, 1000))
+    split, serial = split_and_serial(lambda: T.matmul(a, b))
+    assert np.array_equal(split, serial)
+    assert np.array_equal(split, np.concatenate([T.matmul(a[i : i + 1], b) for i in range(8)]))
+
+
+def test_split_products_from_many_threads_share_one_pool(monkeypatch):
+    """Six threads split products into five chunks each at once, on a pool
+    they create together: every result equals the whole product."""
+    monkeypatch.setattr(T, "SPLIT_MIN_MADDS", 0)
+    monkeypatch.setattr(T, "contraction_workers", lambda: 5)
+    monkeypatch.setattr(T, "_pool", None)
+    rng = np.random.default_rng(97)
+    a, b = rng.standard_normal((7, 64)), rng.standard_normal((64, 48))
+    want = np.matmul(a[:, None, :], b)[:, 0, :]
+    results = []
+
+    def work():
+        results.extend(np.array_equal(T.matmul(a, b), want) for _ in range(50))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        pool = T._pool
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 300
+    pool.shutdown()
+
+
+_SPLIT_THEN_FORK = """
+import os, signal, numpy as np
+from dynconv import tensor as T
+T.SPLIT_MIN_MADDS = 0
+a, b = np.random.default_rng(101).standard_normal((2, 8, 8))
+want = T.matmul(a, b)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a child stuck on the parent's pool ends here
+    os._exit(0 if np.array_equal(T.matmul(a, b), want) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_in_a_forked_child_makes_its_own_pool():
+    """A child forked after a split inherits the pool object but none of its
+    threads; its own splits must not wait on them."""
+    src = str(Path(T.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _SPLIT_THEN_FORK], capture_output=True, text=True,
+                         cwd=src, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
 
 
 # ---------------------------------------------------------------------------
