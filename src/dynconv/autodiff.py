@@ -5,8 +5,10 @@ plain ndarrays it returns the eager result, and with a `Node` among them
 it records the same result on that node's tape through `_record`, with an
 explicit adjoint rule.  A layer written against these functions therefore
 produces bit-identical forwards whether or not a tape is attached.  The
-contractions call `dynconv.tensor`'s kernels, looked up at call time.  A
-taped forward starts from a leaf, as in
+forward's contractions call `dynconv.tensor`'s kernels, looked up at call
+time; `stacked_matmul`, the small products that assemble the materialised
+reference kernel W(x), is ``np.matmul`` itself.  A taped forward starts
+from a leaf, as in
 ``graph.forward(tape.leaf(x), train=True)``: each op finds the tape
 through its inputs.  Every op returns a C-contiguous float64 array, so
 `value_of` is the one place where an operand is coerced.  `affine`, one op for
@@ -14,10 +16,6 @@ through its inputs.  Every op returns a C-contiguous float64 array, so
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -157,6 +155,21 @@ def matmul(a, b):
     return _record(tape, "matmul", out, (a, b), lambda g, j: T.matmul(g, bv.T) if j == 0 else T.matmul(av.T, g))
 
 
+def stacked_matmul(a, b):
+    """``np.matmul(a, b)`` of operands with at least 2 dims: one product per item
+    of the broadcast leading (stack) axes, so a stack of N samples gives the
+    stacked one-sample results bit for bit.  Each adjoint is the swapped
+    product, summed over the axes its operand was broadcast along."""
+    tape = _tape(a, b)
+    av, bv = value_of(a), value_of(b)
+    out = T.check_finite(np.matmul(av, bv), "stacked_matmul result")
+    if tape is None:
+        return out
+    return _record(tape, "stacked_matmul", out, (a, b),
+                   lambda g, j: _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape) if j == 0
+                   else _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape))
+
+
 def relu(a):
     tape = _tape(a)
     av = value_of(a)
@@ -255,11 +268,6 @@ def sum_all(a):
                    lambda g, j: np.broadcast_to(np.asarray(g), av.shape).astype(np.float64).copy())
 
 
-def mean_all(a):
-    av = value_of(a)
-    return scale(sum_all(a), 1.0 / av.size)
-
-
 def global_avg_pool(a):
     """(N,C,H,W) -> (N,C) spatial mean."""
     tape = _tape(a)
@@ -356,29 +364,6 @@ def batchnorm_train(x, gamma, beta, eps: float = T.BN_EPS):
     return _record(tape, "batchnorm", out, (x, gamma, beta), vjp), mean, var
 
 
-def einsum(spec: str, *operands):
-    """``np.einsum(spec, *operands)`` for an explicit spec such as ``"ij,jk->ik"``.
-
-    The adjoint of each taped operand is again an einsum, of the output
-    gradient with the other operands, so every subscript of an operand must
-    appear in another operand or in the output.  Untaped operands (constants
-    such as ``np.eye(B)``) get no gradient.
-    """
-    tape = _tape(*operands)
-    vals = [value_of(x) for x in operands]
-    out = T.check_finite(np.asarray(np.einsum(spec, *vals, optimize=True), order="C"), "einsum result")
-    if tape is None:
-        return out
-    ins, out_sub = spec.split("->")
-    ins = ins.split(",")
-
-    def vjp(g, j):
-        return np.einsum(",".join([out_sub, *ins[:j], *ins[j + 1:]]) + "->" + ins[j],
-                         g, *vals[:j], *vals[j + 1:], optimize=True)
-
-    return _record(tape, "einsum", out, operands, vjp)
-
-
 def cross_entropy(logits, labels: np.ndarray):
     """Mean softmax cross-entropy over the batch; labels are int indices."""
     tape = _tape(logits)
@@ -402,7 +387,7 @@ def cross_entropy(logits, labels: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# backward / gradcheck
+# backward
 
 
 def backward(loss: Node, seed: float = 1.0) -> dict[Parameter, np.ndarray]:
@@ -438,86 +423,3 @@ def backward(loss: Node, seed: float = 1.0) -> dict[Parameter, np.ndarray]:
             else:
                 adj[id(p)] = pg
     return grads
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    checked: int
-    max_rel_err: float
-    failures: list = field(default_factory=list)  # (flat_index, analytic, numeric, rel_err)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-@dataclass
-class GradCheckReport:
-    tol: float
-    step: float
-    entries: list[GradCheckEntry] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for e in self.entries:
-            status = "ok" if e.passed else "FAIL"
-            lines.append(f"{status} {e.name}: {e.checked} coords, max rel err {e.max_rel_err:.3e}")
-        return lines
-
-
-def coord_sample(size: int, max_coords: int = 256) -> list[int]:
-    """Deterministic stride subsample of flat indices."""
-    if size <= max_coords:
-        return list(range(size))
-    stride = math.ceil(size / max_coords)
-    return list(range(0, size, stride))[:max_coords]
-
-
-def finite_diff_check(
-    loss_fn: Callable[[], Node],
-    params: list[Parameter],
-    step: float = 1e-5,
-    tol: float = 1e-6,
-    max_coords: int = 256,
-) -> GradCheckReport:
-    """Central-difference check of `backward` against `loss_fn`.
-
-    `loss_fn` must rebuild its tape on every call and read parameter
-    values at call time, so in-place perturbation is visible.
-    """
-    node = loss_fn()
-    if node.value.shape not in ((), (1,)):
-        raise ValueError("gradcheck target must be scalar")
-    analytic = backward(node, 1.0)
-    report = GradCheckReport(tol=tol, step=step)
-    for p in params:
-        a = analytic.get(p)
-        if a is None:
-            a = np.zeros_like(p.value)
-        flat = p.value.reshape(-1)
-        aflat = a.reshape(-1)
-        entry = GradCheckEntry(name=p.name, checked=0, max_rel_err=0.0)
-        for idx in coord_sample(flat.size, max_coords):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            lp = loss_fn().value.item()
-            flat[idx] = orig - step
-            lm = loss_fn().value.item()
-            flat[idx] = orig
-            numeric = (lp - lm) / (2.0 * step)
-            rel = abs(aflat[idx] - numeric) / max(abs(aflat[idx]), abs(numeric), 1e-8)
-            entry.checked += 1
-            entry.max_rel_err = max(entry.max_rel_err, rel)
-            if rel > tol:
-                entry.failures.append((idx, float(aflat[idx]), numeric, rel))
-        report.entries.append(entry)
-    return report

@@ -205,7 +205,3 @@ def count_model(graph, resolution: int | None = None) -> CountReport:
 
 def count_params(graph) -> CountReport:
     return count_model(graph, None)
-
-
-def count_madds(graph, resolution: int) -> CountReport:
-    return count_model(graph, resolution)

@@ -25,9 +25,10 @@ layer starts bit-identical to its static counterpart.
 ``DcdConv.forward`` never builds W(x).  It runs the decomposition as
 Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx): the static conv its twin runs, one scale,
 and a residual of convs through the L-channel latent space (for
-``depthwise``, one C×k² kernel per sample).  ``weight_for`` and
-``conv_kernels`` materialise W(x) as the reference the factored path is
-tested against.
+``depthwise``, one C×k² kernel per sample).  ``weight_for`` materialises
+W(x) in conv layout (N, C_out, C_in/groups, k, k), the reference the
+factored path is tested against, as Λ ⊙ W0 plus the residual's matrix
+products stacked over the samples.
 
 ``pointwise`` and ``block_sparse`` store P (C_out × L) and Q (C_in × L) in
 one layout: B stacked row blocks (B = 1 for pointwise), run as grouped convs.
@@ -405,48 +406,37 @@ class DcdConv(_ConvLayer):
     # -- per-variant weight generation ----------------------------------
 
     def weight_for(self, pooled, lift=None):
-        """Materialised reference: per-sample kernels W(x) from pooled features (N×C_in).
-
-        `forward` never calls this; tests compare against it.  Each residual
-        is one contraction over the batch, as the paper writes it.
-        Layouts: (N, C_out, C_in) for pointwise/block_sparse,
-        (N, C_in, k²) for depthwise, (N, C_in, C_out, k²) for the k×k
-        tensor forms (modes: input / output / kernel element), for which the
-        stored conv-layout W0 is transposed here.
-        """
+        """Materialised reference: per-sample conv kernels W(x) = Λ ⊙ W0 + residual,
+        (N, C_out, C_in/groups, k, k), from pooled features (N×C_in); `forward`
+        never calls this.  Every residual product has the sample as a stack
+        axis, so batch N gives the stacked batch-1 kernels bit for bit."""
         lift = lift or (lambda p: p.value)
         n = ad.value_of(pooled).shape[0]
         lam, phi = self.coefficients(pooled, lift)
         l, l_k, kk, g = self.dims.l, self.dims.l_k, self.k * self.k, self.blocks
-        w0 = lift(self.w0)
-        if self.variant in ("pointwise", "block_sparse"):  # P_b·Φ_b·Q_bᵀ on the B diagonal blocks
-            p = ad.reshape(lift(self.p), (g, self.c_out // g, l))
-            q = ad.reshape(lift(self.q), (g, self.c_in // g, l))
-            res = ad.einsum("boa,nbac,dic,bd->nbodi", p, ad.reshape(phi, (n, g, l, l)), q, np.eye(g))
-            res, lam_shape = ad.reshape(res, (n, self.c_out, self.c_in)), (n, self.c_out, 1)
-        elif self.variant == "depthwise":  # P·Φ·Rᵀ
-            res = ad.einsum("ca,nab,eb->nce", lift(self.p), ad.reshape(phi, (n, l_k, l_k)), lift(self.r_mat))
-            lam_shape = (n, self.c_in, 1)
-        else:
-            w0 = ad.transpose_axes(ad.reshape(w0, (self.c_out, self.c_in, kk)), (1, 0, 2))
-            lam_shape = (n, 1, self.c_out, 1)
-            if self.variant == "full_kxk":  # Φ ×₁ Q ×₂ P ×₃ R
-                res = ad.einsum("nabc,ia,ob,ec->nioe", ad.reshape(phi, (n, l, l, l_k)),
-                                lift(self.q), lift(self.p), lift(self.r_mat))
-            else:  # (P·Φ·Qᵀ)ᵀ at the centre kernel element
-                res = ad.einsum("oa,nac,ic->nio", lift(self.p), ad.reshape(phi, (n, l, l)), lift(self.q))
-                res = ad.mul(ad.reshape(res, (n, self.c_in, self.c_out, 1)), self.center.reshape(1, 1, 1, kk))
-        return ad.add(w0 if lam is None else ad.mul(ad.reshape(lam, lam_shape), w0), res)
+        mm = ad.stacked_matmul
 
-    def conv_kernels(self, weights):
-        """Materialised reference: `weight_for` layouts → (N, C_out, C_in/groups, k, k) conv kernels."""
-        n = ad.value_of(weights).shape[0]
-        if self.variant in ("pointwise", "block_sparse"):
-            return ad.reshape(weights, (n, self.c_out, self.c_in, 1, 1))
-        if self.variant == "depthwise":
-            return ad.reshape(weights, (n, self.c_in, 1, self.k, self.k))
-        moved = ad.transpose_axes(weights, (0, 2, 1, 3))
-        return ad.reshape(moved, (n, self.c_out, self.c_in, self.k, self.k))
+        def t(p):
+            return ad.transpose_axes(lift(p), (1, 0))
+
+        if self.variant == "depthwise":  # P·Φ·Rᵀ
+            res = mm(mm(lift(self.p), ad.reshape(phi, (n, l_k, l_k))), t(self.r_mat))
+        elif self.variant == "full_kxk":  # Φ ×₁ Q ×₃ R ×₂ P: (n, C_in, l·l_k), (n, C_in·l, k²), (n, C_out, C_in·k²)
+            res = mm(lift(self.q), ad.reshape(phi, (n, l, l * l_k)))
+            res = mm(ad.reshape(res, (n, self.c_in * l, l_k)), t(self.r_mat))
+            res = ad.transpose_axes(ad.reshape(res, (n, self.c_in, l, kk)), (0, 2, 1, 3))
+            res = mm(lift(self.p), ad.reshape(res, (n, l, self.c_in * kk)))
+        else:  # P_b·Φ_b·Q_bᵀ per diagonal block (B = 1 outside block_sparse)
+            co, ci = self.c_out // g, self.c_in // g
+            qt = ad.transpose_axes(ad.reshape(lift(self.q), (g, ci, l)), (0, 2, 1))
+            res = mm(mm(ad.reshape(lift(self.p), (g, co, l)), ad.reshape(phi, (n, g, l, l))), qt)
+            if g > 1:  # (n, B, C_out/B, C_in/B) onto the block diagonal of (n, C_out, C_in)
+                res = ad.mul(ad.reshape(res, (n, g, co, 1, ci)), np.eye(g).reshape(g, 1, g, 1))
+            if self.variant == "channel_only_kxk":  # at the centre kernel element only
+                res = ad.mul(ad.reshape(res, (n, self.c_out, self.c_in, 1)), self.center.reshape(kk))
+        w0 = self._w0_kernel(lift)
+        res = ad.reshape(res, (n,) + ad.value_of(w0).shape)
+        return ad.add(w0, res) if lam is None else ad.affine(w0, ad.reshape(lam, (n, self.c_out, 1, 1, 1)), res)
 
     # -- full layer ------------------------------------------------------
 
@@ -602,17 +592,16 @@ class VanillaDynConv(_ConvLayer):
         return ad.attention_activation(logits, self.mode, self.tau)
 
     def weight_for(self, pooled, lift=None):
-        """Per-sample mixed kernels, (N, C_out, C_in)."""
+        """Per-sample mixed conv kernels, (N, C_out, C_in, 1, 1)."""
         lift = lift or (lambda p: p.value)
         att = self.attention(pooled, lift)
         n = ad.value_of(att).shape[0]
         flat = ad.reshape(lift(self.kernels), (self.k_kernels, self.c_out * self.c_in))
         mixed = ad.matmul(att, flat)
-        return ad.reshape(mixed, (n, self.c_out, self.c_in))
+        return ad.reshape(mixed, (n, self.c_out, self.c_in, 1, 1))
 
     def forward(self, x, train: bool = False):
         lift = _lifter(x, self)
-        n = ad.value_of(x).shape[0]
         weights = self.weight_for(ad.global_avg_pool(x), lift)
-        out = ad.conv2d(x, ad.reshape(weights, (n, self.c_out, self.c_in, 1, 1)), stride=self.stride)
+        out = ad.conv2d(x, weights, stride=self.stride)
         return self._head(out, train, lift)

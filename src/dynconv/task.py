@@ -161,7 +161,11 @@ def _read_netpbm(path: Path) -> np.ndarray:
     magic = token()
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"{path}: unsupported raster format {magic!r} (binary P5/P6 required)")
-    width, height, maxval = int(token()), int(token()), int(token())
+    header = [token() for _ in range(3)]
+    for field, raw in zip(("width", "height", "maxval"), header):
+        if not raw.isdigit():
+            raise ValueError(f"{path}: netpbm {field} {raw!r} is not a decimal number")
+    width, height, maxval = map(int, header)
     if not 0 < maxval <= 255:
         raise ValueError(f"{path}: unsupported maxval {maxval} (expected 1..255)")
     pos += 1  # exactly one whitespace byte separates the header from the raster

@@ -77,7 +77,7 @@ def test_criterion_2_rank1_expansions_match():
     for _ in range(50):
         pooled = rng.normal(size=(1, 12))
         lam, phi = layer.coefficients(pooled, _value_lift)
-        weights = layer.weight_for(pooled, _value_lift)
+        weights = layer.weight_for(pooled, _value_lift)[..., 0, 0]
         residual = weights[0] - lam[0][:, None] * layer.w0.value
         phi_m = phi[0].reshape(3, 3)
         summed = np.zeros((12, 12))
@@ -183,7 +183,7 @@ def test_criterion_7_structural_weight_properties():
                         rng=np.random.default_rng(blocks), enforce_budget=False)
         layer.branch.w2.value = rng.normal(size=layer.branch.w2.value.shape)
         pooled = rng.normal(size=(3, 16))
-        residual = layer.weight_for(pooled, _value_lift) - layer.w0.value
+        residual = layer.weight_for(pooled, _value_lift)[..., 0, 0] - layer.w0.value
         cb = 16 // blocks
         mask = np.zeros((16, 16), dtype=bool)
         for b in range(blocks):
@@ -195,9 +195,9 @@ def test_criterion_7_structural_weight_properties():
                     rng=np.random.default_rng(5), enforce_budget=False)
     layer.branch.w2.value = rng.normal(size=layer.branch.w2.value.shape)
     pooled = rng.normal(size=(3, 8))
-    weights = layer.weight_for(pooled, _value_lift)  # (N, C_in, C_out, k²)
+    weights = layer.weight_for(pooled, _value_lift).reshape(3, 8, 8, 9)  # (N, C_out, C_in, k²)
     center = (3 * 3) // 2
-    w0 = layer.w0.value.reshape(8, 8, 9).transpose(1, 0, 2)  # conv layout → (C_in, C_out, k²)
+    w0 = layer.w0.value.reshape(8, 8, 9)  # (C_out, C_in, k²)
     center_ok = all(
         np.array_equal(weights[:, :, :, j], np.broadcast_to(w0[:, :, j], weights.shape[:3]))
         for j in range(9)
@@ -212,7 +212,7 @@ def test_criterion_7_structural_weight_properties():
     for _ in range(50):
         pooled = rng.normal(size=(1, 16))
         lam, _ = layer.coefficients(pooled, _value_lift)
-        weights = layer.weight_for(pooled, _value_lift)
+        weights = layer.weight_for(pooled, _value_lift)[..., 0, 0]
         residual = weights[0] - lam[0][:, None] * layer.w0.value
         max_rank = max(max_rank, decompose.numerical_rank(residual))
     rank_ok = max_rank <= 4

@@ -9,7 +9,6 @@ import pytest
 from dynconv.counting import (
     CountReport,
     LayerCount,
-    count_madds,
     count_model,
     count_params,
     dcd_complexity_formula,
@@ -218,7 +217,7 @@ def test_block_sparse_assembly_counts_per_block():
 
 def test_count_report_totals_and_csv():
     graph = build_mobilenetv2(width=0.35, resolution=32, seed=1)
-    report = count_madds(graph, 32)
+    report = count_model(graph, 32)
     assert report.total_params == sum(r.params for r in report.rows)
     assert report.total_madds == sum(r.madds for r in report.rows)
     cats = report.category_totals()
@@ -240,7 +239,7 @@ def test_params_only_report_skips_madds():
 
 def test_classifier_exclusion_matches_manual_subtraction():
     graph = build_resnet(depth=10, resolution=32, seed=0)
-    report = count_madds(graph, 32)
+    report = count_model(graph, 32)
     fc_rows = [r for r in report.rows if "classifier" in r.categories]
     assert len(fc_rows) == 1
     assert report.params_excluding_classifier() == report.total_params - fc_rows[0].params
@@ -249,7 +248,7 @@ def test_classifier_exclusion_matches_manual_subtraction():
 
 def test_global_pool_counts_channel_reads():
     graph = build_resnet(depth=10, resolution=32, seed=0)
-    report = count_madds(graph, 32)
+    report = count_model(graph, 32)
     pool_rows = [r for r in report.rows if r.kind == "global_pool"]
     assert len(pool_rows) == 1
     assert pool_rows[0].madds == 512

@@ -7,7 +7,7 @@ from dynconv.gradcheck import VARIANTS, variant_gradcheck
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_gradients_match_finite_differences(variant):
     report = variant_gradcheck(variant, seed=0, tol=1e-6, max_coords=24)
-    assert report.passed, "\n".join(report.summary_lines())
+    assert report.passed, report
     assert report.max_rel_err < 1e-6
 
 

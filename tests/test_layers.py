@@ -5,6 +5,7 @@ import pytest
 
 from dynconv import autodiff as ad
 from dynconv import tensor as T
+from dynconv.gradcheck import finite_diff_check
 from dynconv.layers import (
     BatchNorm2d,
     DcdConv,
@@ -107,7 +108,7 @@ def test_vanilla_single_kernel_is_static():
     rng = np.random.default_rng(0)
     layer = VanillaDynConv("v", 6, 6, kernels=1, rng=rng)
     pooled = pooled_input(rng, 3, 6)
-    w = layer.weight_for(pooled)
+    w = layer.weight_for(pooled)[..., 0, 0]
     att = layer.attention(pooled)
     assert np.allclose(att, 1.0, atol=1e-12)
     for i in range(3):
@@ -121,7 +122,7 @@ def test_vanilla_uniform_attention_gives_average_kernel():
     pooled = pooled_input(rng, 2, 6)
     att = layer.attention(pooled)
     assert np.max(np.abs(att - 0.25)) < 1e-12
-    w = layer.weight_for(pooled)
+    w = layer.weight_for(pooled)[..., 0, 0]
     mean_kernel = layer.kernels.value.mean(axis=0)
     assert np.max(np.abs(w[0] - mean_kernel)) < 1e-12
 
@@ -147,13 +148,6 @@ ALL_VARIANT_LAYERS = [
 ]
 
 
-def materialised_w0(layer):
-    """W0 in `weight_for`'s layout: k×k tensors are stored (C_out, C_in, k, k) and materialised (C_in, C_out, k²)."""
-    if layer.variant in ("full_kxk", "channel_only_kxk"):
-        return layer.w0.value.reshape(layer.c_out, layer.c_in, -1).transpose(1, 0, 2)
-    return layer.w0.value
-
-
 @pytest.mark.parametrize("name,cfg", ALL_VARIANT_LAYERS)
 def test_initialization_weight_equals_static_kernel(name, cfg):
     rng = np.random.default_rng(3)
@@ -161,13 +155,13 @@ def test_initialization_weight_equals_static_kernel(name, cfg):
     pooled = pooled_input(rng, 3, cfg["c_in"])
     w = ad.value_of(layer.weight_for(pooled))
     for i in range(3):
-        assert np.array_equal(w[i], materialised_w0(layer)), f"{name}: W(x) != W0 at init"
+        assert np.array_equal(w[i], layer.static_kernel()), f"{name}: W(x) != W0 at init"
 
 
 @pytest.mark.parametrize("name,cfg", ALL_VARIANT_LAYERS)
 def test_weight_for_on_an_empty_batch(name, cfg):
     layer = DcdConv(name, rng=np.random.default_rng(42), **cfg)
-    shape = (0,) + materialised_w0(layer).shape
+    shape = (0,) + layer.static_kernel().shape
     pooled = np.zeros((0, cfg["c_in"]))
     assert layer.weight_for(pooled).shape == shape
     tape = ad.Tape()
@@ -180,13 +174,32 @@ def test_weight_for_on_an_empty_batch(name, cfg):
         assert g.shape == p.value.shape and not np.any(g), p.name
 
 
+@pytest.mark.parametrize(
+    "name,make",
+    [(name, lambda cfg=cfg, name=name: DcdConv(name, rng=np.random.default_rng(42), **cfg))
+     for name, cfg in ALL_VARIANT_LAYERS]
+    + [("vanilla", lambda: VanillaDynConv("v", 16, 16, rng=np.random.default_rng(42)))],
+)
+def test_weight_for_batch_equals_stacked_single_samples(name, make):
+    """Every assembly product has the sample as a stack axis, so a batch of
+    kernels is the single-sample kernels bit for bit."""
+    layer = make()
+    rng = np.random.default_rng(43)
+    if isinstance(layer, DcdConv):
+        randomize_branch(layer, rng)
+    pooled = pooled_input(rng, 5, layer.c_in)
+    w = ad.value_of(layer.weight_for(pooled))
+    assert w.shape == (5, layer.c_out, layer.c_in // layer.groups, layer.k, layer.k)
+    assert np.array_equal(w, np.concatenate([layer.weight_for(pooled[i : i + 1]) for i in range(5)]))
+
+
 def test_pointwise_rank1_sum_oracle_and_rank_bound():
     rng = np.random.default_rng(4)
     layer = DcdConv("pw", 16, 16, variant="pointwise", rng=np.random.default_rng(5))
     randomize_branch(layer, rng)
     l = layer.dims.l
     pooled = pooled_input(rng, 4, 16)
-    w = ad.value_of(layer.weight_for(pooled))
+    w = ad.value_of(layer.weight_for(pooled))[..., 0, 0]
     lam, phi = layer.coefficients(pooled, lambda p: p.value)
     lam, phi = ad.value_of(lam), ad.value_of(phi)
     p_m, q_m = layer.p.value, layer.q.value
@@ -211,7 +224,7 @@ def test_pointwise_projection_free_case():
     layer.q.value = np.eye(4)
     randomize_branch(layer, rng)
     pooled = pooled_input(rng, 2, 4)
-    w = ad.value_of(layer.weight_for(pooled))
+    w = ad.value_of(layer.weight_for(pooled))[..., 0, 0]
     _, phi = layer.coefficients(pooled, lambda p: p.value)
     phi = ad.value_of(phi)
     for i in range(2):
@@ -235,7 +248,7 @@ def test_block_sparse_zero_pattern_and_diagonal_limit():
                     rng=np.random.default_rng(11))
     randomize_branch(layer, rng)
     pooled = pooled_input(rng, 2, 8)
-    w = ad.value_of(layer.weight_for(pooled))
+    w = ad.value_of(layer.weight_for(pooled))[..., 0, 0]
     lam, _ = layer.coefficients(pooled, lambda p: p.value)
     lam = ad.value_of(lam)
     cb = 4
@@ -250,7 +263,7 @@ def test_block_sparse_zero_pattern_and_diagonal_limit():
     diag_layer = DcdConv("d", 8, 8, variant="block_sparse", blocks=8, dims=LatentDims(1, 1),
                          rng=np.random.default_rng(12))
     randomize_branch(diag_layer, rng)
-    w = ad.value_of(diag_layer.weight_for(pooled))
+    w = ad.value_of(diag_layer.weight_for(pooled))[..., 0, 0]
     lam, phi = diag_layer.coefficients(pooled, lambda p: p.value)
     lam, phi = ad.value_of(lam), ad.value_of(phi)
     for i in range(2):
@@ -284,7 +297,7 @@ def test_depthwise_residual_lies_in_column_space_of_r():
     layer = DcdConv("dw", 8, 8, k=3, variant="depthwise", rng=np.random.default_rng(14))
     randomize_branch(layer, rng)
     pooled = pooled_input(rng, 3, 8)
-    w = ad.value_of(layer.weight_for(pooled))
+    w = ad.value_of(layer.weight_for(pooled)).reshape(3, 8, 9)
     lam, _ = layer.coefficients(pooled, lambda p: p.value)
     lam = ad.value_of(lam)
     # orthogonal projector onto the complement of col(R), via the library SVD
@@ -302,19 +315,20 @@ def test_full_kxk_triple_sum_oracle():
     randomize_branch(layer, rng)
     l, l_k = layer.dims.l, layer.dims.l_k
     pooled = pooled_input(rng, 2, 16)
-    w = ad.value_of(layer.weight_for(pooled))
+    w = ad.value_of(layer.weight_for(pooled)).reshape(2, 16, 16, 9)
     lam, phi = layer.coefficients(pooled, lambda p: p.value)
     lam, phi = ad.value_of(lam), ad.value_of(phi)
     q_m, p_m, r_m = layer.q.value, layer.p.value, layer.r_mat.value
+    w0 = layer.static_kernel().reshape(16, 16, 9)
     for i in range(2):
-        residual = w[i] - lam[i][None, :, None] * materialised_w0(layer)
+        residual = w[i] - lam[i][:, None, None] * w0
         phi_t = phi[i].reshape(l, l, l_k)
-        oracle = np.zeros((16, 16, 9))
+        oracle = np.zeros((16, 16, 9))  # conv layout: output, input, kernel element
         for a in range(l):
             for b in range(l):
                 for e in range(l_k):
                     oracle += phi_t[a, b, e] * (
-                        q_m[:, a][:, None, None] * p_m[:, b][None, :, None] * r_m[:, e][None, None, :]
+                        p_m[:, b][:, None, None] * q_m[:, a][None, :, None] * r_m[:, e][None, None, :]
                     )
         assert np.max(np.abs(residual - oracle)) < 1e-9
 
@@ -328,11 +342,12 @@ def test_full_kxk_projection_free_case():
     layer.r_mat.value = np.eye(9)
     randomize_branch(layer, rng)
     pooled = pooled_input(rng, 2, 4)
-    w = ad.value_of(layer.weight_for(pooled))
+    w = ad.value_of(layer.weight_for(pooled)).reshape(2, 4, 4, 9)
     _, phi = layer.coefficients(pooled, lambda p: p.value)
     phi = ad.value_of(phi)
-    for i in range(2):
-        assert np.max(np.abs(w[i] - (materialised_w0(layer) + phi[i].reshape(4, 4, 9)))) < 1e-12
+    w0 = layer.static_kernel().reshape(4, 4, 9)
+    for i in range(2):  # Φ's modes are input, output, kernel element
+        assert np.max(np.abs(w[i] - (w0 + phi[i].reshape(4, 4, 9).transpose(1, 0, 2)))) < 1e-12
 
 
 def test_channel_only_center_slice_structure():
@@ -340,13 +355,14 @@ def test_channel_only_center_slice_structure():
     layer = DcdConv("co", 16, 16, k=3, variant="channel_only_kxk", rng=np.random.default_rng(20))
     randomize_branch(layer, rng)
     pooled = pooled_input(rng, 3, 16)
-    w = ad.value_of(layer.weight_for(pooled))
+    w = ad.value_of(layer.weight_for(pooled)).reshape(3, 16, 16, 9)
     lam, phi = layer.coefficients(pooled, lambda p: p.value)
     lam, phi = ad.value_of(lam), ad.value_of(phi)
     l = layer.dims.l
     center = 4
+    w0 = layer.static_kernel().reshape(16, 16, 9)
     for i in range(3):
-        static_part = lam[i][None, :, None] * materialised_w0(layer)
+        static_part = lam[i][:, None, None] * w0
         # off-center slices carry no residual at all (bit-exact)
         for e in range(9):
             if e != center:
@@ -354,7 +370,7 @@ def test_channel_only_center_slice_structure():
         # center slice equals the pointwise-form residual with the same P, Φ, Q
         qt = np.ascontiguousarray(layer.q.value.T)
         res = T.matmul(layer.p.value, T.matmul(phi[i].reshape(l, l), qt))
-        assert np.max(np.abs((w[i][:, :, center] - static_part[:, :, center]) - res.T)) < 1e-12
+        assert np.max(np.abs((w[i][:, :, center] - static_part[:, :, center]) - res)) < 1e-12
 
 
 def test_channel_only_layer_splits_into_static_plus_pointwise_conv():
@@ -428,8 +444,8 @@ def _factored_layer(cfg, seed):
 
 
 def _materialised(layer, x, lift):
-    """conv2d(x, conv_kernels(weight_for(pooled))): one full kernel per sample."""
-    kernels = layer.conv_kernels(layer.weight_for(ad.global_avg_pool(x), lift))
+    """conv2d(x, weight_for(pooled)): one full kernel per sample."""
+    kernels = layer.weight_for(ad.global_avg_pool(x), lift)
     out = ad.conv2d(x, kernels, stride=layer.stride, padding=layer.padding, groups=layer.groups)
     return out if layer.bias is None else ad.add(out, ad.reshape(lift(layer.bias), (1, layer.c_out, 1, 1)))
 
@@ -588,8 +604,8 @@ def test_depthwise_layer_gradcheck():
         return ad.sum_all(ad.mul(out, target))
 
     params = [p for p in layer.parameters()] + [x_param]
-    report = ad.finite_diff_check(loss, params, tol=1e-6)
-    assert report.passed, "\n".join(report.summary_lines())
+    report = finite_diff_check(loss, params, tol=1e-6)
+    assert report.passed, report
 
 
 def test_taped_dcd_conv_calls_tensor_kernels_through_the_module(monkeypatch):

@@ -13,7 +13,7 @@ import dynconv
 import dynconv.autodiff as ad
 import dynconv.tensor as T
 from dynconv.cli import resolve_model
-from dynconv.counting import count_madds, count_model, count_params
+from dynconv.counting import count_model, count_params
 from dynconv.layers import DcdConv, StaticConv
 from dynconv.models import (
     STATIC_INVARIANTS,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,19 @@ def test_image_folder_rejects_bad_input(tmp_path):
         load_image_folder(tmp_path)
     (tmp_path / "c" / "small.ppm").write_bytes(b"P3\n32 32\n255\n")
     with pytest.raises(ValueError, match="P5/P6"):
+        load_image_folder(tmp_path)
+
+
+@pytest.mark.parametrize("header,field", [
+    (b"P5\nxx 32\n255\n", "width"),
+    (b"P5\n32 3.5\n255\n", "height"),
+    (b"P6\n32 32\nff\n", "maxval"),
+], ids=["width", "height", "maxval"])
+def test_image_folder_names_a_non_numeric_header_field(tmp_path, header, field):
+    (tmp_path / "c").mkdir()
+    path = tmp_path / "c" / "bad.ppm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: netpbm {field} .* is not a decimal number"):
         load_image_folder(tmp_path)
 
 
