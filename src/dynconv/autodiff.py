@@ -7,12 +7,14 @@ explicit adjoint rule.  A layer written against these functions therefore
 produces bit-identical forwards whether or not a tape is attached.  The
 forward's contractions call `dynconv.tensor`'s kernels, looked up at call
 time; `stacked_matmul`, the small products that assemble the materialised
-reference kernel W(x), is ``np.matmul`` itself.  A taped forward starts
-from a leaf, as in
+reference kernel W(x), is ``np.matmul`` itself.  Train-mode batch norm and
+max pooling are computed here, with their VJPs, which reuse the forward's
+intermediates.  A taped forward starts from a leaf, as in
 ``graph.forward(tape.leaf(x), train=True)``: each op finds the tape
 through its inputs.  Every op returns a C-contiguous float64 array, so
-`value_of` is the one place where an operand is coerced.  `affine`, one op for
-``a * w + b``, is the tail of eval batch norm and of the DCD layer, Λ ⊙ (W0∗x) + residual.
+`value_of` is the one place where an operand is coerced.  `affine`, one op
+for ``a * w + b``, is the tail of eval batch norm and of the DCD layer,
+Λ ⊙ (W0∗x) + residual.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+
+BN_EPS = 1e-5
 
 
 class Parameter:
@@ -152,7 +156,9 @@ def matmul(a, b):
     out = T.matmul(av, bv)
     if tape is None:
         return out
-    return _record(tape, "matmul", out, (a, b), lambda g, j: T.matmul(g, bv.T) if j == 0 else T.matmul(av.T, g))
+    # `T.matmul` takes contiguous operands: numpy may run a transposed view through another loop
+    return _record(tape, "matmul", out, (a, b), lambda g, j: T.matmul(g, np.ascontiguousarray(bv.T)) if j == 0
+                   else T.matmul(np.ascontiguousarray(av.T), g))
 
 
 def stacked_matmul(a, b):
@@ -283,12 +289,36 @@ def global_avg_pool(a):
 
 
 def max_pool2d(a, k: int, stride: int, padding: int = 0):
+    """(N,C,H,W) max pooling; padded border positions never win the max.
+
+    The VJP reuses the forward's padded input and pooled result: it sends
+    each output gradient to the first window position, in (dy, dx) scan
+    order, that attains the maximum, the deterministic tie-break."""
     tape = _tape(a)
     av = value_of(a)
-    out = T.max_pool2d(av, k, stride, padding)
+    n, c, h, w = av.shape
+    ho, wo = T.conv_out_size(h, k, stride, padding), T.conv_out_size(w, k, stride, padding)
+    padded = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf)
+    padded[:, :, padding:padding + h, padding:padding + w] = av
+    windows = [(..., slice(dy, dy + ho * stride, stride), slice(dx, dx + wo * stride, stride))
+               for dy in range(k) for dx in range(k)]
+    out = np.full((n, c, ho, wo), -np.inf)
+    for win in windows:
+        np.maximum(out, padded[win], out=out)
+    T.check_finite(out, "max_pool2d")
     if tape is None:
         return out
-    return _record(tape, "max_pool2d", out, (a,), lambda g, j: T.max_pool2d_backward(av, g, k, stride, padding))
+
+    def vjp(g, j):
+        gp = np.zeros_like(padded)
+        taken = np.zeros(out.shape, dtype=bool)
+        for win in windows:
+            wins = (padded[win] == out) & ~taken
+            gp[win] += np.where(wins, g, 0.0)
+            taken |= wins
+        return gp[:, :, padding:padding + h, padding:padding + w]
+
+    return _record(tape, "max_pool2d", out, (a,), vjp)
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1):
@@ -310,10 +340,11 @@ def _conv2d_weight_grad(g, xv, wshape, stride, padding, groups):
     cols = T.im2col(xv, kh, kw, stride, padding).reshape(n, groups, kg, -1)
     gq = g.reshape(n, groups, og, -1)
     if len(wshape) == 5:
-        return T.stacked_matmul(gq, cols.transpose(0, 1, 3, 2), n).reshape(wshape)
-    gq = gq.transpose(1, 2, 0, 3).reshape(groups, og, -1)
-    cols = cols.transpose(1, 0, 3, 2).reshape(groups, -1, kg)
-    return np.matmul(gq, cols).reshape(wshape)
+        grad = T.stacked_matmul(gq, cols.transpose(0, 1, 3, 2), n)
+    else:
+        gq = gq.transpose(1, 2, 0, 3).reshape(groups, og, -1)
+        grad = np.matmul(gq, cols.transpose(1, 0, 3, 2).reshape(groups, -1, kg))
+    return T.check_finite(grad.reshape(wshape), "conv2d weight gradient")
 
 
 def _conv2d_input_grad(g, xshape, wv, stride, padding, groups):
@@ -330,26 +361,32 @@ def _conv2d_input_grad(g, xshape, wv, stride, padding, groups):
         for dx in range(kw):
             dxp[:, :, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride] += dcols[:, :, dy, dx]
     if padding:
-        return np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + w])
-    return dxp
+        dxp = np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + w])
+    return T.check_finite(dxp, "conv2d input gradient")
 
 
-def batchnorm_train(x, gamma, beta, eps: float = T.BN_EPS):
-    """Batch-stat normalization; returns (out, batch_mean, batch_var).
+def batchnorm_train(x, gamma, beta):
+    """Batch-stat normalization; returns (out, batch_mean, batch_var), the
+    per-channel mean and biased variance over (N,H,W).
 
-    The returned stats are plain arrays (running-average bookkeeping is the
-    caller's job and carries no gradient).
+    The mean, the centred input, the variance and ``1/sqrt(var + BN_EPS)``
+    are computed once, for the output and the VJP.  The returned stats are
+    plain arrays (running-average bookkeeping is the caller's job and
+    carries no gradient).
     """
     tape = _tape(x, gamma, beta)
     xv, gv, bv = value_of(x), value_of(gamma), value_of(beta)
-    mean, var = T.batchnorm_stats(xv)
-    out = T.batchnorm_apply(xv, gv, bv, mean, var, eps)
-    if tape is None:
-        return out, mean, var
     n, c, h, w = xv.shape
     m = float(n * h * w)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+    mean = xv.sum(axis=(0, 2, 3)) / m
+    centred = xv - mean.reshape(1, c, 1, 1)
+    var = (centred ** 2).sum(axis=(0, 2, 3)) / m
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    out = centred * (gv * inv).reshape(1, c, 1, 1) + bv.reshape(1, c, 1, 1)
+    T.check_finite(out, "batchnorm output")
+    if tape is None:
+        return out, mean, var
+    xhat = centred * inv.reshape(1, c, 1, 1)
 
     def vjp(g, j):
         if j == 0:

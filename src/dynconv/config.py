@@ -13,7 +13,7 @@ it configures: `keyword_args` reads those keys into keyword arguments and
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -103,17 +103,6 @@ def keyword_config(fn, prefix: str, values: dict) -> dict[str, str]:
 
 SCHEDULES = ("step", "cosine")
 
-_TRAIN_KEYS = {
-    "train.lr": ("lr", float),
-    "train.momentum": ("momentum", float),
-    "train.schedule": ("schedule", str),
-    "train.step_size": ("step_size", int),
-    "train.gamma": ("gamma", float),
-    "train.batch": ("batch", int),
-    "train.epochs": ("epochs", int),
-    "train.seed": ("seed", int),
-}
-
 
 @dataclass
 class RunConfig:
@@ -166,3 +155,8 @@ class RunConfig:
         if self.out is not None:
             out["run.out"] = self.out
         return out
+
+
+# ``train.<field>`` for each recipe field of `RunConfig`, typed like its default
+_TRAIN_KEYS = {f"train.{f.name}": (f.name, type(f.default)) for f in fields(RunConfig)
+               if isinstance(f.default, (int, float, str))}

@@ -179,14 +179,16 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 # building blocks
 
 
-class BatchNorm2d:
-    """Per-channel batch norm with learnable affine and running stats."""
+BN_MOMENTUM = 0.9
 
-    def __init__(self, name: str, channels: int, eps: float = T.BN_EPS, momentum: float = T.BN_MOMENTUM):
+
+class BatchNorm2d:
+    """Per-channel batch norm with learnable affine and running stats, which
+    keep `BN_MOMENTUM` of their value at each train-mode forward."""
+
+    def __init__(self, name: str, channels: int):
         self.name = name
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(f"{name}.gamma", np.ones(channels))
         self.beta = Parameter(f"{name}.beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
@@ -203,12 +205,12 @@ class BatchNorm2d:
             shape = ad.value_of(x).shape
             if shape[0] * shape[2] * shape[3] == 0:
                 raise ValueError(f"{self.name}: train-mode batch norm has no statistics for an empty batch {shape}")
-            out, mean, var = ad.batchnorm_train(x, lift(self.gamma), lift(self.beta), eps=self.eps)
-            m = self.momentum
+            out, mean, var = ad.batchnorm_train(x, lift(self.gamma), lift(self.beta))
+            m = BN_MOMENTUM
             self.running_mean[...] = m * self.running_mean + (1.0 - m) * mean
             self.running_var[...] = m * self.running_var + (1.0 - m) * var
             return out
-        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        inv = 1.0 / np.sqrt(self.running_var + ad.BN_EPS)
         w = (self.gamma.value * inv).reshape(1, self.channels, 1, 1)
         b = (self.beta.value - self.running_mean * self.gamma.value * inv).reshape(1, self.channels, 1, 1)
         return ad.affine(x, w, b)

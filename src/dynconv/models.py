@@ -251,7 +251,7 @@ def build_mobilenetv2(width: float = 1.0, placement=(), r: float | None = None,
             if base_latent is None:
                 base_latent = default_latent_dim(max(c_in, c_out))
             dims = LatentDims(l=_scaled_latent(base_latent, l_multiplier))
-            return DcdConv(name, c_in, c_out, k=1, variant="pointwise", dims=dims, r=r,
+            return DcdConv(name, c_in, c_out, k=1, variant="pointwise", dims=dims,
                            squeeze=pw_squeeze(c_in, c_out), activation=activation, rng=rng(),
                            enforce_budget=False)
         return StaticConv(name, c_in, c_out, k=1, activation=activation, rng=rng())
@@ -309,9 +309,8 @@ RESNET_LAYOUTS = {10: ("basic", (1, 2, 1, 1)), 18: ("basic", (2, 2, 2, 2)),
 RESNET_DCD_MODES = ("off", "channel_only_3x3")
 
 
-def build_resnet(depth: int = 18, dcd: str = "off", r: float = 16.0,
-                 num_classes: int = 1000, resolution: int = 224, seed: int = 0,
-                 l_multiplier: float = 1.0) -> ModelGraph:
+def build_resnet(depth: int = 18, dcd: str = "off", num_classes: int = 1000,
+                 resolution: int = 224, seed: int = 0, l_multiplier: float = 1.0) -> ModelGraph:
     if depth not in RESNET_LAYOUTS:
         raise ValueError(f"unsupported depth {depth}; choose from {sorted(RESNET_LAYOUTS)}")
     if dcd not in RESNET_DCD_MODES:
@@ -328,7 +327,7 @@ def build_resnet(depth: int = 18, dcd: str = "off", r: float = 16.0,
         padding = (k - 1) // 2
         if dynamic:
             variant = "channel_only_kxk" if k == 3 else "pointwise"
-            return DcdConv(name, c_in, c_out, k=k, variant=variant, dims=latent(c_out), r=r,
+            return DcdConv(name, c_in, c_out, k=k, variant=variant, dims=latent(c_out),
                            squeeze=max(1, (k * k * c_in) // 16), stride=stride, padding=padding,
                            activation=activation, rng=rng(), enforce_budget=False)
         return StaticConv(name, c_in, c_out, k=k, stride=stride, padding=padding,

@@ -1,16 +1,22 @@
-"""Deterministic float64 tensor kernels: the contractions and their
-reference loops, im2col, max pooling, batch-norm statistics and SVD.
-The differentiable ops, elementwise ones included, are defined once, in
-`dynconv.autodiff`, and call these kernels.
+"""Deterministic float64 tensor kernels: the contractions ``matmul`` and
+``conv2d``, their loop references, im2col, the by-sample split of large
+stacked products, SVD, and the finite check.  The differentiable ops,
+elementwise ones, batch norm and max pooling included, are defined once,
+in `dynconv.autodiff`, and call these kernels.
 
 Every differentiable op returns a C-contiguous float64 ndarray, so an op
-coerces a raw operand once, in `autodiff.value_of`.  The contractions run
-as ``np.matmul`` with the sample (and, in conv2d, the group) as a stack
-axis, through `stacked_matmul`, so each sample's product is the same BLAS
-call on the same memory whatever the batch size.  A large stacked product
-is split by sample across the process's CPUs, and every chunk still makes
-those same per-sample calls, so the bits do not depend on the worker count
-either.  Two kinds of contract rest on this:
+coerces a raw operand once, in `autodiff.value_of`, and ``matmul``,
+``conv2d`` and ``im2col`` take their operands as given.  A caller holding
+a transposed or strided view makes it contiguous first: numpy may run a
+different product loop on a view, and round differently.  The reference
+kernels and ``svd`` coerce their raw inputs.
+
+The contractions run as ``np.matmul`` with the sample (and, in conv2d, the
+group) as a stack axis, through `stacked_matmul`, so each sample's product
+is the same BLAS call on the same memory whatever the batch size.  A large
+stacked product is split by sample across the process's CPUs, and every
+chunk still makes those same per-sample calls, so the bits do not depend on
+the worker count either.  Two kinds of contract rest on this:
 
 * bit-exact: ``matmul_reference``/``conv2d_reference`` equal naive loop
   oracles summing left to right over the contraction axis; a dynamic model
@@ -31,8 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.9
 # A stacked product of fewer multiply-adds runs on the calling thread.  Split
 # in two, a product gained nothing below ~1.5 M MAdds (the hand-off and the
 # wait cost ~0.1 ms) and halved its time above ~3 M (see CHANGES.md).
@@ -128,12 +132,9 @@ def stacked_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _check_matmul(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = as_tensor(a)
-    b = as_tensor(b)
+def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a, b
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,7 +144,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     many, so a batch of rows gives the stacked single-row results bit for
     bit.  A plain 2-d product would switch between gemv and gemm with m.
     """
-    a, b = _check_matmul(a, b)
+    _check_matmul(a, b)
     rows = a[:, None, :]
     out = np.matmul(rows, b) if len(a) < 2 else stacked_matmul(rows, b, len(a))
     return check_finite(out[:, 0, :], "matmul result")
@@ -157,45 +158,12 @@ def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reproduces the result bit-for-bit.  The reference `matmul` is tested
     against; nothing else calls it.
     """
-    a, b = _check_matmul(a, b)
+    a, b = as_tensor(a), as_tensor(b)
+    _check_matmul(a, b)
     out = np.zeros((a.shape[0], b.shape[1]))
     for i in range(a.shape[1]):
         out += a[:, i : i + 1] * b[i : i + 1, :]
     return check_finite(out, "matmul result")
-
-
-def max_pool2d(x: np.ndarray, k: int, stride: int, padding: int = 0) -> np.ndarray:
-    """(N,C,H,W) max pooling; padded border positions never win the max."""
-    x = as_tensor(x)
-    n, c, h, w = x.shape
-    ho, wo = conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding)
-    padded = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf)
-    padded[:, :, padding:padding + h, padding:padding + w] = x
-    out = np.full((n, c, ho, wo), -np.inf)
-    for dy in range(k):
-        for dx in range(k):
-            out = np.maximum(out, padded[:, :, dy:dy + ho * stride:stride, dx:dx + wo * stride:stride])
-    return check_finite(out, "max_pool2d")
-
-
-def max_pool2d_backward(x: np.ndarray, grad: np.ndarray, k: int, stride: int, padding: int = 0) -> np.ndarray:
-    """Scatter grad to the first window position (in (dy,dx) scan order)
-    attaining each pooled maximum — the deterministic tie-break."""
-    x = as_tensor(x)
-    n, c, h, w = x.shape
-    ho, wo = conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding)
-    padded = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf)
-    padded[:, :, padding:padding + h, padding:padding + w] = x
-    out = max_pool2d(x, k, stride, padding)
-    gp = np.zeros_like(padded)
-    taken = np.zeros((n, c, ho, wo), dtype=bool)
-    for dy in range(k):
-        for dx in range(k):
-            patch = padded[:, :, dy:dy + ho * stride:stride, dx:dx + wo * stride:stride]
-            wins = (patch == out) & ~taken
-            gp[:, :, dy:dy + ho * stride:stride, dx:dx + wo * stride:stride] += np.where(wins, grad, 0.0)
-            taken |= wins
-    return gp[:, :, padding:padding + h, padding:padding + w]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +181,6 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     naive seven-loop convolution.  A 1×1 stride-1 unpadded kernel needs no
     copy, so the result is then a view of `x`; padding fills a zero buffer.
     """
-    x = as_tensor(x)
     n, c, h, w = x.shape
     ho = conv_out_size(h, kh, stride, padding)
     wo = conv_out_size(w, kw, stride, padding)
@@ -259,8 +226,6 @@ def conv2d(
     unpadded conv the patch matrix is a reshaped view of `x`, so the product
     is one reshape and that `np.matmul`.
     """
-    x = as_tensor(x)
-    weight = as_tensor(weight)
     n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
     cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
     wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
@@ -293,34 +258,6 @@ def conv2d_reference(
         for g in range(groups)
     ])
     return np.ascontiguousarray(flat.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3))
-
-
-# ---------------------------------------------------------------------------
-# batch norm (functional; state lives with the layer)
-
-
-def batchnorm_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and biased variance over (N,H,W)."""
-    x = as_tensor(x)
-    n, c, h, w = x.shape
-    m = float(n * h * w)
-    mean = x.sum(axis=(0, 2, 3)) / m
-    var = ((x - mean.reshape(1, c, 1, 1)) ** 2).sum(axis=(0, 2, 3)) / m
-    return mean, var
-
-
-def batchnorm_apply(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
-    eps: float = BN_EPS,
-) -> np.ndarray:
-    c = x.shape[1]
-    inv = 1.0 / np.sqrt(var + eps)
-    out = (x - mean.reshape(1, c, 1, 1)) * (gamma * inv).reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
-    return check_finite(out, "batchnorm output")
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,23 @@ def test_grad_conv2d(xshape, wshape, stride, padding, groups):
     check_grads(loss, [x, w])
 
 
+@pytest.mark.parametrize("which,x,w", [
+    ("weight", np.full((1, 1, 10, 10), 1e307), np.full((1, 1, 1, 1), 1e-10)),
+    ("input", np.full((1, 1, 10, 10), 1e-10), np.full((1, 1, 3, 3), 1e308)),
+    ("weight", np.full((2, 1, 10, 10), 1e307), np.full((2, 1, 1, 1, 1), 1e-10)),
+], ids=["weight", "input", "per-sample weight"])
+def test_conv2d_gradients_that_overflow_are_caught(which, x, w):
+    """A finite loss whose conv gradient overflows raises in `backward`, so
+    the overflow never reaches an optimizer step."""
+    tape = ad.Tape()
+    p = ad.Parameter(which, x if which == "input" else w)
+    leaf = tape.leaf(p.value, param=p)
+    loss = ad.sum_all(ad.conv2d(leaf, w, padding=1) if which == "input" else ad.conv2d(x, leaf))
+    assert np.isfinite(loss.value)
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match=f"in conv2d {which} gradient"):
+        ad.backward(loss)
+
+
 def test_grad_batchnorm_train():
     rng = np.random.default_rng(6)
     x = ad.Parameter("x", rng.standard_normal((3, 4, 5, 5)))

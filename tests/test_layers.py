@@ -500,7 +500,7 @@ def _bn_layer(cfg, seed):
 def test_eval_batchnorm_is_one_scale_and_shift():
     bn = _bn_layer(dict(c_in=6, c_out=6), 50).bn
     x = np.random.default_rng(52).standard_normal((3, 6, 4, 4))
-    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    inv = 1.0 / np.sqrt(bn.running_var + ad.BN_EPS)
     w = (bn.gamma.value * inv).reshape(1, 6, 1, 1)
     b = (bn.beta.value - bn.running_mean * bn.gamma.value * inv).reshape(1, 6, 1, 1)
     assert np.array_equal(bn.forward(x, False, lambda p: p.value), x * w + b)

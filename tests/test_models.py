@@ -13,6 +13,7 @@ import dynconv
 import dynconv.autodiff as ad
 import dynconv.tensor as T
 from dynconv.cli import resolve_model
+from dynconv.config import ConfigError
 from dynconv.counting import count_model, count_params
 from dynconv.layers import DcdConv, StaticConv
 from dynconv.models import (
@@ -49,7 +50,7 @@ def test_make_divisible_rounding():
 def test_max_pool_matches_naive_window_maximum():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3, 9, 9))
-    out = T.max_pool2d(x, 3, 2, 1)
+    out = ad.max_pool2d(x, 3, 2, 1)
     assert out.shape == (2, 3, 5, 5)
     padded = np.full((2, 3, 11, 11), -np.inf)
     padded[:, :, 1:10, 1:10] = x
@@ -303,11 +304,11 @@ def test_same_seed_reproduces_same_weights():
     lambda: build_mobilenetv2(width=0.35, placement=("pw", "cls"), num_classes=21,
                               resolution=48, seed=11, l_multiplier=0.5),
     lambda: build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9,
-                         resolution=64, seed=4, r=8.0),
+                         resolution=64, seed=4),
     lambda: build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9,
-                         resolution=64, seed=4, r=8.0).static_twin(),
+                         resolution=64, seed=4).static_twin(),
     # float arguments passed as ints are recorded as floats
-    lambda: build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9, resolution=64, r=8),
+    lambda: build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9, resolution=64, l_multiplier=1),
     lambda: build_mobilenetv2(width=1, placement=("pw",), num_classes=9, resolution=32, r=4),
 ])
 def test_config_round_trip_rebuilds_identical_model(build):
@@ -331,6 +332,16 @@ def test_config_with_an_unknown_twin_is_refused():
     cfg["model.twin"] = "dynamic"
     with pytest.raises(ValueError, match="unknown model.twin 'dynamic'"):
         build_from_config(cfg)
+
+
+def test_resnet_config_with_a_branch_reduction_is_refused():
+    """ResNet's branch squeeze is fixed at ⌊k²·C_in/16⌋, so it has no `r`;
+    only MobileNetV2, whose depthwise and classifier branches use it, reads `model.r`."""
+    cfg = build_resnet(depth=10, dcd="channel_only_3x3", num_classes=9, resolution=64).to_config()
+    assert "model.r" not in cfg
+    with pytest.raises(ConfigError, match="unknown key 'model.r' for model.family = resnet"):
+        build_from_config(cfg | {"model.r": "8"})
+    assert build_mobilenetv2(width=0.35, placement=("cls",), num_classes=9, resolution=32).config["model.r"] == "8.0"
 
 
 def test_build_from_config_rejects_unknown_family():
@@ -396,6 +407,49 @@ def test_batch_logits_equal_stacked_single_sample_logits(row_id, build):
         batch = np.asarray(g.forward(x))
         stacked = np.concatenate([np.asarray(g.forward(x[i : i + 1])) for i in range(len(x))])
         assert np.array_equal(batch, stacked), f"{g.name}: batch-4 logits differ from stacked batch-1"
+
+
+def _watch_kernel_operands(monkeypatch) -> list[str]:
+    """Wrap `T.matmul`, `T.conv2d` and `T.im2col`; the returned list gets a
+    line for each array operand that is not C-contiguous float64."""
+    bad = []
+    for name in ("matmul", "conv2d", "im2col"):
+        def watched(*args, _kernel=getattr(T, name), _name=name, **kwargs):
+            bad.extend(f"{_name} operand {j}: {a.dtype} {a.shape} {a.strides}" for j, a in enumerate(args)
+                       if isinstance(a, np.ndarray) and not (a.dtype == np.float64 and a.flags.c_contiguous))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(T, name, watched)
+    return bad
+
+
+@pytest.mark.parametrize("zoo_id", ["task_dcd", "resnet10_dcd", "mobilenetv2_x0.5_dcd"])
+def test_kernels_get_c_contiguous_float64_operands_in_eval_forwards(zoo_id, monkeypatch):
+    """The kernels do not coerce: `value_of` and the ops hand them C-contiguous
+    float64 arrays at batch 1 and 8, in the dynamic model and its twin."""
+    rng = np.random.default_rng(97)
+    graph = _seeded_branches(resolve_model(zoo_id), rng)
+    bad = _watch_kernel_operands(monkeypatch)
+    size = min(graph.resolution, 32)
+    for g in (graph, graph.static_twin()):
+        for n in (1, 8):
+            g.forward(rng.normal(size=(n, graph.input_channels, size, size)))
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("zoo_id", ["task_dcd", "task_vanilla", "resnet10_dcd"])
+def test_kernels_get_c_contiguous_float64_operands_in_a_training_step(zoo_id, monkeypatch):
+    """The same holds in a taped train-mode forward and its backward, whose
+    matmul VJPs hand `T.matmul` transposed operands."""
+    rng = np.random.default_rng(101)
+    graph = _seeded_branches(resolve_model(zoo_id), rng)
+    bad = _watch_kernel_operands(monkeypatch)
+    size = min(graph.resolution, 32)
+    tape = ad.Tape()
+    logits = graph.forward(tape.leaf(rng.normal(size=(4, graph.input_channels, size, size))), train=True)
+    grads = ad.backward(ad.cross_entropy(logits, rng.integers(graph.num_classes, size=4)))
+    assert len(grads) == len(graph.parameters())
+    assert not bad, bad[:5]
 
 
 @pytest.mark.parametrize("zoo_id", ["resnet10_dcd", "mobilenetv2_x0.5_dcd"])
