@@ -15,6 +15,11 @@ through its inputs.  Every op returns a C-contiguous float64 array, so
 `value_of` is the one place where an operand is coerced.  `affine`, one op
 for ``a * w + b``, is the tail of eval batch norm and of the DCD layer,
 Λ ⊙ (W0∗x) + residual.
+
+No forward op checks its result for NaN or ±inf: the layers do, once per
+check point (`dynconv.layers`).  The conv and ``matmul`` VJPs check the
+gradients they return, so an overflowing gradient under a finite loss
+raises in `backward`, before an optimizer step writes it.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ def _record(tape: Tape, name: str, out, inputs, vjp) -> Node:
 def add(a, b):
     tape = _tape(a, b)
     av, bv = value_of(a), value_of(b)
-    out = T.check_finite(av + bv, "add result")
+    out = av + bv
     if tape is None:
         return out
     return _record(tape, "add", out, (a, b), lambda g, j: _unbroadcast(g, av.shape if j == 0 else bv.shape))
@@ -120,7 +125,7 @@ def add(a, b):
 def mul(a, b):
     tape = _tape(a, b)
     av, bv = value_of(a), value_of(b)
-    out = T.check_finite(av * bv, "mul result")
+    out = av * bv
     if tape is None:
         return out
     return _record(tape, "mul", out, (a, b),
@@ -128,13 +133,12 @@ def mul(a, b):
 
 
 def affine(a, w, b):
-    """``a * w + b`` with one finite check, rounding exactly as `add(mul(a, w), b)`;
+    """``a * w + b`` in one op, rounding exactly as `add(mul(a, w), b)`;
     `b` is added in place, so it must broadcast to the shape of ``a * w``."""
     tape = _tape(a, w, b)
     av, wv, bv = value_of(a), value_of(w), value_of(b)
     out = av * wv
     out += bv
-    T.check_finite(out, "affine result")
     if tape is None:
         return out
     return _record(tape, "affine", out, (a, w, b), lambda g, j: _unbroadcast(g, bv.shape) if j == 2
@@ -144,7 +148,7 @@ def affine(a, w, b):
 def scale(a, alpha: float):
     tape = _tape(a)
     av = value_of(a)
-    out = T.check_finite(av * float(alpha), "scale result")
+    out = av * float(alpha)
     if tape is None:
         return out
     return _record(tape, "scale", out, (a,), lambda g, j: g * alpha)
@@ -156,9 +160,14 @@ def matmul(a, b):
     out = T.matmul(av, bv)
     if tape is None:
         return out
-    # `T.matmul` takes contiguous operands: numpy may run a transposed view through another loop
-    return _record(tape, "matmul", out, (a, b), lambda g, j: T.matmul(g, np.ascontiguousarray(bv.T)) if j == 0
-                   else T.matmul(np.ascontiguousarray(av.T), g))
+
+    def vjp(g, j):
+        # `T.matmul` takes contiguous operands: numpy may run a transposed view through another loop
+        if j == 0:
+            return T.check_finite(T.matmul(g, np.ascontiguousarray(bv.T)), "matmul input gradient")
+        return T.check_finite(T.matmul(np.ascontiguousarray(av.T), g), "matmul weight gradient")
+
+    return _record(tape, "matmul", out, (a, b), vjp)
 
 
 def stacked_matmul(a, b):
@@ -168,7 +177,7 @@ def stacked_matmul(a, b):
     product, summed over the axes its operand was broadcast along."""
     tape = _tape(a, b)
     av, bv = value_of(a), value_of(b)
-    out = T.check_finite(np.matmul(av, bv), "stacked_matmul result")
+    out = np.matmul(av, bv)
     if tape is None:
         return out
     return _record(tape, "stacked_matmul", out, (a, b),
@@ -281,7 +290,7 @@ def global_avg_pool(a):
     if av.ndim != 4:
         raise ValueError(f"expected NCHW, got shape {av.shape}")
     n, c, h, w = av.shape
-    out = T.check_finite(av.reshape(n, c, h * w).sum(axis=2) / float(h * w), "pooled")
+    out = av.reshape(n, c, h * w).sum(axis=2) / float(h * w)
     if tape is None:
         return out
     return _record(tape, "gap", out, (a,),
@@ -305,7 +314,6 @@ def max_pool2d(a, k: int, stride: int, padding: int = 0):
     out = np.full((n, c, ho, wo), -np.inf)
     for win in windows:
         np.maximum(out, padded[win], out=out)
-    T.check_finite(out, "max_pool2d")
     if tape is None:
         return out
 
@@ -383,7 +391,6 @@ def batchnorm_train(x, gamma, beta):
     var = (centred ** 2).sum(axis=(0, 2, 3)) / m
     inv = 1.0 / np.sqrt(var + BN_EPS)
     out = centred * (gv * inv).reshape(1, c, 1, 1) + bv.reshape(1, c, 1, 1)
-    T.check_finite(out, "batchnorm output")
     if tape is None:
         return out, mean, var
     xhat = centred * inv.reshape(1, c, 1, 1)

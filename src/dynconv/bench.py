@@ -4,12 +4,11 @@ Times single-sample inference (the regime where the dynamic branch and the
 latent residual cost the most relative to the static conv), excluding warmup
 iterations, and reports mean / median / 95th-percentile latencies plus the
 dynamic/static mean ratio, next to the contraction worker count and BLAS
-thread setting they ran with.
+thread count they ran with.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -44,9 +43,9 @@ class Timing:
 
 
 def environment_line() -> str:
-    """The contraction worker count and the BLAS thread setting timings run with."""
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    return f"contraction workers: {T.contraction_workers()}, OPENBLAS_NUM_THREADS: {blas}"
+    """The contraction worker count and the BLAS thread count timings run with."""
+    blas = T.blas_threads()
+    return f"contraction workers: {T.contraction_workers()}, BLAS threads: {'unknown' if blas is None else blas}"
 
 
 def time_forward(graph, x: np.ndarray, repeats: int = 20, warmup: int = 3) -> Timing:

@@ -38,6 +38,14 @@ plain arrays and record adjoints when handed tape nodes.  No forward takes
 a tape: when its input is a tape node, a layer puts its parameters on that
 node's tape as leaves; otherwise it runs eagerly on raw values.  The same
 code path serves inference, analysis, and training.
+
+No op checks its result for NaN or ±inf; each layer checks its values at
+fixed points, each before an op that could hide a non-finite value: the
+pre-activation (a ReLU turns -inf into 0), the branch hidden layer before
+its ReLU, the attention logits before softmax or sigmoid saturate them,
+and, in train mode, the batch-norm input and batch statistics before they
+reach the running buffers.  ``weight_for`` checks the kernel it returns.
+An eval forward of a DCD layer runs two checks, and of a static one, one.
 """
 
 from __future__ import annotations
@@ -202,10 +210,13 @@ class BatchNorm2d:
 
     def forward(self, x, train: bool, lift):
         if train:
-            shape = ad.value_of(x).shape
-            if shape[0] * shape[2] * shape[3] == 0:
-                raise ValueError(f"{self.name}: train-mode batch norm has no statistics for an empty batch {shape}")
+            xv = ad.value_of(x)
+            if xv.shape[0] * xv.shape[2] * xv.shape[3] == 0:
+                raise ValueError(f"{self.name}: train-mode batch norm has no statistics for an empty batch {xv.shape}")
+            T.check_finite(xv, "batch-norm input")
             out, mean, var = ad.batchnorm_train(x, lift(self.gamma), lift(self.beta))
+            for stat in (mean, var):  # a finite input can still overflow them; the buffers must not take it
+                T.check_finite(stat, "batch-norm statistics")
             m = BN_MOMENTUM
             self.running_mean[...] = m * self.running_mean + (1.0 - m) * mean
             self.running_var[...] = m * self.running_var + (1.0 - m) * var
@@ -235,8 +246,15 @@ class DynamicBranch:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def forward(self, pooled, lift):
-        hidden = ad.relu(ad.add(ad.matmul(pooled, lift(self.w1)), lift(self.b1)))
-        return ad.add(ad.matmul(hidden, lift(self.w2)), lift(self.b2))
+        return ad.add(ad.matmul(_hidden(pooled, self.w1, self.b1, lift), lift(self.w2)), lift(self.b2))
+
+
+def _hidden(pooled, w1, b1, lift):
+    """ReLU(pooled·W1 + b1), the hidden layer of a branch, checked before the
+    ReLU, which would turn -inf into 0."""
+    pre = ad.add(ad.matmul(pooled, lift(w1)), lift(b1))
+    T.check_finite(ad.value_of(pre), "branch hidden layer")
+    return ad.relu(pre)
 
 
 def _lifter(x, layer):
@@ -262,10 +280,13 @@ class _ConvLayer:
         return T.conv_out_size(h, self.k, self.stride, self.padding)
 
     def _head(self, out, train: bool, lift):
+        """Bias, batch norm and activation; the pre-activation is the layer's
+        one finite check in an eval forward, before a ReLU could hide -inf."""
         if self.bias is not None:
             out = ad.add(out, ad.reshape(lift(self.bias), (1, self.c_out, 1, 1)))
         if self.bn is not None:
             out = self.bn.forward(out, train, lift)
+        T.check_finite(ad.value_of(out), "pre-activation")
         return ad.relu(out) if self.activation == "relu" else out
 
 
@@ -438,7 +459,9 @@ class DcdConv(_ConvLayer):
                 res = ad.mul(ad.reshape(res, (n, self.c_out, self.c_in, 1)), self.center.reshape(kk))
         w0 = self._w0_kernel(lift)
         res = ad.reshape(res, (n,) + ad.value_of(w0).shape)
-        return ad.add(w0, res) if lam is None else ad.affine(w0, ad.reshape(lam, (n, self.c_out, 1, 1, 1)), res)
+        kernel = ad.add(w0, res) if lam is None else ad.affine(w0, ad.reshape(lam, (n, self.c_out, 1, 1, 1)), res)
+        T.check_finite(ad.value_of(kernel), "kernel")
+        return kernel
 
     # -- full layer ------------------------------------------------------
 
@@ -589,8 +612,8 @@ class VanillaDynConv(_ConvLayer):
 
     def attention(self, pooled, lift=None):
         lift = lift or (lambda p: p.value)
-        hidden = ad.relu(ad.add(ad.matmul(pooled, lift(self.w1)), lift(self.b1)))
-        logits = ad.add(ad.matmul(hidden, lift(self.w2)), lift(self.b2))
+        logits = ad.add(ad.matmul(_hidden(pooled, self.w1, self.b1, lift), lift(self.w2)), lift(self.b2))
+        T.check_finite(ad.value_of(logits), "attention logits")  # softmax and sigmoid saturate ±inf
         return ad.attention_activation(logits, self.mode, self.tau)
 
     def weight_for(self, pooled, lift=None):
@@ -600,6 +623,7 @@ class VanillaDynConv(_ConvLayer):
         n = ad.value_of(att).shape[0]
         flat = ad.reshape(lift(self.kernels), (self.k_kernels, self.c_out * self.c_in))
         mixed = ad.matmul(att, flat)
+        T.check_finite(ad.value_of(mixed), "kernel")
         return ad.reshape(mixed, (n, self.c_out, self.c_in, 1, 1))
 
     def forward(self, x, train: bool = False):

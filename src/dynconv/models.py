@@ -93,17 +93,25 @@ class GlobalPool:
         return []
 
 
+def _rename(layer_name: str, exc: T.NonFiniteError):
+    """Re-raise `exc` under `layer_name`, as ``mix: non-finite values in pre-activation``."""
+    raise T.NonFiniteError(f"{layer_name}: {exc}", layer=layer_name) from exc
+
+
 def _run(layer, x, train: bool):
-    """`layer.forward`, re-raising a NonFiniteError under the layer's name."""
+    """`layer.forward` under the layer's name.  No op checks its result; the
+    layer checks its values at fixed points (see `dynconv.layers`), so an
+    error names the layer and the check point."""
     try:
         return layer.forward(x, train=train)
     except T.NonFiniteError as exc:
-        raise T.NonFiniteError(f"{layer.name}: {exc}", layer=layer.name) from exc
+        _rename(layer.name, exc)
 
 
 class Block:
     """Steps run in order; `skip` then adds `downsample(x)`, or `x` itself
-    when there is no downsample, and `relu` ends the block with a ReLU."""
+    when there is no downsample, and checks the sum under the last step's
+    name, and `relu` ends the block with a ReLU."""
 
     def __init__(self, steps: list[tuple[object, str]], skip: bool = False, downsample=None, relu: bool = False):
         self.steps, self.skip, self.downsample, self.relu = steps, skip, downsample, relu
@@ -114,6 +122,10 @@ class Block:
             h = _run(layer, h, train)
         if self.skip:
             h = ad.add(h, x if self.downsample is None else _run(self.downsample, x, train))
+            try:  # the sum can overflow, and a ReLU would hide -inf
+                T.check_finite(value_of(h), "skip sum")
+            except T.NonFiniteError as exc:
+                _rename(self.steps[-1][0].name, exc)
         return ad.relu(h) if self.relu else h
 
     def walk(self, h: int):

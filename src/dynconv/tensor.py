@@ -4,6 +4,10 @@ stacked products, SVD, and the finite check.  The differentiable ops,
 elementwise ones, batch norm and max pooling included, are defined once,
 in `dynconv.autodiff`, and call these kernels.
 
+No kernel checks its result.  `check_finite` runs at fixed points instead:
+in each layer, before an op that could hide a non-finite value (see
+`dynconv.layers`), and on the conv and ``matmul`` gradients in the VJPs.
+
 Every differentiable op returns a C-contiguous float64 ndarray, so an op
 coerces a raw operand once, in `autodiff.value_of`, and ``matmul``,
 ``conv2d`` and ``im2col`` take their operands as given.  A caller holding
@@ -31,6 +35,9 @@ Everything else relies on numpy's deterministic elementwise semantics.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import threading
 from dataclasses import dataclass
@@ -63,12 +70,27 @@ def check_finite(a: np.ndarray, what: str = "tensor") -> np.ndarray:
     return a
 
 
+@functools.cache
+def blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS, read once through
+    `ctypes`; None where that library or its query is missing."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        try:
+            query = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        query.argtypes, query.restype = [], ctypes.c_int
+        return query()
+    return None
+
+
 def contraction_workers() -> int:
     """How many chunks a large stacked product is split into: the CPUs this
-    process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    process may run on, over the threads BLAS runs each product on (the
+    CPUs alone where `blas_threads` cannot tell)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, cpus // (blas_threads() or 1))
 
 
 _pool = None
@@ -147,7 +169,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_matmul(a, b)
     rows = a[:, None, :]
     out = np.matmul(rows, b) if len(a) < 2 else stacked_matmul(rows, b, len(a))
-    return check_finite(out[:, 0, :], "matmul result")
+    return out[:, 0, :]
 
 
 def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,7 +185,7 @@ def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0], b.shape[1]))
     for i in range(a.shape[1]):
         out += a[:, i : i + 1] * b[i : i + 1, :]
-    return check_finite(out, "matmul result")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +252,7 @@ def conv2d(
     cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
     wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
     out = np.matmul(wmat, cols) if n < 2 else stacked_matmul(wmat, cols, n)
-    return check_finite(out.reshape(n, c_out, ho, wo), "conv2d result")
+    return out.reshape(n, c_out, ho, wo)
 
 
 def conv2d_reference(

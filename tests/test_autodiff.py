@@ -277,20 +277,23 @@ def test_grad_conv2d(xshape, wshape, stride, padding, groups):
     check_grads(loss, [x, w])
 
 
-@pytest.mark.parametrize("which,x,w", [
-    ("weight", np.full((1, 1, 10, 10), 1e307), np.full((1, 1, 1, 1), 1e-10)),
-    ("input", np.full((1, 1, 10, 10), 1e-10), np.full((1, 1, 3, 3), 1e308)),
-    ("weight", np.full((2, 1, 10, 10), 1e307), np.full((2, 1, 1, 1, 1), 1e-10)),
-], ids=["weight", "input", "per-sample weight"])
-def test_conv2d_gradients_that_overflow_are_caught(which, x, w):
-    """A finite loss whose conv gradient overflows raises in `backward`, so
-    the overflow never reaches an optimizer step."""
+@pytest.mark.parametrize("op,which,x,w", [
+    ("conv2d", "weight", np.full((1, 1, 10, 10), 1e307), np.full((1, 1, 1, 1), 1e-10)),
+    ("conv2d", "input", np.full((1, 1, 10, 10), 1e-10), np.full((1, 1, 3, 3), 1e308)),
+    ("conv2d", "weight", np.full((2, 1, 10, 10), 1e307), np.full((2, 1, 1, 1, 1), 1e-10)),
+    ("matmul", "weight", np.full((100, 1), 1e307), np.full((1, 1), 1e-10)),
+    ("matmul", "input", np.full((1, 10), 1e-10), np.full((10, 10), 1e308)),
+], ids=["weight", "input", "per-sample weight", "matmul weight", "matmul input"])
+def test_conv2d_gradients_that_overflow_are_caught(op, which, x, w):
+    """A finite loss whose conv or matmul gradient overflows raises in
+    `backward`, so the overflow never reaches an optimizer step."""
     tape = ad.Tape()
     p = ad.Parameter(which, x if which == "input" else w)
     leaf = tape.leaf(p.value, param=p)
-    loss = ad.sum_all(ad.conv2d(leaf, w, padding=1) if which == "input" else ad.conv2d(x, leaf))
+    kwargs = {"padding": 1} if op == "conv2d" and which == "input" else {}
+    loss = ad.sum_all(getattr(ad, op)(leaf, w, **kwargs) if which == "input" else getattr(ad, op)(x, leaf))
     assert np.isfinite(loss.value)
-    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match=f"in conv2d {which} gradient"):
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match=f"in {op} {which} gradient"):
         ad.backward(loss)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynconv import tensor as T
+from dynconv.bench import environment_line
 from dynconv.cli import main, resolve_model
 from dynconv.layers import DcdConv, StaticConv
 
@@ -181,12 +182,14 @@ def test_bench_reports_ratio(capsys):
 
 
 def test_bench_prints_workers_and_blas_threads_and_keeps_csv_columns(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(T, "blas_threads", lambda: 1)
     path = tmp_path / "bench.csv"
     assert main(["bench", "task_dcd", "--repeats", "2", "--warmup", "1", "--out", str(path)]) == 0
     workers = T.contraction_workers()
-    assert f"contraction workers: {workers}, OPENBLAS_NUM_THREADS: 1" in capsys.readouterr().out.splitlines()
+    assert f"contraction workers: {workers}, BLAS threads: 1" in capsys.readouterr().out.splitlines()
     assert path.read_text().splitlines()[0] == "model,mean_s,median_s,p95_s"
+    monkeypatch.setattr(T, "blas_threads", lambda: None)
+    assert environment_line() == f"contraction workers: {T.contraction_workers()}, BLAS threads: unknown"
 
 
 def test_global_flags_accepted_before_subcommand(tmp_path):

@@ -665,3 +665,69 @@ def test_train_mode_batchnorm_rejects_an_empty_batch_and_keeps_running_stats():
     assert np.array_equal(layer.bn.running_mean, mean)
     assert np.array_equal(layer.bn.running_var, var)
     assert ad.value_of(layer.forward(x, train=False)).shape == (0, 4, 6, 6)
+
+
+# ---------------------------------------------------------------------------
+# finite checks at the layer boundary: each sits before an op that could hide
+# a non-finite value, since no op checks its own result
+
+
+def test_pre_activation_is_checked_before_the_relu_hides_minus_inf():
+    layer = StaticConv("s", 2, 2)
+    layer.bn.beta.value[0] = -np.inf  # the eval shift drives channel 0 to -inf; ReLU would give 0
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in pre-activation$"):
+        layer.forward(np.ones((1, 2, 3, 3)))
+
+
+def test_nan_input_to_train_mode_batchnorm_leaves_running_stats_untouched():
+    layer = StaticConv("s", 2, 2)
+    x = np.ones((2, 2, 3, 3))
+    x[1, 0, 1, 1] = np.nan
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in batch-norm input$"):
+        layer.forward(x, train=True)
+    assert np.array_equal(layer.bn.running_mean, np.zeros(2))
+    assert np.array_equal(layer.bn.running_var, np.ones(2))
+
+
+def test_batchnorm_statistics_that_overflow_leave_running_stats_untouched():
+    """A finite input of ±1e200 has an infinite batch variance; written into
+    `running_var`, it would collapse every later eval output to beta."""
+    layer = StaticConv("s", 2, 2)
+    x = np.full((2, 2, 3, 3), 1e200)
+    x[1] = -1e200
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError,
+                                                    match="^non-finite values in batch-norm statistics$"):
+        layer.forward(x, train=True)
+    assert np.array_equal(layer.bn.running_mean, np.zeros(2))
+    assert np.array_equal(layer.bn.running_var, np.ones(2))
+
+
+@pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+def test_attention_logits_are_checked_before_they_saturate(mode):
+    layer = VanillaDynConv("v", 4, 4, mode=mode, rng=np.random.default_rng(37))
+    layer.b2.value[0] = -np.inf  # kernel 0 would get attention weight 0 and the output stay finite
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in attention logits$"):
+        layer.forward(np.random.default_rng(38).standard_normal((2, 4, 3, 3)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DcdConv("d", 8, 8, rng=np.random.default_rng(39)),
+    lambda: VanillaDynConv("v", 8, 8, rng=np.random.default_rng(39)),
+], ids=["dcd", "vanilla"])
+def test_branch_hidden_layer_is_checked_before_its_relu(make):
+    layer = make()
+    b1 = layer.branch.b1 if isinstance(layer, DcdConv) else layer.b1
+    b1.value[0] = -np.inf  # ReLU would turn the hidden unit into 0
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in branch hidden layer$"):
+        layer.forward(np.random.default_rng(40).standard_normal((2, 8, 3, 3)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DcdConv("d", 8, 8, rng=np.random.default_rng(41)),
+    lambda: VanillaDynConv("v", 8, 8, rng=np.random.default_rng(41)),
+], ids=["dcd", "vanilla"])
+def test_weight_for_checks_the_kernel_it_returns(make):
+    layer = make()
+    (layer.w0 if isinstance(layer, DcdConv) else layer.kernels).value.flat[0] = np.nan
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in kernel$"):
+        layer.weight_for(np.random.default_rng(42).standard_normal((2, 8)))

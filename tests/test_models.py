@@ -18,6 +18,7 @@ from dynconv.counting import count_model, count_params
 from dynconv.layers import DcdConv, StaticConv
 from dynconv.models import (
     STATIC_INVARIANTS,
+    Block,
     GlobalPool,
     MaxPool2d,
     build_from_config,
@@ -283,6 +284,31 @@ def test_non_finite_error_names_the_layer():
     assert str(info.value).startswith("s2b0.conv2: ") and info.value.layer == "s2b0.conv2"
     assert isinstance(info.value.__cause__, T.NonFiniteError)
     assert str(info.value) == f"s2b0.conv2: {info.value.__cause__}"
+
+
+def test_skip_sum_is_checked_before_the_block_relu():
+    """-1e308 plus its own copy overflows to -inf, which the ReLU would turn into 0."""
+    layer = StaticConv("s", 2, 2, with_bn=False, activation=None)
+    layer.weight.value[...] = np.eye(2).reshape(2, 2, 1, 1)
+    block = Block([(layer, "conv")], skip=True, relu=True)
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError) as info:
+        block.forward(np.full((1, 2, 3, 3), -1e308))
+    assert str(info.value) == "s: non-finite values in skip sum" and info.value.layer == "s"
+
+
+def test_an_eval_forward_checks_each_layer_once_and_each_branch_once(monkeypatch):
+    """Batch-1 eval forward of `task_dcd`: the DCD layer's branch hidden layer
+    and pre-activation, and the classifier's pre-activation; its twin has
+    the two pre-activations.  No op checks its own result."""
+    checked = []
+    check = T.check_finite
+    monkeypatch.setattr(T, "check_finite", lambda a, what="tensor": checked.append(what) or check(a, what))
+    graph = resolve_model("task_dcd")
+    x = np.random.default_rng(4).normal(size=(1, graph.input_channels, graph.resolution, graph.resolution))
+    for model, want in ((graph, 3), (graph.static_twin(), 2)):
+        checked.clear()
+        model.forward(x)
+        assert len(checked) == want, checked
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,25 @@ def test_split_in_a_forked_child_makes_its_own_pool():
     assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
 
 
+@pytest.mark.parametrize("blas,workers", [(1, 4), (2, 2), (3, 1), (8, 1), (None, 4)])
+def test_contraction_workers_leave_each_blas_thread_its_cpu(monkeypatch, blas, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(T, "blas_threads", lambda: blas)
+    assert T.contraction_workers() == workers
+
+
+def test_blas_threads_reads_the_thread_count_blas_was_started_with():
+    src = str(Path(T.__file__).resolve().parents[1])
+    code = "from dynconv import tensor as T; print(T.blas_threads())"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src, env=env,
+                             timeout=60)
+        # OpenBLAS runs at most one thread per CPU; None: no bundled OpenBLAS to ask
+        assert out.stdout.strip() in (str(min(threads, cpus)), "None"), out.stderr
+
+
 # ---------------------------------------------------------------------------
 # pooling / attention / batchnorm / assembly
 
@@ -518,11 +537,3 @@ def test_check_finite_passes_finite_arrays_without_warnings(a):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert T.check_finite(a) is a
-
-
-def test_nonfinite_rejected():
-    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(T.NonFiniteError):
-        T.matmul(bad, np.eye(2))
-    with pytest.raises(T.NonFiniteError):
-        ad.add(bad, bad)
