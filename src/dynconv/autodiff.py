@@ -145,15 +145,6 @@ def affine(a, w, b):
                    else _unbroadcast(g * wv, av.shape) if j == 0 else _unbroadcast(g * av, wv.shape))
 
 
-def scale(a, alpha: float):
-    tape = _tape(a)
-    av = value_of(a)
-    out = av * float(alpha)
-    if tape is None:
-        return out
-    return _record(tape, "scale", out, (a,), lambda g, j: g * alpha)
-
-
 def matmul(a, b):
     tape = _tape(a, b)
     av, bv = value_of(a), value_of(b)
@@ -230,7 +221,7 @@ def attention_activation(logits, mode: str = "softmax", tau: float = 1.0):
     if mode == "softmax":
         if tau <= 0:
             raise ValueError("softmax temperature must be positive")
-        z = scale(logits, 1.0 / float(tau)) if tau != 1.0 else logits
+        z = mul(logits, 1.0 / float(tau)) if tau != 1.0 else logits
         return softmax_rows(z)
     if mode == "sigmoid":
         return sigmoid(logits)
@@ -386,14 +377,15 @@ def batchnorm_train(x, gamma, beta):
     xv, gv, bv = value_of(x), value_of(gamma), value_of(beta)
     n, c, h, w = xv.shape
     m = float(n * h * w)
-    mean = xv.sum(axis=(0, 2, 3)) / m
-    centred = xv - mean.reshape(1, c, 1, 1)
-    var = (centred ** 2).sum(axis=(0, 2, 3)) / m
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    out = centred * (gv * inv).reshape(1, c, 1, 1) + bv.reshape(1, c, 1, 1)
-    if tape is None:
-        return out, mean, var
-    xhat = centred * inv.reshape(1, c, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite x can overflow them; the layer checks the stats
+        mean = xv.sum(axis=(0, 2, 3)) / m
+        centred = xv - mean.reshape(1, c, 1, 1)
+        var = (centred ** 2).sum(axis=(0, 2, 3)) / m
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        out = centred * (gv * inv).reshape(1, c, 1, 1) + bv.reshape(1, c, 1, 1)
+        if tape is None:
+            return out, mean, var
+        xhat = centred * inv.reshape(1, c, 1, 1)
 
     def vjp(g, j):
         if j == 0:

@@ -85,6 +85,18 @@ def _out_dir(args, default: str = "out") -> Path:
     return out
 
 
+def _write_or_print(args, name: str, lines: list[str]) -> None:
+    """Write `lines` to the file ``--out`` names, creating its directory, or print them."""
+    out = getattr(args, "out", None)
+    if out:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+        print(f"{name}: wrote {path}")
+    else:
+        print("\n".join(lines))
+
+
 # -- subcommand bodies ------------------------------------------------------
 
 
@@ -220,14 +232,7 @@ def cmd_count(args) -> int:
 
     model = _model_from_args(args, _load_cfg(args))
     report = count_model(model, args.resolution or model.resolution)
-    lines = report.csv_lines() if args.csv else report.table_lines()
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text("\n".join(lines) + "\n")
-        print(f"{model.name}: wrote {Path(out)}")
-    else:
-        print("\n".join(lines))
+    _write_or_print(args, model.name, report.csv_lines() if args.csv else report.table_lines())
     return 0
 
 
@@ -244,16 +249,7 @@ def cmd_analyze_phi(args) -> int:
         rng = np.random.default_rng(seed)
         res = args.resolution or model.resolution
         x = rng.normal(size=(args.samples, model.input_channels, res, res))
-    report = phi_statistics(model, x)
-    lines = report.csv_lines()
-    out = getattr(args, "out", None)
-    if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
-        print(f"{model.name}: wrote {path}")
-    else:
-        print("\n".join(lines))
+    _write_or_print(args, model.name, phi_statistics(model, x).csv_lines())
     return 0
 
 

@@ -18,7 +18,13 @@ them):
     into whichever of kernel or output is cheaper;
   - except at 1×1 spatial resolution (classifier head), where the
     dynamic product is counted by associativity as P·(Φ·(Qᵀx)):
-    C_in·L + L² + L·C_out, since materializing W(x) is pointless there.
+    C_in·L + L² + L·C_out, since materializing W(x) is pointless there;
+  - for vanilla attention, the kernel mixing K·C_out·C_in.
+* Depthwise counts match the plan that runs: the forward assembles
+  P·(Φ·Rᵀ), folds Λ into the C×k² kernel and runs one grouped conv; only
+  when H'·W' < k² does the count charge Λ to the smaller output instead.
+  The other DCD forms run a factored chain of convs, not the kernel
+  assembly counted here.
 * MAdds are reported per sample at a declared input resolution.
 
 Parameter counts are pure introspection: the number of learnable scalars
@@ -99,30 +105,23 @@ class CountReport:
 
 
 def _bucket_params(layer, is_classifier: bool) -> tuple[int, dict[str, int]]:
+    def size(*params) -> int:
+        return sum(p.value.size for p in params if p is not None)
+
     cats = {c: 0 for c in CATEGORIES}
     if isinstance(layer, StaticConv):
-        cats["static_kernel"] += layer.weight.value.size
-        if layer.bias is not None:
-            cats["static_kernel"] += layer.bias.value.size
-        if layer.bn is not None:
-            cats["batch_norm"] += sum(p.value.size for p in layer.bn.parameters())
+        cats["static_kernel"] = size(layer.weight, layer.bias)
     elif isinstance(layer, DcdConv):
-        cats["static_kernel"] += layer.w0.value.size
-        if layer.bias is not None:
-            cats["static_kernel"] += layer.bias.value.size
-        for p in (layer.p, layer.q, layer.r_mat):
-            if p is not None:
-                cats["projections"] += p.value.size
-        cats["dynamic_branch"] += sum(p.value.size for p in layer.branch.parameters())
-        if layer.bn is not None:
-            cats["batch_norm"] += sum(p.value.size for p in layer.bn.parameters())
+        cats["static_kernel"] = size(layer.w0, layer.bias)
+        cats["projections"] = size(layer.p, layer.q, layer.r_mat)
     elif isinstance(layer, VanillaDynConv):
-        cats["static_kernel"] += layer.kernels.value.size
-        cats["dynamic_branch"] += sum(p.value.size for p in (layer.w1, layer.b1, layer.w2, layer.b2))
-        if layer.bn is not None:
-            cats["batch_norm"] += sum(p.value.size for p in layer.bn.parameters())
+        cats["static_kernel"] = size(layer.kernels)
     else:
         raise TypeError(f"cannot count layer of type {type(layer).__name__}")
+    if not isinstance(layer, StaticConv):
+        cats["dynamic_branch"] = size(*layer.branch.parameters())
+    if layer.bn is not None:
+        cats["batch_norm"] = size(*layer.bn.parameters())
     total = sum(cats.values())
     assert total == sum(p.value.size for p in layer.parameters()), "category split must cover every scalar"
     if is_classifier:
@@ -130,7 +129,7 @@ def _bucket_params(layer, is_classifier: bool) -> tuple[int, dict[str, int]]:
     return total, {k: v for k, v in cats.items() if v}
 
 
-def _branch_madds(layer: DcdConv) -> int:
+def _branch_madds(layer) -> int:
     return layer.c_in + layer.c_in * layer.branch.squeeze + layer.branch.squeeze * layer.branch.d_out
 
 
@@ -165,10 +164,7 @@ def layer_madds(layer, h_in: int) -> tuple[int, int]:
     if isinstance(layer, StaticConv):
         return conv, h_out
     if isinstance(layer, VanillaDynConv):
-        hidden = layer.w1.value.shape[1]
-        branch = layer.c_in + layer.c_in * hidden + hidden * layer.k_kernels
-        mixing = layer.k_kernels * layer.c_out * layer.c_in
-        return conv + branch + mixing, h_out
+        return conv + _branch_madds(layer) + layer.k_kernels * layer.c_out * layer.c_in, h_out
     # DcdConv
     if h_in == 1 and layer.k == 1:
         # classifier-style head: apply the factors to the vector directly

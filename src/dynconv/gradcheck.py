@@ -137,13 +137,13 @@ def variant_gradcheck(
 ) -> GradCheckReport:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
     layer = _build(variant, rng)
-    # wake the dynamic path: the branch output stage initializes to zero
-    branch = getattr(layer, "branch", None)
-    if branch is not None:
+    # wake the dynamic path: a DCD branch's output stage initializes to zero
+    branch = layer.branch
+    if isinstance(layer, DcdConv):
         branch.w2.value[...] = rng.normal(size=branch.w2.value.shape) * 0.3
         branch.b2.value[...] = rng.normal(size=branch.b2.value.shape) * 0.1
     else:
-        layer.b2.value[...] = rng.normal(size=layer.b2.value.shape) * 0.5
+        branch.b2.value[...] = rng.normal(size=branch.b2.value.shape) * 0.5
 
     x_param = ad.Parameter("input", rng.normal(size=(_N, _C, _H, _H)))
     out_shape = ad.value_of(layer.forward(x_param.value)).shape

@@ -18,17 +18,19 @@ convolves, then applies batch norm and ReLU.  Two families are provided:
                           the center kernel element (a 1×1 residual inside
                           a k×k static kernel)
 
-The dynamic branch is pool → FC → ReLU → FC with the second FC
-zero-initialized, so W(x) = W0 exactly at initialization and every DCD
-layer starts bit-identical to its static counterpart.
+One ``DynamicBranch``, FC → ReLU → FC on globally pooled features, gives
+both DCD's coefficients and vanilla's attention logits.  In DCD its second
+FC is zero-initialized, so W(x) = W0 exactly at initialization and every
+DCD layer starts bit-identical to its static counterpart.
 
-``DcdConv.forward`` never builds W(x).  It runs the decomposition as
-Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx): the static conv its twin runs, one scale,
-and a residual of convs through the L-channel latent space (for
-``depthwise``, one C×k² kernel per sample).  ``weight_for`` materialises
-W(x) in conv layout (N, C_out, C_in/groups, k, k), the reference the
-factored path is tested against, as Λ ⊙ W0 plus the residual's matrix
-products stacked over the samples.
+``DcdConv.forward`` runs the decomposition as Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx):
+the static conv its twin runs, one scale, and a residual of convs through
+the L-channel latent space.  ``depthwise`` is the exception: its W(x) is
+one C×k² kernel per sample, so its forward assembles Λ ⊙ W0 + P·Φ·Rᵀ with
+``weight_for``'s stacked products and runs one grouped conv.  ``weight_for``
+materialises W(x) in conv layout (N, C_out, C_in/groups, k, k), the
+reference the factored path is tested against, as Λ ⊙ W0 plus the
+residual's matrix products stacked over the samples.
 
 ``pointwise`` and ``block_sparse`` store P (C_out × L) and Q (C_in × L) in
 one layout: B stacked row blocks (B = 1 for pointwise), run as grouped convs.
@@ -44,8 +46,10 @@ fixed points, each before an op that could hide a non-finite value: the
 pre-activation (a ReLU turns -inf into 0), the branch hidden layer before
 its ReLU, the attention logits before softmax or sigmoid saturate them,
 and, in train mode, the batch-norm input and batch statistics before they
-reach the running buffers.  ``weight_for`` checks the kernel it returns.
-An eval forward of a DCD layer runs two checks, and of a static one, one.
+reach the running buffers.  ``weight_for`` checks the kernel it returns;
+the depthwise forward assembles its kernel unchecked, and its
+pre-activation catches a non-finite one.  An eval forward of a DCD layer
+runs two checks, and of a static one, one.
 """
 
 from __future__ import annotations
@@ -228,33 +232,29 @@ class BatchNorm2d:
 
 
 class DynamicBranch:
-    """pool → FC(C→squeeze) → ReLU → FC(squeeze→d_out), second FC zero-initialized."""
+    """FC(C→squeeze) → ReLU → FC(squeeze→d_out) on pooled features, second FC
+    zero-initialized: DCD's coefficients and vanilla's attention logits.
+    Parameter names start with `prefix`."""
 
-    def __init__(self, name: str, c_in: int, d_out: int, squeeze: int, rng: np.random.Generator):
+    def __init__(self, prefix: str, c_in: int, d_out: int, squeeze: int, rng: np.random.Generator):
         if squeeze < 1:
             raise ValueError(f"branch squeeze width must be ≥ 1, got {squeeze}")
-        self.name = name
-        self.c_in = c_in
         self.d_out = d_out
         self.squeeze = squeeze
-        self.w1 = Parameter(f"{name}.w1", fan_in_uniform(rng, (c_in, squeeze), c_in))
-        self.b1 = Parameter(f"{name}.b1", np.zeros(squeeze))
-        self.w2 = Parameter(f"{name}.w2", np.zeros((squeeze, d_out)))
-        self.b2 = Parameter(f"{name}.b2", np.zeros(d_out))
+        self.w1 = Parameter(f"{prefix}w1", fan_in_uniform(rng, (c_in, squeeze), c_in))
+        self.b1 = Parameter(f"{prefix}b1", np.zeros(squeeze))
+        self.w2 = Parameter(f"{prefix}w2", np.zeros((squeeze, d_out)))
+        self.b2 = Parameter(f"{prefix}b2", np.zeros(d_out))
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def forward(self, pooled, lift):
-        return ad.add(ad.matmul(_hidden(pooled, self.w1, self.b1, lift), lift(self.w2)), lift(self.b2))
-
-
-def _hidden(pooled, w1, b1, lift):
-    """ReLU(pooled·W1 + b1), the hidden layer of a branch, checked before the
-    ReLU, which would turn -inf into 0."""
-    pre = ad.add(ad.matmul(pooled, lift(w1)), lift(b1))
-    T.check_finite(ad.value_of(pre), "branch hidden layer")
-    return ad.relu(pre)
+        """ReLU(pooled·W1 + b1)·W2 + b2; the hidden layer is checked before
+        the ReLU, which would turn -inf into 0."""
+        pre = ad.add(ad.matmul(pooled, lift(self.w1)), lift(self.b1))
+        T.check_finite(ad.value_of(pre), "branch hidden layer")
+        return ad.add(ad.matmul(ad.relu(pre), lift(self.w2)), lift(self.b2))
 
 
 def _lifter(x, layer):
@@ -401,8 +401,7 @@ class DcdConv(_ConvLayer):
         d_out = (c_out if lambda_enabled else 0) + phi_len
         if squeeze is None:
             squeeze = max(int(c_in / r), 1)
-        self.squeeze = squeeze
-        self.branch = DynamicBranch(f"{name}.branch", c_in, d_out, squeeze, rng)
+        self.branch = DynamicBranch(f"{name}.branch.", c_in, d_out, squeeze, rng)
         self.bn = BatchNorm2d(f"{name}.bn", c_out) if with_bn else None
         # optional callback(layer, pooled, lam, phi) fed plain arrays on every
         # forward pass; used by coefficient-statistics analyses
@@ -429,21 +428,27 @@ class DcdConv(_ConvLayer):
     # -- per-variant weight generation ----------------------------------
 
     def weight_for(self, pooled, lift=None):
-        """Materialised reference: per-sample conv kernels W(x) = Λ ⊙ W0 + residual,
-        (N, C_out, C_in/groups, k, k), from pooled features (N×C_in); `forward`
-        never calls this.  Every residual product has the sample as a stack
-        axis, so batch N gives the stacked batch-1 kernels bit for bit."""
+        """Per-sample conv kernels W(x) = Λ ⊙ W0 + residual, (N, C_out,
+        C_in/groups, k, k), from pooled features (N×C_in), checked: the
+        materialised reference the factored forward is tested against."""
         lift = lift or (lambda p: p.value)
-        n = ad.value_of(pooled).shape[0]
-        lam, phi = self.coefficients(pooled, lift)
+        kernel = self._kernel(*self.coefficients(pooled, lift), lift)
+        T.check_finite(ad.value_of(kernel), "kernel")
+        return kernel
+
+    def _kernel(self, lam, phi, lift):
+        """W(x) from the coefficients, unchecked.  Every residual product has
+        the sample as a stack axis, so batch N gives the stacked batch-1
+        kernels bit for bit."""
+        n = ad.value_of(phi).shape[0]
         l, l_k, kk, g = self.dims.l, self.dims.l_k, self.k * self.k, self.blocks
         mm = ad.stacked_matmul
 
         def t(p):
             return ad.transpose_axes(lift(p), (1, 0))
 
-        if self.variant == "depthwise":  # P·Φ·Rᵀ
-            res = mm(mm(lift(self.p), ad.reshape(phi, (n, l_k, l_k))), t(self.r_mat))
+        if self.variant == "depthwise":  # P·(Φ·Rᵀ)
+            res = mm(lift(self.p), mm(ad.reshape(phi, (n, l_k, l_k)), t(self.r_mat)))
         elif self.variant == "full_kxk":  # Φ ×₁ Q ×₃ R ×₂ P: (n, C_in, l·l_k), (n, C_in·l, k²), (n, C_out, C_in·k²)
             res = mm(lift(self.q), ad.reshape(phi, (n, l, l * l_k)))
             res = mm(ad.reshape(res, (n, self.c_in * l, l_k)), t(self.r_mat))
@@ -459,9 +464,7 @@ class DcdConv(_ConvLayer):
                 res = ad.mul(ad.reshape(res, (n, self.c_out, self.c_in, 1)), self.center.reshape(kk))
         w0 = self._w0_kernel(lift)
         res = ad.reshape(res, (n,) + ad.value_of(w0).shape)
-        kernel = ad.add(w0, res) if lam is None else ad.affine(w0, ad.reshape(lam, (n, self.c_out, 1, 1, 1)), res)
-        T.check_finite(ad.value_of(kernel), "kernel")
-        return kernel
+        return ad.add(w0, res) if lam is None else ad.affine(w0, ad.reshape(lam, (n, self.c_out, 1, 1, 1)), res)
 
     # -- full layer ------------------------------------------------------
 
@@ -473,9 +476,12 @@ class DcdConv(_ConvLayer):
         if self.observer is not None:
             self.observer(self, ad.value_of(pooled),
                           None if lam is None else ad.value_of(lam), ad.value_of(phi))
-        out = ad.conv2d(x, self._w0_kernel(lift), stride=self.stride, padding=self.padding, groups=self.groups)
-        res = self._residual(x, phi, lift)
-        out = ad.add(out, res) if lam is None else ad.affine(out, ad.reshape(lam, (n, self.c_out, 1, 1)), res)
+        if self.variant == "depthwise":  # one grouped conv with the per-sample C×k² kernel
+            out = ad.conv2d(x, self._kernel(lam, phi, lift), self.stride, self.padding, self.groups)
+        else:
+            out = ad.conv2d(x, self._w0_kernel(lift), stride=self.stride, padding=self.padding)
+            res = self._residual(x, phi, lift)
+            out = ad.add(out, res) if lam is None else ad.affine(out, ad.reshape(lam, (n, self.c_out, 1, 1)), res)
         return self._head(out, train, lift)
 
     def _w0_kernel(self, lift):
@@ -483,18 +489,14 @@ class DcdConv(_ConvLayer):
         return ad.reshape(lift(self.w0), (self.c_out, self.c_in // self.groups, self.k, self.k))
 
     def _residual(self, x, phi, lift):
-        """Dynamic part of the output, P·Φ(x)·(Qᵀx), as a chain of small convs."""
+        """Dynamic part of the output, P·Φ(x)·(Qᵀx), as a chain of small convs
+        (every variant but depthwise)."""
         n = ad.value_of(x).shape[0]
         l, l_k, k, s = self.dims.l, self.dims.l_k, self.k, self.stride
 
         def t(p):
             return ad.transpose_axes(lift(p), (1, 0))
 
-        if self.variant == "depthwise":  # per-sample kernels P·Φ_i·Rᵀ, built one stacked row at a time
-            m = ad.reshape(ad.matmul(ad.reshape(phi, (n * l_k, l_k)), t(self.r_mat)), (n, l_k, k * k))
-            m = ad.reshape(ad.transpose_axes(m, (0, 2, 1)), (n * k * k, l_k))
-            res = ad.transpose_axes(ad.reshape(ad.matmul(m, t(self.p)), (n, k * k, self.c_in)), (0, 2, 1))
-            return ad.conv2d(x, ad.reshape(res, (n, self.c_in, 1, k, k)), s, self.padding, self.c_in)
         g, ci = self.blocks, self.c_in // self.blocks  # the B diagonal blocks run as grouped convs
         qt = ad.reshape(ad.transpose_axes(ad.reshape(lift(self.q), (g, ci, l)), (0, 2, 1)), (g * l, ci, 1, 1))
         if self.variant == "full_kxk":  # Qᵀ, then the per-sample k×k kernel Φ_i ×₃ R on L channels
@@ -569,8 +571,9 @@ class StaticConv(_ConvLayer):
 class VanillaDynConv(_ConvLayer):
     """K static 1×1 kernels mixed per sample by attention scores.
 
-    The attention branch is pool → FC(C→C/reduction) → ReLU → FC(→K),
-    followed by softmax (with temperature) or sigmoid gates.
+    The attention branch is a `DynamicBranch` (C → C/reduction → K, its
+    second FC drawn at random) followed by softmax (with temperature) or
+    sigmoid gates.
     """
 
     def __init__(
@@ -601,18 +604,16 @@ class VanillaDynConv(_ConvLayer):
         self.bias = None
         self.kernels = Parameter(f"{name}.kernels", fan_in_uniform(rng, (kernels, c_out, c_in), c_in))
         hidden = max(c_in // reduction, 1)
-        self.w1 = Parameter(f"{name}.att_w1", fan_in_uniform(rng, (c_in, hidden), c_in))
-        self.b1 = Parameter(f"{name}.att_b1", np.zeros(hidden))
-        self.w2 = Parameter(f"{name}.att_w2", fan_in_uniform(rng, (hidden, kernels), hidden))
-        self.b2 = Parameter(f"{name}.att_b2", np.zeros(kernels))
+        self.branch = DynamicBranch(f"{name}.att_", c_in, kernels, hidden, rng)
+        self.branch.w2.value[...] = fan_in_uniform(rng, (hidden, kernels), hidden)  # drawn after W1
         self.bn = BatchNorm2d(f"{name}.bn", c_out) if with_bn else None
 
     def _own_parameters(self) -> list:
-        return [self.kernels, self.w1, self.b1, self.w2, self.b2]
+        return [self.kernels, *self.branch.parameters()]
 
     def attention(self, pooled, lift=None):
         lift = lift or (lambda p: p.value)
-        logits = ad.add(ad.matmul(_hidden(pooled, self.w1, self.b1, lift), lift(self.w2)), lift(self.b2))
+        logits = self.branch.forward(pooled, lift)
         T.check_finite(ad.value_of(logits), "attention logits")  # softmax and sigmoid saturate ±inf
         return ad.attention_activation(logits, self.mode, self.tau)
 

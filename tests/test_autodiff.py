@@ -95,7 +95,7 @@ def _record_case(name, taped):
 
 # every eager op, with operands whose values survive any of the raw layouts below
 EAGER_CASES = RECORD_CASES | {
-    "scale": (lambda a: ad.scale(a, 0.3), [(3, 4)]),
+    "scale": (lambda a: ad.mul(a, 0.3), [(3, 4)]),  # by a Python float, as the softmax temperature
     "relu": (ad.relu, [(2, 3, 4)]),
     "sigmoid": (ad.sigmoid, [(3, 4)]),
     "softmax_rows": (ad.softmax_rows, [(3, 4)]),
@@ -178,7 +178,7 @@ def test_grad_mul_broadcast():
         tape = ad.Tape()
         prod = ad.mul(tape.leaf(a.value, param=a), tape.leaf(b.value, param=b))
         sq = ad.mul(prod, prod)
-        return ad.scale(ad.sum_all(sq), 1.0 / sq.value.size)
+        return ad.mul(ad.sum_all(sq), 1.0 / sq.value.size)
 
     check_grads(loss, [a, b])
 
@@ -219,8 +219,8 @@ def test_affine_rounds_like_mul_then_add(bshape):
 def test_ops_on_0d_values_keep_their_shape_eager_and_taped():
     x = np.arange(6.0).reshape(2, 3)
     tape = ad.Tape()
-    mean = ad.scale(ad.sum_all(x), 1.0 / x.size)
-    assert mean.shape == ad.scale(ad.sum_all(tape.leaf(x)), 1.0 / x.size).value.shape == ()
+    mean = ad.mul(ad.sum_all(x), 1.0 / x.size)
+    assert mean.shape == ad.mul(ad.sum_all(tape.leaf(x)), 1.0 / x.size).value.shape == ()
     s = np.asarray(2.5)
     assert ad.add(s, s).shape == ad.add(tape.leaf(s), s).value.shape == ()
     assert ad.mul(s, 2.0).shape == ad.mul(tape.leaf(s), 2.0).value.shape == ()
@@ -322,7 +322,7 @@ def test_grad_global_avg_pool_and_mean():
 
     def loss():
         tape = ad.Tape()
-        return ad.scale(ad.sum_all(ad.mul(ad.global_avg_pool(tape.leaf(x.value, param=x)), c)), 1.0 / c.size)
+        return ad.mul(ad.sum_all(ad.mul(ad.global_avg_pool(tape.leaf(x.value, param=x)), c)), 1.0 / c.size)
 
     check_grads(loss, [x])
 

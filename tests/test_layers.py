@@ -118,7 +118,7 @@ def test_vanilla_single_kernel_is_static():
 def test_vanilla_uniform_attention_gives_average_kernel():
     rng = np.random.default_rng(1)
     layer = VanillaDynConv("v", 6, 6, kernels=4, rng=rng)
-    layer.w2.value[:] = 0.0  # equal logits for every input
+    layer.branch.w2.value[:] = 0.0  # equal logits for every input
     pooled = pooled_input(rng, 2, 6)
     att = layer.attention(pooled)
     assert np.max(np.abs(att - 0.25)) < 1e-12
@@ -133,6 +133,20 @@ def test_vanilla_softmax_rows_are_convex():
     att = ad.value_of(layer.attention(pooled_input(rng, 5, 8)))
     assert np.max(np.abs(att.sum(axis=1) - 1.0)) < 1e-12
     assert att.min() >= 0.0 and att.max() <= 1.0
+
+
+def test_vanilla_state_names_order_and_initial_draws():
+    """The attention branch keeps the `.att_` names a checkpoint holds, in
+    order, and its values are drawn kernels, W1, W2, as a checkpoint expects."""
+    layer = VanillaDynConv("v", 8, 6, kernels=3, reduction=4, rng=np.random.default_rng(3))
+    names = [p.name for p in layer.parameters()] + [name for name, _ in layer.buffers()]
+    assert names == ["v.kernels", "v.att_w1", "v.att_b1", "v.att_w2", "v.att_b2",
+                     "v.bn.gamma", "v.bn.beta", "v.bn.running_mean", "v.bn.running_var"]
+    rng = np.random.default_rng(3)
+    draws = [fan_in_uniform(rng, (3, 6, 8), 8), fan_in_uniform(rng, (8, 2), 8), fan_in_uniform(rng, (2, 3), 2)]
+    for p, want in zip((layer.kernels, layer.branch.w1, layer.branch.w2), draws):
+        assert np.array_equal(p.value, want), p.name
+    assert not np.any(layer.branch.b1.value) and not np.any(layer.branch.b2.value)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +511,20 @@ def _bn_layer(cfg, seed):
     return layer
 
 
+@pytest.mark.parametrize("cfg", [
+    dict(c_in=8, c_out=8, k=3, variant="depthwise", padding=1),
+    dict(c_in=8, c_out=8, k=3, variant="depthwise", padding=1, stride=2, lambda_enabled=False, bias=True),
+], ids=["depthwise", "depthwise-no-lambda-bias-s2"])
+def test_depthwise_forward_is_one_conv_with_the_materialised_kernel(cfg):
+    """The depthwise forward runs conv2d(x, weight_for(pooled)) and the head,
+    bit for bit: it has no factored path of its own."""
+    layer = _bn_layer(cfg, 44)
+    x = np.random.default_rng(45).standard_normal((3, 8, 7, 7))
+    kernels = layer.weight_for(ad.global_avg_pool(x))
+    conv = ad.conv2d(x, kernels, stride=layer.stride, padding=layer.padding, groups=layer.groups)
+    assert np.array_equal(layer.forward(x), layer._head(conv, False, lambda p: p.value))
+
+
 def test_eval_batchnorm_is_one_scale_and_shift():
     bn = _bn_layer(dict(c_in=6, c_out=6), 50).bn
     x = np.random.default_rng(52).standard_normal((3, 6, 4, 4))
@@ -691,13 +719,26 @@ def test_nan_input_to_train_mode_batchnorm_leaves_running_stats_untouched():
 
 def test_batchnorm_statistics_that_overflow_leave_running_stats_untouched():
     """A finite input of ±1e200 has an infinite batch variance; written into
-    `running_var`, it would collapse every later eval output to beta."""
+    `running_var`, it would collapse every later eval output to beta.  The
+    overflow raises the layer's error, not a RuntimeWarning, under the
+    suite's warning filter."""
     layer = StaticConv("s", 2, 2)
     x = np.full((2, 2, 3, 3), 1e200)
     x[1] = -1e200
-    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError,
-                                                    match="^non-finite values in batch-norm statistics$"):
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in batch-norm statistics$"):
         layer.forward(x, train=True)
+    assert np.array_equal(layer.bn.running_mean, np.zeros(2))
+    assert np.array_equal(layer.bn.running_var, np.ones(2))
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["eager", "taped"])
+def test_batchnorm_mean_that_overflows_is_caught_eager_and_taped(taped):
+    """An input of 1e308 everywhere has an infinite batch mean, so the
+    normalised output and x̂ are inf·0; neither may warn before the check."""
+    layer = StaticConv("s", 2, 2)
+    x = np.full((2, 2, 3, 3), 1e308)
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in batch-norm statistics$"):
+        layer.forward(ad.Tape().leaf(x) if taped else x, train=True)
     assert np.array_equal(layer.bn.running_mean, np.zeros(2))
     assert np.array_equal(layer.bn.running_var, np.ones(2))
 
@@ -705,7 +746,7 @@ def test_batchnorm_statistics_that_overflow_leave_running_stats_untouched():
 @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
 def test_attention_logits_are_checked_before_they_saturate(mode):
     layer = VanillaDynConv("v", 4, 4, mode=mode, rng=np.random.default_rng(37))
-    layer.b2.value[0] = -np.inf  # kernel 0 would get attention weight 0 and the output stay finite
+    layer.branch.b2.value[0] = -np.inf  # kernel 0 would get attention weight 0 and the output stay finite
     with pytest.raises(T.NonFiniteError, match="^non-finite values in attention logits$"):
         layer.forward(np.random.default_rng(38).standard_normal((2, 4, 3, 3)))
 
@@ -716,8 +757,7 @@ def test_attention_logits_are_checked_before_they_saturate(mode):
 ], ids=["dcd", "vanilla"])
 def test_branch_hidden_layer_is_checked_before_its_relu(make):
     layer = make()
-    b1 = layer.branch.b1 if isinstance(layer, DcdConv) else layer.b1
-    b1.value[0] = -np.inf  # ReLU would turn the hidden unit into 0
+    layer.branch.b1.value[0] = -np.inf  # ReLU would turn the hidden unit into 0
     with pytest.raises(T.NonFiniteError, match="^non-finite values in branch hidden layer$"):
         layer.forward(np.random.default_rng(40).standard_normal((2, 8, 3, 3)))
 

@@ -299,13 +299,16 @@ def test_skip_sum_is_checked_before_the_block_relu():
 def test_an_eval_forward_checks_each_layer_once_and_each_branch_once(monkeypatch):
     """Batch-1 eval forward of `task_dcd`: the DCD layer's branch hidden layer
     and pre-activation, and the classifier's pre-activation; its twin has
-    the two pre-activations.  No op checks its own result."""
+    the two pre-activations.  A depthwise DCD layer, which assembles its
+    kernel without `weight_for`'s check, has two.  No op checks its own result."""
     checked = []
     check = T.check_finite
     monkeypatch.setattr(T, "check_finite", lambda a, what="tensor": checked.append(what) or check(a, what))
     graph = resolve_model("task_dcd")
-    x = np.random.default_rng(4).normal(size=(1, graph.input_channels, graph.resolution, graph.resolution))
-    for model, want in ((graph, 3), (graph.static_twin(), 2)):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(1, graph.input_channels, graph.resolution, graph.resolution))
+    dw = DcdConv("dw", 8, 8, k=3, variant="depthwise", padding=1)
+    for model, x, want in ((graph, x, 3), (graph.static_twin(), x, 2), (dw, rng.normal(size=(1, 8, 6, 6)), 2)):
         checked.clear()
         model.forward(x)
         assert len(checked) == want, checked
