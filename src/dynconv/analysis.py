@@ -70,6 +70,8 @@ def phi_statistics(graph, x: np.ndarray) -> PhiReport:
     `x` is a (N, C, H, W) batch; the model runs once in inference mode with
     observers attached, so training state is untouched.
     """
+    if len(x) == 0:
+        raise ValueError("phi statistics need at least one sample, got an empty batch")
     captured: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def observer(layer, pooled, lam, phi):

@@ -49,6 +49,8 @@ def environment_line() -> str:
 
 
 def time_forward(graph, x: np.ndarray, repeats: int = 20, warmup: int = 3) -> Timing:
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     for _ in range(warmup):
         ad.value_of(graph.forward(x, train=False))
     times = []

@@ -125,6 +125,8 @@ class RunConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}; choose from {SCHEDULES}")
         if self.epochs < 0 or self.batch < 1:
             raise ConfigError("epochs must be >= 0 and batch >= 1")
+        if self.step_size < 1:
+            raise ConfigError(f"train.step_size must be >= 1, got {self.step_size}")
 
     @classmethod
     def from_mapping(cls, cfg: dict[str, str]) -> "RunConfig":

@@ -1,7 +1,8 @@
 """Dynamic-convolution layers.
 
-Every layer here conditions its kernel W(x) on a pooled view of its input,
-convolves, then applies batch norm and ReLU.  Two families are provided:
+Every conv layer conditions its kernel W(x) on a pooled view of its input
+and convolves in its own ``_conv(x, lift)``; the one ``forward`` they share
+(``_ConvLayer``) then applies bias, batch norm and activation.  Two families:
 
 * ``VanillaDynConv`` — K static kernels mixed by an attention branch
   (softmax with temperature, or sigmoid gates).
@@ -23,10 +24,10 @@ both DCD's coefficients and vanilla's attention logits.  In DCD its second
 FC is zero-initialized, so W(x) = W0 exactly at initialization and every
 DCD layer starts bit-identical to its static counterpart.
 
-``DcdConv.forward`` runs the decomposition as Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx):
+``DcdConv._conv`` runs the decomposition as Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx):
 the static conv its twin runs, one scale, and a residual of convs through
 the L-channel latent space.  ``depthwise`` is the exception: its W(x) is
-one C×k² kernel per sample, so its forward assembles Λ ⊙ W0 + P·Φ·Rᵀ with
+one C×k² kernel per sample, so its ``_conv`` assembles Λ ⊙ W0 + P·Φ·Rᵀ with
 ``weight_for``'s stacked products and runs one grouped conv.  ``weight_for``
 materialises W(x) in conv layout (N, C_out, C_in/groups, k, k), the
 reference the factored path is tested against, as Λ ⊙ W0 plus the
@@ -38,8 +39,9 @@ one layout: B stacked row blocks (B = 1 for pointwise), run as grouped convs.
 All math goes through ``dynconv.autodiff`` ops, which run eagerly on
 plain arrays and record adjoints when handed tape nodes.  No forward takes
 a tape: when its input is a tape node, a layer puts its parameters on that
-node's tape as leaves; otherwise it runs eagerly on raw values.  The same
-code path serves inference, analysis, and training.
+node's tape as leaves; otherwise it runs eagerly on raw values, and so do
+``weight_for`` and ``attention`` given a pooled input and no ``lift``.  The
+same code path serves inference, analysis, and training.
 
 No op checks its result for NaN or ±inf; each layer checks its values at
 fixed points, each before an op that could hide a non-finite value: the
@@ -266,8 +268,24 @@ def _lifter(x, layer):
 
 
 class _ConvLayer:
-    """What the three conv layers share: parameters, batch-norm buffers,
-    output size, and the bias → batch norm → activation head."""
+    """What the three conv layers share: the shape and head fields, the bias
+    and batch norm, the parameter list, output size, and the one `forward`:
+    the subclass's `_conv(x, lift)`, then bias → batch norm → activation.
+    A subclass builds its kernel parameters and defines `_own_parameters`
+    and `_conv`; bias and batch norm draw nothing from the rng."""
+
+    def __init__(self, name: str, c_in: int, c_out: int, k: int, stride: int, padding: int, groups: int,
+                 activation: str | None, bias: bool, with_bn: bool):
+        self.name = name
+        self.c_in, self.c_out, self.k = c_in, c_out, k
+        self.stride, self.padding, self.groups = stride, padding, groups
+        self.activation = activation
+        self.bias = Parameter(f"{name}.bias", np.zeros(c_out)) if bias else None
+        self.bn = BatchNorm2d(f"{name}.bn", c_out) if with_bn else None
+
+    def forward(self, x, train: bool = False):
+        lift = _lifter(x, self)
+        return self._head(self._conv(x, lift), train, lift)
 
     def parameters(self) -> list[Parameter]:
         own = [p for p in self._own_parameters() if p is not None]
@@ -295,7 +313,8 @@ class _ConvLayer:
 
 
 class DcdConv(_ConvLayer):
-    """Convolution with a statically-anchored, input-conditioned kernel.
+    """Convolution with a statically-anchored, input-conditioned kernel;
+    its `_conv` runs the factored decomposition (see the module docstring).
 
     Parameters
     ----------
@@ -354,18 +373,9 @@ class DcdConv(_ConvLayer):
         if variant != "block_sparse" and blocks != 1:
             raise ValueError(f"blocks > 1 only applies to block_sparse, got {blocks} for {variant}")
 
-        self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
-        self.k = k
-        self.variant = variant
-        self.dims = dims
-        self.blocks = blocks
-        self.stride = stride
-        self.padding = padding
-        self.lambda_enabled = lambda_enabled
-        self.activation = activation
-        self.groups = c_in if variant == "depthwise" else 1
+        super().__init__(name, c_in, c_out, k, stride, padding, c_in if variant == "depthwise" else 1,
+                         activation, bias, with_bn)
+        self.variant, self.dims, self.blocks, self.lambda_enabled = variant, dims, blocks, lambda_enabled
 
         l, l_k = dims.l, dims.l_k
         kk = k * k
@@ -376,7 +386,6 @@ class DcdConv(_ConvLayer):
         else:  # k×k tensors: stored in conv layout (C_out, C_in, k, k), drawn in (C_in, C_out, k²) order
             w0 = fan_in_uniform(rng, (c_in, c_out, kk), c_in * kk).transpose(1, 0, 2)
             self.w0 = Parameter(f"{name}.w0", np.ascontiguousarray(w0).reshape(c_out, c_in, k, k))
-        self.bias = Parameter(f"{name}.bias", np.zeros(c_out)) if bias else None
 
         self.q = self.r_mat = None
         if variant == "depthwise":
@@ -402,7 +411,6 @@ class DcdConv(_ConvLayer):
         if squeeze is None:
             squeeze = max(int(c_in / r), 1)
         self.branch = DynamicBranch(f"{name}.branch.", c_in, d_out, squeeze, rng)
-        self.bn = BatchNorm2d(f"{name}.bn", c_out) if with_bn else None
         # optional callback(layer, pooled, lam, phi) fed plain arrays on every
         # forward pass; used by coefficient-statistics analyses
         self.observer = None
@@ -417,13 +425,9 @@ class DcdConv(_ConvLayer):
     def coefficients(self, pooled, lift):
         """(Λ, Φ-raw) from the branch; Λ is None when disabled (implicit 1)."""
         raw = self.branch.forward(pooled, lift)
-        if self.lambda_enabled:
-            lam = ad.add(ad.narrow(raw, 1, 0, self.c_out), 1.0)
-            phi = ad.narrow(raw, 1, self.c_out, self.c_out + self.phi_len)
-        else:
-            lam = None
-            phi = raw
-        return lam, phi
+        if not self.lambda_enabled:
+            return None, raw
+        return ad.add(ad.narrow(raw, 1, 0, self.c_out), 1.0), ad.narrow(raw, 1, self.c_out, self.c_out + self.phi_len)
 
     # -- per-variant weight generation ----------------------------------
 
@@ -431,7 +435,7 @@ class DcdConv(_ConvLayer):
         """Per-sample conv kernels W(x) = Λ ⊙ W0 + residual, (N, C_out,
         C_in/groups, k, k), from pooled features (N×C_in), checked: the
         materialised reference the factored forward is tested against."""
-        lift = lift or (lambda p: p.value)
+        lift = lift or _lifter(pooled, self)
         kernel = self._kernel(*self.coefficients(pooled, lift), lift)
         T.check_finite(ad.value_of(kernel), "kernel")
         return kernel
@@ -468,8 +472,7 @@ class DcdConv(_ConvLayer):
 
     # -- full layer ------------------------------------------------------
 
-    def forward(self, x, train: bool = False):
-        lift = _lifter(x, self)
+    def _conv(self, x, lift):
         n = ad.value_of(x).shape[0]
         pooled = ad.global_avg_pool(x)
         lam, phi = self.coefficients(pooled, lift)
@@ -477,12 +480,10 @@ class DcdConv(_ConvLayer):
             self.observer(self, ad.value_of(pooled),
                           None if lam is None else ad.value_of(lam), ad.value_of(phi))
         if self.variant == "depthwise":  # one grouped conv with the per-sample C×k² kernel
-            out = ad.conv2d(x, self._kernel(lam, phi, lift), self.stride, self.padding, self.groups)
-        else:
-            out = ad.conv2d(x, self._w0_kernel(lift), stride=self.stride, padding=self.padding)
-            res = self._residual(x, phi, lift)
-            out = ad.add(out, res) if lam is None else ad.affine(out, ad.reshape(lam, (n, self.c_out, 1, 1)), res)
-        return self._head(out, train, lift)
+            return ad.conv2d(x, self._kernel(lam, phi, lift), self.stride, self.padding, self.groups)
+        out = ad.conv2d(x, self._w0_kernel(lift), stride=self.stride, padding=self.padding)
+        res = self._residual(x, phi, lift)
+        return ad.add(out, res) if lam is None else ad.affine(out, ad.reshape(lam, (n, self.c_out, 1, 1)), res)
 
     def _w0_kernel(self, lift):
         """W0 in conv layout (C_out, C_in/groups, k, k): a view of the stored W0."""
@@ -518,13 +519,10 @@ class DcdConv(_ConvLayer):
     def static_equivalent(self) -> "StaticConv":
         """Static layer sharing this layer's W0 / bias / batch-norm state."""
         static = StaticConv.__new__(StaticConv)
-        static.name = f"{self.name}.static"
-        static.c_in, static.c_out, static.k = self.c_in, self.c_out, self.k
-        static.stride, static.padding, static.groups = self.stride, self.padding, self.groups
-        static.activation = self.activation
+        _ConvLayer.__init__(static, f"{self.name}.static", self.c_in, self.c_out, self.k, self.stride,
+                            self.padding, self.groups, self.activation, bias=False, with_bn=False)
         static.weight = Parameter(f"{static.name}.weight", self.static_kernel())
-        static.bias = self.bias
-        static.bn = self.bn
+        static.bias, static.bn = self.bias, self.bn
         return static
 
     def static_kernel(self) -> np.ndarray:
@@ -533,7 +531,7 @@ class DcdConv(_ConvLayer):
 
 
 class StaticConv(_ConvLayer):
-    """Plain conv → (bias) → batch norm → activation, same head options as DcdConv."""
+    """`_conv` is one plain conv with a static kernel; same head options as DcdConv."""
 
     def __init__(
         self,
@@ -549,27 +547,21 @@ class StaticConv(_ConvLayer):
         activation: str | None = "relu",
         rng: np.random.Generator | None = None,
     ):
+        super().__init__(name, c_in, c_out, k, stride, padding, groups, activation, bias, with_bn)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.name = name
-        self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.stride, self.padding, self.groups = stride, padding, groups
-        self.activation = activation
         fan_in = (c_in // groups) * k * k
         self.weight = Parameter(f"{name}.weight", fan_in_uniform(rng, (c_out, c_in // groups, k, k), fan_in))
-        self.bias = Parameter(f"{name}.bias", np.zeros(c_out)) if bias else None
-        self.bn = BatchNorm2d(f"{name}.bn", c_out) if with_bn else None
 
     def _own_parameters(self) -> list:
         return [self.weight, self.bias]
 
-    def forward(self, x, train: bool = False):
-        lift = _lifter(x, self)
-        out = ad.conv2d(x, lift(self.weight), stride=self.stride, padding=self.padding, groups=self.groups)
-        return self._head(out, train, lift)
+    def _conv(self, x, lift):
+        return ad.conv2d(x, lift(self.weight), stride=self.stride, padding=self.padding, groups=self.groups)
 
 
 class VanillaDynConv(_ConvLayer):
-    """K static 1×1 kernels mixed per sample by attention scores.
+    """K static 1×1 kernels mixed per sample by attention scores; `_conv`
+    convolves with `weight_for`'s mixed kernel.
 
     The attention branch is a `DynamicBranch` (C → C/reduction → K, its
     second FC drawn at random) followed by softmax (with temperature) or
@@ -594,32 +586,27 @@ class VanillaDynConv(_ConvLayer):
             raise ValueError(f"unknown attention mode {mode!r}")
         if tau <= 0:
             raise ValueError("softmax temperature must be positive")
+        super().__init__(name, c_in, c_out, 1, stride, 0, 1, activation, bias=False, with_bn=with_bn)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.name = name
-        self.c_in, self.c_out = c_in, c_out
-        self.k_kernels = kernels
-        self.mode, self.tau = mode, tau
-        self.k, self.stride, self.padding, self.groups = 1, stride, 0, 1
-        self.activation = activation
-        self.bias = None
+        self.k_kernels, self.mode, self.tau = kernels, mode, tau
         self.kernels = Parameter(f"{name}.kernels", fan_in_uniform(rng, (kernels, c_out, c_in), c_in))
         hidden = max(c_in // reduction, 1)
         self.branch = DynamicBranch(f"{name}.att_", c_in, kernels, hidden, rng)
         self.branch.w2.value[...] = fan_in_uniform(rng, (hidden, kernels), hidden)  # drawn after W1
-        self.bn = BatchNorm2d(f"{name}.bn", c_out) if with_bn else None
 
     def _own_parameters(self) -> list:
         return [self.kernels, *self.branch.parameters()]
 
     def attention(self, pooled, lift=None):
-        lift = lift or (lambda p: p.value)
+        """Attention scores (N, K), softmax or sigmoid of the branch logits."""
+        lift = lift or _lifter(pooled, self)
         logits = self.branch.forward(pooled, lift)
         T.check_finite(ad.value_of(logits), "attention logits")  # softmax and sigmoid saturate ±inf
         return ad.attention_activation(logits, self.mode, self.tau)
 
     def weight_for(self, pooled, lift=None):
         """Per-sample mixed conv kernels, (N, C_out, C_in, 1, 1)."""
-        lift = lift or (lambda p: p.value)
+        lift = lift or _lifter(pooled, self)
         att = self.attention(pooled, lift)
         n = ad.value_of(att).shape[0]
         flat = ad.reshape(lift(self.kernels), (self.k_kernels, self.c_out * self.c_in))
@@ -627,8 +614,5 @@ class VanillaDynConv(_ConvLayer):
         T.check_finite(ad.value_of(mixed), "kernel")
         return ad.reshape(mixed, (n, self.c_out, self.c_in, 1, 1))
 
-    def forward(self, x, train: bool = False):
-        lift = _lifter(x, self)
-        weights = self.weight_for(ad.global_avg_pool(x), lift)
-        out = ad.conv2d(x, weights, stride=self.stride)
-        return self._head(out, train, lift)
+    def _conv(self, x, lift):
+        return ad.conv2d(x, self.weight_for(ad.global_avg_pool(x), lift), stride=self.stride)

@@ -54,6 +54,12 @@ _LINEAR_SALT = 101
 _CONTEXT_SALT = 202
 
 
+def _check_counts(n_train: int, n_val: int) -> None:
+    for key, n in (("n_train", n_train), ("n_val", n_val)):
+        if n < 1:
+            raise ValueError(f"{key} must be >= 1, got {n}")
+
+
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return q * np.sign(np.diag(r))
@@ -68,6 +74,7 @@ def make_linear_control(
     noise: float = 0.5,
     seed: int = 0,
 ) -> tuple[Dataset, Dataset]:
+    _check_counts(n_train, n_val)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _LINEAR_SALT)))
     means = _orthogonal(rng, channels)[:num_classes] * 2.0  # (classes, C)
 
@@ -102,6 +109,7 @@ def make_context_gated(
     every context.  Readout scores are centered per class on a held
     calibration draw to keep the classes roughly balanced.
     """
+    _check_counts(n_train, n_val)
     if not 0 < contexts < channels:
         raise ValueError(f"contexts must be in [1, channels), got {contexts}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _CONTEXT_SALT)))

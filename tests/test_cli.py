@@ -260,3 +260,35 @@ def test_train_on_image_folder(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) == 4  # header + initial eval + 2 epochs
+
+
+def test_train_refuses_a_step_size_below_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train.schedule = step\ntrain.step_size = 0\ntrain.epochs = 1\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: train.step_size must be >= 1, got 0\n"
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["task.n_train", "task.n_val"])
+def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 0\ntrain.epochs = 0\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {key.split('.')[1]} must be >= 1, got 0\n"
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["bench", "task_dcd", "--repeats", "0"], "repeats must be >= 1, got 0"),
+    (["analyze-phi", "task_dcd", "--samples", "0"], "phi statistics need at least one sample, got an empty batch"),
+    (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "8", "--samples", "0"],
+     "phi statistics need at least one sample, got an empty batch"),
+], ids=["bench-repeats-0", "analyze-phi-task-samples-0", "analyze-phi-zoo-samples-0"])
+def test_an_empty_timing_or_phi_run_is_refused(tmp_path, capsys, argv, error):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()

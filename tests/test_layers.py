@@ -771,3 +771,24 @@ def test_weight_for_checks_the_kernel_it_returns(make):
     (layer.w0 if isinstance(layer, DcdConv) else layer.kernels).value.flat[0] = np.nan
     with pytest.raises(T.NonFiniteError, match="^non-finite values in kernel$"):
         layer.weight_for(np.random.default_rng(42).standard_normal((2, 8)))
+
+
+@pytest.mark.parametrize("make,method", [
+    (lambda: DcdConv("d", 8, 8, rng=np.random.default_rng(44)), "weight_for"),
+    (lambda: VanillaDynConv("v", 8, 8, rng=np.random.default_rng(44)), "weight_for"),
+    (lambda: VanillaDynConv("v", 8, 8, rng=np.random.default_rng(44)), "attention"),
+], ids=["dcd-weight_for", "vanilla-weight_for", "vanilla-attention"])
+def test_taped_pooled_input_without_lift_puts_the_parameters_on_its_tape(make, method):
+    """Called without `lift`, `weight_for` and `attention` give the gradients
+    of an explicit lift onto the pooled input's tape, not an empty dict."""
+    layer = make()
+    randomize_branch(layer, np.random.default_rng(45))
+    pooled = pooled_input(np.random.default_rng(46), 3, 8)
+    tape = ad.Tape()
+    leaves = {id(p): tape.leaf(p.value, param=p) for p in layer.parameters()}
+    want = ad.backward(ad.sum_all(getattr(layer, method)(tape.leaf(pooled), lambda p: leaves[id(p)])))
+    got = ad.backward(ad.sum_all(getattr(layer, method)(ad.Tape().leaf(pooled))))
+    assert want and layer.branch.w2 in want
+    assert [p.name for p in got] == [p.name for p in want]
+    for p, g in want.items():
+        assert np.array_equal(got[p], g), p.name

@@ -68,6 +68,14 @@ def test_context_gated_validates_contexts():
         make_context_gated(contexts=8, channels=8)
 
 
+@pytest.mark.parametrize("make", [make_linear_control, make_context_gated])
+def test_generators_refuse_an_empty_split(make):
+    with pytest.raises(ValueError, match="^n_train must be >= 1, got 0$"):
+        make(n_train=0)
+    with pytest.raises(ValueError, match="^n_val must be >= 1, got -1$"):
+        make(n_val=-1)
+
+
 def test_unknown_task_kind_raises():
     with pytest.raises(ValueError, match="unknown task"):
         make_task("mystery")
