@@ -16,10 +16,12 @@ through its inputs.  Every op returns a C-contiguous float64 array, so
 for ``a * w + b``, is the tail of eval batch norm and of the DCD layer,
 Λ ⊙ (W0∗x) + residual.
 
-No forward op checks its result for NaN or ±inf: the layers do, once per
-check point (`dynconv.layers`).  The conv and ``matmul`` VJPs check the
-gradients they return, so an overflowing gradient under a finite loss
-raises in `backward`, before an optimizer step writes it.
+No op checks its result for NaN or ±inf, forward or VJP: the layers check
+their values at fixed points (`dynconv.layers`), and `backward` checks each
+parameter gradient once, when it is complete, so an overflow under a finite
+loss raises before an optimizer step writes it.  A non-finite input
+gradient stays non-finite through the VJPs, so it reaches a checked
+parameter gradient or only the data leaf, which no optimizer writes.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class Parameter:
 
 
 class Node:
-    __slots__ = ("value", "tape", "parents", "vjp", "param", "op")
+    __slots__ = ("value", "tape", "parents", "vjp", "param", "op", "layer")
 
     def __init__(self, value, tape, parents, vjp, param=None, op=""):
         self.value = value
@@ -54,6 +56,7 @@ class Node:
         self.vjp = vjp
         self.param = param
         self.op = op
+        self.layer = None  # the layer a parameter leaf was lifted for (`dynconv.layers._lifter`)
 
     @property
     def shape(self):
@@ -152,13 +155,9 @@ def matmul(a, b):
     if tape is None:
         return out
 
-    def vjp(g, j):
-        # `T.matmul` takes contiguous operands: numpy may run a transposed view through another loop
-        if j == 0:
-            return T.check_finite(T.matmul(g, np.ascontiguousarray(bv.T)), "matmul input gradient")
-        return T.check_finite(T.matmul(np.ascontiguousarray(av.T), g), "matmul weight gradient")
-
-    return _record(tape, "matmul", out, (a, b), vjp)
+    # `T.matmul` takes contiguous operands: numpy may run a transposed view through another loop
+    return _record(tape, "matmul", out, (a, b), lambda g, j: T.matmul(g, np.ascontiguousarray(bv.T)) if j == 0
+                   else T.matmul(np.ascontiguousarray(av.T), g))
 
 
 def stacked_matmul(a, b):
@@ -343,7 +342,7 @@ def _conv2d_weight_grad(g, xv, wshape, stride, padding, groups):
     else:
         gq = gq.transpose(1, 2, 0, 3).reshape(groups, og, -1)
         grad = np.matmul(gq, cols.transpose(1, 0, 3, 2).reshape(groups, -1, kg))
-    return T.check_finite(grad.reshape(wshape), "conv2d weight gradient")
+    return grad.reshape(wshape)
 
 
 def _conv2d_input_grad(g, xshape, wv, stride, padding, groups):
@@ -361,7 +360,7 @@ def _conv2d_input_grad(g, xshape, wv, stride, padding, groups):
             dxp[:, :, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride] += dcols[:, :, dy, dx]
     if padding:
         dxp = np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + w])
-    return T.check_finite(dxp, "conv2d input gradient")
+    return dxp
 
 
 def batchnorm_train(x, gamma, beta):
@@ -431,7 +430,9 @@ def backward(loss: Node, seed: float = 1.0) -> dict[Parameter, np.ndarray]:
 
     The walk visits recorded nodes in strict reverse order, so gradient
     accumulation order is deterministic.  The result maps each touched
-    Parameter to an array of its shape.
+    Parameter to an array of its shape.  A leaf's adjoint is complete when
+    the walk reaches it, so the gradient is checked there: a non-finite one
+    raises, naming the parameter and, through the leaf, its layer.
     """
     tape = loss.tape
     adj: dict[int, np.ndarray] = {id(loss): np.broadcast_to(np.asarray(float(seed)), loss.value.shape).copy()}
@@ -446,10 +447,8 @@ def backward(loss: Node, seed: float = 1.0) -> dict[Parameter, np.ndarray]:
         if g is None:
             continue
         if node.param is not None:
-            if node.param in grads:
-                grads[node.param] = grads[node.param] + g
-            else:
-                grads[node.param] = g
+            total = grads[node.param] + g if node.param in grads else g
+            grads[node.param] = T.check_finite(total, f"gradient of {node.param.name}", node.layer)
         if node.vjp is None:
             continue
         parent_grads = node.vjp(g)

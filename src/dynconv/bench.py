@@ -93,6 +93,8 @@ def bench_pair(
     seed: int = 0,
 ) -> BenchReport:
     """Time `graph` against its static twin on the same random input."""
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     res = graph.resolution if resolution is None else resolution
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(batch, graph.input_channels, res, res))

@@ -157,6 +157,8 @@ def cmd_gradcheck(args) -> int:
 
 def _equivalence_checks(trials: int, seed: int) -> list[tuple[str, float, float]]:
     """(check name, max abs error, tolerance) over random instances."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     direct_err = 0.0
     kc_err = 0.0
@@ -194,9 +196,10 @@ def _equivalence_checks(trials: int, seed: int) -> list[tuple[str, float, float]
 
 def cmd_equivalence(args) -> int:
     seed = getattr(args, "seed", None) or 0
+    checks = _equivalence_checks(args.trials, seed)
     out = _out_dir(args)
     failed = False
-    for name, err, tol in _equivalence_checks(args.trials, seed):
+    for name, err, tol in checks:
         state = "ok" if err < tol else "FAIL"
         failed = failed or err >= tol
         print(f"[{state}] {name}: max |err| = {err:.3e} (tol {tol:g})")
@@ -231,7 +234,7 @@ def cmd_count(args) -> int:
         return 1 if failed else 0
 
     model = _model_from_args(args, _load_cfg(args))
-    report = count_model(model, args.resolution or model.resolution)
+    report = count_model(model, model.resolution if args.resolution is None else args.resolution)
     _write_or_print(args, model.name, report.csv_lines() if args.csv else report.table_lines())
     return 0
 
@@ -242,12 +245,14 @@ def cmd_analyze_phi(args) -> int:
     if getattr(args, "ckpt", None):
         ckpt.load_into(model, args.ckpt)
     seed = getattr(args, "seed", None) or 0
+    if args.samples < 0:
+        raise ValueError(f"samples must not be negative, got {args.samples}")
     if model.name.startswith("task/"):
         _, val_set = make_task_from_config(dict(cfg) | {"task.seed": str(seed)})
         x = val_set.inputs[: args.samples]
     else:
         rng = np.random.default_rng(seed)
-        res = args.resolution or model.resolution
+        res = model.resolution if args.resolution is None else args.resolution
         x = rng.normal(size=(args.samples, model.input_channels, res, res))
     _write_or_print(args, model.name, phi_statistics(model, x).csv_lines())
     return 0

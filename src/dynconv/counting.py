@@ -179,6 +179,8 @@ def count_model(graph, resolution: int | None = None) -> CountReport:
     """Walk a model graph; params always, madds when a resolution is given."""
     from .models import GlobalPool, MaxPool2d
 
+    if resolution is not None and resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     report = CountReport(resolution=resolution)
     for layer, role, h_in, h_out in graph.iter_layers(resolution):
         if isinstance(layer, GlobalPool):

@@ -47,11 +47,14 @@ No op checks its result for NaN or ±inf; each layer checks its values at
 fixed points, each before an op that could hide a non-finite value: the
 pre-activation (a ReLU turns -inf into 0), the branch hidden layer before
 its ReLU, the attention logits before softmax or sigmoid saturate them,
-and, in train mode, the batch-norm input and batch statistics before they
-reach the running buffers.  ``weight_for`` checks the kernel it returns;
-the depthwise forward assembles its kernel unchecked, and its
-pre-activation catches a non-finite one.  An eval forward of a DCD layer
-runs two checks, and of a static one, one.
+and, in train mode, the batch statistics before they reach the running
+buffers.  A value that feeds a later check point is not checked on its
+own: a non-finite batch-norm input makes the batch mean non-finite, and
+every entry of a kernel feeds its output channel's pre-activation.  An
+eval forward of a static layer runs one check, of a DCD layer two, and of
+a vanilla one three.  Each parameter leaf a taped forward lifts carries
+the layer's name, so `dynconv.autodiff.backward` names the layer of a
+non-finite parameter gradient.
 """
 
 from __future__ import annotations
@@ -219,9 +222,8 @@ class BatchNorm2d:
             xv = ad.value_of(x)
             if xv.shape[0] * xv.shape[2] * xv.shape[3] == 0:
                 raise ValueError(f"{self.name}: train-mode batch norm has no statistics for an empty batch {xv.shape}")
-            T.check_finite(xv, "batch-norm input")
             out, mean, var = ad.batchnorm_train(x, lift(self.gamma), lift(self.beta))
-            for stat in (mean, var):  # a finite input can still overflow them; the buffers must not take it
+            for stat in (mean, var):  # non-finite for a non-finite input or an overflow; the buffers must not take it
                 T.check_finite(stat, "batch-norm statistics")
             m = BN_MOMENTUM
             self.running_mean[...] = m * self.running_mean + (1.0 - m) * mean
@@ -260,10 +262,14 @@ class DynamicBranch:
 
 
 def _lifter(x, layer):
-    """Map each of the layer's Parameters to a leaf on x's tape, or to its raw value when x is untaped."""
+    """Map each of the layer's Parameters to a leaf on x's tape that names
+    the layer, or to its raw value when x is untaped."""
     if not isinstance(x, ad.Node):
         return lambda p: p.value
-    nodes = {id(p): x.tape.leaf(p.value, param=p) for p in layer.parameters()}
+    nodes = {}
+    for p in layer.parameters():
+        nodes[id(p)] = leaf = x.tape.leaf(p.value, param=p)
+        leaf.layer = layer.name
     return lambda p: nodes[id(p)]
 
 
@@ -433,17 +439,15 @@ class DcdConv(_ConvLayer):
 
     def weight_for(self, pooled, lift=None):
         """Per-sample conv kernels W(x) = Λ ⊙ W0 + residual, (N, C_out,
-        C_in/groups, k, k), from pooled features (N×C_in), checked: the
-        materialised reference the factored forward is tested against."""
+        C_in/groups, k, k), from pooled features (N×C_in): the materialised
+        reference the factored forward is tested against."""
         lift = lift or _lifter(pooled, self)
-        kernel = self._kernel(*self.coefficients(pooled, lift), lift)
-        T.check_finite(ad.value_of(kernel), "kernel")
-        return kernel
+        return self._kernel(*self.coefficients(pooled, lift), lift)
 
     def _kernel(self, lam, phi, lift):
-        """W(x) from the coefficients, unchecked.  Every residual product has
-        the sample as a stack axis, so batch N gives the stacked batch-1
-        kernels bit for bit."""
+        """W(x) from the coefficients.  Every residual product has the sample
+        as a stack axis, so batch N gives the stacked batch-1 kernels bit
+        for bit."""
         n = ad.value_of(phi).shape[0]
         l, l_k, kk, g = self.dims.l, self.dims.l_k, self.k * self.k, self.blocks
         mm = ad.stacked_matmul
@@ -610,9 +614,7 @@ class VanillaDynConv(_ConvLayer):
         att = self.attention(pooled, lift)
         n = ad.value_of(att).shape[0]
         flat = ad.reshape(lift(self.kernels), (self.k_kernels, self.c_out * self.c_in))
-        mixed = ad.matmul(att, flat)
-        T.check_finite(ad.value_of(mixed), "kernel")
-        return ad.reshape(mixed, (n, self.c_out, self.c_in, 1, 1))
+        return ad.reshape(ad.matmul(att, flat), (n, self.c_out, self.c_in, 1, 1))
 
     def _conv(self, x, lift):
         return ad.conv2d(x, self.weight_for(ad.global_avg_pool(x), lift), stride=self.stride)

@@ -165,8 +165,8 @@ class ModelGraph:
     def forward(self, x, train: bool = False):
         """Logits; taped when `x` is a tape leaf (`graph.forward(tape.leaf(x), train=True)`)."""
         xv = value_of(x)
-        if xv.ndim != 4 or xv.shape[1] != self.input_channels:
-            raise ValueError(f"{self.name} expects (N,{self.input_channels},H,W), got {xv.shape}")
+        if xv.ndim != 4 or xv.shape[1] != self.input_channels or 0 in xv.shape[2:]:
+            raise ValueError(f"{self.name} expects (N,{self.input_channels},H,W) with H, W >= 1, got {xv.shape}")
         h = x
         for module in self.modules:
             h = module.forward(h, train=train)

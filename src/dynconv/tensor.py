@@ -6,7 +6,8 @@ in `dynconv.autodiff`, and call these kernels.
 
 No kernel checks its result.  `check_finite` runs at fixed points instead:
 in each layer, before an op that could hide a non-finite value (see
-`dynconv.layers`), and on the conv and ``matmul`` gradients in the VJPs.
+`dynconv.layers`), and on each parameter gradient at the end of its
+accumulation in `dynconv.autodiff.backward`.
 
 Every differentiable op returns a C-contiguous float64 ndarray, so an op
 coerces a raw operand once, in `autodiff.value_of`, and ``matmul``,
@@ -64,9 +65,9 @@ def as_tensor(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64, order="C")
 
 
-def check_finite(a: np.ndarray, what: str = "tensor") -> np.ndarray:
+def check_finite(a: np.ndarray, what: str = "tensor", layer: str | None = None) -> np.ndarray:
     if not np.isfinite(a).all():
-        raise NonFiniteError(f"non-finite values in {what}")
+        raise NonFiniteError(f"non-finite values in {what}", layer=layer)
     return a
 
 

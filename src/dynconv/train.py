@@ -11,10 +11,11 @@ Conventions:
   Epoch 0 is an evaluation-only row taken before any update; training rows
   follow, one per completed epoch.  With ``epochs = 0`` the file contains the
   header and the initial row only.
-* A non-finite training loss or evaluation aborts the run: the offending
-  epoch/step (epoch 0 for the initial evaluation), and the layer when a
-  layer's output went non-finite first, are recorded, rows collected so far
-  are still written, and no further updates are applied.
+* A non-finite training loss, parameter gradient or evaluation aborts the
+  run: the offending epoch/step (epoch 0 for the initial evaluation), and
+  the layer when a layer's values or one of its parameter gradients went
+  non-finite first, are recorded, rows collected so far are still written,
+  and no further updates are applied.
 """
 
 from __future__ import annotations

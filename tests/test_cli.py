@@ -286,7 +286,17 @@ def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
     (["analyze-phi", "task_dcd", "--samples", "0"], "phi statistics need at least one sample, got an empty batch"),
     (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "8", "--samples", "0"],
      "phi statistics need at least one sample, got an empty batch"),
-], ids=["bench-repeats-0", "analyze-phi-task-samples-0", "analyze-phi-zoo-samples-0"])
+    (["bench", "task_dcd", "--batch", "0"], "batch must be >= 1, got 0"),
+    (["bench", "task_dcd", "--resolution", "0"], "task/dcd expects (N,8,H,W) with H, W >= 1, got (1, 8, 0, 0)"),
+    (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "0"],
+     "mobilenetv2_x0.25/cls+pw expects (N,3,H,W) with H, W >= 1, got (16, 3, 0, 0)"),
+    (["analyze-phi", "task_dcd", "--samples", "-1"], "samples must not be negative, got -1"),
+    (["equivalence", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["count", "resnet10_dcd", "--resolution", "-5"], "resolution must be >= 1, got -5"),
+    (["count", "resnet10_dcd", "--resolution", "0"], "resolution must be >= 1, got 0"),
+], ids=["bench-repeats-0", "analyze-phi-task-samples-0", "analyze-phi-zoo-samples-0", "bench-batch-0",
+        "bench-resolution-0", "analyze-phi-zoo-resolution-0", "analyze-phi-task-samples-negative",
+        "equivalence-trials-0", "count-resolution-negative", "count-resolution-0"])
 def test_an_empty_timing_or_phi_run_is_refused(tmp_path, capsys, argv, error):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

@@ -711,7 +711,7 @@ def test_nan_input_to_train_mode_batchnorm_leaves_running_stats_untouched():
     layer = StaticConv("s", 2, 2)
     x = np.ones((2, 2, 3, 3))
     x[1, 0, 1, 1] = np.nan
-    with pytest.raises(T.NonFiniteError, match="^non-finite values in batch-norm input$"):
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in batch-norm statistics$"):
         layer.forward(x, train=True)
     assert np.array_equal(layer.bn.running_mean, np.zeros(2))
     assert np.array_equal(layer.bn.running_var, np.ones(2))
@@ -766,11 +766,26 @@ def test_branch_hidden_layer_is_checked_before_its_relu(make):
     lambda: DcdConv("d", 8, 8, rng=np.random.default_rng(41)),
     lambda: VanillaDynConv("v", 8, 8, rng=np.random.default_rng(41)),
 ], ids=["dcd", "vanilla"])
-def test_weight_for_checks_the_kernel_it_returns(make):
+def test_a_non_finite_kernel_is_caught_at_the_pre_activation(make):
+    """Every kernel entry feeds its output channel, so a NaN in W0 or in one
+    of the K kernels reaches the pre-activation check."""
     layer = make()
     (layer.w0 if isinstance(layer, DcdConv) else layer.kernels).value.flat[0] = np.nan
-    with pytest.raises(T.NonFiniteError, match="^non-finite values in kernel$"):
-        layer.weight_for(np.random.default_rng(42).standard_normal((2, 8)))
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in pre-activation$"):
+        layer.forward(np.random.default_rng(42).standard_normal((2, 8, 3, 3)))
+
+
+def test_a_parameter_gradient_that_overflows_raises_in_backward_naming_its_layer():
+    """A zero input and kernel keep the output and the loss at 0, but the
+    bias gradient sums 100 positions of 1e307."""
+    layer = StaticConv("s", 1, 1, bias=True, with_bn=False, activation=None)
+    layer.weight.value[...] = 0.0
+    out = layer.forward(ad.Tape().leaf(np.zeros((1, 1, 10, 10))), train=True)
+    loss = ad.sum_all(ad.mul(out, 1e307))
+    assert ad.value_of(loss) == 0.0
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError) as info:
+        ad.backward(loss)
+    assert str(info.value) == "non-finite values in gradient of s.bias" and info.value.layer == "s"
 
 
 @pytest.mark.parametrize("make,method", [

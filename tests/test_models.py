@@ -299,8 +299,8 @@ def test_skip_sum_is_checked_before_the_block_relu():
 def test_an_eval_forward_checks_each_layer_once_and_each_branch_once(monkeypatch):
     """Batch-1 eval forward of `task_dcd`: the DCD layer's branch hidden layer
     and pre-activation, and the classifier's pre-activation; its twin has
-    the two pre-activations.  A depthwise DCD layer, which assembles its
-    kernel without `weight_for`'s check, has two.  No op checks its own result."""
+    the two pre-activations.  `task_vanilla` adds the attention logits, and
+    a depthwise DCD layer has two.  No op and no kernel is checked on its own."""
     checked = []
     check = T.check_finite
     monkeypatch.setattr(T, "check_finite", lambda a, what="tensor": checked.append(what) or check(a, what))
@@ -308,7 +308,9 @@ def test_an_eval_forward_checks_each_layer_once_and_each_branch_once(monkeypatch
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, graph.input_channels, graph.resolution, graph.resolution))
     dw = DcdConv("dw", 8, 8, k=3, variant="depthwise", padding=1)
-    for model, x, want in ((graph, x, 3), (graph.static_twin(), x, 2), (dw, rng.normal(size=(1, 8, 6, 6)), 2)):
+    cases = ((graph, x, 3), (graph.static_twin(), x, 2), (resolve_model("task_vanilla"), x, 4),
+             (dw, rng.normal(size=(1, 8, 6, 6)), 2))
+    for model, x, want in cases:
         checked.clear()
         model.forward(x)
         assert len(checked) == want, checked

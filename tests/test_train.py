@@ -7,7 +7,7 @@ import pytest
 from dynconv import autodiff as ad
 from dynconv import train as train_module
 from dynconv.config import ConfigError, RunConfig
-from dynconv.task import build_task_model, make_linear_control
+from dynconv.task import Dataset, build_task_model, make_linear_control
 from dynconv.train import CSV_HEADER, SGD, evaluate, lr_at, run_sweep, train
 
 
@@ -117,6 +117,22 @@ def test_abort_records_the_layer_whose_output_went_non_finite(monkeypatch):
     monkeypatch.setattr(train_module, "_batch_grads", lambda graph, x, y: (math.nan, 0, {}))
     result = train(build_task_model(kind="static", seed=0), tr, va, cfg)
     assert result.aborted and (result.abort_epoch, result.abort_step, result.abort_layer) == (1, 0, None)
+
+
+def test_a_gradient_overflow_under_a_finite_loss_aborts_naming_its_layer():
+    """Inputs of ~1e200 through a mix kernel of ~1e-200 (no batch norm) and a
+    classifier of ~1e200 keep every value and the loss finite, but the mix
+    weight gradient is ~1e400."""
+    tr, va = make_linear_control(n_train=32, n_val=16, seed=0)
+    graph = build_task_model(kind="static", seed=0)
+    layers = {layer.name: layer for layer, *_ in graph.iter_layers()}
+    layers["mix"].bn = None
+    layers["mix"].weight.value[...] *= 1e-200
+    layers["fc"].weight.value[...] *= 1e200
+    tr, va = (Dataset(d.inputs * 1e200, d.labels) for d in (tr, va))
+    with np.errstate(over="ignore"):
+        result = train(graph, tr, va, RunConfig(lr=0.1, epochs=1, batch=16, seed=0))
+    assert result.aborted and (result.abort_epoch, result.abort_step, result.abort_layer) == (1, 0, "mix")
 
 
 def test_non_finite_initial_evaluation_aborts_at_epoch_0(tmp_path):
