@@ -210,23 +210,6 @@ def softmax_rows(a):
     return _record(tape, "softmax", out, (a,), lambda g, j: (g - np.sum(g * out, axis=-1, keepdims=True)) * out)
 
 
-def attention_activation(logits, mode: str = "softmax", tau: float = 1.0):
-    """Row-wise attention over K kernels.
-
-    softmax: rows in [0,1] and summing to 1; temperature divides the
-    logits.  sigmoid: independent gates in [0,1]; tau is ignored (it only
-    parameterizes the softmax).
-    """
-    if mode == "softmax":
-        if tau <= 0:
-            raise ValueError("softmax temperature must be positive")
-        z = mul(logits, 1.0 / float(tau)) if tau != 1.0 else logits
-        return softmax_rows(z)
-    if mode == "sigmoid":
-        return sigmoid(logits)
-    raise ValueError(f"unknown attention mode {mode!r}")
-
-
 def reshape(a, shape):
     tape = _tape(a)
     av = value_of(a)

@@ -51,6 +51,8 @@ def environment_line() -> str:
 def time_forward(graph, x: np.ndarray, repeats: int = 20, warmup: int = 3) -> Timing:
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     for _ in range(warmup):
         ad.value_of(graph.forward(x, train=False))
     times = []

@@ -197,15 +197,13 @@ def _equivalence_checks(trials: int, seed: int) -> list[tuple[str, float, float]
 def cmd_equivalence(args) -> int:
     seed = getattr(args, "seed", None) or 0
     checks = _equivalence_checks(args.trials, seed)
+    rows = decompose.compare_aggregation_mechanisms(c=args.channels, k=args.kernels, l=args.latent, seed=seed)
     out = _out_dir(args)
     failed = False
     for name, err, tol in checks:
         state = "ok" if err < tol else "FAIL"
         failed = failed or err >= tol
         print(f"[{state}] {name}: max |err| = {err:.3e} (tol {tol:g})")
-    rows = decompose.compare_aggregation_mechanisms(
-        c=args.channels, k=args.kernels, l=args.latent, seed=seed
-    )
     lines = ["mechanism,rank,term_count,static_params"]
     for row in rows:
         lines.append(f"{row.mechanism},{row.rank},{row.term_count},{row.static_params}")

@@ -115,9 +115,7 @@ def default_latent_dims_kxk(c: int, k: int) -> LatentDims:
     l_k = (k * k) // 2
     if c < l_k:
         raise ValueError(f"channel count {c} too small for k={k} (needs ≥ {l_k})")
-    dims = LatentDims(l=default_latent_dim(c // l_k), l_k=l_k)
-    validate_latent_dims(dims, c_in=c, c_out=c, k=k, variant="full_kxk")
-    return dims
+    return LatentDims(l=default_latent_dim(c // l_k), l_k=l_k)
 
 
 def validate_latent_dims(
@@ -127,16 +125,13 @@ def validate_latent_dims(
     k: int,
     variant: str,
     blocks: int = 1,
-    enforce_budget: bool = True,
 ) -> None:
-    """Check structural latent-size constraints for one layer.
+    """Check the structural latent-size rules a layer needs in order to run.
 
-    `enforce_budget=True` additionally applies the squared-latent budget
-    rules (l² ≤ C family); model builders may relax the budget rule for
-    documented policies while structural rules always hold.
+    How far to reduce the latent space (the l² ≤ C budget of the paper's
+    defaults) is each model builder's policy, not a rule of the layer.
     """
     c_min = min(c_in, c_out)
-    c_max = max(c_in, c_out)
     if dims.l < 1 or dims.l_k < 1:
         raise ValueError(f"latent dims must be ≥ 1, got {dims}")
     if variant in ("pointwise", "block_sparse", "channel_only_kxk", "full_kxk") and dims.l > c_min:
@@ -146,32 +141,17 @@ def validate_latent_dims(
             raise ValueError("block-sparse residual requires C_in == C_out")
         if c_in % blocks:
             raise ValueError(f"block count {blocks} does not divide channel count {c_in}")
-        if enforce_budget and blocks * dims.l * dims.l > c_in:
-            raise ValueError(f"block latent budget B·l² = {blocks * dims.l ** 2} exceeds C = {c_in}")
-    elif variant == "pointwise":
-        if enforce_budget and dims.l * dims.l > c_max:
-            raise ValueError(f"latent budget l² = {dims.l ** 2} exceeds C = {c_max}")
-    elif variant == "depthwise":
-        if c_in != c_out:
-            raise ValueError("depthwise form requires C_in == C_out")
-        if dims.l_k > k * k:
-            raise ValueError(f"latent kernel elements {dims.l_k} exceed k² = {k * k}")
-    elif variant == "full_kxk":
-        if dims.l_k > k * k:
-            raise ValueError(f"latent kernel elements {dims.l_k} exceed k² = {k * k}")
-        if enforce_budget and dims.l_k >= k * k:
-            raise ValueError(f"joint form requires l_k < k², got l_k={dims.l_k}, k²={k * k}")
-        if enforce_budget and dims.l * dims.l * dims.l_k > c_max:
-            raise ValueError(f"joint latent budget l²·l_k = {dims.l ** 2 * dims.l_k} exceeds C = {c_max}")
+    elif variant == "depthwise" and c_in != c_out:
+        raise ValueError("depthwise form requires C_in == C_out")
     elif variant == "channel_only_kxk":
         if dims.l_k != 1:
             raise ValueError("channel-only form fixes l_k = 1")
         if k % 2 == 0:
             raise ValueError(f"channel-only form needs odd k (no center element for k={k})")
-        if enforce_budget and dims.l * dims.l > c_max:
-            raise ValueError(f"latent budget l² = {dims.l ** 2} exceeds C = {c_max}")
     elif variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if variant in ("depthwise", "full_kxk") and dims.l_k > k * k:
+        raise ValueError(f"latent kernel elements {dims.l_k} exceed k² = {k * k}")
 
 
 def center_one_hot(k: int) -> np.ndarray:
@@ -325,12 +305,13 @@ class DcdConv(_ConvLayer):
     Parameters
     ----------
     variant: one of VARIANTS.
-    dims: latent sizes; variant-appropriate defaults when omitted.
+    dims: latent sizes; variant-appropriate defaults when omitted.  Only
+    their structure is checked (`validate_latent_dims`); the l² ≤ C budget
+    is the model builders' policy.
     blocks: diagonal block count for `block_sparse` (1 elsewhere).
     r: branch reduction ratio; squeeze width defaults to ⌊c_in / r⌋.
     squeeze: explicit squeeze width overriding the ratio rule.
     lambda_enabled: when False the channel-wise scale is fixed at 1.
-    enforce_budget: apply the squared-latent budget rules to `dims`.
     bias / with_bn / activation: output head configuration (a classifier
     head uses bias=True, with_bn=False, activation=None).
     """
@@ -353,7 +334,6 @@ class DcdConv(_ConvLayer):
         with_bn: bool = True,
         activation: str | None = "relu",
         rng: np.random.Generator | None = None,
-        enforce_budget: bool = True,
     ):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
@@ -374,8 +354,7 @@ class DcdConv(_ConvLayer):
                 dims = LatentDims(l=1, l_k=(k * k) // 2)
             else:  # full_kxk
                 dims = default_latent_dims_kxk(min(c_in, c_out), k)
-        validate_latent_dims(dims, c_in=c_in, c_out=c_out, k=k, variant=variant,
-                             blocks=blocks, enforce_budget=enforce_budget)
+        validate_latent_dims(dims, c_in=c_in, c_out=c_out, k=k, variant=variant, blocks=blocks)
         if variant != "block_sparse" and blocks != 1:
             raise ValueError(f"blocks > 1 only applies to block_sparse, got {blocks} for {variant}")
 
@@ -602,11 +581,14 @@ class VanillaDynConv(_ConvLayer):
         return [self.kernels, *self.branch.parameters()]
 
     def attention(self, pooled, lift=None):
-        """Attention scores (N, K), softmax or sigmoid of the branch logits."""
+        """Attention scores (N, K): a softmax of the branch logits over τ, rows
+        summing to 1, or independent sigmoid gates, which ignore τ."""
         lift = lift or _lifter(pooled, self)
         logits = self.branch.forward(pooled, lift)
         T.check_finite(ad.value_of(logits), "attention logits")  # softmax and sigmoid saturate ±inf
-        return ad.attention_activation(logits, self.mode, self.tau)
+        if self.mode == "sigmoid":
+            return ad.sigmoid(logits)
+        return ad.softmax_rows(ad.mul(logits, 1.0 / float(self.tau)) if self.tau != 1.0 else logits)
 
     def weight_for(self, pooled, lift=None):
         """Per-sample mixed conv kernels, (N, C_out, C_in, 1, 1)."""

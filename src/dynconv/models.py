@@ -11,8 +11,9 @@ accounting), rebuilds itself from a flat config mapping, and derives a
 *static twin* whose plain convolutions share the dynamic model's base
 kernels — at initialization the two produce bit-identical outputs.
 
-Latent/squeeze policies for the dynamic variants (fixed here so parameter
-budgets are reproducible):
+Latent/squeeze policies for the dynamic variants.  A layer checks only the
+structure of its latent sizes; how far to reduce the latent space is each
+builder's policy, fixed here so parameter budgets are reproducible:
 
 * MobileNetV2 pointwise: L = default_latent_dim(max(C_in, C_out)) inside
   inverted residuals; the feature-head expansion (→1280) uses
@@ -23,8 +24,8 @@ budgets are reproducible):
   respectively); the classifier keeps the plain ⌊C_in/r⌋ default.
   Depthwise layers use the default kernel-space latent.
 * ResNet channel-wise 3×3: L = latent_dim_pow2(C_out) and bottleneck
-  ⌊k²·C_in/16⌋, with the latent budget check relaxed (stage-4 layers use
-  L = 32 at C = 512, i.e. L² > C, which is the intended spend).
+  ⌊k²·C_in/16⌋.  Stage-4 layers use L = 32 at C = 512, i.e. L² > C, which
+  is the intended spend.
 """
 
 from __future__ import annotations
@@ -264,14 +265,13 @@ def build_mobilenetv2(width: float = 1.0, placement=(), r: float | None = None,
                 base_latent = default_latent_dim(max(c_in, c_out))
             dims = LatentDims(l=_scaled_latent(base_latent, l_multiplier))
             return DcdConv(name, c_in, c_out, k=1, variant="pointwise", dims=dims,
-                           squeeze=pw_squeeze(c_in, c_out), activation=activation, rng=rng(),
-                           enforce_budget=False)
+                           squeeze=pw_squeeze(c_in, c_out), activation=activation, rng=rng())
         return StaticConv(name, c_in, c_out, k=1, activation=activation, rng=rng())
 
     def depthwise(name: str, c: int, stride: int):
         if "dw" in placement:
             return DcdConv(name, c, c, k=3, variant="depthwise", r=r, stride=stride, padding=1,
-                           activation="relu", rng=rng(), enforce_budget=False)
+                           activation="relu", rng=rng())
         return StaticConv(name, c, c, k=3, stride=stride, padding=1, groups=c,
                           activation="relu", rng=rng())
 
@@ -302,7 +302,7 @@ def build_mobilenetv2(width: float = 1.0, placement=(), r: float | None = None,
         cls_base = min(latent_dim_pow2(c_last), num_classes)
         cls_dims = LatentDims(l=_scaled_latent(cls_base, l_multiplier))
         cls = DcdConv("cls", c_last, num_classes, k=1, variant="pointwise", dims=cls_dims, r=r,
-                      bias=True, with_bn=False, activation=None, rng=rng(), enforce_budget=False)
+                      bias=True, with_bn=False, activation=None, rng=rng())
     else:
         cls = StaticConv("cls", c_last, num_classes, k=1, bias=True, with_bn=False,
                          activation=None, rng=rng())
@@ -341,7 +341,7 @@ def build_resnet(depth: int = 18, dcd: str = "off", num_classes: int = 1000,
             variant = "channel_only_kxk" if k == 3 else "pointwise"
             return DcdConv(name, c_in, c_out, k=k, variant=variant, dims=latent(c_out),
                            squeeze=max(1, (k * k * c_in) // 16), stride=stride, padding=padding,
-                           activation=activation, rng=rng(), enforce_budget=False)
+                           activation=activation, rng=rng())
         return StaticConv(name, c_in, c_out, k=k, stride=stride, padding=padding,
                           activation=activation, rng=rng())
 

@@ -235,12 +235,6 @@ TASK_GENERATORS = {
 }
 
 
-def make_task(kind: str, **kwargs) -> tuple[Dataset, Dataset]:
-    if kind not in TASK_GENERATORS:
-        raise ValueError(f"unknown task {kind!r}; known: {sorted(TASK_GENERATORS)}")
-    return TASK_GENERATORS[kind](**kwargs)
-
-
 TASK_MODEL_KINDS = ("static", "dcd", "vanilla")
 
 
@@ -276,10 +270,8 @@ def build_task_model(
         variant = "block_sparse" if sparse_blocks > 1 else "pointwise"
         base = channels // sparse_blocks
         dims = LatentDims(l=_scaled_latent(base, l_multiplier))
-        mix = DcdConv(
-            "mix", channels, channels, variant=variant, dims=dims, blocks=sparse_blocks,
-            r=r, enforce_budget=False, rng=rng(),
-        )
+        mix = DcdConv("mix", channels, channels, variant=variant, dims=dims, blocks=sparse_blocks,
+                      r=r, rng=rng())
     fc = StaticConv(
         "fc", channels, num_classes, bias=True, with_bn=False, activation=None, rng=rng()
     )
@@ -308,4 +300,4 @@ def make_task_from_config(cfg: dict) -> tuple[Dataset, Dataset]:
         if "task.dir" not in cfg:
             raise ValueError("task.kind = image_folder requires task.dir")
         aliases |= {"task.dir": "root", "task.seed": None}
-    return make_task(kind, **keyword_args(TASK_GENERATORS[kind], cfg, "task", f"task.kind = {kind}", aliases))
+    return TASK_GENERATORS[kind](**keyword_args(TASK_GENERATORS[kind], cfg, "task", f"task.kind = {kind}", aliases))

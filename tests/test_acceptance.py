@@ -71,7 +71,7 @@ def test_criterion_2_rank1_expansions_match():
     worst_latent = 0.0
     layer = DcdConv("m", 12, 12, variant="pointwise", dims=LatentDims(l=3),
                     with_bn=False, activation=None,
-                    rng=np.random.default_rng(3), enforce_budget=False)
+                    rng=np.random.default_rng(3))
     layer.branch.w2.value = rng.normal(size=layer.branch.w2.value.shape)
     p, q = layer.p.value, layer.q.value
     for _ in range(50):
@@ -180,7 +180,7 @@ def test_criterion_7_structural_weight_properties():
     for blocks in (2, 4, 8):
         layer = DcdConv("s", 16, 16, variant="block_sparse", blocks=blocks,
                         lambda_enabled=False, with_bn=False, activation=None,
-                        rng=np.random.default_rng(blocks), enforce_budget=False)
+                        rng=np.random.default_rng(blocks))
         layer.branch.w2.value = rng.normal(size=layer.branch.w2.value.shape)
         pooled = rng.normal(size=(3, 16))
         residual = layer.weight_for(pooled, _value_lift)[..., 0, 0] - layer.w0.value
@@ -192,7 +192,7 @@ def test_criterion_7_structural_weight_properties():
 
     layer = DcdConv("c", 8, 8, k=3, variant="channel_only_kxk", padding=1,
                     lambda_enabled=False, with_bn=False, activation=None,
-                    rng=np.random.default_rng(5), enforce_budget=False)
+                    rng=np.random.default_rng(5))
     layer.branch.w2.value = rng.normal(size=layer.branch.w2.value.shape)
     pooled = rng.normal(size=(3, 8))
     weights = layer.weight_for(pooled, _value_lift).reshape(3, 8, 8, 9)  # (N, C_out, C_in, k²)
@@ -206,7 +206,7 @@ def test_criterion_7_structural_weight_properties():
 
     layer = DcdConv("r", 16, 16, variant="pointwise", dims=LatentDims(l=4),
                     with_bn=False, activation=None,
-                    rng=np.random.default_rng(9), enforce_budget=False)
+                    rng=np.random.default_rng(9))
     layer.branch.w2.value = rng.normal(size=layer.branch.w2.value.shape)
     max_rank = 0
     for _ in range(50):

@@ -241,7 +241,7 @@ def test_grad_relu_sigmoid_softmax():
 
     def loss_softmax():
         tape = ad.Tape()
-        att = ad.attention_activation(tape.leaf(z.value, param=z), "softmax", tau=2.5)
+        att = ad.softmax_rows(ad.mul(tape.leaf(z.value, param=z), 1.0 / 2.5))  # a softmax at τ = 2.5
         return ad.sum_all(ad.mul(att, c))
 
     check_grads(loss_relu, [z])

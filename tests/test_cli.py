@@ -294,9 +294,15 @@ def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
     (["equivalence", "--trials", "0"], "trials must be >= 1, got 0"),
     (["count", "resnet10_dcd", "--resolution", "-5"], "resolution must be >= 1, got -5"),
     (["count", "resnet10_dcd", "--resolution", "0"], "resolution must be >= 1, got 0"),
+    (["equivalence", "--channels", "0"], "channel count must be >= 1, got 0"),
+    (["equivalence", "--kernels", "0"], "kernel count must be >= 1, got 0"),
+    (["equivalence", "--latent", "0"], "latent size must be >= 1, got 0"),
+    (["equivalence", "--channels", "-1"], "channel count must be >= 1, got -1"),
+    (["bench", "task_dcd", "--warmup", "-1"], "warmup must be >= 0, got -1"),
 ], ids=["bench-repeats-0", "analyze-phi-task-samples-0", "analyze-phi-zoo-samples-0", "bench-batch-0",
         "bench-resolution-0", "analyze-phi-zoo-resolution-0", "analyze-phi-task-samples-negative",
-        "equivalence-trials-0", "count-resolution-negative", "count-resolution-0"])
+        "equivalence-trials-0", "count-resolution-negative", "count-resolution-0", "equivalence-channels-0",
+        "equivalence-kernels-0", "equivalence-latent-0", "equivalence-channels-negative", "bench-warmup-negative"])
 def test_an_empty_timing_or_phi_run_is_refused(tmp_path, capsys, argv, error):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

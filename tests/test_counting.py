@@ -135,9 +135,9 @@ def test_dcd_pointwise_madds_breakdown():
 
 def test_dcd_assembly_uses_cheaper_association_order():
     wide = DcdConv("w", 8, 64, k=1, variant="pointwise", dims=LatentDims(l=4), squeeze=2,
-                   rng=np.random.default_rng(2), enforce_budget=False)
+                   rng=np.random.default_rng(2))
     narrow = DcdConv("n", 64, 8, k=1, variant="pointwise", dims=LatentDims(l=4), squeeze=2,
-                     rng=np.random.default_rng(2), enforce_budget=False)
+                     rng=np.random.default_rng(2))
     from dynconv.counting import _assembly_madds
 
     assert _assembly_madds(wide) == 4 * 4 * 8 + 64 * 4 * 8     # Φ·Qᵀ first
@@ -146,7 +146,7 @@ def test_dcd_assembly_uses_cheaper_association_order():
 
 def test_dcd_lambda_uses_cheaper_of_kernel_and_output_side():
     layer = DcdConv("d", 512, 512, k=3, variant="channel_only_kxk", dims=LatentDims(l=16),
-                    padding=1, squeeze=32, rng=np.random.default_rng(3), enforce_budget=False)
+                    padding=1, squeeze=32, rng=np.random.default_rng(3))
     madds_small, _ = layer_madds(layer, 7)     # 49·512 < 512·512·9
     madds_large, _ = layer_madds(layer, 112)   # kernel side wins
     from dynconv.counting import _assembly_madds, _branch_madds
@@ -160,8 +160,7 @@ def test_dcd_lambda_uses_cheaper_of_kernel_and_output_side():
 
 def test_dcd_classifier_head_counted_by_associativity():
     layer = DcdConv("cls", 64, 10, k=1, variant="pointwise", dims=LatentDims(l=8), squeeze=8,
-                    bias=True, with_bn=False, activation=None, rng=np.random.default_rng(4),
-                    enforce_budget=False)
+                    bias=True, with_bn=False, activation=None, rng=np.random.default_rng(4))
     madds, h_out = layer_madds(layer, 1)
     assert h_out == 1
     conv = 10 * 64
@@ -184,7 +183,7 @@ def test_depthwise_dcd_madds():
 
 def test_full_kxk_dcd_madds_mode_chain():
     layer = DcdConv("t", 16, 16, k=3, variant="full_kxk", dims=LatentDims(l=4, l_k=4),
-                    padding=1, squeeze=2, rng=np.random.default_rng(6), enforce_budget=False)
+                    padding=1, squeeze=2, rng=np.random.default_rng(6))
     madds, _ = layer_madds(layer, 8)
     conv = 16 * 16 * 9 * 64
     branch = 16 + 16 * 2 + 2 * layer.branch.d_out

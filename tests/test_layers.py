@@ -61,21 +61,48 @@ def test_default_latent_dims_kxk():
 
 def test_validate_latent_dims_rules():
     validate_latent_dims(LatentDims(8, 1), c_in=64, c_out=64, k=1, variant="pointwise")
+    # the l² ≤ C budget is the builders' policy; the structural rank rule holds
+    validate_latent_dims(LatentDims(9, 1), c_in=64, c_out=64, k=1, variant="pointwise")
     with pytest.raises(ValueError):
-        validate_latent_dims(LatentDims(9, 1), c_in=64, c_out=64, k=1, variant="pointwise")
-    # budget rule may be relaxed; structural rank rule may not
-    validate_latent_dims(LatentDims(9, 1), c_in=64, c_out=64, k=1, variant="pointwise", enforce_budget=False)
-    with pytest.raises(ValueError):
-        validate_latent_dims(LatentDims(65, 1), c_in=64, c_out=64, k=1, variant="pointwise", enforce_budget=False)
+        validate_latent_dims(LatentDims(65, 1), c_in=64, c_out=64, k=1, variant="pointwise")
     with pytest.raises(ValueError):
         validate_latent_dims(LatentDims(2, 1), c_in=8, c_out=8, k=1, variant="block_sparse", blocks=3)
     with pytest.raises(ValueError):
         validate_latent_dims(LatentDims(1, 10), c_in=8, c_out=8, k=3, variant="depthwise")
     with pytest.raises(ValueError):
         validate_latent_dims(LatentDims(2, 4), c_in=16, c_out=16, k=3, variant="channel_only_kxk")
-    with pytest.raises(ValueError):
-        validate_latent_dims(LatentDims(2, 9), c_in=16, c_out=16, k=3, variant="full_kxk")
-    validate_latent_dims(LatentDims(2, 9), c_in=16, c_out=16, k=3, variant="full_kxk", enforce_budget=False)
+    validate_latent_dims(LatentDims(2, 9), c_in=16, c_out=16, k=3, variant="full_kxk")
+
+
+@pytest.mark.parametrize("dims,c_in,c_out,k,variant,blocks,message", [
+    (LatentDims(0, 1), 8, 8, 1, "pointwise", 1, "latent dims must be ≥ 1, got LatentDims(l=0, l_k=1)"),
+    (LatentDims(1, 0), 8, 8, 3, "depthwise", 1, "latent dims must be ≥ 1, got LatentDims(l=1, l_k=0)"),
+    (LatentDims(9, 1), 8, 12, 1, "pointwise", 1, "latent channel count 9 exceeds min(C_in, C_out) = 8"),
+    (LatentDims(9, 1), 8, 8, 1, "block_sparse", 1, "latent channel count 9 exceeds min(C_in, C_out) = 8"),
+    (LatentDims(9, 1), 12, 8, 3, "channel_only_kxk", 1, "latent channel count 9 exceeds min(C_in, C_out) = 8"),
+    (LatentDims(9, 4), 8, 12, 3, "full_kxk", 1, "latent channel count 9 exceeds min(C_in, C_out) = 8"),
+    (LatentDims(2, 1), 8, 16, 1, "block_sparse", 2, "block-sparse residual requires C_in == C_out"),
+    (LatentDims(2, 1), 8, 8, 1, "block_sparse", 3, "block count 3 does not divide channel count 8"),
+    (LatentDims(1, 4), 8, 16, 3, "depthwise", 1, "depthwise form requires C_in == C_out"),
+    (LatentDims(1, 10), 8, 8, 3, "depthwise", 1, "latent kernel elements 10 exceed k² = 9"),
+    (LatentDims(1, 10), 8, 8, 3, "full_kxk", 1, "latent kernel elements 10 exceed k² = 9"),
+    (LatentDims(2, 4), 16, 16, 3, "channel_only_kxk", 1, "channel-only form fixes l_k = 1"),
+    (LatentDims(2, 1), 16, 16, 4, "channel_only_kxk", 1, "channel-only form needs odd k (no center element for k=4)"),
+    (LatentDims(2, 1), 16, 16, 1, "mystery", 1, "unknown variant 'mystery'"),
+])
+def test_validate_latent_dims_structural_refusals(dims, c_in, c_out, k, variant, blocks, message):
+    with pytest.raises(ValueError) as exc:
+        validate_latent_dims(dims, c_in=c_in, c_out=c_out, k=k, variant=variant, blocks=blocks)
+    assert str(exc.value) == message
+
+
+def test_a_layer_past_the_paper_budget_builds_without_a_keyword():
+    """ResNet-18's stage-4 channel-only 3×3 spends L = 32 at C = 512 (L² > C)
+    by its builder's policy; the layer checks only that L fits."""
+    layer = DcdConv("s4", 512, 512, k=3, variant="channel_only_kxk", dims=LatentDims(32), padding=1)
+    assert (layer.dims.l, layer.dims.l_k) == (32, 1) and layer.dims.l ** 2 > layer.c_in
+    out = layer.forward(np.random.default_rng(0).standard_normal((1, 512, 2, 2)))
+    assert out.shape == (1, 512, 2, 2)
 
 
 def test_center_one_hot():
@@ -233,7 +260,7 @@ def test_pointwise_rank1_sum_oracle_and_rank_bound():
 def test_pointwise_projection_free_case():
     rng = np.random.default_rng(6)
     layer = DcdConv("pw", 4, 4, variant="pointwise", dims=LatentDims(4, 1),
-                    lambda_enabled=False, enforce_budget=False, rng=np.random.default_rng(7))
+                    lambda_enabled=False, rng=np.random.default_rng(7))
     layer.p.value = np.eye(4)
     layer.q.value = np.eye(4)
     randomize_branch(layer, rng)
@@ -350,7 +377,7 @@ def test_full_kxk_triple_sum_oracle():
 def test_full_kxk_projection_free_case():
     rng = np.random.default_rng(17)
     layer = DcdConv("kk", 4, 4, k=3, variant="full_kxk", dims=LatentDims(4, 9),
-                    lambda_enabled=False, enforce_budget=False, rng=np.random.default_rng(18))
+                    lambda_enabled=False, rng=np.random.default_rng(18))
     layer.p.value = np.eye(4)
     layer.q.value = np.eye(4)
     layer.r_mat.value = np.eye(9)
@@ -442,6 +469,7 @@ FACTORED_LAYERS = [
                                     lambda_enabled=False)),
     ("full_kxk-bias", dict(c_in=16, c_out=12, k=3, variant="full_kxk", padding=1, bias=True, dims=LatentDims(3, 4))),
     ("full_kxk-no-lambda-s2", dict(c_in=16, c_out=16, k=3, variant="full_kxk", stride=2, lambda_enabled=False)),
+    ("full_kxk-square-R", dict(c_in=8, c_out=8, k=3, variant="full_kxk", padding=1, dims=LatentDims(1, 9))),
     ("channel_only-pad0", dict(c_in=16, c_out=12, k=3, variant="channel_only_kxk")),  # d = -1
     ("channel_only-pad1-s2", dict(c_in=16, c_out=16, k=3, variant="channel_only_kxk", padding=1, stride=2)),
     ("channel_only-pad2-no-lambda-bias", dict(c_in=16, c_out=16, k=3, variant="channel_only_kxk", padding=2,
@@ -451,8 +479,7 @@ FACTORED_LAYERS = [
 
 
 def _factored_layer(cfg, seed):
-    layer = DcdConv("f", with_bn=False, activation=None, enforce_budget=False,
-                    rng=np.random.default_rng(seed), **cfg)
+    layer = DcdConv("f", with_bn=False, activation=None, rng=np.random.default_rng(seed), **cfg)
     randomize_branch(layer, np.random.default_rng(seed + 1))
     return layer
 
@@ -500,7 +527,7 @@ def test_factored_forward_matches_materialised_kernels(name, cfg):
 
 def _bn_layer(cfg, seed):
     """A DCD layer with batch norm, seeded branches and non-trivial BN state."""
-    layer = DcdConv("f", enforce_budget=False, rng=np.random.default_rng(seed), **cfg)
+    layer = DcdConv("f", rng=np.random.default_rng(seed), **cfg)
     rng = np.random.default_rng(seed + 1)
     randomize_branch(layer, rng)
     bn = layer.bn

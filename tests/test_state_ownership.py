@@ -34,7 +34,7 @@ def _channel_only_3x3(seed):
     """Channel-only 3×3 DCD layer → pool → linear, on the task's 8 channels."""
     rng = np.random.default_rng(seed)
     mix = DcdConv("mix", 8, 8, k=3, variant="channel_only_kxk", dims=LatentDims(l=4), r=2.0,
-                  padding=1, enforce_budget=False, rng=rng)
+                  padding=1, rng=rng)
     fc = StaticConv("fc", 8, 4, bias=True, with_bn=False, activation=None, rng=rng)
     steps = [(mix, "mix"), (GlobalPool("pool", 8), "global_pool"), (fc, "classifier")]
     return _wake(ModelGraph("channel_only_3x3", [Block(steps)], 8, 4, 8, {}), seed)

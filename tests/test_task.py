@@ -12,7 +12,6 @@ from dynconv.task import (
     load_image_folder,
     make_context_gated,
     make_linear_control,
-    make_task,
     make_task_from_config,
 )
 from dynconv.train import train
@@ -78,7 +77,7 @@ def test_generators_refuse_an_empty_split(make):
 
 def test_unknown_task_kind_raises():
     with pytest.raises(ValueError, match="unknown task"):
-        make_task("mystery")
+        make_task_from_config({"task.kind": "mystery"})
 
 
 def test_linear_control_is_solved_by_static_model():

@@ -15,6 +15,7 @@ import pytest
 
 from dynconv import autodiff as ad
 from dynconv import tensor as T
+from dynconv.layers import VanillaDynConv
 
 
 # ---------------------------------------------------------------------------
@@ -477,31 +478,42 @@ def test_global_avg_pool_matches_means():
 def test_softmax_rows_sum_to_one_and_bounds():
     rng = np.random.default_rng(61)
     z = rng.standard_normal((10, 4)) * 5
-    a = ad.attention_activation(z, "softmax", tau=1.0)
+    a = ad.softmax_rows(z)
     assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-12
     assert np.all(a >= 0) and np.all(a <= 1)
+
+
+def _attention(z, mode, tau):
+    """`VanillaDynConv.attention` whose branch logits are exactly `z`: pooled
+    rows are the identity, W1 = I, and W2 = z."""
+    n, kernels = z.shape
+    layer = VanillaDynConv("v", n, 1, kernels=kernels, mode=mode, tau=tau, reduction=1)
+    layer.branch.w1.value[...] = np.eye(n)
+    layer.branch.w2.value[...] = z
+    return layer.attention(np.eye(n))
 
 
 def test_softmax_high_temperature_near_uniform():
     rng = np.random.default_rng(67)
     z = rng.standard_normal((6, 4))
-    a = ad.attention_activation(z, "softmax", tau=1e6)
+    a = _attention(z, "softmax", tau=1e6)
     assert np.max(np.abs(a - 0.25)) < 1e-5
 
 
 def test_sigmoid_attention_ignores_tau():
     rng = np.random.default_rng(71)
     z = rng.standard_normal((5, 3))
-    a1 = ad.attention_activation(z, "sigmoid", tau=1.0)
-    a2 = ad.attention_activation(z, "sigmoid", tau=30.0)
-    assert np.array_equal(a1, a2)
+    a1 = _attention(z, "sigmoid", tau=1.0)
+    a2 = _attention(z, "sigmoid", tau=30.0)
+    assert np.array_equal(a1, a2) and np.array_equal(a1, ad.sigmoid(z))
     assert np.all((a1 > 0) & (a1 < 1))
 
 
 def test_softmax_temperature_flattens():
     z = np.array([[3.0, 0.0, -1.0]])
-    sharp = ad.attention_activation(z, "softmax", tau=1.0)
-    flat = ad.attention_activation(z, "softmax", tau=30.0)
+    sharp = _attention(z, "softmax", tau=1.0)
+    flat = _attention(z, "softmax", tau=30.0)
+    assert np.array_equal(sharp, ad.softmax_rows(z))
     assert sharp.max() > flat.max()
 
 
