@@ -9,19 +9,22 @@ forward's contractions call `dynconv.tensor`'s kernels, looked up at call
 time; `stacked_matmul`, the small products that assemble the materialised
 reference kernel W(x), is ``np.matmul`` itself.  Train-mode batch norm and
 max pooling are computed here, with their VJPs, which reuse the forward's
-intermediates.  A taped forward starts from a leaf, as in
+intermediates; batch norm's three adjoints share the two reductions Σg and
+Σg·x̂.  A taped forward starts from a leaf, as in
 ``graph.forward(tape.leaf(x), train=True)``: each op finds the tape
-through its inputs.  Every op returns a C-contiguous float64 array, so
-`value_of` is the one place where an operand is coerced.  `affine`, one op
-for ``a * w + b``, is the tail of eval batch norm and of the DCD layer,
-Λ ⊙ (W0∗x) + residual.
+through its inputs.  Only a parameter leaf needs a gradient, and so does a
+node with a taped input that needs one; any other node stays on the tape
+with no parents and no VJP, so no adjoint is formed toward the data.
+Every op returns a C-contiguous float64 array, so `value_of` is the one
+place where an operand is coerced.  `affine`, one op for ``a * w + b``, is
+the tail of eval batch norm and of the DCD layer, Λ ⊙ (W0∗x) + residual.
 
 No op checks its result for NaN or ±inf, forward or VJP: the layers check
 their values at fixed points (`dynconv.layers`), and `backward` checks each
 parameter gradient once, when it is complete, so an overflow under a finite
 loss raises before an optimizer step writes it.  A non-finite input
 gradient stays non-finite through the VJPs, so it reaches a checked
-parameter gradient or only the data leaf, which no optimizer writes.
+parameter gradient.
 """
 
 from __future__ import annotations
@@ -106,12 +109,15 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def _record(tape: Tape, name: str, out, inputs, vjp) -> Node:
     """Append op `name` with result `out` to `tape`; every op records here.
 
-    Only the taped `inputs` become parents, in input order; ``vjp(g, j)``
+    Only the taped `inputs` that reach a parameter become parents, in input
+    order: a parameter leaf, or a node that has parents.  ``vjp(g, j)``
     returns the gradient of input j given the output gradient g, and is
-    called for taped inputs only.
+    called for those inputs only.  A node with none of them stays on the
+    tape, so that later ops find it, but has no parents and no VJP.
     """
-    taped = [j for j, x in enumerate(inputs) if isinstance(x, Node)]
-    node = Node(out, tape, [inputs[j] for j in taped], lambda g: [vjp(g, j) for j in taped], op=name)
+    taped = [j for j, x in enumerate(inputs) if isinstance(x, Node) and (x.parents or x.param is not None)]
+    node = Node(out, tape, [inputs[j] for j in taped], (lambda g: [vjp(g, j) for j in taped]) if taped else None,
+                op=name)
     tape.nodes.append(node)
     return node
 
@@ -181,7 +187,7 @@ def relu(a):
     out = np.maximum(av, 0.0)
     if tape is None:
         return out
-    mask = (av > 0).astype(np.float64)
+    mask = av > 0
     return _record(tape, "relu", out, (a,), lambda g, j: g * mask)
 
 
@@ -336,6 +342,8 @@ def _conv2d_input_grad(g, xshape, wv, stride, padding, groups):
     ho, wo = g.shape[2], g.shape[3]
     wmat = wv.reshape(wv.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
     dcols = T.stacked_matmul(wmat.swapaxes(-1, -2), g.reshape(n, groups, c_out // groups, ho * wo), n)
+    if kh == kw == 1 and stride == 1 and padding == 0:  # each patch is one input position
+        return dcols.reshape(xshape)
     dcols = dcols.reshape(n, c, kh, kw, ho, wo)
     dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     for dy in range(kh):
@@ -350,34 +358,41 @@ def batchnorm_train(x, gamma, beta):
     """Batch-stat normalization; returns (out, batch_mean, batch_var), the
     per-channel mean and biased variance over (N,H,W).
 
-    The mean, the centred input, the variance and ``1/sqrt(var + BN_EPS)``
-    are computed once, for the output and the VJP.  The returned stats are
-    plain arrays (running-average bookkeeping is the caller's job and
-    carries no gradient).
+    The mean and the variance are reductions with no temporary array, and
+    x̂ is formed once, for ``out = x̂·γ + β`` and the VJP, whose three
+    adjoints share dβ = Σg and dγ = Σg·x̂: dx = γ·inv·(g − (dβ + x̂·dγ)/m).
+    The returned stats are plain arrays (running-average bookkeeping is the
+    caller's job and carries no gradient).
     """
     tape = _tape(x, gamma, beta)
     xv, gv, bv = value_of(x), value_of(gamma), value_of(beta)
     n, c, h, w = xv.shape
     m = float(n * h * w)
     with np.errstate(over="ignore", invalid="ignore"):  # a finite x can overflow them; the layer checks the stats
-        mean = xv.sum(axis=(0, 2, 3)) / m
-        centred = xv - mean.reshape(1, c, 1, 1)
-        var = (centred ** 2).sum(axis=(0, 2, 3)) / m
+        mean = np.einsum("nchw->c", xv) / m
+        xhat = xv - mean.reshape(1, c, 1, 1)
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / m
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        out = centred * (gv * inv).reshape(1, c, 1, 1) + bv.reshape(1, c, 1, 1)
-        if tape is None:
-            return out, mean, var
-        xhat = centred * inv.reshape(1, c, 1, 1)
+        xhat *= inv.reshape(1, c, 1, 1)
+        out = xhat * gv.reshape(1, c, 1, 1)
+        out += bv.reshape(1, c, 1, 1)
+    if tape is None:
+        return out, mean, var
+    sums = []  # [g, dβ, dγ] for the last output gradient g, which its three adjoints share
 
     def vjp(g, j):
-        if j == 0:
-            dxhat = g * gv.reshape(1, c, 1, 1)
-            s1 = dxhat.sum(axis=(0, 2, 3))
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
-            return (inv.reshape(1, c, 1, 1) / m) * (m * dxhat - s1.reshape(1, c, 1, 1) - xhat * s2.reshape(1, c, 1, 1))
+        if not sums or sums[0] is not g:
+            sums[:] = [g, np.einsum("nchw->c", g), np.einsum("nchw,nchw->c", g, xhat)]
+        _, dbeta, dgamma = sums
+        if j == 2:
+            return dbeta
         if j == 1:
-            return (g * xhat).sum(axis=(0, 2, 3))
-        return g.sum(axis=(0, 2, 3))
+            return dgamma
+        dx = xhat * (dgamma / m).reshape(1, c, 1, 1)
+        dx += (dbeta / m).reshape(1, c, 1, 1)
+        np.subtract(g, dx, out=dx)
+        dx *= (gv * inv).reshape(1, c, 1, 1)
+        return dx
 
     return _record(tape, "batchnorm", out, (x, gamma, beta), vjp), mean, var
 
@@ -412,10 +427,12 @@ def backward(loss: Node, seed: float = 1.0) -> dict[Parameter, np.ndarray]:
     """Accumulate adjoints from `loss` back to parameter leaves.
 
     The walk visits recorded nodes in strict reverse order, so gradient
-    accumulation order is deterministic.  The result maps each touched
-    Parameter to an array of its shape.  A leaf's adjoint is complete when
-    the walk reaches it, so the gradient is checked there: a non-finite one
-    raises, naming the parameter and, through the leaf, its layer.
+    accumulation order is deterministic, and forms adjoints only along the
+    nodes that reach a parameter leaf (`_record`), never toward the data.
+    The result maps each touched Parameter to an array of its shape.  A
+    leaf's adjoint is complete when the walk reaches it, so the gradient is
+    checked there: a non-finite one raises, naming the parameter and,
+    through the leaf, its layer.
     """
     tape = loss.tape
     adj: dict[int, np.ndarray] = {id(loss): np.broadcast_to(np.asarray(float(seed)), loss.value.shape).copy()}

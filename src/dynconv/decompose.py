@@ -134,7 +134,7 @@ def compare_aggregation_mechanisms(
     term count (K·C vs L²), and static factor parameter counts
     (2·K·C² for U,V vs 2·C·L for P,Q).
     """
-    for quantity, value in (("channel count", c), ("kernel count", k), ("latent size", l)):
+    for quantity, value in (("channel count", c), ("kernel count", k), ("latent size", l), ("trial count", trials)):
         if value < 1:
             raise ValueError(f"{quantity} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)

@@ -53,8 +53,9 @@ class SGD:
             g = grads.get(p)
             if g is None:
                 continue
-            v = self.momentum * self.velocity[id(p)] + g
-            self.velocity[id(p)] = v
+            v = self.velocity[id(p)]
+            v *= self.momentum
+            v += g
             p.value -= lr * v
 
 

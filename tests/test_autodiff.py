@@ -317,6 +317,69 @@ def test_grad_batchnorm_train():
     check_grads(loss, [x, gamma, beta], tol=5e-6)
 
 
+def _batchnorm_closed_form(x, gamma, beta, g):
+    """Train-mode batch norm and its three adjoints in the textbook form,
+    each adjoint from its own sums over a separate ``g·γ`` array."""
+    n, c, h, w = x.shape
+    m = float(n * h * w)
+    mean = x.sum(axis=(0, 2, 3)) / m
+    centred = x - mean.reshape(1, c, 1, 1)
+    var = (centred ** 2).sum(axis=(0, 2, 3)) / m
+    inv = (1.0 / np.sqrt(var + ad.BN_EPS)).reshape(1, c, 1, 1)
+    xhat = centred * inv
+    out = centred * (gamma.reshape(1, c, 1, 1) * inv) + beta.reshape(1, c, 1, 1)
+    dxhat = g * gamma.reshape(1, c, 1, 1)
+    s1 = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+    s2 = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+    dx = (inv / m) * (m * dxhat - s1 - xhat * s2)
+    return out, mean, var, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5, 5), (4, 1, 3, 3), (1, 3, 1, 1), (6, 5, 1, 1)],
+                         ids=["NCHW", "C=1", "NHW=1", "HW=1"])
+def test_batchnorm_shared_reductions_match_the_closed_form_and_finite_differences(shape):
+    """dβ = Σg and dγ = Σg·x̂, reused by the input adjoint, give the
+    textbook adjoints to 1e-12; with one value per channel (N·H·W = 1), x̂,
+    the input adjoint and dγ are exactly 0."""
+    rng = np.random.default_rng(60)
+    c = shape[1]
+    params = [ad.Parameter("x", rng.standard_normal(shape)), ad.Parameter("gamma", rng.standard_normal(c) + 2.0),
+              ad.Parameter("beta", rng.standard_normal(c))]
+    g = rng.standard_normal(shape)
+
+    def taped():
+        tape = ad.Tape()
+        out, mean, var = ad.batchnorm_train(*(tape.leaf(p.value, param=p) for p in params))
+        return ad.sum_all(ad.mul(out, g)), out, mean, var
+
+    loss, out, mean, var = taped()
+    grads = ad.backward(loss)
+    want = _batchnorm_closed_form(*(p.value for p in params), g)
+    for got, ref in zip([out.value, mean, var] + [grads[p] for p in params], want):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    check_grads(lambda: taped()[0], params, tol=5e-6)
+
+
+def test_a_node_that_reaches_no_parameter_gets_no_parents_and_no_vjp():
+    """A plain leaf and every op on it alone stay on the tape, so a later op
+    finds the tape, but get no adjoint; an op that also takes a parameter
+    keeps only the parameter's side as a parent."""
+    rng = np.random.default_rng(61)
+    w = ad.Parameter("w", rng.standard_normal((4, 3, 1, 1)))
+    tape = ad.Tape()
+    data = tape.leaf(rng.standard_normal((2, 3, 5, 5)))
+    act = ad.relu(data)
+    leaf = tape.leaf(w.value, param=w)
+    out = ad.conv2d(act, leaf)
+    assert tape.nodes == [data, act, leaf, out]
+    assert (act.parents, act.vjp) == ([], None)
+    assert out.parents == [leaf]
+    grads = ad.backward(ad.sum_all(out))
+    assert list(grads) == [w]
+    assert np.allclose(grads[w], np.broadcast_to(act.value.sum(axis=(0, 2, 3)).reshape(1, 3, 1, 1), w.value.shape))
+
+
 def test_grad_global_avg_pool_and_mean():
     rng = np.random.default_rng(7)
     x = ad.Parameter("x", rng.standard_normal((2, 3, 4, 4)))

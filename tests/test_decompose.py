@@ -131,6 +131,19 @@ def test_mechanism_comparison_counts():
     assert rows[0].rank_bound == rows[1].rank_bound == 6
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"c": 0, "k": 4, "l": 2}, "channel count must be >= 1, got 0"),
+    ({"c": 8, "k": 0, "l": 2}, "kernel count must be >= 1, got 0"),
+    ({"c": 8, "k": 4, "l": -1}, "latent size must be >= 1, got -1"),
+    ({"c": 8, "k": 4, "l": 2, "trials": 0}, "trial count must be >= 1, got 0"),
+], ids=["channels", "kernels", "latent", "trials"])
+def test_mechanism_comparison_refuses_an_empty_measurement(kwargs, message):
+    """Zero trials would return both rows with rank 0, which reads as a
+    measured residual of rank 0 under its bound."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        compare_aggregation_mechanisms(**kwargs)
+
+
 def test_numerical_rank():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((8, 3))

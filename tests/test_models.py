@@ -267,6 +267,38 @@ def test_taped_forward_takes_its_tape_from_the_input():
     assert not missing, f"no gradient for {missing}"
 
 
+@pytest.mark.parametrize("name", ["task_static", "task_dcd", "task_vanilla", "resnet10_dcd", "mobilenetv2_x0.5_dcd"])
+def test_a_step_on_a_data_leaf_forms_no_input_adjoint_and_the_same_gradients(name, monkeypatch):
+    """A plain data leaf reaches no parameter, so every conv computes its
+    input adjoint except those whose input is the data, and every parameter
+    gradient is byte-identical to that of a step whose input is a
+    `Parameter` leaf."""
+    graph = resolve_model(name, seed=2, resolution=16)
+    rng = np.random.default_rng(9)
+    for p in graph.parameters():  # input-dependent Λ, Φ and attention, and nonzero biases
+        if not p.value.any():
+            p.value = rng.normal(size=p.value.shape) * 0.1
+    x = rng.normal(size=(3, graph.input_channels, 16, 16))
+    y = rng.integers(graph.num_classes, size=3)
+    conv_inputs, input_grads = [], []
+    conv2d, input_grad = ad.conv2d, ad._conv2d_input_grad
+    monkeypatch.setattr(ad, "conv2d", lambda a, *rest, **kw: (conv_inputs.append(a), conv2d(a, *rest, **kw))[1])
+    monkeypatch.setattr(ad, "_conv2d_input_grad", lambda *args: (input_grads.append(1), input_grad(*args))[1])
+
+    def step(leaf):
+        conv_inputs.clear()
+        input_grads.clear()
+        grads = ad.backward(ad.cross_entropy(graph.forward(leaf, train=True), y))
+        counts = sum(a is leaf for a in conv_inputs), len(conv_inputs), len(input_grads)
+        return [grads[p].tobytes() for p in graph.parameters()], counts
+
+    lifted, (on_data, convs, lifted_grads) = step(ad.Tape().leaf(x, param=ad.Parameter("input", x)))
+    plain, plain_counts = step(ad.Tape().leaf(x))
+    assert plain == lifted
+    assert on_data >= 1 and lifted_grads == convs
+    assert plain_counts == (on_data, convs, convs - on_data)
+
+
 def test_static_twin_walks_the_same_layers():
     graph = _seeded_resnet10()
     rows = [(layer.name, role, h_in, h_out) for layer, role, h_in, h_out in graph.iter_layers()]

@@ -247,6 +247,7 @@ def assert_rel_close(got, want, tol=1e-12):
     "xshape,wshape,stride,padding,groups",
     [
         pytest.param((2, 4, 5, 5), (3, 4, 1, 1), 1, 0, 1, id="k1"),
+        pytest.param((2, 4, 5, 5), (6, 2, 1, 1), 1, 0, 2, id="k1-groups2"),
         pytest.param((2, 4, 7, 7), (6, 4, 3, 3), 2, 1, 1, id="k3-stride2-pad1"),
         pytest.param((2, 4, 6, 6), (4, 1, 3, 3), 1, 1, 4, id="depthwise"),
         pytest.param((2, 4, 6, 6), (6, 2, 3, 3), 2, 0, 2, id="groups2-stride2"),
