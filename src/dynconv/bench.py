@@ -98,6 +98,8 @@ def bench_pair(
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     res = graph.resolution if resolution is None else resolution
+    if res < 0:  # zero makes an empty input, which the forward refuses by its shape
+        raise ValueError(f"resolution must not be negative, got {res}")
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(batch, graph.input_channels, res, res))
     twin = graph.static_twin()

@@ -251,6 +251,8 @@ def cmd_analyze_phi(args) -> int:
     else:
         rng = np.random.default_rng(seed)
         res = model.resolution if args.resolution is None else args.resolution
+        if res < 0:  # as in `bench_pair`
+            raise ValueError(f"resolution must not be negative, got {res}")
         x = rng.normal(size=(args.samples, model.input_channels, res, res))
     _write_or_print(args, model.name, phi_statistics(model, x).csv_lines())
     return 0

@@ -20,12 +20,16 @@ them):
     dynamic product is counted by associativity as P·(Φ·(Qᵀx)):
     C_in·L + L² + L·C_out, since materializing W(x) is pointless there;
   - for vanilla attention, the kernel mixing K·C_out·C_in.
-* Depthwise counts match the plan that runs: the forward assembles
-  P·(Φ·Rᵀ), folds Λ into the C×k² kernel and runs one grouped conv; only
-  when H'·W' < k² does the count charge Λ to the smaller output instead.
-  The other DCD forms run a factored chain of convs, not the kernel
-  assembly counted here.
 * MAdds are reported per sample at a declared input resolution.
+
+Those are the paper's conventions, the ``madds`` column.  The
+``executed_madds`` column counts the plan `DcdConv._conv` runs, as
+`dynconv.layers.plan_madds` counts it and `dynconv.layers.materialises`
+picks it: the same conv and branch, then either the kernel assembly with Λ
+on the kernel (depthwise, and pointwise where that is cheaper) or the
+factored chain of convs with Λ on the output (the other DCD layers).  For
+depthwise the two columns differ only where H'·W' < k²; for static and
+vanilla layers they agree.
 
 Parameter counts are pure introspection: the number of learnable scalars
 the layer actually allocates, bucketed into categories (static kernel,
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .layers import DcdConv, StaticConv, VanillaDynConv
+from .layers import DcdConv, StaticConv, VanillaDynConv, _assembly_madds, materialises, plan_madds
 
 CATEGORIES = ("static_kernel", "projections", "dynamic_branch", "batch_norm", "classifier")
 
@@ -53,6 +57,7 @@ class LayerCount:
     kind: str
     params: int
     madds: int
+    executed_madds: int
     categories: dict[str, int] = field(default_factory=dict)
 
 
@@ -69,6 +74,10 @@ class CountReport:
     def total_madds(self) -> int:
         return sum(r.madds for r in self.rows)
 
+    @property
+    def total_executed_madds(self) -> int:
+        return sum(r.executed_madds for r in self.rows)
+
     def category_totals(self) -> dict[str, int]:
         out = {c: 0 for c in CATEGORIES}
         for row in self.rows:
@@ -83,18 +92,19 @@ class CountReport:
         return self.total_madds - sum(r.madds for r in self.rows if "classifier" in r.categories)
 
     def csv_lines(self) -> list[str]:
-        lines = ["layer,kind,params,madds"]
+        lines = ["layer,kind,params,madds,executed_madds"]
         for r in self.rows:
-            lines.append(f"{r.name},{r.kind},{r.params},{r.madds}")
-        lines.append(f"TOTAL,,{self.total_params},{self.total_madds}")
+            lines.append(f"{r.name},{r.kind},{r.params},{r.madds},{r.executed_madds}")
+        lines.append(f"TOTAL,,{self.total_params},{self.total_madds},{self.total_executed_madds}")
         return lines
 
     def table_lines(self) -> list[str]:
         width = max([len(r.name) for r in self.rows] + [5])
-        lines = [f"{'layer':<{width}}  {'kind':<18} {'params':>12} {'madds':>14}"]
+        lines = [f"{'layer':<{width}}  {'kind':<18} {'params':>12} {'madds':>14} {'executed_madds':>14}"]
         for r in self.rows:
-            lines.append(f"{r.name:<{width}}  {r.kind:<18} {r.params:>12} {r.madds:>14}")
-        lines.append(f"{'TOTAL':<{width}}  {'':<18} {self.total_params:>12} {self.total_madds:>14}")
+            lines.append(f"{r.name:<{width}}  {r.kind:<18} {r.params:>12} {r.madds:>14} {r.executed_madds:>14}")
+        lines.append(f"{'TOTAL':<{width}}  {'':<18} {self.total_params:>12} {self.total_madds:>14} "
+                     f"{self.total_executed_madds:>14}")
         cats = self.category_totals()
         lines.append("categories: " + ", ".join(f"{k}={v}" for k, v in cats.items() if v))
         return lines
@@ -133,20 +143,6 @@ def _branch_madds(layer) -> int:
     return layer.c_in + layer.c_in * layer.branch.squeeze + layer.branch.squeeze * layer.branch.d_out
 
 
-def _assembly_madds(layer: DcdConv) -> int:
-    l, l_k = layer.dims.l, layer.dims.l_k
-    kk = layer.k * layer.k
-    if layer.variant == "block_sparse":
-        cb = layer.c_in // layer.blocks
-        return layer.blocks * (l * l * cb + cb * l * cb)
-    if layer.variant in ("pointwise", "channel_only_kxk"):
-        return min(l * l * layer.c_in, layer.c_out * l * l) + layer.c_out * l * layer.c_in
-    if layer.variant == "depthwise":
-        return l_k * l_k * kk + layer.c_in * l_k * kk
-    # full k×k tensor: ×₁Q then ×₂P then ×₃R
-    return layer.c_in * l * l * l_k + layer.c_out * layer.c_in * l * l_k + layer.c_in * layer.c_out * l_k * kk
-
-
 def _lambda_madds(layer: DcdConv, h_out: int, w_out: int) -> int:
     if not layer.lambda_enabled:
         return 0
@@ -175,6 +171,18 @@ def layer_madds(layer, h_in: int) -> tuple[int, int]:
     return conv + _branch_madds(layer) + _assembly_madds(layer) + _lambda_madds(layer, h_out, h_out), h_out
 
 
+def executed_madds(layer, h_in: int) -> int:
+    """MAdds per sample of what the forward runs on an h_in×h_in input: the
+    paper's count for static and vanilla layers, and for a DCD layer its conv
+    and branch plus the plan `materialises` picks, as `plan_madds` counts it."""
+    if not isinstance(layer, DcdConv):
+        return layer_madds(layer, h_in)[0]
+    h_out = layer.out_size(h_in)
+    conv = layer.c_out * (layer.c_in // layer.groups) * layer.k * layer.k * h_out * h_out
+    factored, materialised = plan_madds(layer, h_in, h_in)
+    return conv + _branch_madds(layer) + (materialised if materialises(layer, h_in, h_in) else factored)
+
+
 def count_model(graph, resolution: int | None = None) -> CountReport:
     """Walk a model graph; params always, madds when a resolution is given."""
     from .models import GlobalPool, MaxPool2d
@@ -185,18 +193,18 @@ def count_model(graph, resolution: int | None = None) -> CountReport:
     for layer, role, h_in, h_out in graph.iter_layers(resolution):
         if isinstance(layer, GlobalPool):
             madds = layer.channels if resolution is not None else 0
-            report.rows.append(LayerCount(name=role, kind="global_pool", params=0, madds=madds, categories={}))
+            report.rows.append(LayerCount(role, "global_pool", 0, madds, madds))
             continue
         if isinstance(layer, MaxPool2d):
-            report.rows.append(LayerCount(name=role, kind="max_pool", params=0, madds=0, categories={}))
+            report.rows.append(LayerCount(role, "max_pool", 0, 0, 0))
             continue
         params, cats = _bucket_params(layer, role == "classifier")
-        madds = 0
+        madds = executed = 0
         if resolution is not None:
-            madds, _ = layer_madds(layer, h_in)
+            madds, executed = layer_madds(layer, h_in)[0], executed_madds(layer, h_in)
         report.rows.append(
-            LayerCount(name=layer.name, kind=f"{type(layer).__name__}/{getattr(layer, 'variant', role)}",
-                       params=params, madds=madds, categories=cats)
+            LayerCount(layer.name, f"{type(layer).__name__}/{getattr(layer, 'variant', role)}",
+                       params, madds, executed, cats)
         )
     return report
 

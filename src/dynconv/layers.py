@@ -24,14 +24,17 @@ both DCD's coefficients and vanilla's attention logits.  In DCD its second
 FC is zero-initialized, so W(x) = W0 exactly at initialization and every
 DCD layer starts bit-identical to its static counterpart.
 
-``DcdConv._conv`` runs the decomposition as Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx):
-the static conv its twin runs, one scale, and a residual of convs through
-the L-channel latent space.  ``depthwise`` is the exception: its W(x) is
-one C×k² kernel per sample, so its ``_conv`` assembles Λ ⊙ W0 + P·Φ·Rᵀ with
-``weight_for``'s stacked products and runs one grouped conv.  ``weight_for``
-materialises W(x) in conv layout (N, C_out, C_in/groups, k, k), the
-reference the factored path is tested against, as Λ ⊙ W0 plus the
-residual's matrix products stacked over the samples.
+``DcdConv._conv`` runs one of two plans, whichever `materialises` picks
+from the layer's shape and input size.  The factored plan is
+Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx): the static conv its twin runs, one scale,
+and a residual of convs through the L-channel latent space.  The
+materialised plan assembles W(x) = Λ ⊙ W0 + residual with ``weight_for``'s
+stacked products, in conv layout (N, C_out, C_in/groups, k, k), and runs
+one conv with it.  ``depthwise`` always materialises (its W(x) is one C×k²
+kernel per sample); ``pointwise`` materialises where that counts fewer
+MAdds (`plan_madds`), which at 1×1 comes down to H'·W'·(C_in + C_out) >
+C_in·C_out; the other variants stay factored.  Either plan gives the
+other's outputs and gradients to 1e-10 relative.
 
 ``pointwise`` and ``block_sparse`` store P (C_out × L) and Q (C_in × L) in
 one layout: B stacked row blocks (B = 1 for pointwise), run as grouped convs.
@@ -300,7 +303,8 @@ class _ConvLayer:
 
 class DcdConv(_ConvLayer):
     """Convolution with a statically-anchored, input-conditioned kernel;
-    its `_conv` runs the factored decomposition (see the module docstring).
+    its `_conv` runs the factored or the materialised plan (see the module
+    docstring).
 
     Parameters
     ----------
@@ -418,15 +422,16 @@ class DcdConv(_ConvLayer):
 
     def weight_for(self, pooled, lift=None):
         """Per-sample conv kernels W(x) = Λ ⊙ W0 + residual, (N, C_out,
-        C_in/groups, k, k), from pooled features (N×C_in): the materialised
-        reference the factored forward is tested against."""
+        C_in/groups, k, k), from pooled features (N×C_in): the kernel the
+        materialised plan convolves with."""
         lift = lift or _lifter(pooled, self)
         return self._kernel(*self.coefficients(pooled, lift), lift)
 
     def _kernel(self, lam, phi, lift):
-        """W(x) from the coefficients.  Every residual product has the sample
-        as a stack axis, so batch N gives the stacked batch-1 kernels bit
-        for bit."""
+        """W(x) from the coefficients, P·Φ·Qᵀ in the cheaper association
+        order that `_assembly_madds` counts.  Every residual product has the
+        sample as a stack axis, so batch N gives the stacked batch-1 kernels
+        bit for bit."""
         n = ad.value_of(phi).shape[0]
         l, l_k, kk, g = self.dims.l, self.dims.l_k, self.k * self.k, self.blocks
         mm = ad.stacked_matmul
@@ -443,8 +448,10 @@ class DcdConv(_ConvLayer):
             res = mm(lift(self.p), ad.reshape(res, (n, l, self.c_in * kk)))
         else:  # P_b·Φ_b·Q_bᵀ per diagonal block (B = 1 outside block_sparse)
             co, ci = self.c_out // g, self.c_in // g
+            p = ad.reshape(lift(self.p), (g, co, l))
             qt = ad.transpose_axes(ad.reshape(lift(self.q), (g, ci, l)), (0, 2, 1))
-            res = mm(mm(ad.reshape(lift(self.p), (g, co, l)), ad.reshape(phi, (n, g, l, l))), qt)
+            phi = ad.reshape(phi, (n, g, l, l))
+            res = mm(mm(p, phi), qt) if co <= ci else mm(p, mm(phi, qt))
             if g > 1:  # (n, B, C_out/B, C_in/B) onto the block diagonal of (n, C_out, C_in)
                 res = ad.mul(ad.reshape(res, (n, g, co, 1, ci)), np.eye(g).reshape(g, 1, g, 1))
             if self.variant == "channel_only_kxk":  # at the centre kernel element only
@@ -456,13 +463,15 @@ class DcdConv(_ConvLayer):
     # -- full layer ------------------------------------------------------
 
     def _conv(self, x, lift):
-        n = ad.value_of(x).shape[0]
+        """W(x) ∗ x on the plan `materialises` picks for x's size: one conv
+        with the per-sample kernel, or the factored chain."""
+        n, _, h, w = ad.value_of(x).shape
         pooled = ad.global_avg_pool(x)
         lam, phi = self.coefficients(pooled, lift)
         if self.observer is not None:
             self.observer(self, ad.value_of(pooled),
                           None if lam is None else ad.value_of(lam), ad.value_of(phi))
-        if self.variant == "depthwise":  # one grouped conv with the per-sample C×k² kernel
+        if materialises(self, h, w):
             return ad.conv2d(x, self._kernel(lam, phi, lift), self.stride, self.padding, self.groups)
         out = ad.conv2d(x, self._w0_kernel(lift), stride=self.stride, padding=self.padding)
         res = self._residual(x, phi, lift)
@@ -473,8 +482,8 @@ class DcdConv(_ConvLayer):
         return ad.reshape(lift(self.w0), (self.c_out, self.c_in // self.groups, self.k, self.k))
 
     def _residual(self, x, phi, lift):
-        """Dynamic part of the output, P·Φ(x)·(Qᵀx), as a chain of small convs
-        (every variant but depthwise)."""
+        """Dynamic part of the factored plan's output, P·Φ(x)·(Qᵀx), as a
+        chain of small convs (every variant but depthwise)."""
         n = ad.value_of(x).shape[0]
         l, l_k, k, s = self.dims.l, self.dims.l_k, self.k, self.stride
 
@@ -511,6 +520,59 @@ class DcdConv(_ConvLayer):
     def static_kernel(self) -> np.ndarray:
         """W0 in conv layout (C_out, C_in/groups, k, k)."""
         return self._w0_kernel(lambda p: p.value)
+
+
+# ---------------------------------------------------------------------------
+# execution plan
+
+
+def _assembly_madds(layer: DcdConv) -> int:
+    """MAdds per sample that assemble the low-rank residual of W(x): the
+    cheaper association order of P·Φ·Qᵀ, per diagonal block for
+    block_sparse; P·(Φ·Rᵀ) for depthwise; the mode-product chain ×₁Q, ×₂P,
+    ×₃R for full k×k (which runs ×₁Q, ×₃R, ×₂P when it materialises)."""
+    l, l_k = layer.dims.l, layer.dims.l_k
+    kk = layer.k * layer.k
+    if layer.variant == "block_sparse":
+        cb = layer.c_in // layer.blocks
+        return layer.blocks * (l * l * cb + cb * l * cb)
+    if layer.variant in ("pointwise", "channel_only_kxk"):
+        return min(l * l * layer.c_in, layer.c_out * l * l) + layer.c_out * l * layer.c_in
+    if layer.variant == "depthwise":
+        return l_k * l_k * kk + layer.c_in * l_k * kk
+    return layer.c_in * l * l * l_k + layer.c_out * layer.c_in * l * l_k + layer.c_in * layer.c_out * l_k * kk
+
+
+def plan_madds(layer: DcdConv, h: int, w: int) -> tuple[int | None, int]:
+    """(factored, materialised): MAdds per sample that each plan spends on an
+    h×w input beyond the branch and the one conv both make, with W0 or W(x).
+
+    Factored: Qᵀx, Φ and P as convs at the output size (full k×k takes Qᵀx
+    at the input size, and Φ's k×k kernels from one Φ·Rᵀ per sample), then
+    Λ on the output.  Materialised: `_assembly_madds`, then Λ on the kernel.
+    Depthwise has no factored chain (None).
+    """
+    hw = layer.out_size(h) * T.conv_out_size(w, layer.k, layer.stride, layer.padding)
+    l, l_k, kk = layer.dims.l, layer.dims.l_k, layer.k * layer.k
+    lam = layer.lambda_enabled
+    materialised = _assembly_madds(layer) + (layer.c_out * (layer.c_in // layer.groups) * kk if lam else 0)
+    if layer.variant == "depthwise":
+        return None, materialised
+    if layer.variant == "full_kxk":
+        chain = h * w * layer.c_in * l + l * l * l_k * kk + hw * (l * l * kk + l * layer.c_out)
+    else:
+        chain = hw * (layer.c_in * l + layer.blocks * l * l + l * layer.c_out)
+    return chain + (hw * layer.c_out if lam else 0), materialised
+
+
+def materialises(layer: DcdConv, h: int, w: int) -> bool:
+    """Whether `DcdConv._conv` convolves an h×w input with W(x) itself:
+    always for depthwise, for pointwise where `plan_madds` counts fewer
+    MAdds that way, and never for the other variants."""
+    if layer.variant != "pointwise":
+        return layer.variant == "depthwise"
+    factored, materialised = plan_madds(layer, h, w)
+    return materialised < factored
 
 
 class StaticConv(_ConvLayer):

@@ -37,7 +37,7 @@ def test_count_csv_to_file(tmp_path, capsys):
     path = tmp_path / "counts.csv"
     assert main(["count", "task_dcd", "--csv", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
-    assert lines[0] == "layer,kind,params,madds"
+    assert lines[0] == "layer,kind,params,madds,executed_madds"
     assert lines[-1].startswith("TOTAL,")
 
 
@@ -299,10 +299,13 @@ def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
     (["equivalence", "--latent", "0"], "latent size must be >= 1, got 0"),
     (["equivalence", "--channels", "-1"], "channel count must be >= 1, got -1"),
     (["bench", "task_dcd", "--warmup", "-1"], "warmup must be >= 0, got -1"),
+    (["bench", "task_dcd", "--resolution", "-5"], "resolution must not be negative, got -5"),
+    (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "-5"], "resolution must not be negative, got -5"),
 ], ids=["bench-repeats-0", "analyze-phi-task-samples-0", "analyze-phi-zoo-samples-0", "bench-batch-0",
         "bench-resolution-0", "analyze-phi-zoo-resolution-0", "analyze-phi-task-samples-negative",
         "equivalence-trials-0", "count-resolution-negative", "count-resolution-0", "equivalence-channels-0",
-        "equivalence-kernels-0", "equivalence-latent-0", "equivalence-channels-negative", "bench-warmup-negative"])
+        "equivalence-kernels-0", "equivalence-latent-0", "equivalence-channels-negative", "bench-warmup-negative",
+        "bench-resolution-negative", "analyze-phi-zoo-resolution-negative"])
 def test_an_empty_timing_or_phi_run_is_refused(tmp_path, capsys, argv, error):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

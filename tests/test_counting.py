@@ -6,15 +6,25 @@ import math
 import numpy as np
 import pytest
 
+from dynconv.cli import resolve_model
 from dynconv.counting import (
     CountReport,
     LayerCount,
     count_model,
     count_params,
     dcd_complexity_formula,
+    executed_madds,
     layer_madds,
 )
-from dynconv.layers import DcdConv, LatentDims, StaticConv, VanillaDynConv, default_latent_dim
+from dynconv.layers import (
+    DcdConv,
+    LatentDims,
+    StaticConv,
+    VanillaDynConv,
+    default_latent_dim,
+    materialises,
+    plan_madds,
+)
 from dynconv.models import build_mobilenetv2, build_resnet
 
 
@@ -210,6 +220,51 @@ def test_block_sparse_assembly_counts_per_block():
     assert _assembly_madds(layer) == 4 * (l * l * 4 + 4 * l * 4)
 
 
+def test_executed_madds_count_the_plan_the_forward_runs():
+    """Conv and branch, then the materialised plan's assembly and Λ on the
+    kernel at 8×8, or the factored chain Qᵀ, Φ, P and Λ on the output at
+    2×2; depthwise charges Λ to its kernel even where the paper's count
+    charges the smaller output; full k×k runs its factored chain."""
+    layer = DcdConv("d", 16, 16, variant="pointwise", dims=LatentDims(l=4), squeeze=2,
+                    rng=np.random.default_rng(1))
+    branch = 16 + 16 * 2 + 2 * layer.branch.d_out
+    assembly = 4 * 4 * 16 + 16 * 4 * 16
+    assert executed_madds(layer, 8) == 16 * 16 * 64 + branch + assembly + 16 * 16
+    assert executed_madds(layer, 2) == 16 * 16 * 4 + branch + 4 * (16 * 4 + 4 * 4 + 4 * 16) + 4 * 16
+    dw = DcdConv("dw", 16, 16, k=3, variant="depthwise", padding=1, squeeze=2, rng=np.random.default_rng(5))
+    l_k = dw.dims.l_k
+    dw_branch = 16 + 16 * 2 + 2 * dw.branch.d_out
+    assert executed_madds(dw, 2) == 16 * 9 * 4 + dw_branch + l_k * l_k * 9 + 16 * l_k * 9 + 16 * 9
+    assert executed_madds(dw, 2) > layer_madds(dw, 2)[0]
+    kxk = DcdConv("t", 16, 16, k=3, variant="full_kxk", dims=LatentDims(l=4, l_k=4), padding=1, squeeze=2,
+                  rng=np.random.default_rng(6))
+    kxk_branch = 16 + 16 * 2 + 2 * kxk.branch.d_out
+    chain = 64 * 16 * 4 + 4 * 4 * 4 * 9 + 64 * (4 * 4 * 9 + 4 * 16)  # Qᵀ, Φ·Rᵀ, the k×k Φ conv, P
+    assert executed_madds(kxk, 8) == 16 * 16 * 9 * 64 + kxk_branch + chain + 64 * 16
+
+
+@pytest.mark.parametrize("name,resolution,on_kernel", [("task_dcd", 16, 1), ("mobilenetv2_x0.5_dcd", 32, 12)])
+def test_executed_madds_follow_the_plan_the_forward_picks(name, resolution, on_kernel):
+    """Every pointwise DCD row executes its conv and branch plus the cheaper
+    plan: task_dcd's layer at 16×16 materialises W(x), below its factored
+    plan's count, and so do 12 of MobileNetV2-0.5-DCD's layers at 32×32."""
+    from dynconv.counting import _branch_madds
+
+    graph = resolve_model(name)
+    rows = {row.name: row for row in count_model(graph, resolution).rows}
+    materialised_rows = 0
+    for layer, _, h_in, _ in graph.iter_layers(resolution):
+        if isinstance(layer, DcdConv):
+            assert layer.variant == "pointwise"
+            factored, materialised = plan_madds(layer, h_in, h_in)
+            common = layer_madds(layer.static_equivalent(), h_in)[0] + _branch_madds(layer)
+            assert rows[layer.name].executed_madds == common + min(factored, materialised)
+            if materialises(layer, h_in, h_in):
+                materialised_rows += 1
+                assert rows[layer.name].executed_madds < common + factored
+    assert materialised_rows == on_kernel
+
+
 # ---------------------------------------------------------------------------
 # whole-model reports
 
@@ -223,7 +278,7 @@ def test_count_report_totals_and_csv():
     assert sum(cats.values()) == report.total_params
     assert cats["classifier"] > 0
     lines = report.csv_lines()
-    assert lines[0] == "layer,kind,params,madds"
+    assert lines[0] == "layer,kind,params,madds,executed_madds"
     assert lines[-1].startswith("TOTAL,")
     assert len(lines) == len(report.rows) + 2
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynconv import autodiff as ad
+from dynconv import layers
 from dynconv import tensor as T
 from dynconv.gradcheck import finite_diff_check
 from dynconv.layers import (
@@ -495,11 +496,27 @@ def _rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
+def _on_plan(monkeypatch, materialised):
+    """Make every pointwise layer run the given plan, whatever its input size."""
+    monkeypatch.setattr(layers, "materialises", lambda layer, h, w: layer.variant == "depthwise"
+                        or materialised and layer.variant == "pointwise")
+
+
+def _plan_grads(layer, x, target):
+    """Every parameter and input gradient of Σ forward(x)·target, by name."""
+    tape = ad.Tape()
+    x_param = ad.Parameter("x", x)
+    g = ad.backward(ad.sum_all(ad.mul(layer.forward(tape.leaf(x, param=x_param)), target)))
+    return {p.name: g.get(p, np.zeros_like(p.value)) for p in layer.parameters() + [x_param]}
+
+
 @pytest.mark.parametrize("name,cfg", FACTORED_LAYERS, ids=[n for n, _ in FACTORED_LAYERS])
-def test_factored_forward_matches_materialised_kernels(name, cfg):
+def test_factored_forward_matches_materialised_kernels(name, cfg, monkeypatch):
     """Λ⊙(W0∗x) + P·Φ·(Qᵀx) equals the per-sample kernel path, in value and,
     on a tape, in every parameter and input gradient; batch 4 equals the
-    stacked batch-1 outputs bit for bit."""
+    stacked batch-1 outputs bit for bit.  Pointwise layers are held on the
+    factored plan, which they leave at this size; depthwise has no other."""
+    _on_plan(monkeypatch, False)
     layer = _factored_layer(cfg, 40)
     rng = np.random.default_rng(41)
     x = rng.standard_normal((4, cfg["c_in"], 7, 7))
@@ -525,6 +542,42 @@ def test_factored_forward_matches_materialised_kernels(name, cfg):
         assert _rel_err(g, grads[1][pname]) <= 1e-10, f"{name}: gradient of {pname}"
 
 
+POINTWISE_PLANS = [  # (name, cfg, input size, whether the forward materialises W(x) there)
+    (name, cfg, h, h == 7) for (name, cfg), factored_h in zip(FACTORED_LAYERS[:2], (2, 3)) for h in (factored_h, 7)
+]
+
+
+@pytest.mark.parametrize("name,cfg,h,materialised", POINTWISE_PLANS,
+                         ids=[f"{name}-{h}x{h}" for name, _, h, _ in POINTWISE_PLANS])
+def test_a_pointwise_layer_runs_the_plan_that_counts_fewer_madds(name, cfg, h, materialised, monkeypatch):
+    """On each side of the rule the forward runs the plan `materialises`
+    picks: one conv with W(x), or the four of the factored chain (W0, Qᵀ, Φ,
+    P).  The other plan, forced, gives the same outputs and every parameter
+    and input gradient to 1e-10 relative, and under either plan batch 4
+    equals the stacked batch-1 outputs bit for bit."""
+    layer = _factored_layer(cfg, 40)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((4, cfg["c_in"], h, h))
+    target = rng.standard_normal((4, cfg["c_out"]) + (layer.out_size(h),) * 2)
+    a, b = layers.plan_madds(layer, h, h)
+    assert layers.materialises(layer, h, h) == materialised == (b < a)
+    convs, conv2d = [], ad.conv2d
+    monkeypatch.setattr(ad, "conv2d", lambda *args, **kw: convs.append(1) or conv2d(*args, **kw))
+    runs = []
+    for plan in (materialised, not materialised):  # the forward's own choice first, then the other one
+        if plan != materialised:
+            _on_plan(monkeypatch, plan)
+        convs.clear()
+        out = layer.forward(x)
+        assert len(convs) == (1 if plan else 4)
+        assert np.array_equal(out, np.concatenate([layer.forward(x[i : i + 1]) for i in range(4)]))
+        runs.append((out, _plan_grads(layer, x, target)))
+    (out, grads), (ref, ref_grads) = runs
+    assert _rel_err(out, ref) <= 1e-10
+    for pname, g in grads.items():
+        assert _rel_err(g, ref_grads[pname]) <= 1e-10, f"{name}: gradient of {pname}"
+
+
 def _bn_layer(cfg, seed):
     """A DCD layer with batch norm, seeded branches and non-trivial BN state."""
     layer = DcdConv("f", rng=np.random.default_rng(seed), **cfg)
@@ -541,11 +594,14 @@ def _bn_layer(cfg, seed):
 @pytest.mark.parametrize("cfg", [
     dict(c_in=8, c_out=8, k=3, variant="depthwise", padding=1),
     dict(c_in=8, c_out=8, k=3, variant="depthwise", padding=1, stride=2, lambda_enabled=False, bias=True),
-], ids=["depthwise", "depthwise-no-lambda-bias-s2"])
-def test_depthwise_forward_is_one_conv_with_the_materialised_kernel(cfg):
-    """The depthwise forward runs conv2d(x, weight_for(pooled)) and the head,
-    bit for bit: it has no factored path of its own."""
+    dict(c_in=8, c_out=8, variant="pointwise"),
+    dict(c_in=8, c_out=16, variant="pointwise", stride=2, lambda_enabled=False, bias=True),
+], ids=["depthwise", "depthwise-no-lambda-bias-s2", "pointwise", "pointwise-no-lambda-bias-s2"])
+def test_a_materialised_forward_is_one_conv_with_the_weight_for_kernel(cfg):
+    """A layer on the materialised plan (depthwise always, pointwise at 7×7)
+    runs conv2d(x, weight_for(pooled)) and the head, bit for bit."""
     layer = _bn_layer(cfg, 44)
+    assert layers.materialises(layer, 7, 7)
     x = np.random.default_rng(45).standard_normal((3, 8, 7, 7))
     kernels = layer.weight_for(ad.global_avg_pool(x))
     conv = ad.conv2d(x, kernels, stride=layer.stride, padding=layer.padding, groups=layer.groups)

@@ -15,7 +15,7 @@ import dynconv.tensor as T
 from dynconv.cli import resolve_model
 from dynconv.config import ConfigError
 from dynconv.counting import count_model, count_params
-from dynconv.layers import DcdConv, StaticConv
+from dynconv.layers import DcdConv, StaticConv, materialises
 from dynconv.models import (
     STATIC_INVARIANTS,
     Block,
@@ -211,6 +211,24 @@ def test_static_twin_is_bit_identical_at_initialization():
     twin = graph.static_twin()
     x = np.random.default_rng(2).normal(size=(2, 3, 32, 32))
     assert np.array_equal(graph.forward(x), twin.forward(x))
+
+
+MOBILENET_X05_MATERIALISED_AT_32 = (["b0.project"] + [f"b{i}.{r}" for i in range(1, 6) for r in ("expand", "project")]
+                                    + ["b6.expand"])
+
+
+@pytest.mark.parametrize("name,resolution,materialised", [
+    ("task_dcd", 16, ["mix"]),
+    ("mobilenetv2_x0.5_dcd", 32, MOBILENET_X05_MATERIALISED_AT_32),
+])
+def test_static_twin_is_bit_identical_on_the_materialised_plan(name, resolution, materialised):
+    """The pointwise layers that convolve with W(x) itself, W0 up to the sign
+    of zero at initialization, still give the twin's logits bit for bit."""
+    graph = resolve_model(name)
+    assert [layer.name for layer, _, h_in, _ in graph.iter_layers(resolution)
+            if isinstance(layer, DcdConv) and materialises(layer, h_in, h_in)] == materialised
+    x = np.random.default_rng(4).normal(size=(2, graph.input_channels, resolution, resolution))
+    assert np.array_equal(graph.forward(x), graph.static_twin().forward(x))
 
 
 def test_static_twin_diverges_once_branch_is_nonzero():
