@@ -29,9 +29,9 @@ from . import decompose
 from .analysis import phi_statistics
 from .bench import bench_pair, environment_line
 from .config import ConfigError, RunConfig, load_config
-from .counting import count_model, count_params
+from .counting import count_model
 from .gradcheck import VARIANTS, variant_gradcheck
-from .models import STATIC_INVARIANTS, build_from_config, check_golden
+from .models import STATIC_ROW, build_from_config, check_golden
 from .task import make_task_from_config
 from .train import run_sweep, train
 
@@ -76,7 +76,7 @@ def _model_from_args(args, cfg: dict[str, str], seed: int | None = None):
     if keys := sorted(key for key in cfg if key.startswith("model.")):
         raise ConfigError(f"model.family is required to read {', '.join(map(repr, keys))}")
     name = getattr(args, "model", None) or "task_dcd"
-    return resolve_model(name, seed=seed or 0, resolution=getattr(args, "resolution", None))
+    return resolve_model(name, seed=seed or 0)
 
 
 def _out_dir(args, default: str = "out") -> Path:
@@ -219,20 +219,13 @@ def cmd_equivalence(args) -> int:
 
 def cmd_count(args) -> int:
     if getattr(args, "golden", False):
-        failed = False
-        for result in check_golden():
+        results = check_golden() + [STATIC_ROW.check()]
+        for result in results:
             print(result.line())
-            failed = failed or not result.ok
-        for row_id, build, target, tol in STATIC_INVARIANTS:
-            params = count_params(build()).total_params
-            ok = abs(params - target) <= tol
-            state = "ok" if ok else "FAIL"
-            print(f"[{state}] {row_id}: params={params} in [{target - tol}, {target + tol}]")
-            failed = failed or not ok
-        return 1 if failed else 0
+        return 0 if all(result.ok for result in results) else 1
 
     model = _model_from_args(args, _load_cfg(args))
-    report = count_model(model, model.resolution if args.resolution is None else args.resolution)
+    report = count_model(model, args.resolution)
     _write_or_print(args, model.name, report.csv_lines() if args.csv else report.table_lines())
     return 0
 
@@ -246,6 +239,8 @@ def cmd_analyze_phi(args) -> int:
     if args.samples < 0:
         raise ValueError(f"samples must not be negative, got {args.samples}")
     if model.name.startswith("task/"):
+        if args.resolution is not None:
+            raise ValueError("--resolution does not apply to a task model; task.size sets its inputs")
         _, val_set = make_task_from_config(dict(cfg) | {"task.seed": str(seed)})
         x = val_set.inputs[: args.samples]
     else:

@@ -16,20 +16,22 @@ them):
     three-step mode-product chain for the full k×k tensor form;
   - the channel scale Λ at min(C_in·C_out·k², H'·W'·C_out) — fold it
     into whichever of kernel or output is cheaper;
-  - except at 1×1 spatial resolution (classifier head), where the
+  - except for a 1×1 kernel on a 1×1 input (classifier head), where the
     dynamic product is counted by associativity as P·(Φ·(Qᵀx)):
-    C_in·L + L² + L·C_out, since materializing W(x) is pointless there;
+    C_in·L + B·L² + L·C_out (B = 1 outside block_sparse) plus Λ on the
+    C_out outputs, since materializing W(x) is pointless there;
   - for vanilla attention, the kernel mixing K·C_out·C_in.
-* MAdds are reported per sample at a declared input resolution.
+* MAdds are reported per sample at an input resolution, by default the
+  model's own.
 
 Those are the paper's conventions, the ``madds`` column.  The
 ``executed_madds`` column counts the plan `DcdConv._conv` runs, as
 `dynconv.layers.plan_madds` counts it and `dynconv.layers.materialises`
 picks it: the same conv and branch, then either the kernel assembly with Λ
 on the kernel (depthwise, and pointwise where that is cheaper) or the
-factored chain of convs with Λ on the output (the other DCD layers).  For
-depthwise the two columns differ only where H'·W' < k²; for static and
-vanilla layers they agree.
+factored chain of convs with Λ on the output (the other DCD layers).  One
+function, `_madds`, gives both columns.  For depthwise they differ only
+where H'·W' < k²; for static and vanilla layers they agree.
 
 Parameter counts are pure introspection: the number of learnable scalars
 the layer actually allocates, bucketed into categories (static kernel,
@@ -139,75 +141,55 @@ def _bucket_params(layer, is_classifier: bool) -> tuple[int, dict[str, int]]:
     return total, {k: v for k, v in cats.items() if v}
 
 
-def _branch_madds(layer) -> int:
-    return layer.c_in + layer.c_in * layer.branch.squeeze + layer.branch.squeeze * layer.branch.d_out
-
-
-def _lambda_madds(layer: DcdConv, h_out: int, w_out: int) -> int:
-    if not layer.lambda_enabled:
-        return 0
-    kernel_side = layer.c_out * (layer.c_in // layer.groups) * layer.k * layer.k
-    output_side = h_out * w_out * layer.c_out
-    return min(kernel_side, output_side)
+def _madds(layer, h_in: int) -> tuple[int, int, int]:
+    """(paper, executed, h_out): MAdds per sample on an h_in×h_in input.  A
+    DCD layer adds to its conv and branch the plan `materialises` picks
+    (executed) and, for the paper, the factored chain at a 1×1 head or
+    else the assembly with Λ on whichever of kernel or output is cheaper."""
+    if not isinstance(layer, (StaticConv, DcdConv, VanillaDynConv)):
+        raise TypeError(f"cannot count layer of type {type(layer).__name__}")
+    h_out = layer.out_size(h_in)
+    base = layer.c_out * (layer.c_in // layer.groups) * layer.k * layer.k * h_out * h_out
+    if isinstance(layer, StaticConv):
+        return base, base, h_out
+    base += layer.c_in + layer.c_in * layer.branch.squeeze + layer.branch.squeeze * layer.branch.d_out
+    if isinstance(layer, VanillaDynConv):
+        base += layer.k_kernels * layer.c_out * layer.c_in
+        return base, base, h_out
+    factored, materialised = plan_madds(layer, h_in, h_in)
+    executed = materialised if materialises(layer, h_in, h_in) else factored
+    lam_on_output = h_out * h_out * layer.c_out if layer.lambda_enabled else 0
+    paper = factored if h_in == 1 and layer.k == 1 else min(materialised, _assembly_madds(layer) + lam_on_output)
+    return base + paper, base + executed, h_out
 
 
 def layer_madds(layer, h_in: int) -> tuple[int, int]:
     """(madds, h_out) for one layer at spatial size h_in (square maps)."""
-    if not isinstance(layer, (StaticConv, DcdConv, VanillaDynConv)):
-        raise TypeError(f"cannot count layer of type {type(layer).__name__}")
-    h_out = layer.out_size(h_in)
-    conv = layer.c_out * (layer.c_in // layer.groups) * layer.k * layer.k * h_out * h_out
-    if isinstance(layer, StaticConv):
-        return conv, h_out
-    if isinstance(layer, VanillaDynConv):
-        return conv + _branch_madds(layer) + layer.k_kernels * layer.c_out * layer.c_in, h_out
-    # DcdConv
-    if h_in == 1 and layer.k == 1:
-        # classifier-style head: apply the factors to the vector directly
-        l = layer.dims.l
-        dynamic = layer.c_in * l + l * l + l * layer.c_out
-        lam = layer.c_out if layer.lambda_enabled else 0
-        return conv + _branch_madds(layer) + dynamic + lam, h_out
-    return conv + _branch_madds(layer) + _assembly_madds(layer) + _lambda_madds(layer, h_out, h_out), h_out
+    madds, _, h_out = _madds(layer, h_in)
+    return madds, h_out
 
 
 def executed_madds(layer, h_in: int) -> int:
-    """MAdds per sample of what the forward runs on an h_in×h_in input: the
-    paper's count for static and vanilla layers, and for a DCD layer its conv
-    and branch plus the plan `materialises` picks, as `plan_madds` counts it."""
-    if not isinstance(layer, DcdConv):
-        return layer_madds(layer, h_in)[0]
-    h_out = layer.out_size(h_in)
-    conv = layer.c_out * (layer.c_in // layer.groups) * layer.k * layer.k * h_out * h_out
-    factored, materialised = plan_madds(layer, h_in, h_in)
-    return conv + _branch_madds(layer) + (materialised if materialises(layer, h_in, h_in) else factored)
+    """MAdds per sample of what the forward runs on an h_in×h_in input."""
+    return _madds(layer, h_in)[1]
 
 
 def count_model(graph, resolution: int | None = None) -> CountReport:
-    """Walk a model graph; params always, madds when a resolution is given."""
+    """Params and MAdds of every layer at `resolution`, by default the graph's own."""
     from .models import GlobalPool, MaxPool2d
 
-    if resolution is not None and resolution < 1:
+    resolution = graph.resolution if resolution is None else resolution
+    if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     report = CountReport(resolution=resolution)
-    for layer, role, h_in, h_out in graph.iter_layers(resolution):
+    for layer, role, h_in, _ in graph.iter_layers(resolution):
         if isinstance(layer, GlobalPool):
-            madds = layer.channels if resolution is not None else 0
-            report.rows.append(LayerCount(role, "global_pool", 0, madds, madds))
-            continue
-        if isinstance(layer, MaxPool2d):
+            report.rows.append(LayerCount(role, "global_pool", 0, layer.channels, layer.channels))
+        elif isinstance(layer, MaxPool2d):
             report.rows.append(LayerCount(role, "max_pool", 0, 0, 0))
-            continue
-        params, cats = _bucket_params(layer, role == "classifier")
-        madds = executed = 0
-        if resolution is not None:
-            madds, executed = layer_madds(layer, h_in)[0], executed_madds(layer, h_in)
-        report.rows.append(
-            LayerCount(layer.name, f"{type(layer).__name__}/{getattr(layer, 'variant', role)}",
-                       params, madds, executed, cats)
-        )
+        else:
+            params, cats = _bucket_params(layer, role == "classifier")
+            madds, executed, _ = _madds(layer, h_in)
+            report.rows.append(LayerCount(layer.name, f"{type(layer).__name__}/{getattr(layer, 'variant', role)}",
+                                          params, madds, executed, cats))
     return report
-
-
-def count_params(graph) -> CountReport:
-    return count_model(graph, None)

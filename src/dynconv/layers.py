@@ -528,16 +528,14 @@ class DcdConv(_ConvLayer):
 
 def _assembly_madds(layer: DcdConv) -> int:
     """MAdds per sample that assemble the low-rank residual of W(x): the
-    cheaper association order of P·Φ·Qᵀ, per diagonal block for
-    block_sparse; P·(Φ·Rᵀ) for depthwise; the mode-product chain ×₁Q, ×₂P,
+    cheaper association order of P·Φ·Qᵀ per diagonal block (B = 1 outside
+    block_sparse); P·(Φ·Rᵀ) for depthwise; the mode-product chain ×₁Q, ×₂P,
     ×₃R for full k×k (which runs ×₁Q, ×₃R, ×₂P when it materialises)."""
-    l, l_k = layer.dims.l, layer.dims.l_k
+    l, l_k, g = layer.dims.l, layer.dims.l_k, layer.blocks
     kk = layer.k * layer.k
-    if layer.variant == "block_sparse":
-        cb = layer.c_in // layer.blocks
-        return layer.blocks * (l * l * cb + cb * l * cb)
-    if layer.variant in ("pointwise", "channel_only_kxk"):
-        return min(l * l * layer.c_in, layer.c_out * l * l) + layer.c_out * l * layer.c_in
+    if layer.variant in ("pointwise", "block_sparse", "channel_only_kxk"):
+        ci, co = layer.c_in // g, layer.c_out // g
+        return g * (min(l * l * ci, co * l * l) + co * l * ci)
     if layer.variant == "depthwise":
         return l_k * l_k * kk + layer.c_in * l_k * kk
     return layer.c_in * l * l * l_k + layer.c_out * layer.c_in * l * l_k + layer.c_in * layer.c_out * l_k * kk
@@ -622,7 +620,6 @@ class VanillaDynConv(_ConvLayer):
         mode: str = "softmax",
         tau: float = 1.0,
         reduction: int = 4,
-        stride: int = 1,
         with_bn: bool = True,
         activation: str | None = "relu",
         rng: np.random.Generator | None = None,
@@ -631,7 +628,7 @@ class VanillaDynConv(_ConvLayer):
             raise ValueError(f"unknown attention mode {mode!r}")
         if tau <= 0:
             raise ValueError("softmax temperature must be positive")
-        super().__init__(name, c_in, c_out, 1, stride, 0, 1, activation, bias=False, with_bn=with_bn)
+        super().__init__(name, c_in, c_out, 1, 1, 0, 1, activation, bias=False, with_bn=with_bn)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.k_kernels, self.mode, self.tau = kernels, mode, tau
         self.kernels = Parameter(f"{name}.kernels", fan_in_uniform(rng, (kernels, c_out, c_in), c_in))
@@ -661,4 +658,4 @@ class VanillaDynConv(_ConvLayer):
         return ad.reshape(ad.matmul(att, flat), (n, self.c_out, self.c_in, 1, 1))
 
     def _conv(self, x, lift):
-        return ad.conv2d(x, self.weight_for(ad.global_avg_pool(x), lift), stride=self.stride)
+        return ad.conv2d(x, self.weight_for(ad.global_avg_pool(x), lift))

@@ -41,6 +41,7 @@ from . import autodiff as ad
 from . import tensor as T
 from .autodiff import value_of
 from .config import keyword_args, keyword_config
+from .counting import count_model
 from .layers import (
     DcdConv,
     LatentDims,
@@ -410,39 +411,59 @@ def build_from_config(cfg: dict) -> ModelGraph:
 # reference budgets
 
 
+# every golden row is counted at 224×224, and a MAdds target holds to ±2 %
+GOLDEN_RESOLUTION = 224
+GOLDEN_MADDS_REL_TOL = 0.02
+
+
 @dataclass
 class GoldenRow:
     row_id: str
     build: Callable[[], ModelGraph]
-    resolution: int
     params_target: int
     params_tol: int
     madds_target: int | None
-    madds_rel_tol: float
     include_classifier: bool
+
+    def check(self) -> GoldenResult:
+        report = count_model(self.build(), GOLDEN_RESOLUTION)
+        if self.include_classifier:
+            params, madds = report.total_params, report.total_madds
+        else:
+            params, madds = report.params_excluding_classifier(), report.madds_excluding_classifier()
+        p_lo, p_hi = self.params_target - self.params_tol, self.params_target + self.params_tol
+        if self.madds_target is None:
+            madds_val, madds_window, madds_ok = None, None, True
+        else:
+            m_lo = round(self.madds_target * (1 - GOLDEN_MADDS_REL_TOL))
+            m_hi = round(self.madds_target * (1 + GOLDEN_MADDS_REL_TOL))
+            madds_val, madds_window, madds_ok = madds, (m_lo, m_hi), m_lo <= madds <= m_hi
+        return GoldenResult(self.row_id, params, (p_lo, p_hi), p_lo <= params <= p_hi,
+                            madds_val, madds_window, madds_ok)
 
 
 def golden_rows() -> list[GoldenRow]:
+    """The six reference budgets of acceptance criterion 5."""
     return [
-        GoldenRow("mobilenetv2_x0.5/static",
-                  lambda: build_mobilenetv2(width=0.5), 224,
-                  2_000_000, 50_000, 97_000_000, 0.02, True),
-        GoldenRow("mobilenetv2_x0.5/dcd",
-                  lambda: build_mobilenetv2(width=0.5, placement=("pw", "cls")), 224,
-                  3_100_000, 100_000, 104_800_000, 0.02, True),
-        GoldenRow("mobilenetv2_x1.0/dcd",
-                  lambda: build_mobilenetv2(width=1.0, placement=("pw", "cls")), 224,
-                  5_500_000, 150_000, None, 0.02, True),
-        GoldenRow("resnet18/static",
-                  lambda: build_resnet(depth=18), 224,
-                  11_100_000, 100_000, 1_810_000_000, 0.02, False),
-        GoldenRow("resnet18/dcd",
-                  lambda: build_resnet(depth=18, dcd="channel_only_3x3"), 224,
-                  14_000_000, 200_000, 1_830_000_000, 0.02, False),
-        GoldenRow("resnet10/dcd",
-                  lambda: build_resnet(depth=10, dcd="channel_only_3x3"), 224,
-                  6_500_000, 150_000, None, 0.02, False),
+        GoldenRow("mobilenetv2_x0.5/static", lambda: build_mobilenetv2(width=0.5),
+                  2_000_000, 50_000, 97_000_000, True),
+        GoldenRow("mobilenetv2_x0.5/dcd", lambda: build_mobilenetv2(width=0.5, placement=("pw", "cls")),
+                  3_100_000, 100_000, 104_800_000, True),
+        GoldenRow("mobilenetv2_x1.0/dcd", lambda: build_mobilenetv2(width=1.0, placement=("pw", "cls")),
+                  5_500_000, 150_000, None, True),
+        GoldenRow("resnet18/static", lambda: build_resnet(depth=18),
+                  11_100_000, 100_000, 1_810_000_000, False),
+        GoldenRow("resnet18/dcd", lambda: build_resnet(depth=18, dcd="channel_only_3x3"),
+                  14_000_000, 200_000, 1_830_000_000, False),
+        GoldenRow("resnet10/dcd", lambda: build_resnet(depth=10, dcd="channel_only_3x3"),
+                  6_500_000, 150_000, None, False),
     ]
+
+
+# the reference parameter count of the width-1.0 static MobileNetV2, which
+# `dynconv count --golden` checks after the six budget rows
+STATIC_ROW = GoldenRow("mobilenetv2_x1.0/static", lambda: build_mobilenetv2(width=1.0),
+                       3_500_000, 50_000, None, True)
 
 
 @dataclass
@@ -468,29 +489,4 @@ class GoldenResult:
 
 
 def check_golden() -> list[GoldenResult]:
-    from .counting import count_model
-
-    results = []
-    for row in golden_rows():
-        graph = row.build()
-        report = count_model(graph, row.resolution)
-        if row.include_classifier:
-            params, madds = report.total_params, report.total_madds
-        else:
-            params, madds = report.params_excluding_classifier(), report.madds_excluding_classifier()
-        p_lo, p_hi = row.params_target - row.params_tol, row.params_target + row.params_tol
-        params_ok = p_lo <= params <= p_hi
-        if row.madds_target is None:
-            madds_val, madds_window, madds_ok = None, None, True
-        else:
-            m_lo = round(row.madds_target * (1 - row.madds_rel_tol))
-            m_hi = round(row.madds_target * (1 + row.madds_rel_tol))
-            madds_val, madds_window, madds_ok = madds, (m_lo, m_hi), m_lo <= madds <= m_hi
-        results.append(GoldenResult(row.row_id, params, (p_lo, p_hi), params_ok,
-                                    madds_val, madds_window, madds_ok))
-    return results
-
-
-STATIC_INVARIANTS = (
-    ("mobilenetv2_x1.0/static", lambda: build_mobilenetv2(width=1.0), 3_500_000, 50_000),
-)
+    return [row.check() for row in golden_rows()]

@@ -23,8 +23,11 @@ def test_resolve_model_rejects_unknown():
         resolve_model("resnet18_dcdx")
 
 
-def test_count_golden_passes():
+def test_count_golden_passes(capsys):
     assert main(["count", "--golden"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("[ok] ") for line in lines)
+    assert lines[-1].startswith("[ok] mobilenetv2_x1.0/static: params=")
 
 
 def test_count_prints_table(capsys):
@@ -301,11 +304,13 @@ def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
     (["bench", "task_dcd", "--warmup", "-1"], "warmup must be >= 0, got -1"),
     (["bench", "task_dcd", "--resolution", "-5"], "resolution must not be negative, got -5"),
     (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "-5"], "resolution must not be negative, got -5"),
+    (["analyze-phi", "task_dcd", "--resolution", "8"],
+     "--resolution does not apply to a task model; task.size sets its inputs"),
 ], ids=["bench-repeats-0", "analyze-phi-task-samples-0", "analyze-phi-zoo-samples-0", "bench-batch-0",
         "bench-resolution-0", "analyze-phi-zoo-resolution-0", "analyze-phi-task-samples-negative",
         "equivalence-trials-0", "count-resolution-negative", "count-resolution-0", "equivalence-channels-0",
         "equivalence-kernels-0", "equivalence-latent-0", "equivalence-channels-negative", "bench-warmup-negative",
-        "bench-resolution-negative", "analyze-phi-zoo-resolution-negative"])
+        "bench-resolution-negative", "analyze-phi-zoo-resolution-negative", "analyze-phi-task-resolution"])
 def test_an_empty_timing_or_phi_run_is_refused(tmp_path, capsys, argv, error):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

@@ -11,7 +11,6 @@ from dynconv.counting import (
     CountReport,
     LayerCount,
     count_model,
-    count_params,
     dcd_complexity_formula,
     executed_madds,
     layer_madds,
@@ -25,7 +24,7 @@ from dynconv.layers import (
     materialises,
     plan_madds,
 )
-from dynconv.models import build_mobilenetv2, build_resnet
+from dynconv.models import build_from_config, build_mobilenetv2, build_resnet
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +158,11 @@ def test_dcd_lambda_uses_cheaper_of_kernel_and_output_side():
                     padding=1, squeeze=32, rng=np.random.default_rng(3))
     madds_small, _ = layer_madds(layer, 7)     # 49·512 < 512·512·9
     madds_large, _ = layer_madds(layer, 112)   # kernel side wins
-    from dynconv.counting import _assembly_madds, _branch_madds
+    from dynconv.counting import _assembly_madds
 
     conv7 = 512 * 512 * 9 * 49
     conv112 = 512 * 512 * 9 * 112 * 112
-    common = _assembly_madds(layer) + _branch_madds(layer)
+    common = _assembly_madds(layer) + 512 + 512 * 32 + 32 * layer.branch.d_out
     assert madds_small == conv7 + common + 49 * 512
     assert madds_large == conv112 + common + 512 * 512 * 9
 
@@ -176,7 +175,13 @@ def test_dcd_classifier_head_counted_by_associativity():
     conv = 10 * 64
     branch = 64 + 64 * 8 + 8 * layer.branch.d_out
     dynamic = 64 * 8 + 8 * 8 + 8 * 10
-    assert madds == conv + branch + dynamic + 10
+    assert madds == executed_madds(layer, 1) == conv + branch + dynamic + 10
+    # the block-sparse task layer (C = 8, B = 2, L = 4, squeeze 4) at 1×1: its conv (64),
+    # branch (200) and factored chain C·L + B·L² + L·C + Λ's C = 104, each block's Φ counted
+    graph = build_from_config({"model.family": "task", "model.sparse_blocks": "2"})
+    mix = count_model(graph, 1).rows[0]
+    assert (mix.name, mix.kind) == ("mix", "DcdConv/block_sparse")
+    assert mix.madds == mix.executed_madds == 64 + 200 + 8 * 4 + 2 * 4 * 4 + 4 * 8 + 8
 
 
 def test_depthwise_dcd_madds():
@@ -248,8 +253,6 @@ def test_executed_madds_follow_the_plan_the_forward_picks(name, resolution, on_k
     """Every pointwise DCD row executes its conv and branch plus the cheaper
     plan: task_dcd's layer at 16×16 materialises W(x), below its factored
     plan's count, and so do 12 of MobileNetV2-0.5-DCD's layers at 32×32."""
-    from dynconv.counting import _branch_madds
-
     graph = resolve_model(name)
     rows = {row.name: row for row in count_model(graph, resolution).rows}
     materialised_rows = 0
@@ -257,7 +260,8 @@ def test_executed_madds_follow_the_plan_the_forward_picks(name, resolution, on_k
         if isinstance(layer, DcdConv):
             assert layer.variant == "pointwise"
             factored, materialised = plan_madds(layer, h_in, h_in)
-            common = layer_madds(layer.static_equivalent(), h_in)[0] + _branch_madds(layer)
+            branch = layer.c_in + layer.c_in * layer.branch.squeeze + layer.branch.squeeze * layer.branch.d_out
+            common = layer_madds(layer.static_equivalent(), h_in)[0] + branch
             assert rows[layer.name].executed_madds == common + min(factored, materialised)
             if materialises(layer, h_in, h_in):
                 materialised_rows += 1
@@ -283,12 +287,12 @@ def test_count_report_totals_and_csv():
     assert len(lines) == len(report.rows) + 2
 
 
-def test_params_only_report_skips_madds():
+def test_count_model_defaults_to_the_graph_resolution():
     graph = build_mobilenetv2(width=0.35, resolution=32, seed=1)
-    report = count_params(graph)
-    assert report.resolution is None
-    assert report.total_madds == 0
-    assert report.total_params > 0
+    report = count_model(graph)
+    assert report.resolution == 32
+    assert report.rows == count_model(graph, 32).rows
+    assert report.total_madds > 0
 
 
 def test_classifier_exclusion_matches_manual_subtraction():

@@ -14,10 +14,10 @@ import dynconv.autodiff as ad
 import dynconv.tensor as T
 from dynconv.cli import resolve_model
 from dynconv.config import ConfigError
-from dynconv.counting import count_model, count_params
+from dynconv.counting import count_model
 from dynconv.layers import DcdConv, StaticConv, materialises
 from dynconv.models import (
-    STATIC_INVARIANTS,
+    STATIC_ROW,
     Block,
     GlobalPool,
     MaxPool2d,
@@ -150,12 +150,12 @@ def test_resnet_dcd_policy_latents_and_squeeze():
 
 def test_resnet50_matches_reference_parameter_count():
     graph = build_resnet(depth=50)
-    assert count_params(graph).total_params == 25_557_032
+    assert count_model(graph).total_params == 25_557_032
 
 
 def test_resnet50_dcd_builds_and_adds_parameters():
-    static = count_params(build_resnet(depth=50)).total_params
-    dcd = count_params(build_resnet(depth=50, dcd="channel_only_3x3")).total_params
+    static = count_model(build_resnet(depth=50)).total_params
+    dcd = count_model(build_resnet(depth=50, dcd="channel_only_3x3")).total_params
     assert dcd > static
 
 
@@ -171,9 +171,9 @@ def test_golden_budget_rows_all_pass():
 
 
 def test_static_width_one_invariant():
-    name, build, target, tol = STATIC_INVARIANTS[0]
-    params = count_params(build()).total_params
-    assert abs(params - target) <= tol
+    result = STATIC_ROW.check()
+    assert result.ok, result.line()
+    assert result.madds is None
 
 
 def test_exact_budget_values_are_stable():
@@ -446,7 +446,7 @@ def test_latent_multiplier_scales_latents():
     half_l = {layer.name: layer.dims.l for layer, _ in _conv_layers(half)
               if isinstance(layer, DcdConv)}
     assert all(half_l[name] == max(1, round(full_l[name] * 0.5)) for name in full_l)
-    assert count_params(half).total_params < count_params(full).total_params
+    assert count_model(half).total_params < count_model(full).total_params
 
 
 def test_iter_layers_tracks_spatial_sizes():
