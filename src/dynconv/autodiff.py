@@ -50,15 +50,14 @@ class Parameter:
 
 
 class Node:
-    __slots__ = ("value", "tape", "parents", "vjp", "param", "op", "layer")
+    __slots__ = ("value", "tape", "parents", "vjp", "param", "layer")
 
-    def __init__(self, value, tape, parents, vjp, param=None, op=""):
+    def __init__(self, value, tape, parents, vjp, param=None):
         self.value = value
         self.tape = tape
         self.parents = parents
         self.vjp = vjp
         self.param = param
-        self.op = op
         self.layer = None  # the layer a parameter leaf was lifted for (`dynconv.layers._lifter`)
 
     @property
@@ -73,7 +72,7 @@ class Tape:
         self.nodes: list[Node] = []
 
     def leaf(self, value, param: Parameter | None = None) -> Node:
-        node = Node(T.as_tensor(value), self, [], None, param=param, op="leaf")
+        node = Node(T.as_tensor(value), self, [], None, param=param)
         self.nodes.append(node)
         return node
 
@@ -106,8 +105,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _record(tape: Tape, name: str, out, inputs, vjp) -> Node:
-    """Append op `name` with result `out` to `tape`; every op records here.
+def _record(tape: Tape, out, inputs, vjp) -> Node:
+    """Append an op with result `out` to `tape`; every op records here.
 
     Only the taped `inputs` that reach a parameter become parents, in input
     order: a parameter leaf, or a node that has parents.  ``vjp(g, j)``
@@ -116,8 +115,7 @@ def _record(tape: Tape, name: str, out, inputs, vjp) -> Node:
     tape, so that later ops find it, but has no parents and no VJP.
     """
     taped = [j for j, x in enumerate(inputs) if isinstance(x, Node) and (x.parents or x.param is not None)]
-    node = Node(out, tape, [inputs[j] for j in taped], (lambda g: [vjp(g, j) for j in taped]) if taped else None,
-                op=name)
+    node = Node(out, tape, [inputs[j] for j in taped], (lambda g: [vjp(g, j) for j in taped]) if taped else None)
     tape.nodes.append(node)
     return node
 
@@ -128,7 +126,7 @@ def add(a, b):
     out = av + bv
     if tape is None:
         return out
-    return _record(tape, "add", out, (a, b), lambda g, j: _unbroadcast(g, av.shape if j == 0 else bv.shape))
+    return _record(tape, out, (a, b), lambda g, j: _unbroadcast(g, av.shape if j == 0 else bv.shape))
 
 
 def mul(a, b):
@@ -137,7 +135,7 @@ def mul(a, b):
     out = av * bv
     if tape is None:
         return out
-    return _record(tape, "mul", out, (a, b),
+    return _record(tape, out, (a, b),
                    lambda g, j: _unbroadcast(g * bv, av.shape) if j == 0 else _unbroadcast(g * av, bv.shape))
 
 
@@ -150,7 +148,7 @@ def affine(a, w, b):
     out += bv
     if tape is None:
         return out
-    return _record(tape, "affine", out, (a, w, b), lambda g, j: _unbroadcast(g, bv.shape) if j == 2
+    return _record(tape, out, (a, w, b), lambda g, j: _unbroadcast(g, bv.shape) if j == 2
                    else _unbroadcast(g * wv, av.shape) if j == 0 else _unbroadcast(g * av, wv.shape))
 
 
@@ -162,7 +160,7 @@ def matmul(a, b):
         return out
 
     # `T.matmul` takes contiguous operands: numpy may run a transposed view through another loop
-    return _record(tape, "matmul", out, (a, b), lambda g, j: T.matmul(g, np.ascontiguousarray(bv.T)) if j == 0
+    return _record(tape, out, (a, b), lambda g, j: T.matmul(g, np.ascontiguousarray(bv.T)) if j == 0
                    else T.matmul(np.ascontiguousarray(av.T), g))
 
 
@@ -176,7 +174,7 @@ def stacked_matmul(a, b):
     out = np.matmul(av, bv)
     if tape is None:
         return out
-    return _record(tape, "stacked_matmul", out, (a, b),
+    return _record(tape, out, (a, b),
                    lambda g, j: _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape) if j == 0
                    else _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape))
 
@@ -188,7 +186,7 @@ def relu(a):
     if tape is None:
         return out
     mask = av > 0
-    return _record(tape, "relu", out, (a,), lambda g, j: g * mask)
+    return _record(tape, out, (a,), lambda g, j: g * mask)
 
 
 def sigmoid(a):
@@ -202,7 +200,7 @@ def sigmoid(a):
     out[~pos] = ea / (1.0 + ea)
     if tape is None:
         return out
-    return _record(tape, "sigmoid", out, (a,), lambda g, j: g * out * (1.0 - out))
+    return _record(tape, out, (a,), lambda g, j: g * out * (1.0 - out))
 
 
 def softmax_rows(a):
@@ -213,7 +211,7 @@ def softmax_rows(a):
     out = e / np.sum(e, axis=-1, keepdims=True)
     if tape is None:
         return out
-    return _record(tape, "softmax", out, (a,), lambda g, j: (g - np.sum(g * out, axis=-1, keepdims=True)) * out)
+    return _record(tape, out, (a,), lambda g, j: (g - np.sum(g * out, axis=-1, keepdims=True)) * out)
 
 
 def reshape(a, shape):
@@ -222,7 +220,7 @@ def reshape(a, shape):
     out = av.reshape(shape)
     if tape is None:
         return out
-    return _record(tape, "reshape", out, (a,), lambda g, j: np.ascontiguousarray(g.reshape(av.shape)))
+    return _record(tape, out, (a,), lambda g, j: np.ascontiguousarray(g.reshape(av.shape)))
 
 
 def transpose_axes(a, axes):
@@ -232,7 +230,7 @@ def transpose_axes(a, axes):
     if tape is None:
         return out
     inv = np.argsort(axes)
-    return _record(tape, "transpose", out, (a,), lambda g, j: np.ascontiguousarray(np.transpose(g, inv)))
+    return _record(tape, out, (a,), lambda g, j: np.ascontiguousarray(np.transpose(g, inv)))
 
 
 def narrow(a, axis: int, start: int, stop: int):
@@ -249,7 +247,7 @@ def narrow(a, axis: int, start: int, stop: int):
         full[sl] = g
         return full
 
-    return _record(tape, "narrow", out, (a,), vjp)
+    return _record(tape, out, (a,), vjp)
 
 
 def sum_all(a):
@@ -258,7 +256,7 @@ def sum_all(a):
     out = np.asarray(av.sum())
     if tape is None:
         return out
-    return _record(tape, "sum", out, (a,),
+    return _record(tape, out, (a,),
                    lambda g, j: np.broadcast_to(np.asarray(g), av.shape).astype(np.float64).copy())
 
 
@@ -272,7 +270,7 @@ def global_avg_pool(a):
     out = av.reshape(n, c, h * w).sum(axis=2) / float(h * w)
     if tape is None:
         return out
-    return _record(tape, "gap", out, (a,),
+    return _record(tape, out, (a,),
                    lambda g, j: np.broadcast_to(g.reshape(n, c, 1, 1) / (h * w), (n, c, h, w)).copy())
 
 
@@ -305,7 +303,7 @@ def max_pool2d(a, k: int, stride: int, padding: int = 0):
             taken |= wins
         return gp[:, :, padding:padding + h, padding:padding + w]
 
-    return _record(tape, "max_pool2d", out, (a,), vjp)
+    return _record(tape, out, (a,), vjp)
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1):
@@ -314,7 +312,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1):
     out = T.conv2d(xv, wv, stride=stride, padding=padding, groups=groups)
     if tape is None:
         return out
-    return _record(tape, "conv2d", out, (x, weight),
+    return _record(tape, out, (x, weight),
                    lambda g, j: _conv2d_input_grad(g, xv.shape, wv, stride, padding, groups) if j == 0
                    else _conv2d_weight_grad(g, xv, wv.shape, stride, padding, groups))
 
@@ -394,7 +392,7 @@ def batchnorm_train(x, gamma, beta):
         dx *= (gv * inv).reshape(1, c, 1, 1)
         return dx
 
-    return _record(tape, "batchnorm", out, (x, gamma, beta), vjp), mean, var
+    return _record(tape, out, (x, gamma, beta), vjp), mean, var
 
 
 def cross_entropy(logits, labels: np.ndarray):
@@ -416,7 +414,7 @@ def cross_entropy(logits, labels: np.ndarray):
         d[np.arange(n), labels] -= 1.0
         return d * (float(g) / n)
 
-    return _record(tape, "cross_entropy", out, (logits,), vjp)
+    return _record(tape, out, (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,7 @@ def cmd_train(args) -> int:
         return 0
 
     model = _model_from_args(args, cfg_map, seed=run_cfg.seed)
-    train_set, val_set = make_task_from_config(
-        dict(cfg_map) | {"task.seed": str(run_cfg.seed)}
-    )
+    train_set, val_set = make_task_from_config(dict(cfg_map) | {"task.seed": str(run_cfg.seed)}, model)
 
     result = train(model, train_set, val_set, run_cfg, csv_path=out / "metrics.csv")
     if result.aborted:
@@ -240,8 +238,8 @@ def cmd_analyze_phi(args) -> int:
         raise ValueError(f"samples must not be negative, got {args.samples}")
     if model.name.startswith("task/"):
         if args.resolution is not None:
-            raise ValueError("--resolution does not apply to a task model; task.size sets its inputs")
-        _, val_set = make_task_from_config(dict(cfg) | {"task.seed": str(seed)})
+            raise ValueError("--resolution does not apply to a task model; model.resolution sets its inputs")
+        _, val_set = make_task_from_config(dict(cfg) | {"task.seed": str(seed)}, model)
         x = val_set.inputs[: args.samples]
     else:
         rng = np.random.default_rng(seed)

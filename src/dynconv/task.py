@@ -20,6 +20,9 @@ Generators:
 layer whose mechanism is the experimental knob (static, dynamic-decomposed,
 or vanilla multi-kernel) applied directly to the input, pooling, and a linear
 classifier.
+
+``make_task_from_config`` makes a configured task's data for the model it
+feeds, so the model's keys alone state a run's input shape and class count.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ def make_linear_control(
     seed: int = 0,
 ) -> tuple[Dataset, Dataset]:
     _check_counts(n_train, n_val)
+    if num_classes > channels:  # one orthogonal channel mean per class
+        raise ValueError(f"num_classes must be <= channels ({channels}), got {num_classes}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _LINEAR_SALT)))
     means = _orthogonal(rng, channels)[:num_classes] * 2.0  # (classes, C)
 
@@ -287,17 +292,29 @@ def build_task_model(
     )
 
 
-def make_task_from_config(cfg: dict) -> tuple[Dataset, Dataset]:
-    """Datasets from the ``task.*`` keys of `cfg`: each names a parameter of the
-    chosen generator, typed like its default, and any other is a `ConfigError`.
-    ``image_folder`` takes its root from ``task.dir`` and ignores ``task.seed``,
-    which `dynconv train` sets on every run."""
+def make_task_from_config(cfg: dict, graph: ModelGraph) -> tuple[Dataset, Dataset]:
+    """Datasets for `graph` from the ``task.*`` keys of `cfg`, each a parameter
+    of the chosen generator typed like its default; any other is a `ConfigError`.
+
+    The model sizes its data: a generator's ``channels``, ``size`` and
+    ``num_classes`` are the graph's, so their ``task.*`` keys are unknown, and
+    an ``image_folder`` that does not fit the graph is refused.  An
+    ``image_folder`` takes its root from ``task.dir`` and ignores
+    ``task.seed``, which `dynconv train` sets on every run."""
     kind = cfg.get("task.kind", "context_gated")
     if kind not in TASK_GENERATORS:
         raise ValueError(f"unknown task {kind!r}; known: {sorted(TASK_GENERATORS)}")
-    aliases = {"task.kind": None}
-    if kind == "image_folder":
-        if "task.dir" not in cfg:
-            raise ValueError("task.kind = image_folder requires task.dir")
-        aliases |= {"task.dir": "root", "task.seed": None}
-    return TASK_GENERATORS[kind](**keyword_args(TASK_GENERATORS[kind], cfg, "task", f"task.kind = {kind}", aliases))
+    make, owner = TASK_GENERATORS[kind], f"task.kind = {kind}"
+    c, r, k = graph.input_channels, graph.resolution, graph.num_classes
+    if kind != "image_folder":  # the model's keys set the sized parameters
+        sized = {"task.kind": None, "model.channels": "channels", "model.resolution": "size",
+                 "model.num_classes": "num_classes"}
+        return make(**keyword_args(make, cfg, "task", owner, sized), channels=c, size=r, num_classes=k)
+    if "task.dir" not in cfg:
+        raise ValueError("task.kind = image_folder requires task.dir")
+    data = make(**keyword_args(make, cfg, "task", owner, {"task.kind": None, "task.dir": "root", "task.seed": None}))
+    shape, classes = data[0].inputs.shape[1:], int(data[0].labels.max()) + 1  # each class trains its first file
+    if shape != (c, r, r) or classes != k:
+        raise ValueError(f"{cfg['task.dir']}: holds {shape[0]}-channel {shape[2]}×{shape[1]} images in "
+                         f"{classes} classes; {graph.name} expects {c}-channel {r}×{r} images in {k} classes")
+    return data

@@ -160,7 +160,8 @@ def run_sweep(
     cfg: RunConfig | None = None,
 ) -> dict[str, list[float]]:
     """Train every (arm, seed) pair, each built like a single run from
-    ``cfg.task`` and ``cfg.model`` plus the arm's keys, as a ``task`` model.
+    ``cfg.model`` plus the arm's keys, as a ``task`` model, and ``cfg.task``
+    made for that model.
 
     Writes one metrics CSV per run plus ``summary.csv`` with the final
     validation accuracy of each run; returns arm -> per-seed accuracies.
@@ -175,9 +176,9 @@ def run_sweep(
     summary = ["arm,seed,final_val_acc"]
     for arm in arms:
         for seed in seeds:
-            train_set, val_set = make_task_from_config(cfg.task | {"task.seed": str(seed)})
             model = build_from_config(cfg.model | {"model.family": "task"} | SWEEP_ARMS[arm]
                                       | {"model.seed": str(seed)})
+            train_set, val_set = make_task_from_config(cfg.task | {"task.seed": str(seed)}, model)
             res = train(model, train_set, val_set, replace(cfg, seed=seed),
                         csv_path=out / f"{arm}_seed{seed}.csv")
             results[arm].append(res.final_val_acc)

@@ -560,7 +560,7 @@ def test_corrupted_adjoint_is_caught():
     def bad_double(node):
         out = node.value * 2.0
         # deliberately wrong adjoint (claims 3x instead of 2x)
-        return ad._record(node.tape, "bad", out, (node,), lambda g, j: g * 3.0)
+        return ad._record(node.tape, out, (node,), lambda g, j: g * 3.0)
 
     def loss():
         tape = ad.Tape()

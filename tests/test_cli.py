@@ -139,8 +139,12 @@ def test_sweep_reads_the_config_task_and_model_keys(tmp_path, capsys):
     (["count"], "model.kind = static\nmodel.widht = 3\n", "model.widht"),
     (["train"], "model.kind = static\ntrain.epochs = 0\n", "model.kind"),
     (["train"], "task.kind = image_folder\ntask.dir = d\ntask.root = d\ntrain.epochs = 0\n", "task.root"),
+    # the model's keys size a task's data
+    (["train"], "task.num_classes = 6\ntrain.epochs = 0\n", "task.num_classes"),
+    (["train", "--sweep"], "task.size = 8\ntrain.epochs = 0\n", "task.size"),
+    (["analyze-phi"], "task.kind = linear_control\ntask.channels = 3\n", "task.channels"),
 ], ids=["model.widht", "task.fooo", "task.noise", "count-model-key-without-family", "train-model-key-without-family",
-        "image_folder-task.root"])
+        "image_folder-task.root", "task.num_classes", "sweep-task.size", "analyze-phi-task.channels"])
 def test_unread_config_keys_are_refused_by_name(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -237,15 +241,19 @@ def test_analyze_phi_loads_checkpoint_and_reports_spread(tmp_path):
     assert float(frow[3]) == 0.0
 
 
-def test_train_on_image_folder(tmp_path):
+def _two_class_rgb_folder(root):
     rng = np.random.default_rng(0)
     for cname, lum in (("dark", 0.2), ("bright", 0.8)):
-        (tmp_path / "data" / cname).mkdir(parents=True)
+        (root / cname).mkdir(parents=True)
         for i in range(8):
             img = np.clip(rng.normal(lum, 0.05, size=(3, 32, 32)), 0, 1)
             body = (img.transpose(1, 2, 0) * 255).astype(np.uint8).tobytes()
-            (tmp_path / "data" / cname / f"{i}.ppm").write_bytes(
+            (root / cname / f"{i}.ppm").write_bytes(
                 b"P6\n32 32\n255\n" + body)
+
+
+def test_train_on_image_folder(tmp_path):
+    _two_class_rgb_folder(tmp_path / "data")
     cfg = tmp_path / "img.cfg"
     cfg.write_text(
         "model.family = task\n"
@@ -263,6 +271,17 @@ def test_train_on_image_folder(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) == 4  # header + initial eval + 2 epochs
+
+
+def test_an_image_folder_that_does_not_fit_the_model_is_refused_by_name(tmp_path, capsys):
+    _two_class_rgb_folder(tmp_path / "data")
+    cfg = tmp_path / "img.cfg"
+    cfg.write_text(f"task.kind = image_folder\ntask.dir = {tmp_path / 'data'}\ntrain.epochs = 1\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'data'}: holds 3-channel 32×32 images in 2 classes; "
+                                       "task/dcd expects 8-channel 16×16 images in 4 classes\n")
+    assert not (out / "metrics.csv").exists()
 
 
 def test_train_refuses_a_step_size_below_one(tmp_path, capsys):
@@ -305,7 +324,7 @@ def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
     (["bench", "task_dcd", "--resolution", "-5"], "resolution must not be negative, got -5"),
     (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "-5"], "resolution must not be negative, got -5"),
     (["analyze-phi", "task_dcd", "--resolution", "8"],
-     "--resolution does not apply to a task model; task.size sets its inputs"),
+     "--resolution does not apply to a task model; model.resolution sets its inputs"),
 ], ids=["bench-repeats-0", "analyze-phi-task-samples-0", "analyze-phi-zoo-samples-0", "bench-batch-0",
         "bench-resolution-0", "analyze-phi-zoo-resolution-0", "analyze-phi-task-samples-negative",
         "equivalence-trials-0", "count-resolution-negative", "count-resolution-0", "equivalence-channels-0",

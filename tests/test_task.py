@@ -3,7 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from dynconv.config import RunConfig
+from dynconv import bench
+from dynconv.bench import Timing, bench_pair
+from dynconv.config import ConfigError, RunConfig
+from dynconv.counting import count_model
 from dynconv.layers import DcdConv, StaticConv, VanillaDynConv
 from dynconv.models import build_from_config
 from dynconv.task import (
@@ -75,9 +78,41 @@ def test_generators_refuse_an_empty_split(make):
         make(n_val=-1)
 
 
+def test_linear_control_refuses_more_classes_than_channels():
+    with pytest.raises(ValueError, match=r"^num_classes must be <= channels \(3\), got 4$"):
+        make_linear_control(channels=3, num_classes=4)
+    tr, _ = make_linear_control(n_train=64, n_val=1, channels=3, num_classes=3)
+    assert set(tr.labels) == {0, 1, 2}
+
+
 def test_unknown_task_kind_raises():
     with pytest.raises(ValueError, match="unknown task"):
-        make_task_from_config({"task.kind": "mystery"})
+        make_task_from_config({"task.kind": "mystery"}, build_task_model())
+
+
+@pytest.mark.parametrize("kind", ["context_gated", "linear_control"])
+def test_the_model_keys_size_a_synthetic_task(kind):
+    graph = build_from_config({"model.family": "task", "model.channels": "6", "model.resolution": "8",
+                               "model.num_classes": "5"})
+    tr, va = make_task_from_config({"task.kind": kind, "task.n_train": "128", "task.n_val": "2"}, graph)
+    assert tr.inputs.shape == (128, 6, 8, 8) and va.inputs.shape == (2, 6, 8, 8)
+    assert set(tr.labels) == set(range(5))
+    for key in ("task.channels", "task.size", "task.num_classes"):
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}' for task.kind = {kind}$"):
+            make_task_from_config({"task.kind": kind, key: "8"}, graph)
+
+
+def test_model_resolution_sizes_the_data_the_count_and_the_bench(monkeypatch):
+    graph = build_from_config({"model.family": "task", "model.resolution": "8"})
+    tr, va = make_task_from_config({"task.n_train": "4", "task.n_val": "2"}, graph)
+    assert tr.inputs.shape == (4, 8, 8, 8) and va.inputs.shape == (2, 8, 8, 8)
+    report = count_model(graph)
+    assert report.resolution == 8
+    assert report.total_madds == count_model(graph, 8).total_madds < count_model(graph, 16).total_madds
+    shapes = []
+    monkeypatch.setattr(bench, "time_forward", lambda g, x, **_: shapes.append(x.shape) or Timing(g.name, [1.0]))
+    bench_pair(graph, repeats=1, warmup=0)
+    assert shapes == [(1, 8, 8, 8)] * 2
 
 
 def test_linear_control_is_solved_by_static_model():
@@ -228,12 +263,22 @@ def test_image_folder_names_a_non_numeric_header_field(tmp_path, header, field):
 
 def test_image_folder_config_wiring(tmp_path):
     _image_tree(tmp_path / "data", per_class=4)
-    tr, va = make_task_from_config({
-        "task.kind": "image_folder",
-        "task.dir": str(tmp_path / "data"),
-        "task.val_every": "4",
-        "task.seed": "7",
-    })
+    graph = build_task_model(channels=3, num_classes=2, resolution=32)
+    cfg = {"task.kind": "image_folder", "task.dir": str(tmp_path / "data"), "task.val_every": "4", "task.seed": "7"}
+    tr, va = make_task_from_config(cfg, graph)
     assert len(tr) == 6 and len(va) == 2
     with pytest.raises(ValueError, match="task.dir"):
-        make_task_from_config({"task.kind": "image_folder"})
+        make_task_from_config({"task.kind": "image_folder"}, graph)
+
+
+@pytest.mark.parametrize("model,expects", [
+    ({"channels": 3, "num_classes": 2}, "3-channel 16×16 images in 2 classes"),
+    ({"channels": 3, "resolution": 32}, "3-channel 32×32 images in 4 classes"),
+], ids=["resolution", "classes"])
+def test_an_image_folder_that_does_not_fit_the_model_is_refused(tmp_path, model, expects):
+    _image_tree(tmp_path / "data", per_class=5)
+    graph = build_task_model(**model)
+    cfg = {"task.kind": "image_folder", "task.dir": str(tmp_path / "data")}
+    holds = "holds 3-channel 32×32 images in 2 classes"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'data'))}: {holds}; task/dcd expects {expects}$"):
+        make_task_from_config(cfg, graph)
