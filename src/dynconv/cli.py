@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import re
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import decompose
 from .analysis import phi_statistics
-from .bench import bench_pair, environment_line
+from .bench import bench_pairs, environment, environment_line
 from .config import ConfigError, RunConfig, load_config
 from .counting import count_model
 from .gradcheck import VARIANTS, variant_gradcheck
@@ -67,16 +68,18 @@ def _load_cfg(args) -> dict[str, str]:
     return load_config(path) if path else {}
 
 
-def _model_from_args(args, cfg: dict[str, str], seed: int | None = None):
+def _model_from_args(args, cfg: dict[str, str], seed: int | None = None, name: str | None = None):
     seed = getattr(args, "seed", None) if seed is None else seed
+    name = getattr(args, "model", None) if name is None else name
     if cfg.get("model.family"):
+        if name:
+            raise ConfigError(f"{name!r} and the config's model.family both name the model; give one")
         if seed is not None:
             cfg = dict(cfg) | {"model.seed": str(seed)}
         return build_from_config(cfg)
     if keys := sorted(key for key in cfg if key.startswith("model.")):
         raise ConfigError(f"model.family is required to read {', '.join(map(repr, keys))}")
-    name = getattr(args, "model", None) or "task_dcd"
-    return resolve_model(name, seed=seed or 0)
+    return resolve_model(name or "task_dcd", seed=seed or 0)
 
 
 def _out_dir(args, default: str = "out") -> Path:
@@ -244,7 +247,7 @@ def cmd_analyze_phi(args) -> int:
     else:
         rng = np.random.default_rng(seed)
         res = model.resolution if args.resolution is None else args.resolution
-        if res < 0:  # as in `bench_pair`
+        if res < 0:  # as in `bench_pairs`
             raise ValueError(f"resolution must not be negative, got {res}")
         x = rng.normal(size=(args.samples, model.input_channels, res, res))
     _write_or_print(args, model.name, phi_statistics(model, x).csv_lines())
@@ -252,16 +255,30 @@ def cmd_analyze_phi(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    model = _model_from_args(args, _load_cfg(args))
+    cfg = _load_cfg(args)
     seed = getattr(args, "seed", None) or 0
-    report = bench_pair(model, batch=args.batch, resolution=args.resolution,
-                        repeats=args.repeats, warmup=args.warmup, seed=seed)
-    print("\n".join(report.lines() + [environment_line()]))
+    cases = []
+    for spec in args.model or [""]:  # no model: the config's, or task_dcd
+        name, at, res = spec.partition("@")
+        if at and not res.isdigit():
+            raise ValueError(f"{spec!r}: expected MODEL or MODEL@RESOLUTION")
+        model = _model_from_args(args, cfg, name=name)
+        cases += [(model, batch, int(res) if at else args.resolution) for batch in args.batch]
+    reports = bench_pairs(cases, repeats=args.repeats, warmup=args.warmup, seed=seed)
+    for report in reports:
+        print(f"== {report.dynamic.name}, {report.resolution}×{report.resolution}, batch {report.batch}")
+        print("\n".join(report.lines()))
+    print(environment_line())
     out = getattr(args, "out", None)
     if out:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(report.csv_lines()) + "\n")
+        rows = [line for report in reports for line in report.csv_lines()[1:]]
+        path.write_text("\n".join(reports[0].csv_lines()[:1] + rows) + "\n")
+    if args.json:
+        args.json.parent.mkdir(parents=True, exist_ok=True)
+        doc = {"environment": environment(), "rows": [report.row() for report in reports]}
+        args.json.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -318,11 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common],
                        help="forward timing against the static twin")
-    p.add_argument("model", nargs="?", default=None, help="zoo id (default task_dcd)")
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("model", nargs="*", default=[],
+                   help="zoo ids, each MODEL or MODEL@RESOLUTION (default task_dcd)")
+    p.add_argument("--batch", type=int, nargs="+", default=[1], help="one or more batch sizes")
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--resolution", type=int, default=None,
+                   help="input size of a MODEL without @RESOLUTION (default: its own)")
+    p.add_argument("--json", type=Path, default=None,
+                   help="write one row per model and batch, with the environment, as JSON")
     p.set_defaults(func=cmd_bench)
 
     return parser

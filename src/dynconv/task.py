@@ -27,6 +27,7 @@ feeds, so the model's keys alone state a run's input shape and class count.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -297,10 +298,12 @@ def make_task_from_config(cfg: dict, graph: ModelGraph) -> tuple[Dataset, Datase
     of the chosen generator typed like its default; any other is a `ConfigError`.
 
     The model sizes its data: a generator's ``channels``, ``size`` and
-    ``num_classes`` are the graph's, so their ``task.*`` keys are unknown, and
-    an ``image_folder`` that does not fit the graph is refused.  An
-    ``image_folder`` takes its root from ``task.dir`` and ignores
-    ``task.seed``, which `dynconv train` sets on every run."""
+    ``num_classes`` are the graph's, so their ``task.*`` keys are unknown; a
+    generator that cannot make data of the graph's shape, and an
+    ``image_folder`` that does not fit the graph, are refused by the
+    ``model.*`` keys that set it.  An ``image_folder`` takes its root from
+    ``task.dir`` and ignores ``task.seed``, which `dynconv train` sets on
+    every run."""
     kind = cfg.get("task.kind", "context_gated")
     if kind not in TASK_GENERATORS:
         raise ValueError(f"unknown task {kind!r}; known: {sorted(TASK_GENERATORS)}")
@@ -309,7 +312,16 @@ def make_task_from_config(cfg: dict, graph: ModelGraph) -> tuple[Dataset, Datase
     if kind != "image_folder":  # the model's keys set the sized parameters
         sized = {"task.kind": None, "model.channels": "channels", "model.resolution": "size",
                  "model.num_classes": "num_classes"}
-        return make(**keyword_args(make, cfg, "task", owner, sized), channels=c, size=r, num_classes=k)
+        kwargs = keyword_args(make, cfg, "task", owner, sized)
+        if kind == "linear_control" and k > c:  # one channel mean per class
+            raise ValueError(f"{owner} needs model.num_classes <= model.channels; "
+                             f"{graph.name} has {k} classes and {c} channels")
+        if kind == "context_gated":  # the context cues leave the content at least one channel
+            contexts = kwargs.get("contexts", inspect.signature(make).parameters["contexts"].default)
+            if contexts >= c:
+                raise ValueError(f"{owner} needs model.channels > task.contexts ({contexts}); "
+                                 f"{graph.name} has {c} channels")
+        return make(**kwargs, channels=c, size=r, num_classes=k)
     if "task.dir" not in cfg:
         raise ValueError("task.kind = image_folder requires task.dir")
     data = make(**keyword_args(make, cfg, "task", owner, {"task.kind": None, "task.dir": "root", "task.seed": None}))

@@ -1,8 +1,8 @@
 """Deterministic float64 tensor kernels: the contractions ``matmul`` and
-``conv2d``, their loop references, im2col, the by-sample split of large
-stacked products, SVD, and the finite check.  The differentiable ops,
-elementwise ones, batch norm and max pooling included, are defined once,
-in `dynconv.autodiff`, and call these kernels.
+``conv2d``, their loop references, im2col, the depthwise tap sum, the
+by-sample split of large stacked products, SVD, and the finite check.  The
+differentiable ops, elementwise ones, batch norm and max pooling included,
+are defined once, in `dynconv.autodiff`, and call these kernels.
 
 No kernel checks its result.  `check_finite` runs at fixed points instead:
 in each layer, before an op that could hide a non-finite value (see
@@ -27,7 +27,13 @@ the worker count either.  Two kinds of contract rest on this:
   oracles summing left to right over the contraction axis; a dynamic model
   equals its static twin at initialization; a batch-N forward equals the
   stacked batch-1 forwards; a checkpoint round-trips; the same config and
-  seed give byte-identical logs at a fixed BLAS thread count.
+  seed give byte-identical logs at a fixed BLAS thread count.  A depthwise
+  ``conv2d`` with at least `DEPTHWISE_TAP_RATIO` channels per output
+  position equals ``conv2d_reference`` too: it runs as `_depthwise_taps`,
+  elementwise products summed in the reference's (dy, dx) order from zero,
+  where BLAS would sum in its own order.  The rule reads the conv's shape
+  only, never the batch size, so a sample's kernel, and its bits, do not
+  depend on the batch it comes in.
 * tolerance: the BLAS kernels ``matmul``/``conv2d`` (and the conv VJPs in
   ``dynconv.autodiff``) against the reference kernels, to 1e-12 relative.
 
@@ -49,6 +55,17 @@ import numpy as np
 # in two, a product gained nothing below ~1.5 M MAdds (the hand-off and the
 # wait cost ~0.1 ms) and halved its time above ~3 M (see CHANGES.md).
 SPLIT_MIN_MADDS = 2_000_000
+
+# A depthwise conv with at least this many channels per output position
+# (C >= DEPTHWISE_TAP_RATIO * ho * wo) runs as a channels-last sum over its
+# kernel taps instead of im2col + one BLAS call per (sample, channel).  Timed
+# per layer in MobileNetV2-0.5 forwards, BLAS at 1 thread (see CHANGES.md),
+# the taps took 0.8-0.9x BLAS's time at batch 1 and 0.4-0.5x at batch 8 from
+# 48 channels per position up, but 1.2-1.4x at batch 1 from 24 down and
+# 1.0-1.2x on 7×7 maps.  Channels per output column alone cannot draw that
+# line: C960 on a 7×7 map (137 per column, 1.4x at batch 8) would join C192
+# on a 2×2 map (96 per column, 0.4x).
+DEPTHWISE_TAP_RATIO = 32
 
 
 class NonFiniteError(ValueError):
@@ -86,12 +103,16 @@ def blas_threads() -> int | None:
     return None
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def contraction_workers() -> int:
     """How many chunks a large stacked product is split into: the CPUs this
     process may run on, over the threads BLAS runs each product on (the
     CPUs alone where `blas_threads` cannot tell)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, cpus // (blas_threads() or 1))
+    return max(1, usable_cpus() // (blas_threads() or 1))
 
 
 _pool = None
@@ -230,7 +251,10 @@ def _conv_shapes(x: np.ndarray, weight: np.ndarray, stride: int, padding: int, g
     c_out, c_in_g, kh, kw = weight.shape[-4:]
     if c % groups or c_out % groups or c_in_g != c // groups:
         raise ValueError(f"bad group structure: input {c} ch, weight {weight.shape}, groups {groups}")
-    return n, c_out, c_in_g, kh, kw, conv_out_size(h, kh, stride, padding), conv_out_size(w, kw, stride, padding)
+    ho, wo = conv_out_size(h, kh, stride, padding), conv_out_size(w, kw, stride, padding)
+    if ho <= 0 or wo <= 0:
+        raise ValueError(f"empty conv output for input {x.shape} kernel {(kh, kw)}")
+    return n, c_out, c_in_g, kh, kw, ho, wo
 
 
 def conv2d(
@@ -247,13 +271,42 @@ def conv2d(
     stack axes, so each sample's output is the same BLAS call at any batch
     size and with a shared or a per-sample kernel.  For a 1×1 stride-1
     unpadded conv the patch matrix is a reshaped view of `x`, so the product
-    is one reshape and that `np.matmul`.
+    is one reshape and that `np.matmul`.  A depthwise conv (one input channel
+    per group, ``groups == C_in == C_out``) with at least
+    `DEPTHWISE_TAP_RATIO` channels per output position runs as
+    `_depthwise_taps` instead: a rule by shape alone, never by batch size.
     """
     n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
+    if c_in_g == 1 and c_out == groups and c_out >= DEPTHWISE_TAP_RATIO * ho * wo:
+        return _depthwise_taps(x, weight, stride, padding, ho, wo)
     cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
     wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
     out = np.matmul(wmat, cols) if n < 2 else stacked_matmul(wmat, cols, n)
     return out.reshape(n, c_out, ho, wo)
+
+
+def _depthwise_taps(x, weight, stride, padding, ho, wo):
+    """A depthwise conv as a sum over its kernel taps in (dy, dx) order on a
+    zero-padded channels-last copy of `x`: from zeros, one multiply by the
+    tap's weights and one in-place add per tap, each an elementwise op whose
+    inner run is C (or wo·C) values.  That is `conv2d_reference`'s sum, so
+    the result equals it bit for bit, for a per-sample kernel too.  Rows and
+    columns of taps that only ever read padding would add ±0, which leaves
+    the sum's bits alone, so they are skipped: on a 1×1 map a 3×3 kernel
+    costs one multiply and one add."""
+    n, c, h, w = x.shape
+    kh, kw = weight.shape[-2:]
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+    # (kh, kw, 1, 1, 1, C) or (kh, kw, N, 1, 1, C): each tap's weights broadcast over (N, ho, wo, C)
+    taps = np.moveaxis(weight.reshape(weight.shape[:-4] + (1, 1, c, kh, kw)), (-2, -1), (0, 1))
+    out, prod = np.zeros((n, ho, wo, c)), np.empty((n, ho, wo, c))
+    ys, xs = stride * (ho - 1) + 1, stride * (wo - 1) + 1  # the extent one tap reads
+    for dy in range(max(0, padding + 1 - ys), min(kh, padding + h)):
+        for dx in range(max(0, padding + 1 - xs), min(kw, padding + w)):
+            np.multiply(xp[:, dy:dy + ys:stride, dx:dx + xs:stride], taps[dy, dx], out=prod)
+            out += prod
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 def conv2d_reference(

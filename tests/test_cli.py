@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,42 @@ def test_bench_prints_workers_and_blas_threads_and_keeps_csv_columns(tmp_path, c
     assert environment_line() == f"contraction workers: {T.contraction_workers()}, BLAS threads: unknown"
 
 
+def test_bench_json_has_a_row_per_model_and_batch_and_the_environment(tmp_path, capsys):
+    path = tmp_path / "bench" / "b.json"
+    argv = ["bench", "task_dcd", "task_static@8", "--batch", "1", "2", "--repeats", "2", "--warmup", "0"]
+    assert main(argv + ["--json", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    env = doc["environment"]
+    assert set(env) == {"numpy", "blas", "blas_threads", "contraction_workers", "cpus", "src_sha256"}
+    assert env["numpy"] == np.__version__ and env["contraction_workers"] == T.contraction_workers()
+    assert env["blas_threads"] == T.blas_threads() and env["cpus"] == T.usable_cpus() and len(env["src_sha256"]) == 16
+    assert [(r["model"], r["resolution"], r["batch"]) for r in doc["rows"]] == [
+        ("task/dcd", 16, 1), ("task/dcd", 16, 2), ("task/static", 8, 1), ("task/static", 8, 2)]
+    for row in doc["rows"]:
+        assert set(row) == {"model", "resolution", "batch", "repeats", "dyn", "twin", "dyn_over_twin_median"}
+        assert row["repeats"] == 2
+        for side in (row["dyn"], row["twin"]):
+            assert set(side) == {"median_s", "q25_s", "q75_s", "p95_s"}
+            assert 0 < side["q25_s"] <= side["median_s"] <= side["q75_s"] <= side["p95_s"]
+        assert row["dyn_over_twin_median"] == row["dyn"]["median_s"] / row["twin"]["median_s"]
+    assert capsys.readouterr().out.count("dynamic/static mean ratio") == 4
+
+
+@pytest.mark.parametrize("argv", [["bench", "task_dcd", "resnet10_dcd"], ["count", "resnet10_dcd"],
+                                  ["train", "--model", "resnet10", "--epochs", "0"]], ids=["bench", "count", "train"])
+def test_a_named_model_and_a_config_model_are_refused_together(tmp_path, capsys, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.family = task\n")
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    name = argv[argv.index("--model") + 1] if "--model" in argv else argv[1]
+    assert capsys.readouterr().err == f"error: {name!r} and the config's model.family both name the model; give one\n"
+
+
+def test_bench_refuses_a_malformed_resolution_suffix(capsys):
+    assert main(["bench", "task_dcd@x8", "--repeats", "1"]) == 1
+    assert capsys.readouterr().err == "error: 'task_dcd@x8': expected MODEL or MODEL@RESOLUTION\n"
+
+
 def test_global_flags_accepted_before_subcommand(tmp_path):
     path = tmp_path / "phi.csv"
     assert main(["--seed", "5", "--out", str(path),
@@ -281,6 +319,21 @@ def test_an_image_folder_that_does_not_fit_the_model_is_refused_by_name(tmp_path
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (f"error: {tmp_path / 'data'}: holds 3-channel 32×32 images in 2 classes; "
                                        "task/dcd expects 8-channel 16×16 images in 4 classes\n")
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("kind,error", [
+    ("context_gated", "task.kind = context_gated needs model.channels > task.contexts (4); "
+                      "resnet10/static has 3 channels"),
+    ("linear_control", "task.kind = linear_control needs model.num_classes <= model.channels; "
+                       "resnet10/static has 1000 classes and 3 channels"),
+])
+def test_a_model_its_task_cannot_feed_is_refused_by_its_keys(tmp_path, capsys, kind, error):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"task.kind = {kind}\n")
+    out = tmp_path / "run"
+    assert main(["train", "--model", "resnet10", "--epochs", "0", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not (out / "metrics.csv").exists()
 
 

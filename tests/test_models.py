@@ -213,6 +213,18 @@ def test_static_twin_is_bit_identical_at_initialization():
     assert np.array_equal(graph.forward(x), twin.forward(x))
 
 
+def test_depthwise_dcd_twin_is_bit_identical_on_both_sides_of_the_tap_rule():
+    """MobileNetV2-0.5 with DCD depthwise layers: their per-sample W(x) and
+    the twin's shared W0 go through the same depthwise kernel at every
+    shape, tap sum or BLAS, so the logits agree bit for bit at 32×32."""
+    graph = build_mobilenetv2(width=0.5, placement=("dw",), resolution=32, seed=5)
+    sides = {layer.c_in >= T.DEPTHWISE_TAP_RATIO * h_out * h_out for layer, _, _, h_out in graph.iter_layers()
+             if isinstance(layer, DcdConv)}
+    assert sides == {True, False}
+    x = np.random.default_rng(6).normal(size=(2, 3, 32, 32))
+    assert np.array_equal(graph.forward(x), graph.static_twin().forward(x))
+
+
 MOBILENET_X05_MATERIALISED_AT_32 = (["b0.project"] + [f"b{i}.{r}" for i in range(1, 6) for r in ("expand", "project")]
                                     + ["b6.expand"])
 

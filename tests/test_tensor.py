@@ -1,5 +1,6 @@
 """Tensor kernel tests: reference kernels against independent loop oracles
-(bit-exact), BLAS kernels against reference kernels (tolerance)."""
+(bit-exact), the depthwise tap sum against the reference kernel (bit-exact),
+BLAS kernels against reference kernels (tolerance)."""
 
 import itertools
 import math
@@ -256,6 +257,8 @@ def assert_rel_close(got, want, tol=1e-12):
         pytest.param((2, 4, 5, 5), (2, 3, 4, 1, 1), 1, 0, 1, id="per-sample-k1"),
         pytest.param((2, 4, 1, 1), (5, 4, 3, 3), 1, 1, 1, id="1x1-spatial"),
         pytest.param((2, 4, 1, 1), (2, 5, 4, 1, 1), 1, 0, 1, id="1x1-spatial-per-sample"),
+        pytest.param((2, 32, 1, 1), (32, 1, 3, 3), 1, 1, 32, id="depthwise-taps-1x1"),
+        pytest.param((2, 32, 2, 2), (2, 32, 1, 3, 3), 2, 1, 32, id="per-sample-depthwise-taps-stride2"),
     ],
 )
 def test_blas_kernels_and_conv_vjps_match_reference_kernels(xshape, wshape, stride, padding, groups):
@@ -301,6 +304,59 @@ def test_pointwise_conv_is_one_matmul_on_a_view_of_x(wshape, groups):
     assert np.array_equal(got, np.matmul(wmat, x.reshape(8, groups, 4 // groups, 15)).reshape(got.shape))
     rows = [T.conv2d(x[i : i + 1], w[i : i + 1] if w.ndim == 5 else w, groups=groups) for i in range(8)]
     assert np.array_equal(got, np.concatenate(rows))
+
+
+# (map size, k, stride, padding): 1×1 and 2×2 maps at every padding a k×k kernel allows, and two unpadded
+DEPTHWISE_TAP_SHAPES = [(h, k, s, p) for h in (1, 2) for k in (3, 5) for s in (1, 2) for p in (1, 2)
+                        if h + 2 * p >= k] + [(3, 3, 1, 0), (5, 5, 2, 0)]
+
+
+def _depthwise(n, c, h, k, per_sample, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, c, h, h)), rng.standard_normal((n, c, 1, k, k) if per_sample else (c, 1, k, k))
+
+
+def _tap_channels(h, k, stride, padding):
+    """The fewest channels that put a depthwise conv of this shape on the tap side."""
+    return T.DEPTHWISE_TAP_RATIO * T.conv_out_size(h, k, stride, padding) ** 2
+
+
+@pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+@pytest.mark.parametrize("h,k,stride,padding", DEPTHWISE_TAP_SHAPES)
+def test_depthwise_taps_equal_the_reference_kernel_bit_for_bit(h, k, stride, padding, per_sample):
+    c = _tap_channels(h, k, stride, padding)
+    x, w = _depthwise(2, c, h, k, per_sample, 73)
+    got = T.conv2d(x, w, stride, padding, c)
+    want = _reference_conv(x, w, stride, padding, c)
+    assert got.flags.c_contiguous and np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # the sign of zero too
+
+
+# (channels, map size, stride, on the tap side): both sides of the rule's edge at two output sizes, and three
+# MobileNetV2-0.5 layers at 32×32 (b6, b14, b0)
+DEPTHWISE_RULE_SIDES = [(128, 2, 1, True), (127, 2, 1, False), (32, 2, 2, True), (31, 2, 2, False),
+                        (96, 4, 2, False), (480, 1, 1, True), (16, 8, 1, False)]
+
+
+@pytest.mark.parametrize("per_sample", [False, True], ids=["shared", "per-sample"])
+@pytest.mark.parametrize("c,h,stride,taps", DEPTHWISE_RULE_SIDES)
+def test_depthwise_batch_equals_stacked_single_samples_on_both_sides_of_the_rule(c, h, stride, taps, per_sample):
+    x, w = _depthwise(5, c, h, 3, per_sample, 79)
+    got = T.conv2d(x, w, stride, 1, c)
+    rows = [T.conv2d(x[i : i + 1], w[i : i + 1] if per_sample else w, stride, 1, c) for i in range(5)]
+    assert np.array_equal(got, np.concatenate(rows))
+
+
+@pytest.mark.parametrize("c,h,stride,taps", DEPTHWISE_RULE_SIDES)
+def test_depthwise_kernel_choice_reads_the_shape_not_the_batch(monkeypatch, c, h, stride, taps):
+    """The tap side makes no patch matrix, at batch 1 and 8 alike."""
+    calls = []
+    im2col = T.im2col
+    monkeypatch.setattr(T, "im2col", lambda *a: calls.append(a[0].shape[0]) or im2col(*a))
+    for n in (1, 8):
+        x, w = _depthwise(n, c, h, 3, False, 83)
+        T.conv2d(x, w, stride, 1, c)
+    assert calls == ([] if taps else [1, 8])
 
 
 def test_as_tensor_keeps_the_shape_and_copies_only_when_needed():
@@ -361,6 +417,7 @@ def test_conv2d_rejects_mismatched_per_sample_kernels():
         pytest.param((8, 16, 6, 6), (8, 12, 16, 3, 3), 1, 1, id="per-sample-k3"),
         pytest.param((3, 16, 6, 6), (3, 12, 16, 3, 3), 0, 1, id="per-sample-k3-batch3"),
         pytest.param((8, 32, 8, 8), (32, 1, 3, 3), 1, 32, id="depthwise"),
+        pytest.param((8, 128, 2, 2), (8, 128, 1, 3, 3), 1, 128, id="per-sample-depthwise-taps"),
     ],
 )
 def test_split_conv2d_and_its_vjps_keep_every_bit(split_and_serial, xshape, wshape, padding, groups):
