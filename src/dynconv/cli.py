@@ -28,7 +28,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import decompose
 from .analysis import phi_statistics
-from .bench import bench_pairs, environment, environment_line
+from .bench import bench_pairs, environment
 from .config import ConfigError, RunConfig, load_config
 from .counting import count_model
 from .gradcheck import VARIANTS, variant_gradcheck
@@ -264,31 +264,40 @@ def cmd_bench(args) -> int:
             raise ValueError(f"{spec!r}: expected MODEL or MODEL@RESOLUTION")
         model = _model_from_args(args, cfg, name=name)
         cases += [(model, batch, int(res) if at else args.resolution) for batch in args.batch]
-    reports = bench_pairs(cases, repeats=args.repeats, warmup=args.warmup, seed=seed)
-    for report in reports:
-        print(f"== {report.dynamic.name}, {report.resolution}×{report.resolution}, batch {report.batch}")
-        print("\n".join(report.lines()))
-    print(environment_line())
+    rows = [report.row() for report in bench_pairs(cases, repeats=args.repeats, warmup=args.warmup, seed=seed)]
+    for row in rows:
+        print(f"== {row['model']}, {row['resolution']}×{row['resolution']}, batch {row['batch']}")
+        for side in ("dyn", "twin"):
+            print(f"{side}: " + ", ".join(f"{key[:-2]} {row[side][key] * 1e3:.3f} ms" for key in row[side]))
+        print(f"dyn/twin median ratio: {row['dyn_over_twin_median']:.3f}")
+    env = environment()
+    blas = "unknown" if env["blas_threads"] is None else env["blas_threads"]
+    print(f"contraction workers: {env['contraction_workers']}, BLAS threads: {blas}")
     out = getattr(args, "out", None)
     if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rows = [line for report in reports for line in report.csv_lines()[1:]]
-        path.write_text("\n".join(reports[0].csv_lines()[:1] + rows) + "\n")
-    if args.json:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"environment": environment(), "rows": [report.row() for report in reports]}
-        args.json.write_text(json.dumps(doc, indent=2) + "\n")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps({"environment": env, "rows": rows}, indent=2) + "\n")
     return 0
 
 
 # -- parser -----------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """An argparse ``type=`` for an integer flag bounded below: argparse then
+    refuses a value out of range with the flag's name and the usage."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", type=Path, help="run configuration file")
-    common.add_argument("--seed", type=int, help="override the RNG seed")
+    common.add_argument("--seed", type=_at_least(0), help="override the RNG seed")
     common.add_argument("--out", type=Path, help="output file or directory")
     common.add_argument("--golden", action="store_true",
                         help="check reference budgets (count subcommand)")
@@ -299,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="fit a model on a synthetic task")
     p.add_argument("--model", default=None, help="zoo id (default task_dcd)")
-    p.add_argument("--epochs", type=int, default=None, help="override train.epochs")
+    p.add_argument("--epochs", type=_at_least(0), default=None, help="override train.epochs")
     p.add_argument("--sweep", action="store_true",
                    help="run the static/dcd/vanilla comparison sweep")
     p.set_defaults(func=cmd_train)
@@ -342,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--resolution", type=int, default=None,
                    help="input size of a MODEL without @RESOLUTION (default: its own)")
-    p.add_argument("--json", type=Path, default=None,
-                   help="write one row per model and batch, with the environment, as JSON")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -75,8 +75,13 @@ def finite_diff_check(
     """Central-difference check of `backward` against `loss_fn`.
 
     `loss_fn` must rebuild its tape on every call and read parameter
-    values at call time, so in-place perturbation is visible.
+    values at call time, so in-place perturbation is visible.  `step` and
+    `tol` must be finite and positive: no coordinate fails a NaN or infinite
+    tolerance, and every coordinate fails a zero one.
     """
+    for name, value in (("step", step), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     node = loss_fn()
     if node.value.shape not in ((), (1,)):
         raise ValueError("gradcheck target must be scalar")

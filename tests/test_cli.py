@@ -1,10 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dynconv import tensor as T
-from dynconv.bench import environment_line
 from dynconv.cli import main, resolve_model
 from dynconv.layers import DcdConv, StaticConv
 
@@ -110,9 +111,10 @@ def test_train_rejects_malformed_config(tmp_path, capsys):
 
 def test_train_rejects_negative_epochs_from_flag_and_config(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(["train", "--epochs", "-1", "--out", str(out)]) == 1
-    assert "error: epochs must be >= 0 and batch >= 1" in capsys.readouterr().err
-    assert not (out / "model.ckpt").exists()
+    with pytest.raises(SystemExit, match="^2$"):  # argparse refuses the flag; see the parametrised test below
+        main(["train", "--epochs", "-1", "--out", str(out)])
+    assert "error: argument --epochs: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
     cfg = tmp_path / "run.cfg"
     cfg.write_text("train.epochs = -1\n")
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
@@ -190,22 +192,24 @@ def test_bench_reports_ratio(capsys):
     assert "ratio" in capsys.readouterr().out
 
 
-def test_bench_prints_workers_and_blas_threads_and_keeps_csv_columns(tmp_path, capsys, monkeypatch):
+def test_bench_prints_workers_and_blas_threads(capsys, monkeypatch):
     monkeypatch.setattr(T, "blas_threads", lambda: 1)
-    path = tmp_path / "bench.csv"
-    assert main(["bench", "task_dcd", "--repeats", "2", "--warmup", "1", "--out", str(path)]) == 0
+    assert main(["bench", "task_dcd", "--repeats", "2", "--warmup", "1"]) == 0
     workers = T.contraction_workers()
     assert f"contraction workers: {workers}, BLAS threads: 1" in capsys.readouterr().out.splitlines()
-    assert path.read_text().splitlines()[0] == "model,mean_s,median_s,p95_s"
     monkeypatch.setattr(T, "blas_threads", lambda: None)
-    assert environment_line() == f"contraction workers: {T.contraction_workers()}, BLAS threads: unknown"
+    assert main(["bench", "task_dcd", "--repeats", "1", "--warmup", "0"]) == 0
+    assert f"contraction workers: {workers}, BLAS threads: unknown" in capsys.readouterr().out.splitlines()
+
+
+def _bench_doc(tmp_path, argv):
+    path = tmp_path / "bench" / "b.json"
+    assert main(["bench"] + argv + ["--out", str(path)]) == 0
+    return json.loads(path.read_text())
 
 
 def test_bench_json_has_a_row_per_model_and_batch_and_the_environment(tmp_path, capsys):
-    path = tmp_path / "bench" / "b.json"
-    argv = ["bench", "task_dcd", "task_static@8", "--batch", "1", "2", "--repeats", "2", "--warmup", "0"]
-    assert main(argv + ["--json", str(path)]) == 0
-    doc = json.loads(path.read_text())
+    doc = _bench_doc(tmp_path, ["task_dcd", "task_static@8", "--batch", "1", "2", "--repeats", "2", "--warmup", "0"])
     env = doc["environment"]
     assert set(env) == {"numpy", "blas", "blas_threads", "contraction_workers", "cpus", "src_sha256"}
     assert env["numpy"] == np.__version__ and env["contraction_workers"] == T.contraction_workers()
@@ -219,7 +223,43 @@ def test_bench_json_has_a_row_per_model_and_batch_and_the_environment(tmp_path, 
             assert set(side) == {"median_s", "q25_s", "q75_s", "p95_s"}
             assert 0 < side["q25_s"] <= side["median_s"] <= side["q75_s"] <= side["p95_s"]
         assert row["dyn_over_twin_median"] == row["dyn"]["median_s"] / row["twin"]["median_s"]
-    assert capsys.readouterr().out.count("dynamic/static mean ratio") == 4
+
+
+def test_bench_prints_the_rows_it_writes(tmp_path, capsys):
+    doc = _bench_doc(tmp_path, ["task_dcd", "task_static@8", "--batch", "1", "2", "--repeats", "3", "--warmup", "0"])
+    out = capsys.readouterr().out
+    ratios = re.findall(r"^dyn/twin median ratio: ([0-9.]+)$", out, re.MULTILINE)
+    medians = re.findall(r"^(dyn|twin): median ([0-9.]+) ms, q25 ([0-9.]+) ms, q75 ([0-9.]+) ms, p95 ([0-9.]+) ms$",
+                         out, re.MULTILINE)
+    assert ratios == [f"{row['dyn_over_twin_median']:.3f}" for row in doc["rows"]]
+    assert medians == [(side, *(f"{row[side][key] * 1e3:.3f}" for key in ("median_s", "q25_s", "q75_s", "p95_s")))
+                       for row in doc["rows"] for side in ("dyn", "twin")]
+
+
+def _schema(doc):
+    """The key sets of a `bench --out` document: its top level, environment, rows and each row's sides."""
+    return (set(doc), set(doc["environment"]), {frozenset(row) for row in doc["rows"]},
+            {frozenset(row[side]) for row in doc["rows"] for side in ("dyn", "twin")})
+
+
+def test_every_committed_bench_file_has_the_keys_bench_out_writes(tmp_path, capsys):
+    written = _schema(_bench_doc(tmp_path, ["task_dcd", "--repeats", "1", "--warmup", "0"]))
+    files = sorted((Path(__file__).resolve().parents[1]).glob("BENCH_*.json"))
+    assert {"BENCH_baseline.json", "BENCH_depthwise.json"} <= {path.name for path in files}
+    for path in files:
+        assert _schema(json.loads(path.read_text())) == written, path.name
+
+
+@pytest.mark.parametrize("argv,flag", [(["--seed", "-1", "count", "task_dcd"], "--seed"),
+                                       (["count", "task_dcd", "--seed", "-1"], "--seed"),
+                                       (["train", "--epochs", "-1"], "--epochs")],
+                         ids=["seed-before", "seed-after", "train-epochs"])
+def test_a_negative_seed_or_epoch_count_is_refused_at_its_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dynconv") and err.endswith(f"error: argument {flag}: must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("argv", [["bench", "task_dcd", "resnet10_dcd"], ["count", "resnet10_dcd"],
@@ -378,11 +418,16 @@ def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
     (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "-5"], "resolution must not be negative, got -5"),
     (["analyze-phi", "task_dcd", "--resolution", "8"],
      "--resolution does not apply to a task model; model.resolution sets its inputs"),
+    (["gradcheck", "--variant", "dcd_pointwise", "--tol", "nan"], "tol must be finite and > 0, got nan"),
+    (["gradcheck", "--variant", "dcd_pointwise", "--tol", "inf"], "tol must be finite and > 0, got inf"),
+    (["gradcheck", "--tol", "0"], "tol must be finite and > 0, got 0.0"),
+    (["gradcheck", "--tol", "-1"], "tol must be finite and > 0, got -1.0"),
 ], ids=["bench-repeats-0", "analyze-phi-task-samples-0", "analyze-phi-zoo-samples-0", "bench-batch-0",
         "bench-resolution-0", "analyze-phi-zoo-resolution-0", "analyze-phi-task-samples-negative",
         "equivalence-trials-0", "count-resolution-negative", "count-resolution-0", "equivalence-channels-0",
         "equivalence-kernels-0", "equivalence-latent-0", "equivalence-channels-negative", "bench-warmup-negative",
-        "bench-resolution-negative", "analyze-phi-zoo-resolution-negative", "analyze-phi-task-resolution"])
+        "bench-resolution-negative", "analyze-phi-zoo-resolution-negative", "analyze-phi-task-resolution",
+        "gradcheck-tol-nan", "gradcheck-tol-inf", "gradcheck-tol-0", "gradcheck-tol-negative"])
 def test_an_empty_timing_or_phi_run_is_refused(tmp_path, capsys, argv, error):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1

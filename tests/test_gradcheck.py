@@ -26,3 +26,10 @@ def test_every_learnable_tensor_is_checked():
 def test_unknown_variant_raises():
     with pytest.raises(ValueError, match="unknown gradcheck variant"):
         variant_gradcheck("dcd_mystery")
+
+
+@pytest.mark.parametrize("name,value", [("tol", float("nan")), ("tol", float("inf")), ("tol", 0.0), ("tol", -1.0),
+                                        ("step", float("nan")), ("step", 0.0), ("step", -1e-5)])
+def test_a_tolerance_or_step_that_certifies_nothing_is_refused(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got {value}$"):
+        variant_gradcheck("dcd_pointwise", seed=0, max_coords=1, **{name: value})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynconv import bench
-from dynconv.bench import Timing, bench_pair
+from dynconv.bench import bench_pairs
 from dynconv.config import ConfigError, RunConfig
 from dynconv.counting import count_model
 from dynconv.layers import DcdConv, StaticConv, VanillaDynConv
@@ -110,8 +110,8 @@ def test_model_resolution_sizes_the_data_the_count_and_the_bench(monkeypatch):
     assert report.resolution == 8
     assert report.total_madds == count_model(graph, 8).total_madds < count_model(graph, 16).total_madds
     shapes = []
-    monkeypatch.setattr(bench, "time_forward", lambda g, x, **_: shapes.append(x.shape) or Timing(g.name, [1.0]))
-    bench_pair(graph, repeats=1, warmup=0)
+    monkeypatch.setattr(bench, "_second_forward_s", lambda g, x: shapes.append(x.shape) or 1.0)
+    assert bench_pairs([(graph, 1, None)], repeats=1, warmup=0)[0].resolution == 8
     assert shapes == [(1, 8, 8, 8)] * 2
 
 
