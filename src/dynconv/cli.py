@@ -158,8 +158,6 @@ def cmd_gradcheck(args) -> int:
 
 def _equivalence_checks(trials: int, seed: int) -> list[tuple[str, float, float]]:
     """(check name, max abs error, tolerance) over random instances."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     direct_err = 0.0
     kc_err = 0.0
@@ -237,8 +235,6 @@ def cmd_analyze_phi(args) -> int:
     if getattr(args, "ckpt", None):
         ckpt.load_into(model, args.ckpt)
     seed = getattr(args, "seed", None) or 0
-    if args.samples < 0:
-        raise ValueError(f"samples must not be negative, got {args.samples}")
     if model.name.startswith("task/"):
         if args.resolution is not None:
             raise ValueError("--resolution does not apply to a task model; model.resolution sets its inputs")
@@ -247,8 +243,6 @@ def cmd_analyze_phi(args) -> int:
     else:
         rng = np.random.default_rng(seed)
         res = model.resolution if args.resolution is None else args.resolution
-        if res < 0:  # as in `bench_pairs`
-            raise ValueError(f"resolution must not be negative, got {res}")
         x = rng.normal(size=(args.samples, model.input_channels, res, res))
     _write_or_print(args, model.name, phi_statistics(model, x).csv_lines())
     return 0
@@ -321,16 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equivalence", parents=[common],
                        help="algebraic identity checks and mechanism CSV")
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--kernels", type=int, default=4)
-    p.add_argument("--latent", type=int, default=4)
+    p.add_argument("--trials", type=_at_least(1), default=25)
+    p.add_argument("--channels", type=_at_least(1), default=16)
+    p.add_argument("--kernels", type=_at_least(1), default=4)
+    p.add_argument("--latent", type=_at_least(1), default=4)
     p.set_defaults(func=cmd_equivalence)
 
     p = sub.add_parser("count", parents=[common], help="parameter and MAdds tables")
     p.add_argument("model", nargs="?", default=None, help="zoo id")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--resolution", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("analyze-phi", parents=[common],
@@ -338,18 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", nargs="?", default=None, help="zoo id (default task_dcd)")
     p.add_argument("--ckpt", type=Path, default=None,
                    help="load trained weights before analyzing")
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--samples", type=_at_least(1), default=16)
+    p.add_argument("--resolution", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_analyze_phi)
 
     p = sub.add_parser("bench", parents=[common],
                        help="forward timing against the static twin")
     p.add_argument("model", nargs="*", default=[],
                    help="zoo ids, each MODEL or MODEL@RESOLUTION (default task_dcd)")
-    p.add_argument("--batch", type=int, nargs="+", default=[1], help="one or more batch sizes")
-    p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--resolution", type=int, default=None,
+    p.add_argument("--batch", type=_at_least(1), nargs="+", default=[1], help="one or more batch sizes")
+    p.add_argument("--repeats", type=_at_least(1), default=20)
+    p.add_argument("--warmup", type=_at_least(0), default=3)
+    p.add_argument("--resolution", type=_at_least(1), default=None,
                    help="input size of a MODEL without @RESOLUTION (default: its own)")
     p.set_defaults(func=cmd_bench)
 

@@ -29,9 +29,11 @@ Those are the paper's conventions, the ``madds`` column.  The
 `dynconv.layers.plan_madds` counts it and `dynconv.layers.materialises`
 picks it: the same conv and branch, then either the kernel assembly with Λ
 on the kernel (depthwise, and pointwise where that is cheaper) or the
-factored chain of convs with Λ on the output (the other DCD layers).  One
-function, `_madds`, gives both columns.  For depthwise they differ only
-where H'·W' < k²; for static and vanilla layers they agree.
+factored chain of convs with Λ on the output (the other DCD layers).  It
+charges each conv only the kernel taps `tensor.conv2d` multiplies
+(`tensor.conv_taps`): one where the conv's one output position reads one
+real pixel, those that can read a real pixel in the depthwise tap sum, all
+k² otherwise.  One function, `_madds`, gives both columns.
 
 Parameter counts are pure introspection: the number of learnable scalars
 the layer actually allocates, bucketed into categories (static kernel,
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import tensor as T
 from .layers import DcdConv, StaticConv, VanillaDynConv, _assembly_madds, materialises, plan_madds
 
 CATEGORIES = ("static_kernel", "projections", "dynamic_branch", "batch_norm", "classifier")
@@ -142,25 +145,30 @@ def _bucket_params(layer, is_classifier: bool) -> tuple[int, dict[str, int]]:
 
 
 def _madds(layer, h_in: int) -> tuple[int, int, int]:
-    """(paper, executed, h_out): MAdds per sample on an h_in×h_in input.  A
-    DCD layer adds to its conv and branch the plan `materialises` picks
-    (executed) and, for the paper, the factored chain at a 1×1 head or
-    else the assembly with Λ on whichever of kernel or output is cheaper."""
+    """(paper, executed, h_out): MAdds per sample on an h_in×h_in input.
+    The paper charges the conv all k² taps, the executed count the taps
+    `tensor.conv_taps` says it runs.  A DCD layer adds to its conv and
+    branch the plan `materialises` picks (executed) and, for the paper, the
+    factored chain at a 1×1 head or else the assembly with Λ on whichever
+    of kernel or output is cheaper."""
     if not isinstance(layer, (StaticConv, DcdConv, VanillaDynConv)):
         raise TypeError(f"cannot count layer of type {type(layer).__name__}")
     h_out = layer.out_size(h_in)
-    base = layer.c_out * (layer.c_in // layer.groups) * layer.k * layer.k * h_out * h_out
+    c_in_g = layer.c_in // layer.groups
+    conv = layer.c_out * c_in_g * h_out * h_out
+    base = conv * layer.k * layer.k
+    run = conv * T.conv_taps(h_in, h_in, layer.c_out, c_in_g, layer.groups, layer.k, layer.stride, layer.padding)
     if isinstance(layer, StaticConv):
-        return base, base, h_out
-    base += layer.c_in + layer.c_in * layer.branch.squeeze + layer.branch.squeeze * layer.branch.d_out
+        return base, run, h_out
+    extra = layer.c_in + layer.c_in * layer.branch.squeeze + layer.branch.squeeze * layer.branch.d_out
     if isinstance(layer, VanillaDynConv):
-        base += layer.k_kernels * layer.c_out * layer.c_in
-        return base, base, h_out
+        extra += layer.k_kernels * layer.c_out * layer.c_in
+        return base + extra, run + extra, h_out
     factored, materialised = plan_madds(layer, h_in, h_in)
     executed = materialised if materialises(layer, h_in, h_in) else factored
     lam_on_output = h_out * h_out * layer.c_out if layer.lambda_enabled else 0
     paper = factored if h_in == 1 and layer.k == 1 else min(materialised, _assembly_madds(layer) + lam_on_output)
-    return base + paper, base + executed, h_out
+    return base + extra + paper, run + extra + executed, h_out
 
 
 def layer_madds(layer, h_in: int) -> tuple[int, int]:

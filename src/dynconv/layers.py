@@ -546,9 +546,10 @@ def plan_madds(layer: DcdConv, h: int, w: int) -> tuple[int | None, int]:
     h×w input beyond the branch and the one conv both make, with W0 or W(x).
 
     Factored: Qᵀx, Φ and P as convs at the output size (full k×k takes Qᵀx
-    at the input size, and Φ's k×k kernels from one Φ·Rᵀ per sample), then
-    Λ on the output.  Materialised: `_assembly_madds`, then Λ on the kernel.
-    Depthwise has no factored chain (None).
+    at the input size, and Φ's k×k kernels from one Φ·Rᵀ per sample, whose
+    conv runs the taps `tensor.conv_taps` counts), then Λ on the output.
+    Materialised: `_assembly_madds`, then Λ on the kernel.  Depthwise has
+    no factored chain (None).
     """
     hw = layer.out_size(h) * T.conv_out_size(w, layer.k, layer.stride, layer.padding)
     l, l_k, kk = layer.dims.l, layer.dims.l_k, layer.k * layer.k
@@ -557,7 +558,8 @@ def plan_madds(layer: DcdConv, h: int, w: int) -> tuple[int | None, int]:
     if layer.variant == "depthwise":
         return None, materialised
     if layer.variant == "full_kxk":
-        chain = h * w * layer.c_in * l + l * l * l_k * kk + hw * (l * l * kk + l * layer.c_out)
+        phi_taps = T.conv_taps(h, w, l, l, 1, layer.k, layer.stride, layer.padding)  # the k×k Φ conv's
+        chain = h * w * layer.c_in * l + l * l * l_k * kk + hw * (l * l * phi_taps + l * layer.c_out)
     else:
         chain = hw * (layer.c_in * l + layer.blocks * l * l + l * layer.c_out)
     return chain + (hw * layer.c_out if lam else 0), materialised

@@ -1,6 +1,7 @@
 """Deterministic float64 tensor kernels: the contractions ``matmul`` and
-``conv2d``, their loop references, im2col, the depthwise tap sum, the
-by-sample split of large stacked products, SVD, and the finite check.  The
+``conv2d``, their loop references, im2col, the shape rule (`conv_plan`)
+that runs a conv as a depthwise tap sum or as one tap, the by-sample split
+of large stacked products, SVD, and the finite check.  The
 differentiable ops, elementwise ones, batch norm and max pooling included,
 are defined once, in `dynconv.autodiff`, and call these kernels.
 
@@ -31,11 +32,14 @@ the worker count either.  Two kinds of contract rest on this:
   ``conv2d`` with at least `DEPTHWISE_TAP_RATIO` channels per output
   position equals ``conv2d_reference`` too: it runs as `_depthwise_taps`,
   elementwise products summed in the reference's (dy, dx) order from zero,
-  where BLAS would sum in its own order.  The rule reads the conv's shape
-  only, never the batch size, so a sample's kernel, and its bits, do not
-  depend on the batch it comes in.
-* tolerance: the BLAS kernels ``matmul``/``conv2d`` (and the conv VJPs in
-  ``dynconv.autodiff``) against the reference kernels, to 1e-12 relative.
+  where BLAS would sum in its own order.  A conv whose one output position
+  reads one real pixel runs as the 1×1 conv of that pixel with its tap, the
+  same per-sample `np.matmul` as any 1×1 conv.  Both rules read the conv's
+  shape only (`conv_plan`), never the batch size, so a sample's kernel, and
+  its bits, do not depend on the batch it comes in.
+* tolerance: the BLAS kernels ``matmul``/``conv2d``, the one-tap conv
+  among them (and the conv VJPs in ``dynconv.autodiff``), against the
+  reference kernels, to 1e-12 relative.
 
 Everything else relies on numpy's deterministic elementwise semantics.
 """
@@ -257,6 +261,54 @@ def _conv_shapes(x: np.ndarray, weight: np.ndarray, stride: int, padding: int, g
     return n, c_out, c_in_g, kh, kw, ho, wo
 
 
+def conv_plan(h: int, w: int, ho: int, wo: int, c_out: int, c_in_g: int, groups: int, kh: int, kw: int,
+              stride: int, padding: int) -> tuple[str, range, range] | None:
+    """Which kernel `conv2d` runs an h×w → ho×wo conv on, by a rule that
+    reads the shape alone, never the batch size: None for im2col + BLAS
+    over all kh·kw taps, or the kernel and the rows and columns of taps it
+    multiplies:
+
+    * ``"depthwise"``: a depthwise conv (one input channel per group,
+      ``groups == C_in == C_out``) with at least `DEPTHWISE_TAP_RATIO`
+      channels per output position runs as `_depthwise_taps`, over the taps
+      that can read a real pixel;
+    * ``"one_tap"``: any other conv with one output position whose window
+      holds one real pixel runs as a 1×1 conv of that pixel with its tap.
+      The one window starts at padded row and column 0 and the real pixels
+      at ``padding``, so that tap is always (padding, padding) and the
+      pixel is always ``x[..., 0, 0]``.
+
+    Along an axis with more than one output position these ranges always
+    hold more than one tap (checked for k ≤ 7, stride ≤ 4, padding ≤ 7 and
+    maps ≤ 11), so the test of ``ho == wo == 1`` comes first and spares
+    every other conv the ranges.
+    """
+    if c_in_g == 1 and c_out == groups and c_out >= DEPTHWISE_TAP_RATIO * ho * wo:
+        return "depthwise", _live_taps(h, kh, stride, padding, ho), _live_taps(w, kw, stride, padding, wo)
+    if ho == wo == 1 and kh * kw > 1:
+        ys, xs = _live_taps(h, kh, stride, padding, 1), _live_taps(w, kw, stride, padding, 1)
+        if len(ys) == len(xs) == 1:
+            return "one_tap", ys, xs
+    return None
+
+
+def conv_taps(h: int, w: int, c_out: int, c_in_g: int, groups: int, k: int, stride: int, padding: int) -> int:
+    """How many of a k×k kernel's taps `conv2d` multiplies per output
+    position of an h×w input, as `conv_plan` picks its kernel."""
+    ho, wo = conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding)
+    plan = conv_plan(h, w, ho, wo, c_out, c_in_g, groups, k, k, stride, padding)
+    return k * k if plan is None else len(plan[1]) * len(plan[2])
+
+
+def _live_taps(size: int, k: int, stride: int, padding: int, out: int) -> range:
+    """The kernel offsets along one axis whose reads at `out` output
+    positions (padded rows d, d + stride, ..., d + stride·(out - 1)) span
+    one of the `size` real pixels at padded rows padding .. padding + size - 1.
+    An offset outside reads only padding; with one output position, every
+    offset inside reads a real pixel."""
+    return range(max(0, padding - stride * (out - 1)), min(k, padding + size))
+
+
 def conv2d(
     x: np.ndarray,
     weight: np.ndarray,
@@ -271,29 +323,39 @@ def conv2d(
     stack axes, so each sample's output is the same BLAS call at any batch
     size and with a shared or a per-sample kernel.  For a 1×1 stride-1
     unpadded conv the patch matrix is a reshaped view of `x`, so the product
-    is one reshape and that `np.matmul`.  A depthwise conv (one input channel
-    per group, ``groups == C_in == C_out``) with at least
-    `DEPTHWISE_TAP_RATIO` channels per output position runs as
-    `_depthwise_taps` instead: a rule by shape alone, never by batch size.
+    is one reshape and that `np.matmul`.  `conv_plan` takes two kinds of
+    conv off the patch matrix, by shape alone: a depthwise conv with at
+    least `DEPTHWISE_TAP_RATIO` channels per output position runs as
+    `_depthwise_taps`, and a conv whose one output position reads one real
+    pixel runs as the 1×1 conv of that pixel (a contiguous copy of
+    ``x[:, :, 0, 0]``) with its tap (a contiguous copy of
+    ``weight[..., padding, padding]``): the one real tap's product, without
+    the kh·kw - 1 taps that would multiply padding.
     """
     n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
-    if c_in_g == 1 and c_out == groups and c_out >= DEPTHWISE_TAP_RATIO * ho * wo:
-        return _depthwise_taps(x, weight, stride, padding, ho, wo)
+    plan = conv_plan(x.shape[2], x.shape[3], ho, wo, c_out, c_in_g, groups, kh, kw, stride, padding)
+    if plan is not None and plan[0] == "depthwise":
+        return _depthwise_taps(x, weight, stride, padding, ho, wo, *plan[1:])
+    if plan is not None:  # one tap, at (padding, padding): see conv_plan
+        x = np.ascontiguousarray(x[:, :, 0, 0])[:, :, None, None]
+        weight = np.ascontiguousarray(weight[..., padding, padding])[..., None, None]
+        kh = kw = stride = 1
+        padding = 0
     cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
     wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
     out = np.matmul(wmat, cols) if n < 2 else stacked_matmul(wmat, cols, n)
     return out.reshape(n, c_out, ho, wo)
 
 
-def _depthwise_taps(x, weight, stride, padding, ho, wo):
+def _depthwise_taps(x, weight, stride, padding, ho, wo, ys, xs):
     """A depthwise conv as a sum over its kernel taps in (dy, dx) order on a
     zero-padded channels-last copy of `x`: from zeros, one multiply by the
     tap's weights and one in-place add per tap, each an elementwise op whose
     inner run is C (or wo·C) values.  That is `conv2d_reference`'s sum, so
-    the result equals it bit for bit, for a per-sample kernel too.  Rows and
-    columns of taps that only ever read padding would add ±0, which leaves
-    the sum's bits alone, so they are skipped: on a 1×1 map a 3×3 kernel
-    costs one multiply and one add."""
+    the result equals it bit for bit, for a per-sample kernel too.  Only the
+    tap rows `ys` and columns `xs` that can read a real pixel run: the taps
+    that only ever read padding would add ±0, which leaves the sum's bits
+    alone, so on a 1×1 map a 3×3 kernel costs one multiply and one add."""
     n, c, h, w = x.shape
     kh, kw = weight.shape[-2:]
     xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
@@ -301,10 +363,10 @@ def _depthwise_taps(x, weight, stride, padding, ho, wo):
     # (kh, kw, 1, 1, 1, C) or (kh, kw, N, 1, 1, C): each tap's weights broadcast over (N, ho, wo, C)
     taps = np.moveaxis(weight.reshape(weight.shape[:-4] + (1, 1, c, kh, kw)), (-2, -1), (0, 1))
     out, prod = np.zeros((n, ho, wo, c)), np.empty((n, ho, wo, c))
-    ys, xs = stride * (ho - 1) + 1, stride * (wo - 1) + 1  # the extent one tap reads
-    for dy in range(max(0, padding + 1 - ys), min(kh, padding + h)):
-        for dx in range(max(0, padding + 1 - xs), min(kw, padding + w)):
-            np.multiply(xp[:, dy:dy + ys:stride, dx:dx + xs:stride], taps[dy, dx], out=prod)
+    yspan, xspan = stride * (ho - 1) + 1, stride * (wo - 1) + 1  # the extent one tap reads
+    for dy in ys:
+        for dx in xs:
+            np.multiply(xp[:, dy:dy + yspan:stride, dx:dx + xspan:stride], taps[dy, dx], out=prod)
             out += prod
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 

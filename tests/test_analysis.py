@@ -68,6 +68,12 @@ def test_phi_statistics_requires_dynamic_layers():
         phi_statistics(model, x)
 
 
+def test_phi_statistics_refuses_an_empty_batch():
+    model, _ = _woken_model()
+    with pytest.raises(ValueError, match="^phi statistics need at least one sample, got an empty batch$"):
+        phi_statistics(model, np.zeros((0, 8, 16, 16)))
+
+
 def test_phi_statistics_clears_observers():
     model, mix = _woken_model()
     x = np.random.default_rng(3).normal(size=(2, 8, 16, 16))

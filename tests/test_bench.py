@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dynconv import bench
 from dynconv.bench import BenchReport, bench_pairs
@@ -50,3 +51,15 @@ def test_second_forward_s_times_the_second_of_two_eval_forwards(monkeypatch):
     x = np.random.default_rng(0).normal(size=(1, 8, 16, 16))
     assert bench._second_forward_s(model, x) > 0
     assert modes == [False, False]
+
+
+@pytest.mark.parametrize("kwargs,case,error", [
+    ({"repeats": 0}, (1, None), "repeats must be >= 1, got 0"),
+    ({"warmup": -1}, (1, None), "warmup must be >= 0, got -1"),
+    ({}, (0, None), "batch must be >= 1, got 0"),
+    ({}, (1, -5), "resolution must not be negative, got -5"),
+], ids=["repeats-0", "warmup-negative", "batch-0", "resolution-negative"])
+def test_bench_pairs_refuses_an_empty_run_from_a_library_caller(kwargs, case, error):
+    """The CLI bounds these at their flags; `bench_pairs` keeps its own checks."""
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        bench_pairs([(build_task_model(kind="dcd", seed=0), *case)], **kwargs)

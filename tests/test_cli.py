@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from dynconv import tensor as T
-from dynconv.cli import main, resolve_model
+from dynconv.cli import build_parser, main, resolve_model
 from dynconv.layers import DcdConv, StaticConv
 
 
@@ -245,7 +246,7 @@ def _schema(doc):
 def test_every_committed_bench_file_has_the_keys_bench_out_writes(tmp_path, capsys):
     written = _schema(_bench_doc(tmp_path, ["task_dcd", "--repeats", "1", "--warmup", "0"]))
     files = sorted((Path(__file__).resolve().parents[1]).glob("BENCH_*.json"))
-    assert {"BENCH_baseline.json", "BENCH_depthwise.json"} <= {path.name for path in files}
+    assert {"BENCH_baseline.json", "BENCH_depthwise.json", "BENCH_onetap.json"} <= {path.name for path in files}
     for path in files:
         assert _schema(json.loads(path.read_text())) == written, path.name
 
@@ -260,6 +261,39 @@ def test_a_negative_seed_or_epoch_count_is_refused_at_its_flag(capsys, argv, fla
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: dynconv") and err.endswith(f"error: argument {flag}: must be >= 0, got -1\n")
+
+
+def _int_options():
+    """(subcommand, flag, action) for every option of every subcommand that takes integers."""
+    (sub,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    return [(name, action.option_strings[0], action) for name, parser in sub.choices.items()
+            for action in parser._actions if getattr(action.type, "__name__", None) == "int"]
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_every_int_option_declares_its_bound_at_the_flag(capsys, value):
+    """Each integer option of each subcommand parses through `_at_least`:
+    a value below its bound exits 2 with the usage, naming the flag, and no
+    traceback; a value its declaration allows is not run here."""
+    options = _int_options()
+    assert {name for name, *_ in options} == {"train", "gradcheck", "equivalence", "count", "analyze-phi", "bench"}
+    refused = 0
+    for name, flag, action in options:
+        assert action.type is not int, f"{name} {flag} declares no bound"
+        try:
+            action.type(str(value))
+            continue
+        except argparse.ArgumentTypeError:
+            pass
+        with pytest.raises(SystemExit) as exc:
+            main([name, flag, str(value)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, (name, flag)
+        assert re.search(f"error: argument {flag}: must be >= [01], got {value}\n$", err), (name, flag, err)
+        assert "Traceback" not in err
+        refused += 1
+    assert refused == len(options) - (value == 0) * sum(flag in ("--seed", "--epochs", "--warmup")
+                                                        for _, flag, _ in options)
 
 
 @pytest.mark.parametrize("argv", [["bench", "task_dcd", "resnet10_dcd"], ["count", "resnet10_dcd"],
@@ -397,25 +431,24 @@ def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("argv,error", [
-    (["bench", "task_dcd", "--repeats", "0"], "repeats must be >= 1, got 0"),
-    (["analyze-phi", "task_dcd", "--samples", "0"], "phi statistics need at least one sample, got an empty batch"),
+    (["bench", "task_dcd", "--repeats", "0"], "argument --repeats: must be >= 1, got 0"),
+    (["analyze-phi", "task_dcd", "--samples", "0"], "argument --samples: must be >= 1, got 0"),
     (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "8", "--samples", "0"],
-     "phi statistics need at least one sample, got an empty batch"),
-    (["bench", "task_dcd", "--batch", "0"], "batch must be >= 1, got 0"),
-    (["bench", "task_dcd", "--resolution", "0"], "task/dcd expects (N,8,H,W) with H, W >= 1, got (1, 8, 0, 0)"),
-    (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "0"],
-     "mobilenetv2_x0.25/cls+pw expects (N,3,H,W) with H, W >= 1, got (16, 3, 0, 0)"),
-    (["analyze-phi", "task_dcd", "--samples", "-1"], "samples must not be negative, got -1"),
-    (["equivalence", "--trials", "0"], "trials must be >= 1, got 0"),
-    (["count", "resnet10_dcd", "--resolution", "-5"], "resolution must be >= 1, got -5"),
-    (["count", "resnet10_dcd", "--resolution", "0"], "resolution must be >= 1, got 0"),
-    (["equivalence", "--channels", "0"], "channel count must be >= 1, got 0"),
-    (["equivalence", "--kernels", "0"], "kernel count must be >= 1, got 0"),
-    (["equivalence", "--latent", "0"], "latent size must be >= 1, got 0"),
-    (["equivalence", "--channels", "-1"], "channel count must be >= 1, got -1"),
-    (["bench", "task_dcd", "--warmup", "-1"], "warmup must be >= 0, got -1"),
-    (["bench", "task_dcd", "--resolution", "-5"], "resolution must not be negative, got -5"),
-    (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "-5"], "resolution must not be negative, got -5"),
+     "argument --samples: must be >= 1, got 0"),
+    (["bench", "task_dcd", "--batch", "0"], "argument --batch: must be >= 1, got 0"),
+    (["bench", "task_dcd", "--resolution", "0"], "argument --resolution: must be >= 1, got 0"),
+    (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "0"], "argument --resolution: must be >= 1, got 0"),
+    (["analyze-phi", "task_dcd", "--samples", "-1"], "argument --samples: must be >= 1, got -1"),
+    (["equivalence", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
+    (["count", "resnet10_dcd", "--resolution", "-5"], "argument --resolution: must be >= 1, got -5"),
+    (["count", "resnet10_dcd", "--resolution", "0"], "argument --resolution: must be >= 1, got 0"),
+    (["equivalence", "--channels", "0"], "argument --channels: must be >= 1, got 0"),
+    (["equivalence", "--kernels", "0"], "argument --kernels: must be >= 1, got 0"),
+    (["equivalence", "--latent", "0"], "argument --latent: must be >= 1, got 0"),
+    (["equivalence", "--channels", "-1"], "argument --channels: must be >= 1, got -1"),
+    (["bench", "task_dcd", "--warmup", "-1"], "argument --warmup: must be >= 0, got -1"),
+    (["bench", "task_dcd", "--resolution", "-5"], "argument --resolution: must be >= 1, got -5"),
+    (["analyze-phi", "mobilenetv2_x0.25_dcd", "--resolution", "-5"], "argument --resolution: must be >= 1, got -5"),
     (["analyze-phi", "task_dcd", "--resolution", "8"],
      "--resolution does not apply to a task model; model.resolution sets its inputs"),
     (["gradcheck", "--variant", "dcd_pointwise", "--tol", "nan"], "tol must be finite and > 0, got nan"),
@@ -429,7 +462,16 @@ def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
         "bench-resolution-negative", "analyze-phi-zoo-resolution-negative", "analyze-phi-task-resolution",
         "gradcheck-tol-nan", "gradcheck-tol-inf", "gradcheck-tol-0", "gradcheck-tol-negative"])
 def test_an_empty_timing_or_phi_run_is_refused(tmp_path, capsys, argv, error):
+    """A count out of its flag's range is refused by argparse at the flag,
+    with the usage and exit 2; a value only the run can judge, with an
+    error line and exit 1.  Neither writes its --out file."""
     out = tmp_path / "out.csv"
-    assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {error}\n"
+    if error.startswith("argument "):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith("usage: ") and err.endswith(f" error: {error}\n")
+    else:
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()

@@ -246,6 +246,8 @@ def test_executed_madds_count_the_plan_the_forward_runs():
     kxk_branch = 16 + 16 * 2 + 2 * kxk.branch.d_out
     chain = 64 * 16 * 4 + 4 * 4 * 4 * 9 + 64 * (4 * 4 * 9 + 4 * 16)  # Qᵀ, Φ·Rᵀ, the k×k Φ conv, P
     assert executed_madds(kxk, 8) == 16 * 16 * 9 * 64 + kxk_branch + chain + 64 * 16
+    # on a 1×1 input the W0 conv and the k×k Φ conv each run their one real tap
+    assert executed_madds(kxk, 1) == 16 * 16 + kxk_branch + 16 * 4 + 4 * 4 * 4 * 9 + (4 * 4 + 4 * 16) + 16
 
 
 @pytest.mark.parametrize("name,resolution,on_kernel", [("task_dcd", 16, 1), ("mobilenetv2_x0.5_dcd", 32, 12)])
@@ -267,6 +269,32 @@ def test_executed_madds_follow_the_plan_the_forward_picks(name, resolution, on_k
                 materialised_rows += 1
                 assert rows[layer.name].executed_madds < common + factored
     assert materialised_rows == on_kernel
+
+
+def test_executed_madds_charge_only_the_taps_the_conv_runs():
+    """At 32×32, ResNet-18-DCD's stage-4 3×3 convs on 1×1 maps run one tap:
+    C_out·C_in, then the branch and the factored chain Qᵀx, Φ, P and Λ,
+    while the paper's count keeps all nine.  The stride-2 conv into stage 4
+    reads four real pixels and runs all nine; MobileNetV2-0.5's depthwise
+    convs on 1×1 maps run one tap each, and the stride-2 one on a 2×2 map
+    the four its tap sum reaches."""
+    graph = resolve_model("resnet18_dcd")
+    rows = {row.name: row for row in count_model(graph, 32).rows}
+    layers = {layer.name: (layer, h_in) for layer, _, h_in, _ in graph.iter_layers(32)}
+    one_tap = [name for name, (layer, h_in) in layers.items() if getattr(layer, "k", 1) == 3 and h_in == 1]
+    assert one_tap == ["s4b0.conv2", "s4b1.conv1", "s4b1.conv2"]
+    for name in one_tap:
+        layer = layers[name][0]
+        c, l, s = 512, layer.dims.l, layer.branch.squeeze
+        branch = c + c * s + s * layer.branch.d_out
+        chain = c * l + l * l + l * c + c
+        assert rows[name].executed_madds == c * c + branch + chain
+        assert rows[name].madds == layer_madds(layer, 1)[0] > 9 * c * c
+    assert layers["s4b0.conv1"][1] == 2 and rows["s4b0.conv1"].executed_madds > 9 * 512 * 256
+    depthwise = {row.name: (row.madds, row.executed_madds)
+                 for row in count_model(resolve_model("mobilenetv2_x0.5_dcd"), 32).rows if row.name.endswith(".dw")}
+    assert depthwise["b13.dw"] == (288 * 9, 288 * 4)
+    assert all(depthwise[f"b{i}.dw"] == (480 * 9, 480) for i in (14, 15, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +321,12 @@ def test_count_model_defaults_to_the_graph_resolution():
     assert report.resolution == 32
     assert report.rows == count_model(graph, 32).rows
     assert report.total_madds > 0
+
+
+@pytest.mark.parametrize("resolution", [0, -5])
+def test_count_model_refuses_a_resolution_below_one(resolution):
+    with pytest.raises(ValueError, match=f"^resolution must be >= 1, got {resolution}$"):
+        count_model(build_resnet(depth=10, resolution=32, seed=0), resolution)
 
 
 def test_classifier_exclusion_matches_manual_subtraction():

@@ -205,6 +205,16 @@ def test_resnet_forward_shape():
     assert logits.shape == (2, 7)
 
 
+@pytest.mark.parametrize("shape", [(1, 3, 0, 0), (2, 3, 4, 0), (1, 4, 8, 8), (3, 8, 8)])
+def test_forward_refuses_an_empty_map_or_a_wrong_channel_count(shape):
+    """`ModelGraph.forward` refuses, before any layer runs, an input that is
+    not (N, C, H, W) with the model's C and H, W >= 1."""
+    graph = build_resnet(depth=10, num_classes=7, resolution=32, seed=2)
+    with pytest.raises(ValueError) as info:
+        graph.forward(np.zeros(shape))
+    assert str(info.value) == f"{graph.name} expects (N,3,H,W) with H, W >= 1, got {shape}"
+
+
 def test_static_twin_is_bit_identical_at_initialization():
     graph = build_mobilenetv2(width=0.35, placement=("pw", "cls"), num_classes=11,
                               resolution=32, seed=3)
@@ -545,8 +555,10 @@ def test_kernels_get_c_contiguous_float64_operands_in_a_training_step(zoo_id, mo
     assert not bad, bad[:5]
 
 
-@pytest.mark.parametrize("zoo_id", ["resnet10_dcd", "mobilenetv2_x0.5_dcd"])
+@pytest.mark.parametrize("zoo_id", ["resnet10_dcd", "resnet18_dcd", "mobilenetv2_x0.5_dcd"])
 def test_split_batch_logits_equal_whole_and_stacked_single_sample_logits(split_and_serial, zoo_id):
+    """At 32×32 with live branches, in the dynamic model and its twin.
+    ResNet-18's stage-4 3×3 convs on 1×1 maps run as one-tap 1×1 convs."""
     rng = np.random.default_rng(79)
     graph = _seeded_branches(resolve_model(zoo_id, resolution=32), rng)
     x = rng.normal(size=(8, 3, 32, 32))

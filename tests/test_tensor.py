@@ -359,6 +359,72 @@ def test_depthwise_kernel_choice_reads_the_shape_not_the_batch(monkeypatch, c, h
     assert calls == ([] if taps else [1, 8])
 
 
+def _real_taps(h, w, k, stride, padding):
+    """The (dy, dx) taps that read a real pixel at some output position, one position at a time."""
+    ho, wo = T.conv_out_size(h, k, stride, padding), T.conv_out_size(w, k, stride, padding)
+    return {(dy, dx) for dy, dx, y, xx in itertools.product(range(k), range(k), range(ho), range(wo))
+            if 0 <= y * stride + dy - padding < h and 0 <= xx * stride + dx - padding < w}
+
+
+# (input channels, output channels, groups, per-sample kernel)
+ONE_TAP_KERNELS = {"shared": (4, 3, 1, False), "grouped": (4, 6, 2, False), "per-sample": (4, 3, 1, True)}
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_one_tap_rule_drops_only_padding_and_keeps_batch_bits(k, stride):
+    """Every conv with a k×k kernel on every map of 1 to 5 rows and columns
+    at paddings 0 to 4: the taps `conv_plan` drops read only padding, and
+    the depthwise tap rule's too.  Below padding k every output position
+    reads a real pixel, and one real tap comes only with one output
+    position; a conv takes the one-tap path exactly when it has one output
+    position and one real tap.  Shared, grouped and per-sample kernels match
+    the reference kernel to 1e-12, and a batch of 3 equals the 3 stacked
+    single-sample convs bit for bit."""
+    rng = np.random.default_rng(131)
+    for padding, h, w in itertools.product(range(5), range(1, 6), range(1, 6)):
+        if h + 2 * padding < k or w + 2 * padding < k:
+            continue
+        ho, wo = T.conv_out_size(h, k, stride, padding), T.conv_out_size(w, k, stride, padding)
+        real = _real_taps(h, w, k, stride, padding)
+        if len(real) == 1 and padding < k:
+            assert ho == wo == 1, (h, w, padding)
+        c_dw = T.DEPTHWISE_TAP_RATIO * ho * wo
+        _, ys, xs = T.conv_plan(h, w, ho, wo, c_dw, 1, c_dw, k, k, stride, padding)
+        assert real <= set(itertools.product(ys, xs)), (h, w, padding)
+        x = rng.standard_normal((3, 4, h, w))
+        for c_in, c_out, groups, per_sample in ONE_TAP_KERNELS.values():
+            plan = T.conv_plan(h, w, ho, wo, c_out, c_in // groups, groups, k, k, stride, padding)
+            assert (plan is not None) == (ho == wo == 1 and len(real) == 1), (h, w, padding)
+            if plan is not None:
+                assert plan[0] == "one_tap" and set(itertools.product(*plan[1:])) == real
+            wt = rng.standard_normal((3,) * per_sample + (c_out, c_in // groups, k, k))
+            got = T.conv2d(x, wt, stride, padding, groups)
+            assert_rel_close(got, _reference_conv(x, wt, stride, padding, groups))
+            rows = [T.conv2d(x[i : i + 1], wt[i : i + 1] if per_sample else wt, stride, padding, groups)
+                    for i in range(3)]
+            assert np.array_equal(got, np.concatenate(rows))
+
+
+@pytest.mark.parametrize("kernel", ONE_TAP_KERNELS)
+def test_one_tap_conv_is_the_1x1_conv_of_its_pixel_and_tap(kernel):
+    """A 3×3 conv at padding 1 on a 1×1 map, and a 5×5 one at padding 4 and
+    stride 7 on a 2×3 map, each read one real pixel, ``x[..., 0, 0]``,
+    through the tap (padding, padding): the one window starts at padded row
+    and column 0, the real pixels at ``padding``.  Each gives the bits of
+    the 1×1 conv of that pixel with that tap."""
+    c_in, c_out, groups, per_sample = ONE_TAP_KERNELS[kernel]
+    rng = np.random.default_rng(137)
+    for (h, w), k, stride, padding in (((1, 1), 3, 1, 1), ((2, 3), 5, 7, 4)):
+        assert _real_taps(h, w, k, stride, padding) == {(padding, padding)}
+        x = rng.standard_normal((5, c_in, h, w))
+        wt = rng.standard_normal((5,) * per_sample + (c_out, c_in // groups, k, k))
+        pixel = np.ascontiguousarray(x[:, :, :1, :1])
+        tap = np.ascontiguousarray(wt[..., padding : padding + 1, padding : padding + 1])
+        want = T.conv2d(pixel, tap, groups=groups)
+        assert np.array_equal(T.conv2d(x, wt, stride, padding, groups), want)
+
+
 def test_as_tensor_keeps_the_shape_and_copies_only_when_needed():
     assert T.as_tensor(np.asarray(3)).shape == () and T.as_tensor(np.asarray(3)).dtype == np.float64
     c = np.arange(4.0)
@@ -414,6 +480,7 @@ def test_conv2d_rejects_mismatched_per_sample_kernels():
     "xshape,wshape,padding,groups",
     [
         pytest.param((8, 512, 4, 4), (512, 512, 3, 3), 1, 1, id="512to512-k3"),
+        pytest.param((8, 512, 1, 1), (512, 512, 3, 3), 1, 1, id="512to512-k3-one-tap"),
         pytest.param((8, 16, 6, 6), (8, 12, 16, 3, 3), 1, 1, id="per-sample-k3"),
         pytest.param((3, 16, 6, 6), (3, 12, 16, 3, 3), 0, 1, id="per-sample-k3-batch3"),
         pytest.param((8, 32, 8, 8), (32, 1, 3, 3), 1, 32, id="depthwise"),
