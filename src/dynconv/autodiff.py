@@ -333,8 +333,10 @@ def _conv2d_weight_grad(g, xv, wshape, stride, padding, groups):
 
 
 def _conv2d_input_grad(g, xshape, wv, stride, padding, groups):
-    """dL/dx: kernel-transposed contraction to patch gradients, then col2im
-    as one strided add per kernel element."""
+    """dL/dx: kernel-transposed contraction to patch gradients (a shared
+    kernel of more than `T.BLOCK_ELEMENTS` cut into blocks of patch rows, as
+    `T.stacked_matmul` cuts it), then col2im as one strided add per kernel
+    element."""
     n, c, h, w = xshape
     c_out, c_in_g, kh, kw = wv.shape[-4:]
     ho, wo = g.shape[2], g.shape[3]

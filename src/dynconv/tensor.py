@@ -1,9 +1,9 @@
 """Deterministic float64 tensor kernels: the contractions ``matmul`` and
-``conv2d``, their loop references, im2col, the shape rule (`conv_plan`)
-that runs a conv as a depthwise tap sum or as one tap, the by-sample split
-of large stacked products, SVD, and the finite check.  The
-differentiable ops, elementwise ones, batch norm and max pooling included,
-are defined once, in `dynconv.autodiff`, and call these kernels.
+``conv2d``, im2col, the shape rule (`conv_plan`) that runs a conv as a
+depthwise tap sum or as one tap, the tiling of large stacked products into
+blocks of a shared operand or chunks of samples, SVD, and the finite check.
+The differentiable ops, elementwise ones, batch norm and max pooling
+included, are defined once, in `dynconv.autodiff`, and call these kernels.
 
 No kernel checks its result.  `check_finite` runs at fixed points instead:
 in each layer, before an op that could hide a non-finite value (see
@@ -14,32 +14,32 @@ Every differentiable op returns a C-contiguous float64 ndarray, so an op
 coerces a raw operand once, in `autodiff.value_of`, and ``matmul``,
 ``conv2d`` and ``im2col`` take their operands as given.  A caller holding
 a transposed or strided view makes it contiguous first: numpy may run a
-different product loop on a view, and round differently.  The reference
-kernels and ``svd`` coerce their raw inputs.
+different product loop on a view, and round differently.  ``svd`` coerces
+its raw input.
 
 The contractions run as ``np.matmul`` with the sample (and, in conv2d, the
 group) as a stack axis, through `stacked_matmul`, so each sample's product
-is the same BLAS call on the same memory whatever the batch size.  A large
-stacked product is split by sample across the process's CPUs, and every
-chunk still makes those same per-sample calls, so the bits do not depend on
-the worker count either.  Two kinds of contract rest on this:
+is the same block calls on the same memory whatever the batch size: a
+large shared operand is cut into blocks by its shape alone.  The blocks, or
+the samples of another large product, are divided among the process's CPUs
+and make those same per-sample calls, so the bits do not depend on the
+worker count either.  Two kinds of contract rest on this:
 
-* bit-exact: ``matmul_reference``/``conv2d_reference`` equal naive loop
-  oracles summing left to right over the contraction axis; a dynamic model
-  equals its static twin at initialization; a batch-N forward equals the
-  stacked batch-1 forwards; a checkpoint round-trips; the same config and
-  seed give byte-identical logs at a fixed BLAS thread count.  A depthwise
-  ``conv2d`` with at least `DEPTHWISE_TAP_RATIO` channels per output
-  position equals ``conv2d_reference`` too: it runs as `_depthwise_taps`,
-  elementwise products summed in the reference's (dy, dx) order from zero,
-  where BLAS would sum in its own order.  A conv whose one output position
-  reads one real pixel runs as the 1×1 conv of that pixel with its tap, the
-  same per-sample `np.matmul` as any 1×1 conv.  Both rules read the conv's
-  shape only (`conv_plan`), never the batch size, so a sample's kernel, and
-  its bits, do not depend on the batch it comes in.
-* tolerance: the BLAS kernels ``matmul``/``conv2d``, the one-tap conv
-  among them (and the conv VJPs in ``dynconv.autodiff``), against the
-  reference kernels, to 1e-12 relative.
+* bit-exact: a dynamic model equals its static twin at initialization; a
+  batch-N forward equals the stacked batch-1 forwards; a checkpoint
+  round-trips; the same config and seed give byte-identical logs at a fixed
+  BLAS thread count.  A depthwise ``conv2d`` with at least
+  `DEPTHWISE_TAP_RATIO` channels per output position runs as
+  `_depthwise_taps`, elementwise products summed in (dy, dx) order from
+  zero, where BLAS would sum in its own order, and so equals the tests'
+  loop-order reference conv.  A conv whose one output position reads one real
+  pixel runs as the 1×1 conv of that pixel with its tap, the same
+  per-sample product as any 1×1 conv.  Both rules read the conv's shape only
+  (`conv_plan`), never the batch size, so a sample's kernel, and its bits,
+  do not depend on the batch it comes in.
+* tolerance: the BLAS kernels ``matmul``/``conv2d``, blocked or not and the
+  one-tap conv among them (and the conv VJPs in ``dynconv.autodiff``),
+  against the tests' reference kernels, to 1e-12 relative.
 
 Everything else relies on numpy's deterministic elementwise semantics.
 """
@@ -70,6 +70,15 @@ SPLIT_MIN_MADDS = 2_000_000
 # line: C960 on a 7×7 map (137 per column, 1.4x at batch 8) would join C192
 # on a 2×2 map (96 per column, 0.4x).
 DEPTHWISE_TAP_RATIO = 32
+
+# A shared operand of more elements than this (1 MiB of float64) is cut into
+# blocks of at most this many, each multiplied with every sample in turn, so
+# a batch reads it once, not once per sample.  In 32×32 eval forwards, BLAS
+# at 1 thread (see CHANGES.md), blocks of 32-256 Ki elements took ResNet-18's
+# twin at batch 8 from 38.6-43.4 ms whole to 29.6-34.9 ms, and MobileNetV2-0.5's
+# from 11.5-13.6 to 9.4-10.4 ms; 512 Ki kept little (41.4 ms).  At batch 1 a
+# cut GEMV costs up to 0.07 ms more (a cold 512→1000 FC weight: 0.19 → 0.26 ms).
+BLOCK_ELEMENTS = 131_072
 
 
 class NonFiniteError(ValueError):
@@ -147,37 +156,63 @@ def stacked_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """``np.matmul(a, b)`` over `n` samples, the leading stack axis.
 
     The operand with more dimensions (both, if they have as many) carries
-    every stack axis; one with fewer is shared by every sample.  With two or
-    more samples, at least `SPLIT_MIN_MADDS` multiply-adds and more than one
-    CPU, the samples are split into one contiguous chunk per CPU; each chunk
-    is ``np.matmul`` into its rows of a preallocated result, on a worker
-    thread (numpy releases the GIL) or, for the first chunk, on the calling
-    thread.  Each sample's product is the same BLAS call on the same memory
-    either way, so the result is the same bit for bit at any batch size and
-    worker count.  `matmul` and `conv2d` call ``np.matmul`` directly for one
-    sample: the call alone added ~2 % to a batch-1 `task_dcd` forward.
+    every stack axis; one with fewer is shared by every sample.  A shared
+    operand of more than `BLOCK_ELEMENTS` is cut into equal blocks of at most
+    that many: rows of a first operand (a conv kernel), columns of a second
+    (an FC weight).  Each block is one ``np.matmul`` over every sample into
+    its slice of a preallocated result, so it stays in cache while the
+    samples pass.  Any other product is cut by sample.  With at least
+    `SPLIT_MIN_MADDS` multiply-adds and more than one CPU, the tiles are
+    divided among the workers, one contiguous run per worker thread (numpy
+    releases the GIL), the first on the calling thread.  The cut reads the
+    shared operand's shape alone, never `n` or the worker count, so each
+    sample's product is the same block calls on the same memory at any batch
+    size and on any thread.  `matmul` and `conv2d` call ``np.matmul``
+    directly for one sample and a shared operand within one block: the call
+    alone added ~1 % to a batch-1 `task_dcd` forward.
     """
-    if n < 2:
+    if n < 2 and a.size <= BLOCK_ELEMENTS >= b.size:  # one sample, nothing to cut: most calls
         return np.matmul(a, b)
     big = b if b.ndim > a.ndim else a
     # `big` holds every stack item's rows × k (or k × cols) entries
-    if big.size * (a.shape[-2] if big is b else b.shape[-1]) < SPLIT_MIN_MADDS:
+    split = big.size * (a.shape[-2] if big is b else b.shape[-1]) >= SPLIT_MIN_MADDS
+    if not split and a.size <= BLOCK_ELEMENTS >= b.size:  # nothing to cut or split
         return np.matmul(a, b)
-    workers = min(n, contraction_workers())
-    if workers < 2:
+    return _tiled_matmul(a, b, n, big, split)
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray, n: int, big: np.ndarray, split: bool) -> np.ndarray:
+    """`stacked_matmul` past its early exits, apart so that they make no closure cells."""
+    shared = a if a.ndim < b.ndim else b
+    workers = contraction_workers() if split else 1
+    whole = slice(None)
+    if shared.size > BLOCK_ELEMENTS and shared.ndim < big.ndim:
+        length = shared.shape[-2 if shared is a else -1]
+        count = -(-length // max(1, BLOCK_ELEMENTS * length // shared.size))
+        cuts = [slice(length * j // count, length * (j + 1) // count) for j in range(count)]
+        tiles = [(cut, whole, 0, n) if shared is a else (whole, cut, 0, n) for cut in cuts]
+    elif n < 2 or workers < 2:
         return np.matmul(a, b)
+    else:
+        workers = min(n, workers)
+        tiles = [(whole, whole, n * i // workers, n * (i + 1) // workers) for i in range(workers)]
     out = np.empty(big.shape[:-2] + (a.shape[-2], b.shape[-1]))
-
-    def chunk(i0: int, i1: int) -> None:
-        np.matmul(*(x[i0:i1] if x.ndim == big.ndim else x for x in (a, b)), out=out[i0:i1])
-
-    bounds = [n * i // workers for i in range(workers + 1)]
-    pool = _split_pool()
-    futures = [pool.submit(chunk, bounds[i], bounds[i + 1]) for i in range(1, workers)]
-    chunk(bounds[0], bounds[1])
+    workers = min(workers, len(tiles))
+    bounds = [len(tiles) * i // workers for i in range(workers + 1)]
+    futures = [_split_pool().submit(_matmul_tiles, a, b, out, tiles[bounds[i]:bounds[i + 1]])
+               for i in range(1, workers)]
+    _matmul_tiles(a, b, out, tiles[:bounds[1]])
     for future in futures:
         future.result()
     return out
+
+
+def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray, tiles: list) -> None:
+    """For each tile (rows, cols, i0, i1): samples i0..i1 of the stacked
+    operands, times the shared one, into rows × cols of those samples in `out`."""
+    for rows, cols, i0, i1 in tiles:
+        at, bt = (x[i0:i1] if x.ndim == out.ndim else x for x in (a, b))
+        np.matmul(at[..., rows, :], bt[..., cols], out=out[i0:i1, ..., rows, cols])
 
 
 def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
@@ -188,30 +223,15 @@ def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(m,k) @ (k,n), each row of `a` contracted as its own (1,k) stack item.
 
-    Row i of the result is the same BLAS call whether `a` has 1 row or
-    many, so a batch of rows gives the stacked single-row results bit for
-    bit.  A plain 2-d product would switch between gemv and gemm with m.
+    Row i of the result is the same block calls whether `a` has 1 row or
+    many (a `b` of more than `BLOCK_ELEMENTS` is cut into blocks of
+    columns), so a batch of rows gives the stacked single-row results bit
+    for bit.  A plain 2-d product would switch between gemv and gemm with m.
     """
     _check_matmul(a, b)
     rows = a[:, None, :]
-    out = np.matmul(rows, b) if len(a) < 2 else stacked_matmul(rows, b, len(a))
+    out = np.matmul(rows, b) if len(a) < 2 and b.size <= BLOCK_ELEMENTS else stacked_matmul(rows, b, len(a))
     return out[:, 0, :]
-
-
-def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m,k) @ (k,n) with a fixed left-to-right sum over k.
-
-    Each output entry accumulates a[i,0]*b[0,j], then a[i,1]*b[1,j], ...
-    exactly as a scalar triple loop would, so an oracle using that order
-    reproduces the result bit-for-bit.  The reference `matmul` is tested
-    against; nothing else calls it.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    _check_matmul(a, b)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[1]):
-        out += a[:, i : i + 1] * b[i : i + 1, :]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +340,11 @@ def conv2d(
     kernel, or with one such kernel per sample, (N, C_out, C_in/groups, kh, kw).
 
     One `stacked_matmul` contracts (c_in, dy, dx) with samples and groups as
-    stack axes, so each sample's output is the same BLAS call at any batch
-    size and with a shared or a per-sample kernel.  For a 1×1 stride-1
+    stack axes, so each sample's output is the same block calls at any batch
+    size (a shared kernel of more than `BLOCK_ELEMENTS` is cut into blocks
+    of output channels; a per-sample kernel is not cut).  For a 1×1 stride-1
     unpadded conv the patch matrix is a reshaped view of `x`, so the product
-    is one reshape and that `np.matmul`.  `conv_plan` takes two kinds of
+    is one reshape and those calls.  `conv_plan` takes two kinds of
     conv off the patch matrix, by shape alone: a depthwise conv with at
     least `DEPTHWISE_TAP_RATIO` channels per output position runs as
     `_depthwise_taps`, and a conv whose one output position reads one real
@@ -343,7 +364,7 @@ def conv2d(
         padding = 0
     cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
     wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
-    out = np.matmul(wmat, cols) if n < 2 else stacked_matmul(wmat, cols, n)
+    out = np.matmul(wmat, cols) if n < 2 and wmat.size <= BLOCK_ELEMENTS else stacked_matmul(wmat, cols, n)
     return out.reshape(n, c_out, ho, wo)
 
 
@@ -351,7 +372,7 @@ def _depthwise_taps(x, weight, stride, padding, ho, wo, ys, xs):
     """A depthwise conv as a sum over its kernel taps in (dy, dx) order on a
     zero-padded channels-last copy of `x`: from zeros, one multiply by the
     tap's weights and one in-place add per tap, each an elementwise op whose
-    inner run is C (or wo·C) values.  That is `conv2d_reference`'s sum, so
+    inner run is C (or wo·C) values.  That is the reference conv's sum, so
     the result equals it bit for bit, for a per-sample kernel too.  Only the
     tap rows `ys` and columns `xs` that can read a real pixel run: the taps
     that only ever read padding would add ±0, which leaves the sum's bits
@@ -369,33 +390,6 @@ def _depthwise_taps(x, weight, stride, padding, ho, wo, ys, xs):
             np.multiply(xp[:, dy:dy + yspan:stride, dx:dx + xspan:stride], taps[dy, dx], out=prod)
             out += prod
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-
-
-def conv2d_reference(
-    x: np.ndarray,
-    weight: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-    groups: int = 1,
-) -> np.ndarray:
-    """conv2d with a shared kernel, as `matmul_reference` over the patch rows.
-
-    Per group, the contraction over (c_in, dy, dx) runs in that row-major
-    order, left to right, so a scalar loop oracle matches exactly.  The
-    reference `conv2d` is tested against; nothing else calls it.
-    """
-    x = as_tensor(x)
-    weight = as_tensor(weight)
-    if weight.ndim != 4:
-        raise ValueError(f"conv2d_reference takes a shared (C_out, C_in/groups, kh, kw) kernel, got {weight.shape}")
-    n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
-    cols = im2col(x, kh, kw, stride, padding).transpose(1, 0, 2).reshape(-1, n * ho * wo)
-    og, kg = c_out // groups, c_in_g * kh * kw
-    flat = np.concatenate([
-        matmul_reference(weight[g * og : (g + 1) * og].reshape(og, kg), cols[g * kg : (g + 1) * kg])
-        for g in range(groups)
-    ])
-    return np.ascontiguousarray(flat.reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Model-zoo tests: architecture shape, budget table, static twins, and
 config round-trips."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -568,12 +569,28 @@ def test_split_batch_logits_equal_whole_and_stacked_single_sample_logits(split_a
         assert np.array_equal(split, serial) and np.array_equal(split, stacked), g.name
 
 
-def test_split_never_happens_at_batch_1(monkeypatch):
+def test_split_at_batch_1_is_by_block_never_by_sample(monkeypatch):
+    """A batch-1 forward hands a worker only blocks of a shared operand
+    (ResNet-10's 512-channel kernels), never a product within one block,
+    however low the split threshold."""
+    whole, handed = (slice(None), slice(None)), []
+
+    class InlinePool:
+        """Runs each submitted run of tiles at once and keeps its tiles."""
+
+        def submit(self, fn, a, b, out, tiles):
+            handed.extend(tiles)
+            fn(a, b, out, tiles)
+            done = concurrent.futures.Future()
+            done.set_result(None)
+            return done
+
     monkeypatch.setattr(T, "SPLIT_MIN_MADDS", 0)
-    monkeypatch.setattr(T, "_pool", None)
+    monkeypatch.setattr(T, "contraction_workers", lambda: 2)
+    monkeypatch.setattr(T, "_split_pool", InlinePool)
     graph = _seeded_branches(resolve_model("resnet10_dcd", resolution=32), np.random.default_rng(83))
     graph.forward(np.random.default_rng(83).normal(size=(1, 3, 32, 32)))
-    assert T._pool is None
+    assert handed and all(tile[:2] != whole for tile in handed)
 
 
 _SPLIT_FORWARD = """

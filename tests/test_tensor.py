@@ -17,6 +17,7 @@ import pytest
 from dynconv import autodiff as ad
 from dynconv import tensor as T
 from dynconv.layers import VanillaDynConv
+from reference_kernels import conv2d_reference, matmul_reference
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_matmul_matches_triple_loop_exactly():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 7))
     b = rng.standard_normal((7, 3))
-    got = T.matmul_reference(a, b)
+    got = matmul_reference(a, b)
     want = matmul_oracle(a, b)
     assert got.shape == (5, 3)
     assert np.array_equal(got, want)
@@ -183,11 +184,11 @@ def test_conv1x1_equals_per_pixel_matmul_exactly():
     rng = np.random.default_rng(41)
     x = rng.standard_normal((2, 6, 5, 4))
     w = rng.standard_normal((3, 6, 1, 1))
-    got = T.conv2d_reference(x, w)
+    got = conv2d_reference(x, w)
     n, c, h, wd = x.shape
     for b in range(n):
         pix = x[b].reshape(c, h * wd)
-        want = T.matmul_reference(w.reshape(3, 6), pix).reshape(3, h, wd)
+        want = matmul_reference(w.reshape(3, 6), pix).reshape(3, h, wd)
         assert np.array_equal(got[b], want)
 
 
@@ -195,7 +196,7 @@ def test_conv2d_matches_seven_loop_oracle():
     rng = np.random.default_rng(43)
     x = rng.standard_normal((2, 3, 8, 8))
     w = rng.standard_normal((4, 3, 3, 3))
-    got = T.conv2d_reference(x, w, stride=1, padding=1)
+    got = conv2d_reference(x, w, stride=1, padding=1)
     want = conv2d_oracle(x, w, stride=1, padding=1)
     assert got.shape == want.shape == (2, 4, 8, 8)
     assert np.array_equal(got, want)
@@ -206,7 +207,7 @@ def test_conv2d_stride_padding_shape_law():
     for h, k, s, p in [(8, 3, 2, 1), (7, 3, 1, 0), (16, 5, 2, 2), (9, 1, 2, 0)]:
         x = rng.standard_normal((1, 2, h, h))
         w = rng.standard_normal((3, 2, k, k))
-        out = T.conv2d_reference(x, w, stride=s, padding=p)
+        out = conv2d_reference(x, w, stride=s, padding=p)
         expect = (h + 2 * p - k) // s + 1
         assert out.shape == (1, 3, expect, expect)
         assert np.array_equal(out, conv2d_oracle(x, w, stride=s, padding=p))
@@ -216,7 +217,7 @@ def test_depthwise_conv_matches_per_channel_oracle():
     rng = np.random.default_rng(53)
     x = rng.standard_normal((2, 4, 6, 6))
     w = rng.standard_normal((4, 1, 3, 3))
-    got = T.conv2d_reference(x, w, stride=1, padding=1, groups=4)
+    got = conv2d_reference(x, w, stride=1, padding=1, groups=4)
     for c in range(4):
         want = conv2d_oracle(x[:, c : c + 1], w[c : c + 1], stride=1, padding=1)
         assert np.array_equal(got[:, c : c + 1], want)
@@ -225,8 +226,8 @@ def test_depthwise_conv_matches_per_channel_oracle():
 def _reference_conv(x, w, stride, padding, groups):
     """conv2d_reference per sample for a per-sample (5-d) kernel."""
     if w.ndim == 4:
-        return T.conv2d_reference(x, w, stride, padding, groups)
-    return np.concatenate([T.conv2d_reference(x[i : i + 1], w[i], stride, padding, groups) for i in range(len(x))])
+        return conv2d_reference(x, w, stride, padding, groups)
+    return np.concatenate([conv2d_reference(x[i : i + 1], w[i], stride, padding, groups) for i in range(len(x))])
 
 
 def _reference_grad(f, shape, g):
@@ -272,8 +273,8 @@ def test_blas_kernels_and_conv_vjps_match_reference_kernels(xshape, wshape, stri
         wi = (w[i] if w.ndim == 5 else w).reshape(groups, -1, kg)
         for grp in range(groups):
             a, b = wi[grp], cols[i, grp * kg : (grp + 1) * kg]
-            assert_rel_close(T.matmul(a, b), T.matmul_reference(a, b))
-            assert_rel_close(T.matmul(b.T, a.T), T.matmul_reference(b.T, a.T))
+            assert_rel_close(T.matmul(a, b), matmul_reference(a, b))
+            assert_rel_close(T.matmul(b.T, a.T), matmul_reference(b.T, a.T))
 
     want = _reference_conv(x, w, stride, padding, groups)
     assert_rel_close(T.conv2d(x, w, stride, padding, groups), want)
@@ -473,7 +474,7 @@ def test_conv2d_rejects_mismatched_per_sample_kernels():
 
 
 # ---------------------------------------------------------------------------
-# stacked products split by sample
+# stacked products split by sample or cut into blocks of the shared operand
 
 
 @pytest.mark.parametrize(
@@ -512,6 +513,86 @@ def test_split_classifier_row_product_keeps_every_bit(split_and_serial):
     split, serial = split_and_serial(lambda: T.matmul(a, b))
     assert np.array_equal(split, serial)
     assert np.array_equal(split, np.concatenate([T.matmul(a[i : i + 1], b) for i in range(8)]))
+
+
+@pytest.fixture
+def cut_tiles(monkeypatch):
+    """The tiles, (rows, cols, i0, i1), of every stacked product run from now
+    on that cuts its shared operand into blocks: the tiles whose rows or
+    columns are not the whole operand's."""
+    tiles, run, whole = [], T._matmul_tiles, (slice(None), slice(None))
+
+    def spy(a, b, out, chunk):
+        tiles.extend(tile for tile in chunk if tile[:2] != whole)
+        run(a, b, out, chunk)
+
+    monkeypatch.setattr(T, "_matmul_tiles", spy)
+    return tiles
+
+
+def _reference_input_grad(g, xshape, w, stride, padding, groups):
+    """dL/dx of a shared-kernel conv: each group's transposed kernel times
+    the output gradient, by `matmul_reference`, then each patch row added
+    back onto the input pixels it read."""
+    n, c, h, wd = xshape
+    c_out, c_in_g, kh, kw = w.shape
+    og, (ho, wo) = c_out // groups, g.shape[2:]
+    dxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding))
+    for i, grp in itertools.product(range(n), range(groups)):
+        wt = w[grp * og : (grp + 1) * og].reshape(og, -1).T
+        dcols = matmul_reference(wt, g[i, grp * og : (grp + 1) * og].reshape(og, -1)).reshape(c_in_g, kh, kw, ho, wo)
+        for dy, dx in itertools.product(range(kh), range(kw)):
+            dxp[i, grp * c_in_g : (grp + 1) * c_in_g, dy : dy + ho * stride : stride,
+                dx : dx + wo * stride : stride] += dcols[:, dy, dx]
+    return dxp[:, :, padding : padding + h, padding : padding + wd]
+
+
+@pytest.mark.parametrize("above", [0, 1], ids=["one-block", "two-blocks"])
+@pytest.mark.parametrize("groups", [1, 2], ids=["plain", "grouped"])
+def test_blocked_conv_and_input_grad_keep_batch_bits_and_match_the_reference(split_and_serial, cut_tiles,
+                                                                              groups, above):
+    """A shared 3×3 kernel of 64 rows with one block of elements at most, or
+    one input channel more: the kernel's product and its transpose's in the
+    input gradient are cut into two blocks each exactly in the second case.
+    Split and serial runs give the same bits, a batch of 3 gives the 3
+    stacked single-sample results, and both match the reference to 1e-12."""
+    c_in_g = T.BLOCK_ELEMENTS // (64 * 9) + above
+    rng = np.random.default_rng(107)
+    x, w = rng.standard_normal((3, c_in_g * groups, 2, 3)), rng.standard_normal((64, c_in_g, 3, 3))
+    g = rng.standard_normal((3, 64, 2, 3))
+    assert (w.size > T.BLOCK_ELEMENTS) == bool(above)
+
+    def conv_and_grads(x, g):
+        xp, wp = ad.Parameter("x", x), ad.Parameter("w", w)
+        tape = ad.Tape()
+        out = ad.conv2d(tape.leaf(x, param=xp), tape.leaf(w, param=wp), 1, 1, groups)
+        grads = ad.backward(ad.sum_all(ad.mul(out, g)))
+        return out.value, grads[xp], grads[wp]
+
+    split, serial = split_and_serial(lambda: conv_and_grads(x, g))
+    assert len(cut_tiles) == 2 * 2 * 2 * above  # two products, two blocks each, split then serial
+    for got, want in zip(split, serial):
+        assert np.array_equal(got, want)
+    rows = [conv_and_grads(x[i : i + 1], g[i : i + 1])[:2] for i in range(3)]
+    for j in range(2):
+        assert np.array_equal(split[j], np.concatenate([r[j] for r in rows]))
+    assert_rel_close(split[0], conv2d_reference(x, w, 1, 1, groups))
+    assert_rel_close(split[1], _reference_input_grad(g, x.shape, w, 1, 1, groups))
+
+
+@pytest.mark.parametrize("above", [0, 1], ids=["one-block", "two-blocks"])
+def test_blocked_fc_weight_keeps_row_bits_and_matches_the_reference(split_and_serial, cut_tiles, above):
+    """A shared (512, cols) weight with one block of elements, or one column
+    more: `matmul` cuts its columns into two blocks exactly in the second
+    case, keeps every row's bits split or serial and in a batch of 3, and
+    matches the reference to 1e-12."""
+    rng = np.random.default_rng(109)
+    a, b = rng.standard_normal((3, 512)), rng.standard_normal((512, T.BLOCK_ELEMENTS // 512 + above))
+    split, serial = split_and_serial(lambda: T.matmul(a, b))
+    assert len(cut_tiles) == 2 * 2 * above
+    assert np.array_equal(split, serial)
+    assert np.array_equal(split, np.concatenate([T.matmul(a[i : i + 1], b) for i in range(3)]))
+    assert_rel_close(split, matmul_reference(a, b))
 
 
 def test_split_products_from_many_threads_share_one_pool(monkeypatch):
