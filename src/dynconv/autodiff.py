@@ -37,13 +37,19 @@ BN_EPS = 1e-5
 
 
 class Parameter:
-    """Named learnable array; gradient dictionaries key on identity."""
+    """Named learnable array; gradient dictionaries key on identity.  Its
+    value is read-only model state: assigning one locks it
+    (`tensor.lock_state`), and an in-place write goes through
+    `tensor.write_state`."""
 
     __slots__ = ("name", "value")
 
     def __init__(self, name: str, value):
         self.name = name
-        self.value = T.as_tensor(value)
+        self.value = value
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, T.lock_state(value) if name == "value" else value)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"

@@ -36,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
+
 MAGIC = b"DCD1"
 VERSION = 2
 
@@ -148,8 +150,9 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def load_into(graph, path: str | Path) -> None:
-    """Copy a checkpoint into the arrays of `graph.state_items()`, in place,
-    after validating every name and shape; the file's bytes are the only other copy."""
+    """Copy a checkpoint into the arrays of `graph.state_items()`, in place
+    through `tensor.write_state`, after validating every name and shape; the
+    file's bytes are the only other copy."""
     data = load_checkpoint(path)
     expected = graph.state_items()
     for name, current in expected:
@@ -165,7 +168,7 @@ def load_into(graph, path: str | Path) -> None:
         if name not in known:
             raise UnexpectedTensorError(f"{path}: checkpoint has unknown tensor {name!r}")
     for name, current in expected:
-        np.copyto(current, data[name])
+        T.write_state(current, data[name])
 
 
 def save_model(graph, path: str | Path) -> None:

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
+from . import tensor as T
 from .layers import DcdConv, VanillaDynConv
 
 VARIANTS = (
@@ -96,11 +97,11 @@ def finite_diff_check(
         entry = GradCheckEntry(name=p.name, checked=0, max_rel_err=0.0)
         for idx in coord_sample(flat.size, max_coords):
             orig = flat[idx]
-            flat[idx] = orig + step
+            T.write_state(flat, orig + step, idx)
             lp = loss_fn().value.item()
-            flat[idx] = orig - step
+            T.write_state(flat, orig - step, idx)
             lm = loss_fn().value.item()
-            flat[idx] = orig
+            T.write_state(flat, orig, idx)
             numeric = (lp - lm) / (2.0 * step)
             rel = abs(aflat[idx] - numeric) / max(abs(aflat[idx]), abs(numeric), 1e-8)
             entry.checked += 1
@@ -145,10 +146,10 @@ def variant_gradcheck(
     # wake the dynamic path: a DCD branch's output stage initializes to zero
     branch = layer.branch
     if isinstance(layer, DcdConv):
-        branch.w2.value[...] = rng.normal(size=branch.w2.value.shape) * 0.3
-        branch.b2.value[...] = rng.normal(size=branch.b2.value.shape) * 0.1
+        T.write_state(branch.w2.value, rng.normal(size=branch.w2.value.shape) * 0.3)
+        T.write_state(branch.b2.value, rng.normal(size=branch.b2.value.shape) * 0.1)
     else:
-        branch.b2.value[...] = rng.normal(size=branch.b2.value.shape) * 0.5
+        T.write_state(branch.b2.value, rng.normal(size=branch.b2.value.shape) * 0.5)
 
     x_param = ad.Parameter("input", rng.normal(size=(_N, _C, _H, _H)))
     out_shape = ad.value_of(layer.forward(x_param.value)).shape

@@ -46,6 +46,14 @@ node's tape as leaves; otherwise it runs eagerly on raw values, and so do
 ``weight_for`` and ``attention`` given a pooled input and no ``lift``.  The
 same code path serves inference, analysis, and training.
 
+Each parameter value and batch-norm running buffer is read-only model state
+(`dynconv.tensor.lock_state`), written in place only through
+`tensor.write_state`: train-mode batch norm's running buffers and the
+vanilla branch's second FC at construction here.  What a forward derives
+from state alone is kept until the next write: eval batch norm's scale and
+shift, and the one-tap conv's tap of W0, which a DCD layer and its static
+twin share (see `dynconv.tensor`).
+
 No op checks its result for NaN or ±inf; each layer checks its values at
 fixed points, each before an op that could hide a non-finite value: the
 pre-activation (a ReLU turns -inf into 0), the branch hidden layer before
@@ -184,7 +192,9 @@ BN_MOMENTUM = 0.9
 
 class BatchNorm2d:
     """Per-channel batch norm with learnable affine and running stats, which
-    keep `BN_MOMENTUM` of their value at each train-mode forward."""
+    keep `BN_MOMENTUM` of their value at each train-mode forward.  The
+    running stats are read-only state like a `Parameter`'s value, and the
+    eval forward's scale and shift are kept until the next state write."""
 
     def __init__(self, name: str, channels: int):
         self.name = name
@@ -193,6 +203,12 @@ class BatchNorm2d:
         self.beta = Parameter(f"{name}.beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
+        self._eval_affine = (None, None, None)  # (state epoch, scale, shift)
+
+    def __setattr__(self, name, value):
+        if name in ("running_mean", "running_var"):
+            value = T.lock_state(value)
+        object.__setattr__(self, name, value)
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
@@ -209,12 +225,16 @@ class BatchNorm2d:
             for stat in (mean, var):  # non-finite for a non-finite input or an overflow; the buffers must not take it
                 T.check_finite(stat, "batch-norm statistics")
             m = BN_MOMENTUM
-            self.running_mean[...] = m * self.running_mean + (1.0 - m) * mean
-            self.running_var[...] = m * self.running_var + (1.0 - m) * var
+            T.write_state(self.running_mean, m * self.running_mean + (1.0 - m) * mean)
+            T.write_state(self.running_var, m * self.running_var + (1.0 - m) * var)
             return out
-        inv = 1.0 / np.sqrt(self.running_var + ad.BN_EPS)
-        w = (self.gamma.value * inv).reshape(1, self.channels, 1, 1)
-        b = (self.beta.value - self.running_mean * self.gamma.value * inv).reshape(1, self.channels, 1, 1)
+        epoch, w, b = self._eval_affine
+        if epoch != T.state_epoch():
+            inv = 1.0 / np.sqrt(self.running_var + ad.BN_EPS)
+            w = (self.gamma.value * inv).reshape(1, self.channels, 1, 1)
+            b = (self.beta.value - self.running_mean * self.gamma.value * inv).reshape(1, self.channels, 1, 1)
+            w.flags.writeable = b.flags.writeable = False
+            self._eval_affine = (T.state_epoch(), w, b)
         return ad.affine(x, w, b)
 
 
@@ -636,7 +656,7 @@ class VanillaDynConv(_ConvLayer):
         self.kernels = Parameter(f"{name}.kernels", fan_in_uniform(rng, (kernels, c_out, c_in), c_in))
         hidden = max(c_in // reduction, 1)
         self.branch = DynamicBranch(f"{name}.att_", c_in, kernels, hidden, rng)
-        self.branch.w2.value[...] = fan_in_uniform(rng, (hidden, kernels), hidden)  # drawn after W1
+        T.write_state(self.branch.w2.value, fan_in_uniform(rng, (hidden, kernels), hidden))  # drawn after W1
 
     def _own_parameters(self) -> list:
         return [self.kernels, *self.branch.parameters()]

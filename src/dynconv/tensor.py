@@ -1,7 +1,8 @@
 """Deterministic float64 tensor kernels: the contractions ``matmul`` and
 ``conv2d``, im2col, the shape rule (`conv_plan`) that runs a conv as a
 depthwise tap sum or as one tap, the tiling of large stacked products into
-blocks of a shared operand or chunks of samples, SVD, and the finite check.
+blocks of a shared operand or chunks of samples, SVD, the finite check,
+and the model state's lock, its one writer and the values kept from it.
 The differentiable ops, elementwise ones, batch norm and max pooling
 included, are defined once, in `dynconv.autodiff`, and call these kernels.
 
@@ -42,6 +43,16 @@ worker count either.  Two kinds of contract rest on this:
   against the tests' reference kernels, to 1e-12 relative.
 
 Everything else relies on numpy's deterministic elementwise semantics.
+
+Model state (each `Parameter` value and batch-norm running buffer) is
+read-only: `lock_state` locks an array when it becomes state, and
+`write_state` is its one writer, which bumps a module-level state epoch.
+A write that skips it raises numpy's read-only ``ValueError``.  `kept`
+keeps a value derived from a state array until the epoch moves, in an
+entry that lives only as long as that array.  Its one user here is the
+one-tap conv: a shared kernel's contiguous tap, which a DCD layer's W0 and
+its static twin's kernel, a view of it, share.  A kept value is the copy a
+fresh derivation would make, so no output moves by a bit.
 """
 
 from __future__ import annotations
@@ -51,13 +62,16 @@ import functools
 import glob
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-# A stacked product of fewer multiply-adds runs on the calling thread.  Split
-# in two, a product gained nothing below ~1.5 M MAdds (the hand-off and the
-# wait cost ~0.1 ms) and halved its time above ~3 M (see CHANGES.md).
+# A stacked product of fewer multiply-adds runs on the calling thread.  Since
+# large shared operands are cut into blocks, running serially took 0.90-1.04x
+# the split's time over 11 cases (zoo forwards at 32×32 and 224×224, batch 1
+# and 8, and training steps; see CHANGES.md): the split no longer shows a gain
+# anywhere timed.  ROADMAP item 3 weighs deleting it.
 SPLIT_MIN_MADDS = 2_000_000
 
 # A depthwise conv with at least this many channels per output position
@@ -99,6 +113,79 @@ def check_finite(a: np.ndarray, what: str = "tensor", layer: str | None = None) 
     if not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite values in {what}", layer=layer)
     return a
+
+
+# ---------------------------------------------------------------------------
+# state: read-only arrays, one writer, and values kept until the next write
+
+_epoch = 0  # bumped by every lock_state and write_state
+# id(owning array) -> (weakref to it, {key: (epoch, kept value)}); an entry leaves with its array
+_owners: dict[int, tuple[weakref.ref, dict]] = {}
+
+
+def state_epoch() -> int:
+    """The state epoch: a value derived from state at one epoch equals a
+    fresh derivation for as long as the epoch stays there."""
+    return _epoch
+
+
+def _owner(a: np.ndarray):
+    return a if a.base is None else a.base  # numpy points a view's base at the array that owns the memory
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    if _owners.get(key, (None,))[0] is ref:
+        del _owners[key]
+
+
+def lock_state(a) -> np.ndarray:
+    """`as_tensor(a)`, made read-only model state together with the array
+    that owns its memory (so is every view taken of it from now on); bumps
+    the state epoch."""
+    global _epoch
+    a = as_tensor(a)
+    owner = _owner(a)
+    a.setflags(write=False)
+    if isinstance(owner, np.ndarray):
+        owner.setflags(write=False)
+        entry = _owners.get(id(owner))
+        if entry is None or entry[0]() is not owner:
+            _owners[id(owner)] = (weakref.ref(owner, functools.partial(_forget, id(owner))), {})
+    _epoch += 1
+    return a
+
+
+def write_state(dst: np.ndarray, src, index=Ellipsis) -> None:
+    """The one writer of model state: ``dst[index] = src`` in place, where
+    `dst` is a state array or a view of one, which stays read-only before
+    and after; then bump the state epoch, so no value kept from the old
+    state is served again."""
+    global _epoch
+    owner = _owner(dst)
+    owner.setflags(write=True)
+    dst.setflags(write=True)
+    try:
+        dst[index] = src
+    finally:
+        dst.setflags(write=False)
+        owner.setflags(write=False)
+        _epoch += 1
+
+
+def kept(source: np.ndarray, key, derive):
+    """``derive()``, a value computed from `source` alone, kept with the
+    state array that owns `source`'s memory under `key` until the next
+    state write.  Where `lock_state` did not lock that array, nothing is
+    kept.  The entry holds that array weakly and leaves with it, so a kept
+    value never keeps a dropped model alive."""
+    owner = _owner(source)
+    entry = _owners.get(id(owner))
+    if entry is None or entry[0]() is not owner:
+        return derive()
+    hit = entry[1].get(key)
+    if hit is None or hit[0] != _epoch:
+        hit = entry[1][key] = (_epoch, derive())
+    return hit[1]
 
 
 @functools.cache
@@ -351,7 +438,8 @@ def conv2d(
     pixel runs as the 1×1 conv of that pixel (a contiguous copy of
     ``x[:, :, 0, 0]``) with its tap (a contiguous copy of
     ``weight[..., padding, padding]``): the one real tap's product, without
-    the kh·kw - 1 taps that would multiply padding.
+    the kh·kw - 1 taps that would multiply padding.  A shared kernel that
+    views locked state keeps its tap (`kept`) until the next state write.
     """
     n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
     plan = conv_plan(x.shape[2], x.shape[3], ho, wo, c_out, c_in_g, groups, kh, kw, stride, padding)
@@ -359,13 +447,21 @@ def conv2d(
         return _depthwise_taps(x, weight, stride, padding, ho, wo, *plan[1:])
     if plan is not None:  # one tap, at (padding, padding): see conv_plan
         x = np.ascontiguousarray(x[:, :, 0, 0])[:, :, None, None]
-        weight = np.ascontiguousarray(weight[..., padding, padding])[..., None, None]
+        weight = kept(weight, (weight.ctypes.data, weight.shape, weight.strides, padding),
+                      functools.partial(_tap, weight, padding))  # kept while a state kernel is unwritten
         kh = kw = stride = 1
         padding = 0
     cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
     wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
     out = np.matmul(wmat, cols) if n < 2 and wmat.size <= BLOCK_ELEMENTS else stacked_matmul(wmat, cols, n)
     return out.reshape(n, c_out, ho, wo)
+
+
+def _tap(weight: np.ndarray, padding: int) -> np.ndarray:
+    """A read-only contiguous copy of ``weight[..., padding, padding]`` as a 1×1 kernel."""
+    tap = weight[..., padding, padding].copy()[..., None, None]
+    tap.flags.writeable = False
+    return tap
 
 
 def _depthwise_taps(x, weight, stride, padding, ho, wo, ys, xs):

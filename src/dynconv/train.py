@@ -56,7 +56,7 @@ class SGD:
             v = self.velocity[id(p)]
             v *= self.momentum
             v += g
-            p.value -= lr * v
+            T.write_state(p.value, p.value - lr * v)
 
 
 def evaluate(graph, data: Dataset, batch: int = 64) -> tuple[float, float]:

@@ -246,8 +246,8 @@ def _schema(doc):
 def test_every_committed_bench_file_has_the_keys_bench_out_writes(tmp_path, capsys):
     written = _schema(_bench_doc(tmp_path, ["task_dcd", "--repeats", "1", "--warmup", "0"]))
     files = sorted((Path(__file__).resolve().parents[1]).glob("BENCH_*.json"))
-    assert {"BENCH_baseline.json", "BENCH_depthwise.json", "BENCH_onetap.json", "BENCH_blocks.json"} <= {
-        path.name for path in files}
+    assert {"BENCH_baseline.json", "BENCH_depthwise.json", "BENCH_onetap.json", "BENCH_blocks.json",
+            "BENCH_derived.json"} <= {path.name for path in files}
     for path in files:
         assert _schema(json.loads(path.read_text())) == written, path.name
 

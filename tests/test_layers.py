@@ -146,7 +146,7 @@ def test_vanilla_single_kernel_is_static():
 def test_vanilla_uniform_attention_gives_average_kernel():
     rng = np.random.default_rng(1)
     layer = VanillaDynConv("v", 6, 6, kernels=4, rng=rng)
-    layer.branch.w2.value[:] = 0.0  # equal logits for every input
+    T.write_state(layer.branch.w2.value, 0.0)  # equal logits for every input
     pooled = pooled_input(rng, 2, 6)
     att = layer.attention(pooled)
     assert np.max(np.abs(att - 0.25)) < 1e-12
@@ -584,10 +584,10 @@ def _bn_layer(cfg, seed):
     rng = np.random.default_rng(seed + 1)
     randomize_branch(layer, rng)
     bn = layer.bn
-    bn.gamma.value[...] = rng.uniform(0.5, 1.5, bn.channels)
-    bn.beta.value[...] = rng.standard_normal(bn.channels)
-    bn.running_mean[...] = rng.standard_normal(bn.channels)
-    bn.running_var[...] = rng.uniform(0.5, 2.0, bn.channels)
+    T.write_state(bn.gamma.value, rng.uniform(0.5, 1.5, bn.channels))
+    T.write_state(bn.beta.value, rng.standard_normal(bn.channels))
+    T.write_state(bn.running_mean, rng.standard_normal(bn.channels))
+    T.write_state(bn.running_var, rng.uniform(0.5, 2.0, bn.channels))
     return layer
 
 
@@ -785,7 +785,7 @@ def test_train_mode_batchnorm_rejects_an_empty_batch_and_keeps_running_stats():
 
 def test_pre_activation_is_checked_before_the_relu_hides_minus_inf():
     layer = StaticConv("s", 2, 2)
-    layer.bn.beta.value[0] = -np.inf  # the eval shift drives channel 0 to -inf; ReLU would give 0
+    T.write_state(layer.bn.beta.value, -np.inf, 0)  # the eval shift drives channel 0 to -inf; ReLU would give 0
     with pytest.raises(T.NonFiniteError, match="^non-finite values in pre-activation$"):
         layer.forward(np.ones((1, 2, 3, 3)))
 
@@ -829,7 +829,7 @@ def test_batchnorm_mean_that_overflows_is_caught_eager_and_taped(taped):
 @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
 def test_attention_logits_are_checked_before_they_saturate(mode):
     layer = VanillaDynConv("v", 4, 4, mode=mode, rng=np.random.default_rng(37))
-    layer.branch.b2.value[0] = -np.inf  # kernel 0 would get attention weight 0 and the output stay finite
+    T.write_state(layer.branch.b2.value, -np.inf, 0)  # kernel 0 would get attention weight 0 and the output stay finite
     with pytest.raises(T.NonFiniteError, match="^non-finite values in attention logits$"):
         layer.forward(np.random.default_rng(38).standard_normal((2, 4, 3, 3)))
 
@@ -840,7 +840,7 @@ def test_attention_logits_are_checked_before_they_saturate(mode):
 ], ids=["dcd", "vanilla"])
 def test_branch_hidden_layer_is_checked_before_its_relu(make):
     layer = make()
-    layer.branch.b1.value[0] = -np.inf  # ReLU would turn the hidden unit into 0
+    T.write_state(layer.branch.b1.value, -np.inf, 0)  # ReLU would turn the hidden unit into 0
     with pytest.raises(T.NonFiniteError, match="^non-finite values in branch hidden layer$"):
         layer.forward(np.random.default_rng(40).standard_normal((2, 8, 3, 3)))
 
@@ -853,7 +853,7 @@ def test_a_non_finite_kernel_is_caught_at_the_pre_activation(make):
     """Every kernel entry feeds its output channel, so a NaN in W0 or in one
     of the K kernels reaches the pre-activation check."""
     layer = make()
-    (layer.w0 if isinstance(layer, DcdConv) else layer.kernels).value.flat[0] = np.nan
+    T.write_state((layer.w0 if isinstance(layer, DcdConv) else layer.kernels).value.reshape(-1), np.nan, 0)
     with pytest.raises(T.NonFiniteError, match="^non-finite values in pre-activation$"):
         layer.forward(np.random.default_rng(42).standard_normal((2, 8, 3, 3)))
 
@@ -862,7 +862,7 @@ def test_a_parameter_gradient_that_overflows_raises_in_backward_naming_its_layer
     """A zero input and kernel keep the output and the loss at 0, but the
     bias gradient sums 100 positions of 1e307."""
     layer = StaticConv("s", 1, 1, bias=True, with_bn=False, activation=None)
-    layer.weight.value[...] = 0.0
+    T.write_state(layer.weight.value, 0.0)
     out = layer.forward(ad.Tape().leaf(np.zeros((1, 1, 10, 10))), train=True)
     loss = ad.sum_all(ad.mul(out, 1e307))
     assert ad.value_of(loss) == 0.0

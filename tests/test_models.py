@@ -351,7 +351,7 @@ def test_static_twin_walks_the_same_layers():
 def test_non_finite_error_names_the_layer():
     graph = _seeded_resnet10()
     layer = next(layer for layer, _ in _conv_layers(graph) if layer.name == "s2b0.conv2")
-    layer.w0.value[0, 0, 0] = np.nan
+    T.write_state(layer.w0.value, np.nan, (0, 0, 0))
     with pytest.raises(T.NonFiniteError) as info:
         graph.forward(np.random.default_rng(3).normal(size=(2, 3, 16, 16)))
     assert str(info.value).startswith("s2b0.conv2: ") and info.value.layer == "s2b0.conv2"
@@ -362,7 +362,7 @@ def test_non_finite_error_names_the_layer():
 def test_skip_sum_is_checked_before_the_block_relu():
     """-1e308 plus its own copy overflows to -inf, which the ReLU would turn into 0."""
     layer = StaticConv("s", 2, 2, with_bn=False, activation=None)
-    layer.weight.value[...] = np.eye(2).reshape(2, 2, 1, 1)
+    T.write_state(layer.weight.value, np.eye(2).reshape(2, 2, 1, 1))
     block = Block([(layer, "conv")], skip=True, relu=True)
     with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError) as info:
         block.forward(np.full((1, 2, 3, 3), -1e308))

@@ -694,8 +694,8 @@ def _attention(z, mode, tau):
     rows are the identity, W1 = I, and W2 = z."""
     n, kernels = z.shape
     layer = VanillaDynConv("v", n, 1, kernels=kernels, mode=mode, tau=tau, reduction=1)
-    layer.branch.w1.value[...] = np.eye(n)
-    layer.branch.w2.value[...] = z
+    T.write_state(layer.branch.w1.value, np.eye(n))
+    T.write_state(layer.branch.w2.value, z)
     return layer.attention(np.eye(n))
 
 

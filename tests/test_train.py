@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dynconv import autodiff as ad
+from dynconv import tensor as T
 from dynconv import train as train_module
 from dynconv.config import ConfigError, RunConfig
 from dynconv.task import Dataset, build_task_model, make_linear_control
@@ -127,8 +128,8 @@ def test_a_gradient_overflow_under_a_finite_loss_aborts_naming_its_layer():
     graph = build_task_model(kind="static", seed=0)
     layers = {layer.name: layer for layer, *_ in graph.iter_layers()}
     layers["mix"].bn = None
-    layers["mix"].weight.value[...] *= 1e-200
-    layers["fc"].weight.value[...] *= 1e200
+    T.write_state(layers["mix"].weight.value, layers["mix"].weight.value * 1e-200)
+    T.write_state(layers["fc"].weight.value, layers["fc"].weight.value * 1e200)
     tr, va = (Dataset(d.inputs * 1e200, d.labels) for d in (tr, va))
     with np.errstate(over="ignore"):
         result = train(graph, tr, va, RunConfig(lr=0.1, epochs=1, batch=16, seed=0))
@@ -139,7 +140,7 @@ def test_non_finite_initial_evaluation_aborts_at_epoch_0(tmp_path):
     tr, va = make_linear_control(n_train=64, n_val=32, seed=0)
     model = build_task_model(kind="dcd", seed=0)
     layer = next(layer for layer, role, *_ in model.iter_layers() if role == "mix")
-    layer.w0.value[0, 0] = np.nan
+    T.write_state(layer.w0.value, np.nan, (0, 0))
     path = tmp_path / "nan.csv"
     result = train(model, tr, va, RunConfig(lr=0.1, epochs=2, batch=16, seed=0), csv_path=path)
     assert result.aborted and (result.abort_epoch, result.abort_step, result.abort_layer) == (0, 0, "mix")
