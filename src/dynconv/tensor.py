@@ -67,11 +67,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A stacked product of fewer multiply-adds runs on the calling thread.  Since
-# large shared operands are cut into blocks, running serially took 0.90-1.04x
-# the split's time over 11 cases (zoo forwards at 32×32 and 224×224, batch 1
-# and 8, and training steps; see CHANGES.md): the split no longer shows a gain
-# anywhere timed.  ROADMAP item 3 weighs deleting it.
+# A stacked product of fewer multiply-adds runs on the calling thread.  With
+# BLAS at 1 thread on 2 vCPUs the split takes the second CPU: a copy with it
+# deleted (every product serial; see CHANGES.md) took ResNet-18-DCD at 224×224
+# 1.27-1.37x the split's time at batch 8 and 1.12-1.23x at batch 1 (four
+# alternating `dynconv bench` pairs), and read 9-12 % fewer batch-8 images/s at
+# 32×32 (`perfbench` `infer_resnet18`, 0 of 10 pairs better).  Batch 1 at 32×32
+# ran 14-18 % faster serially: the six products it splits, 2.36 M multiply-adds
+# each, lose by it.
 SPLIT_MIN_MADDS = 2_000_000
 
 # A depthwise conv with at least this many channels per output position

@@ -244,12 +244,19 @@ def _schema(doc):
 
 
 def test_every_committed_bench_file_has_the_keys_bench_out_writes(tmp_path, capsys):
+    """`BENCH_serial.json` was written by a tree with the worker split deleted,
+    to measure the split against it, so its environment lacks the worker
+    count, ``contraction_workers``; no other key may differ."""
     written = _schema(_bench_doc(tmp_path, ["task_dcd", "--repeats", "1", "--warmup", "0"]))
     files = sorted((Path(__file__).resolve().parents[1]).glob("BENCH_*.json"))
     assert {"BENCH_baseline.json", "BENCH_depthwise.json", "BENCH_onetap.json", "BENCH_blocks.json",
-            "BENCH_derived.json"} <= {path.name for path in files}
+            "BENCH_derived.json", "BENCH_split.json", "BENCH_serial.json"} <= {path.name for path in files}
     for path in files:
-        assert _schema(json.loads(path.read_text())) == written, path.name
+        top, env, rows, sides = _schema(json.loads(path.read_text()))
+        if path.name == "BENCH_serial.json":
+            assert "contraction_workers" not in env
+            env = env | {"contraction_workers"}
+        assert (top, env, rows, sides) == written, path.name
 
 
 @pytest.mark.parametrize("argv,flag", [(["--seed", "-1", "count", "task_dcd"], "--seed"),
