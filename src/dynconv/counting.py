@@ -31,9 +31,10 @@ picks it: the same conv and branch, then either the kernel assembly with Λ
 on the kernel (depthwise, and pointwise where that is cheaper) or the
 factored chain of convs with Λ on the output (the other DCD layers).  It
 charges each conv only the kernel taps `tensor.conv2d` multiplies
-(`tensor.conv_taps`): one where the conv's one output position reads one
-real pixel, those that can read a real pixel in the depthwise tap sum, all
-k² otherwise.  One function, `_madds`, gives both columns.
+(`tensor.conv_taps`): where the conv's one output position reads fewer
+real pixels than it has taps, the live window's taps (one for one real
+pixel); those that can read a real pixel in the depthwise tap sum; all k²
+otherwise.  One function, `_madds`, gives both columns.
 
 Parameter counts are pure introspection: the number of learnable scalars
 the layer actually allocates, bucketed into categories (static kernel,

@@ -51,8 +51,8 @@ Each parameter value and batch-norm running buffer is read-only model state
 `tensor.write_state`: train-mode batch norm's running buffers and the
 vanilla branch's second FC at construction here.  What a forward derives
 from state alone is kept until the next write: eval batch norm's scale and
-shift, and the one-tap conv's tap of W0, which a DCD layer and its static
-twin share (see `dynconv.tensor`).
+shift, and the window conv's live window of W0, which a DCD layer and its
+static twin share (see `dynconv.tensor`).
 
 No op checks its result for NaN or ±inf; each layer checks its values at
 fixed points, each before an op that could hide a non-finite value: the

@@ -1,8 +1,9 @@
 """Deterministic float64 tensor kernels: the contractions ``matmul`` and
 ``conv2d``, im2col, the shape rule (`conv_plan`) that runs a conv as a
-depthwise tap sum or as one tap, the tiling of large stacked products into
-blocks of a shared operand or chunks of samples, SVD, the finite check,
-and the model state's lock, its one writer and the values kept from it.
+depthwise tap sum or on its live window of taps, the tiling of large
+stacked products into blocks of a shared operand or chunks of samples, SVD,
+the finite check, and the model state's lock, its one writer and the values
+kept from it.
 The differentiable ops, elementwise ones, batch norm and max pooling
 included, are defined once, in `dynconv.autodiff`, and call these kernels.
 
@@ -33,26 +34,28 @@ worker count either.  Two kinds of contract rest on this:
   `DEPTHWISE_TAP_RATIO` channels per output position runs as
   `_depthwise_taps`, elementwise products summed in (dy, dx) order from
   zero, where BLAS would sum in its own order, and so equals the tests'
-  loop-order reference conv.  A conv whose one output position reads one real
-  pixel runs as the 1×1 conv of that pixel with its tap, the same
-  per-sample product as any 1×1 conv.  Both rules read the conv's shape only
-  (`conv_plan`), never the batch size, so a sample's kernel, and its bits,
-  do not depend on the batch it comes in.
+  loop-order reference conv.  A conv whose one output position reads fewer
+  real pixels than it has taps runs as the unpadded conv of those pixels
+  with the kernel's live window, the same per-sample product as any conv
+  of that window's size (for one real pixel, any 1×1 conv).  Both rules
+  read the conv's shape only (`conv_plan`), never the batch size, so a
+  sample's kernel, and its bits, do not depend on the batch it comes in.
 * tolerance: the BLAS kernels ``matmul``/``conv2d``, blocked or not and the
-  one-tap conv among them (and the conv VJPs in ``dynconv.autodiff``),
+  window conv among them (and the conv VJPs in ``dynconv.autodiff``),
   against the tests' reference kernels, to 1e-12 relative.
 
 Everything else relies on numpy's deterministic elementwise semantics.
 
 Model state (each `Parameter` value and batch-norm running buffer) is
 read-only: `lock_state` locks an array when it becomes state, and
-`write_state` is its one writer, which bumps a module-level state epoch.
+`write_states` is its one writer (`write_state` writes one array through
+it), which bumps a module-level state epoch once per call.
 A write that skips it raises numpy's read-only ``ValueError``.  `kept`
 keeps a value derived from a state array until the epoch moves, in an
 entry that lives only as long as that array.  Its one user here is the
-one-tap conv: a shared kernel's contiguous tap, which a DCD layer's W0 and
-its static twin's kernel, a view of it, share.  A kept value is the copy a
-fresh derivation would make, so no output moves by a bit.
+window conv: a shared kernel's contiguous live window, which a DCD layer's
+W0 and its static twin's kernel, a view of it, share.  A kept value is the
+copy a fresh derivation would make, so no output moves by a bit.
 """
 
 from __future__ import annotations
@@ -70,12 +73,15 @@ import numpy as np
 # A stacked product of fewer multiply-adds runs on the calling thread.  With
 # BLAS at 1 thread on 2 vCPUs the split takes the second CPU: a copy with it
 # deleted (every product serial; see CHANGES.md) took ResNet-18-DCD at 224×224
-# 1.27-1.37x the split's time at batch 8 and 1.12-1.23x at batch 1 (four
-# alternating `dynconv bench` pairs), and read 9-12 % fewer batch-8 images/s at
-# 32×32 (`perfbench` `infer_resnet18`, 0 of 10 pairs better).  Batch 1 at 32×32
-# ran 14-18 % faster serially: the six products it splits, 2.36 M multiply-adds
-# each, lose by it.
-SPLIT_MIN_MADDS = 2_000_000
+# 1.27-1.37x the split's time at batch 8 and 1.12-1.23x at batch 1, and read
+# 9-12 % fewer batch-8 images/s at 32×32.  Small products lose by it: timed
+# alone (split and serial alternating, see CHANGES.md), serial took 0.84x the
+# split's time on ResNet-18's 2.36 M batch-1 block products at 32×32 and 0.91x
+# on its 2.1 M batch-8 one-tap products, and whole ResNet-18 forwards at 32×32
+# with this line at 2.5 M rather than 2 M took 0.91-0.93x the time at batch 1
+# and 0.99x at batch 8.  The line sits below MobileNetV2-0.5's smallest split
+# products at 224×224, batch 8 (2.7-2.8 M), so no product there changes side.
+SPLIT_MIN_MADDS = 2_500_000
 
 # A depthwise conv with at least this many channels per output position
 # (C >= DEPTHWISE_TAP_RATIO * ho * wo) runs as a channels-last sum over its
@@ -158,21 +164,28 @@ def lock_state(a) -> np.ndarray:
     return a
 
 
-def write_state(dst: np.ndarray, src, index=Ellipsis) -> None:
-    """The one writer of model state: ``dst[index] = src`` in place, where
-    `dst` is a state array or a view of one, which stays read-only before
-    and after; then bump the state epoch, so no value kept from the old
-    state is served again."""
+def write_states(dsts, write) -> None:
+    """The one writer of model state: make each array in `dsts` (state
+    arrays or views of them) and the array that owns its memory writable,
+    call ``write()``, which writes them in place, make them read-only again
+    and bump the state epoch once, so no value kept from the old state is
+    served again."""
     global _epoch
-    owner = _owner(dst)
-    owner.setflags(write=True)
-    dst.setflags(write=True)
+    # each array's owner (see `_owner`) before the array, which numpy makes writable only after its base
+    arrays = [a for dst in dsts for a in ((dst,) if dst.base is None else (dst.base, dst))]
+    for a in arrays:
+        a.setflags(write=True)
     try:
-        dst[index] = src
+        write()
     finally:
-        dst.setflags(write=False)
-        owner.setflags(write=False)
+        for a in arrays:
+            a.setflags(write=False)
         _epoch += 1
+
+
+def write_state(dst: np.ndarray, src, index=Ellipsis) -> None:
+    """``dst[index] = src`` in place, through `write_states`."""
+    write_states((dst,), functools.partial(dst.__setitem__, index, src))
 
 
 def kept(source: np.ndarray, key, derive):
@@ -382,23 +395,21 @@ def conv_plan(h: int, w: int, ho: int, wo: int, c_out: int, c_in_g: int, groups:
       ``groups == C_in == C_out``) with at least `DEPTHWISE_TAP_RATIO`
       channels per output position runs as `_depthwise_taps`, over the taps
       that can read a real pixel;
-    * ``"one_tap"``: any other conv with one output position whose window
-      holds one real pixel runs as a 1×1 conv of that pixel with its tap.
-      The one window starts at padded row and column 0 and the real pixels
-      at ``padding``, so that tap is always (padding, padding) and the
-      pixel is always ``x[..., 0, 0]``.
-
-    Along an axis with more than one output position these ranges always
-    hold more than one tap (checked for k ≤ 7, stride ≤ 4, padding ≤ 7 and
-    maps ≤ 11), so the test of ``ho == wo == 1`` comes first and spares
-    every other conv the ranges.
+    * ``"window"``: any other conv with one output position whose window
+      holds fewer real pixels than taps, but at least one, runs as the conv
+      of those pixels with the kernel's live window, at stride 1 and
+      padding 0.  The one window starts at padded row and column 0 and the
+      real pixels at ``padding``, so the live taps start at (padding,
+      padding) and read the real pixels from ``x[..., 0, 0]`` on: rows
+      ``:len(ys)`` and columns ``:len(xs)``.  One real pixel makes the 1×1
+      window, the one-tap conv.
     """
     if c_in_g == 1 and c_out == groups and c_out >= DEPTHWISE_TAP_RATIO * ho * wo:
         return "depthwise", _live_taps(h, kh, stride, padding, ho), _live_taps(w, kw, stride, padding, wo)
     if ho == wo == 1 and kh * kw > 1:
         ys, xs = _live_taps(h, kh, stride, padding, 1), _live_taps(w, kw, stride, padding, 1)
-        if len(ys) == len(xs) == 1:
-            return "one_tap", ys, xs
+        if 0 < len(ys) * len(xs) < kh * kw:  # a window of padding alone stays on im2col: its zeros
+            return "window", ys, xs
     return None
 
 
@@ -435,36 +446,37 @@ def conv2d(
     of output channels; a per-sample kernel is not cut).  For a 1×1 stride-1
     unpadded conv the patch matrix is a reshaped view of `x`, so the product
     is one reshape and those calls.  `conv_plan` takes two kinds of
-    conv off the patch matrix, by shape alone: a depthwise conv with at
+    conv off the full patch matrix, by shape alone: a depthwise conv with at
     least `DEPTHWISE_TAP_RATIO` channels per output position runs as
-    `_depthwise_taps`, and a conv whose one output position reads one real
-    pixel runs as the 1×1 conv of that pixel (a contiguous copy of
-    ``x[:, :, 0, 0]``) with its tap (a contiguous copy of
-    ``weight[..., padding, padding]``): the one real tap's product, without
-    the kh·kw - 1 taps that would multiply padding.  A shared kernel that
-    views locked state keeps its tap (`kept`) until the next state write.
+    `_depthwise_taps`, and a conv whose one output position reads fewer real
+    pixels than it has taps runs as the conv of those pixels (a contiguous
+    copy of ``x[:, :, :len(ys), :len(xs)]``) with the kernel's live window
+    (a contiguous copy of ``weight[..., ys, xs]``), at stride 1 and padding
+    0: the live taps' product, without the taps that would multiply
+    padding.  A shared kernel that views locked state keeps its window
+    (`kept`) until the next state write.
     """
     n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
     plan = conv_plan(x.shape[2], x.shape[3], ho, wo, c_out, c_in_g, groups, kh, kw, stride, padding)
     if plan is not None and plan[0] == "depthwise":
         return _depthwise_taps(x, weight, stride, padding, ho, wo, *plan[1:])
-    if plan is not None:  # one tap, at (padding, padding): see conv_plan
-        x = np.ascontiguousarray(x[:, :, 0, 0])[:, :, None, None]
-        weight = kept(weight, (weight.ctypes.data, weight.shape, weight.strides, padding),
-                      functools.partial(_tap, weight, padding))  # kept while a state kernel is unwritten
-        kh = kw = stride = 1
-        padding = 0
+    if plan is not None:  # the live window, from (padding, padding) on: see conv_plan
+        _, ys, xs = plan
+        x = np.ascontiguousarray(x[:, :, :len(ys), :len(xs)])
+        weight = kept(weight, (weight.ctypes.data, weight.shape, weight.strides, ys, xs),
+                      functools.partial(_window, weight, ys, xs))  # kept while a state kernel is unwritten
+        kh, kw, stride, padding = len(ys), len(xs), 1, 0
     cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
     wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
     out = np.matmul(wmat, cols) if n < 2 and wmat.size <= BLOCK_ELEMENTS else stacked_matmul(wmat, cols, n)
     return out.reshape(n, c_out, ho, wo)
 
 
-def _tap(weight: np.ndarray, padding: int) -> np.ndarray:
-    """A read-only contiguous copy of ``weight[..., padding, padding]`` as a 1×1 kernel."""
-    tap = weight[..., padding, padding].copy()[..., None, None]
-    tap.flags.writeable = False
-    return tap
+def _window(weight: np.ndarray, ys: range, xs: range) -> np.ndarray:
+    """A read-only contiguous copy of the kernel window ``weight[..., ys, xs]``."""
+    window = weight[..., ys.start:ys.stop, xs.start:xs.stop].copy()
+    window.flags.writeable = False
+    return window
 
 
 def _depthwise_taps(x, weight, stride, padding, ho, wo, ys, xs):

@@ -49,6 +49,9 @@ class SGD:
         self.velocity = {id(p): np.zeros_like(p.value) for p in params}
 
     def step(self, grads: dict[ad.Parameter, np.ndarray], lr: float) -> None:
+        """Update the velocities, then every parameter with a gradient in
+        place, all through one `tensor.write_states` call."""
+        stepped = []
         for p in self.params:
             g = grads.get(p)
             if g is None:
@@ -56,7 +59,13 @@ class SGD:
             v = self.velocity[id(p)]
             v *= self.momentum
             v += g
-            T.write_state(p.value, p.value - lr * v)
+            stepped.append((p.value, v))
+
+        def write():
+            for value, v in stepped:
+                value -= lr * v
+
+        T.write_states([value for value, _ in stepped], write)
 
 
 def evaluate(graph, data: Dataset, batch: int = 64) -> tuple[float, float]:

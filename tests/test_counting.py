@@ -275,9 +275,9 @@ def test_executed_madds_charge_only_the_taps_the_conv_runs():
     """At 32×32, ResNet-18-DCD's stage-4 3×3 convs on 1×1 maps run one tap:
     C_out·C_in, then the branch and the factored chain Qᵀx, Φ, P and Λ,
     while the paper's count keeps all nine.  The stride-2 conv into stage 4
-    reads four real pixels and runs all nine; MobileNetV2-0.5's depthwise
-    convs on 1×1 maps run one tap each, and the stride-2 one on a 2×2 map
-    the four its tap sum reaches."""
+    reads four real pixels and runs those four taps; MobileNetV2-0.5's
+    depthwise convs on 1×1 maps run one tap each, and the stride-2 one on a
+    2×2 map the four its tap sum reaches."""
     graph = resolve_model("resnet18_dcd")
     rows = {row.name: row for row in count_model(graph, 32).rows}
     layers = {layer.name: (layer, h_in) for layer, _, h_in, _ in graph.iter_layers(32)}
@@ -290,7 +290,13 @@ def test_executed_madds_charge_only_the_taps_the_conv_runs():
         chain = c * l + l * l + l * c + c
         assert rows[name].executed_madds == c * c + branch + chain
         assert rows[name].madds == layer_madds(layer, 1)[0] > 9 * c * c
-    assert layers["s4b0.conv1"][1] == 2 and rows["s4b0.conv1"].executed_madds > 9 * 512 * 256
+    layer, h_in = layers["s4b0.conv1"]
+    c_in, c, l, s = 256, 512, layer.dims.l, layer.branch.squeeze
+    assert h_in == 2 and layer.out_size(h_in) == 1
+    branch = c_in + c_in * s + s * layer.branch.d_out
+    chain = c_in * l + l * l + l * c + c
+    assert rows["s4b0.conv1"].executed_madds == 4 * c * c_in + branch + chain
+    assert rows["s4b0.conv1"].madds > 9 * c * c_in
     depthwise = {row.name: (row.madds, row.executed_madds)
                  for row in count_model(resolve_model("mobilenetv2_x0.5_dcd"), 32).rows if row.name.endswith(".dw")}
     assert depthwise["b13.dw"] == (288 * 9, 288 * 4)

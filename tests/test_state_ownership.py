@@ -151,20 +151,46 @@ def test_assigning_a_parameter_value_or_a_running_buffer_locks_the_new_array():
         new[0] = 0.0
 
 
+def _window_spy(monkeypatch):
+    """The (kernel shape, ys, xs) of every window `tensor.conv2d` copies from a kernel."""
+    windows, real = [], T._window
+    monkeypatch.setattr(T, "_window", lambda w, ys, xs: windows.append((w.shape, ys, xs)) or real(w, ys, xs))
+    return windows
+
+
 def test_one_tap_kept_tap_is_made_once_for_a_dcd_layer_and_its_twin(monkeypatch):
     """On a 1×1 map the 3×3 W0 conv reads one tap; the twin's kernel is a
     view of the same W0, so both serve one kept tap until a state write."""
     graph = _channel_only_3x3(0)
     twin, x = graph.static_twin(), np.random.default_rng(0).normal(size=(2, 8, 1, 1))
-    taps, real = [], T._tap
-    monkeypatch.setattr(T, "_tap", lambda w, p: taps.append(p) or real(w, p))
+    taps = _window_spy(monkeypatch)
     first = graph.forward(x)
     twin_out = twin.forward(x)
     assert np.array_equal(graph.forward(x), first) and np.array_equal(twin.forward(x), twin_out)
-    assert taps == [1] and len(_kept(_layers(graph)["mix"].w0.value)) == 1
+    assert taps == [((8, 8, 3, 3), range(1, 2), range(1, 2))] and len(_kept(_layers(graph)["mix"].w0.value)) == 1
     T.write_state(_layers(graph)["mix"].bn.beta.value, 0.5, 0)  # any write: the tap is made again
     graph.forward(x)
-    assert taps == [1, 1]
+    assert taps == 2 * [((8, 8, 3, 3), range(1, 2), range(1, 2))]
+
+
+def test_resnet18_stride_2_conv_into_stage_4_keeps_one_window_for_the_dcd_layer_and_its_twin(monkeypatch):
+    """At 32×32, ResNet-18-DCD's `s4b0.conv1` (256→512, 3×3, stride 2, a
+    2×2 map to 1×1) reads four real pixels through taps 1..2 × 1..2: it
+    takes the window plan, and the DCD model and its twin serve one kept
+    2×2 window of W0 until a state write."""
+    graph = resolve_model("resnet18_dcd", seed=0, resolution=32)
+    twin, x = graph.static_twin(), np.random.default_rng(0).normal(size=(1, 3, 32, 32))
+    layer = _layers(graph)["s4b0.conv1"]
+    assert T.conv_plan(2, 2, 1, 1, 512, 256, 1, 3, 3, 2, 1) == ("window", range(1, 3), range(1, 3))
+    windows = _window_spy(monkeypatch)
+    first, twin_out = graph.forward(x), twin.forward(x)
+    assert np.array_equal(graph.forward(x), first) and np.array_equal(twin.forward(x), twin_out)
+    w0 = [(shape, ys, xs) for shape, ys, xs in windows if shape == layer.w0.value.shape]
+    assert w0 == [((512, 256, 3, 3), range(1, 3), range(1, 3))]
+    assert [key[-2:] for key in _kept(layer.w0.value)] == [(range(1, 3), range(1, 3))]
+    T.write_state(layer.bn.beta.value, 0.5, 0)  # any write: the window is made again
+    twin.forward(x)
+    assert [shape for shape, *_ in windows].count(layer.w0.value.shape) == 2
 
 
 def _fresh(graph, build):
@@ -232,6 +258,8 @@ def test_kept_one_tap_tap_and_batchnorm_pair_follow_every_writer(build, writer, 
     early = graph.static_twin()
     before = graph.forward(x), early.forward(x)
     assert len(_kept(_layers(graph)[conv].w0.value)) == 1
+    if build is _resnet10_dcd_32:  # and stage 4's stride-2 conv, 2×2 → 1×1, its 2×2 window
+        assert [key[-2:] for key in _kept(_layers(graph)["s4b0.conv1"].w0.value)] == [(range(1, 3), range(1, 3))]
     writer(graph, x, conv, lambda seed: build(seed)[0], tmp_path)
     fresh = _fresh(graph, lambda seed: build(seed)[0])
     twins = [graph.static_twin()] + ([] if writer is _reassign_w0 else [early])  # `early` views the old W0

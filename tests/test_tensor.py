@@ -2,6 +2,7 @@
 (bit-exact), the depthwise tap sum against the reference kernel (bit-exact),
 BLAS kernels against reference kernels (tolerance)."""
 
+import concurrent.futures
 import itertools
 import math
 import os
@@ -378,10 +379,11 @@ def test_one_tap_rule_drops_only_padding_and_keeps_batch_bits(k, stride):
     at paddings 0 to 4: the taps `conv_plan` drops read only padding, and
     the depthwise tap rule's too.  Below padding k every output position
     reads a real pixel, and one real tap comes only with one output
-    position; a conv takes the one-tap path exactly when it has one output
-    position and one real tap.  Shared, grouped and per-sample kernels match
-    the reference kernel to 1e-12, and a batch of 3 equals the 3 stacked
-    single-sample convs bit for bit."""
+    position; a conv takes the window path exactly when it has one output
+    position and fewer real taps than k², and then multiplies exactly the
+    real taps.  Shared, grouped and per-sample kernels match the reference
+    kernel to 1e-12, and a batch of 3 equals the 3 stacked single-sample
+    convs bit for bit."""
     rng = np.random.default_rng(131)
     for padding, h, w in itertools.product(range(5), range(1, 6), range(1, 6)):
         if h + 2 * padding < k or w + 2 * padding < k:
@@ -396,9 +398,9 @@ def test_one_tap_rule_drops_only_padding_and_keeps_batch_bits(k, stride):
         x = rng.standard_normal((3, 4, h, w))
         for c_in, c_out, groups, per_sample in ONE_TAP_KERNELS.values():
             plan = T.conv_plan(h, w, ho, wo, c_out, c_in // groups, groups, k, k, stride, padding)
-            assert (plan is not None) == (ho == wo == 1 and len(real) == 1), (h, w, padding)
+            assert (plan is not None) == (ho == wo == 1 and 0 < len(real) < k * k), (h, w, padding)
             if plan is not None:
-                assert plan[0] == "one_tap" and set(itertools.product(*plan[1:])) == real
+                assert plan[0] == "window" and set(itertools.product(*plan[1:])) == real
             wt = rng.standard_normal((3,) * per_sample + (c_out, c_in // groups, k, k))
             got = T.conv2d(x, wt, stride, padding, groups)
             assert_rel_close(got, _reference_conv(x, wt, stride, padding, groups))
@@ -408,21 +410,29 @@ def test_one_tap_rule_drops_only_padding_and_keeps_batch_bits(k, stride):
 
 
 @pytest.mark.parametrize("kernel", ONE_TAP_KERNELS)
-def test_one_tap_conv_is_the_1x1_conv_of_its_pixel_and_tap(kernel):
-    """A 3×3 conv at padding 1 on a 1×1 map, and a 5×5 one at padding 4 and
-    stride 7 on a 2×3 map, each read one real pixel, ``x[..., 0, 0]``,
-    through the tap (padding, padding): the one window starts at padded row
-    and column 0, the real pixels at ``padding``.  Each gives the bits of
-    the 1×1 conv of that pixel with that tap."""
+def test_one_tap_and_window_convs_are_the_conv_of_their_pixels_and_live_window(kernel):
+    """The one window starts at padded row and column 0 and the real pixels
+    at ``padding``, so a conv with one output position reads the pixels from
+    ``x[..., 0, 0]`` on through the taps from (padding, padding) on.  A 3×3
+    conv at padding 1 on a 1×1 map and a 5×5 one at padding 4 and stride 7
+    on a 2×3 map read one pixel through one tap; a 3×3 conv at stride 2 and
+    padding 1 on a 2×2 map (ResNet-18's stride-2 conv into stage 4 at
+    32×32) reads 2×2 pixels through taps 1..2 × 1..2, and on a 1×2 map 1×2
+    pixels through 1 × 1..2.  Each gives the bits of the unpadded stride-1
+    conv of those pixels with that window of the kernel."""
     c_in, c_out, groups, per_sample = ONE_TAP_KERNELS[kernel]
     rng = np.random.default_rng(137)
-    for (h, w), k, stride, padding in (((1, 1), 3, 1, 1), ((2, 3), 5, 7, 4)):
-        assert _real_taps(h, w, k, stride, padding) == {(padding, padding)}
+    for (h, w), k, stride, padding, (ys, xs) in (((1, 1), 3, 1, 1, (range(1, 2), range(1, 2))),
+                                                 ((2, 3), 5, 7, 4, (range(4, 5), range(4, 5))),
+                                                 ((2, 2), 3, 2, 1, (range(1, 3), range(1, 3))),
+                                                 ((1, 2), 3, 2, 1, (range(1, 2), range(1, 3)))):
+        assert _real_taps(h, w, k, stride, padding) == set(itertools.product(ys, xs))
         x = rng.standard_normal((5, c_in, h, w))
         wt = rng.standard_normal((5,) * per_sample + (c_out, c_in // groups, k, k))
-        pixel = np.ascontiguousarray(x[:, :, :1, :1])
-        tap = np.ascontiguousarray(wt[..., padding : padding + 1, padding : padding + 1])
-        want = T.conv2d(pixel, tap, groups=groups)
+        pixels = np.ascontiguousarray(x[:, :, :len(ys), :len(xs)])
+        window = np.ascontiguousarray(wt[..., ys.start:ys.stop, xs.start:xs.stop])
+        want = T.conv2d(pixels, window, groups=groups)
+        assert want.shape[2:] == (1, 1)
         assert np.array_equal(T.conv2d(x, wt, stride, padding, groups), want)
 
 
@@ -593,6 +603,32 @@ def test_blocked_fc_weight_keeps_row_bits_and_matches_the_reference(split_and_se
     assert np.array_equal(split, serial)
     assert np.array_equal(split, np.concatenate([T.matmul(a[i : i + 1], b) for i in range(3)]))
     assert_rel_close(split, matmul_reference(a, b))
+
+
+def test_split_rule_keeps_a_batch_1_block_product_on_the_calling_thread(monkeypatch):
+    """ResNet-18's 256→256 3×3 conv on a 2×2 map, five blocks of its kernel:
+    at batch 1 (2.36 M multiply-adds, below `SPLIT_MIN_MADDS`) the pool gets
+    nothing; at batch 8 a second worker takes a run of blocks."""
+    runs = []
+
+    class SpyPool:
+        """Runs each submitted run of tiles at once and records its length."""
+
+        def submit(self, fn, a, b, out, tiles):
+            runs.append(len(tiles))
+            fn(a, b, out, tiles)
+            done = concurrent.futures.Future()
+            done.set_result(None)
+            return done
+
+    monkeypatch.setattr(T, "contraction_workers", lambda: 2)
+    monkeypatch.setattr(T, "_split_pool", SpyPool)
+    rng = np.random.default_rng(113)
+    a = rng.standard_normal((1, 256, 2304))
+    T.stacked_matmul(a, rng.standard_normal((1, 1, 2304, 4)), 1)
+    assert runs == []
+    T.stacked_matmul(a, rng.standard_normal((8, 1, 2304, 4)), 8)
+    assert runs == [3]
 
 
 def test_split_products_from_many_threads_share_one_pool(monkeypatch):
