@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import models
 from .layers import DcdConv
 
 METADATA = {
@@ -67,32 +68,31 @@ class PhiReport:
 def phi_statistics(graph, x: np.ndarray) -> PhiReport:
     """Coefficient-variation report for every dynamic layer in `graph`.
 
-    `x` is a (N, C, H, W) batch; the model runs once in inference mode with
-    observers attached, so training state is untouched.
+    `x` is a (N, C, H, W) batch; the model runs once in inference mode, and
+    a `models.layer_hook` pools each DCD layer's input, from which the
+    layer's coefficients are then computed as its forward computes them.
+    Training state is untouched.
     """
     if len(x) == 0:
         raise ValueError("phi statistics need at least one sample, got an empty batch")
-    captured: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def observer(layer, pooled, lam, phi):
-        captured[id(layer)] = (pooled, phi)
-
     dcd_layers = [layer for layer, *_ in graph.iter_layers() if isinstance(layer, DcdConv)]
     if not dcd_layers:
         raise ValueError(f"{graph.name} has no dynamic-decomposed layers to analyze")
-    try:
-        for layer in dcd_layers:
-            layer.observer = observer
-        ad.value_of(graph.forward(np.asarray(x, dtype=np.float64), train=False))
-    finally:
-        for layer in dcd_layers:
-            layer.observer = None
+    pooled: dict[int, np.ndarray] = {}
+
+    def record(layer, h, run):
+        if isinstance(layer, DcdConv):
+            pooled[id(layer)] = ad.global_avg_pool(h)
+        return run()
+
+    with models.layer_hook(record):
+        graph.forward(np.asarray(x, dtype=np.float64), train=False)
 
     report = PhiReport()
     for depth, layer in enumerate(dcd_layers):
-        pooled, phi = captured[id(layer)]
+        _, phi = layer.coefficients(pooled[id(layer)], lambda p: p.value)
         sigma_raw = float(two_pass_std(phi).mean())
-        normalizer = float(two_pass_std(pooled).mean())
+        normalizer = float(two_pass_std(pooled[id(layer)]).mean())
         sigma_norm = sigma_raw / normalizer if normalizer > 0.0 else 0.0
         report.rows.append(
             PhiRow(

@@ -16,8 +16,13 @@ through its inputs.  Only a parameter leaf needs a gradient, and so does a
 node with a taped input that needs one; any other node stays on the tape
 with no parents and no VJP, so no adjoint is formed toward the data.
 Every op returns a C-contiguous float64 array, so `value_of` is the one
-place where an operand is coerced.  `affine`, one op for ``a * w + b``, is
-the tail of eval batch norm and of the DCD layer, Λ ⊙ (W0∗x) + residual.
+place where an operand is coerced; an operand that already is one it
+returns as it is, without a call, as it returns a node's value.  Some ops
+round exactly as the ops they fuse: `affine`, ``a * w + b``, is the tail of
+eval batch norm and of the DCD layer, Λ ⊙ (W0∗x) + residual; `linear`,
+``matmul(a, w) + b``, is each FC of the dynamic branch; `narrow` with
+``plus`` is Λ, a slice of the branch output plus 1.  `transpose_axes` keeps
+its copy of a parameter value until the next state write (`tensor.kept`).
 
 No op checks its result for NaN or ±inf, forward or VJP: the layers check
 their values at fixed points (`dynconv.layers`), and `backward` checks each
@@ -83,15 +88,24 @@ class Tape:
         return node
 
 
+_F64 = np.dtype(np.float64)
+
+
 def value_of(x):
-    """A node's value as it is, or a raw operand coerced by `T.as_tensor`."""
-    return x.value if isinstance(x, Node) else T.as_tensor(x)
+    """A node's value as it is, or a raw operand coerced by `T.as_tensor`;
+    a C-contiguous float64 ndarray, which `T.as_tensor` would return as it
+    is, is returned without the call."""
+    if type(x) is Node:
+        return x.value
+    if type(x) is np.ndarray and x.dtype is _F64 and x.flags.c_contiguous:
+        return x
+    return T.as_tensor(x)
 
 
 def _tape(*xs) -> Tape | None:
     tape = None
     for x in xs:
-        if isinstance(x, Node):
+        if type(x) is Node:
             if tape is None:
                 tape = x.tape
             elif tape is not x.tape:
@@ -120,7 +134,7 @@ def _record(tape: Tape, out, inputs, vjp) -> Node:
     called for those inputs only.  A node with none of them stays on the
     tape, so that later ops find it, but has no parents and no VJP.
     """
-    taped = [j for j, x in enumerate(inputs) if isinstance(x, Node) and (x.parents or x.param is not None)]
+    taped = [j for j, x in enumerate(inputs) if type(x) is Node and (x.parents or x.param is not None)]
     node = Node(out, tape, [inputs[j] for j in taped], (lambda g: [vjp(g, j) for j in taped]) if taped else None)
     tape.nodes.append(node)
     return node
@@ -164,10 +178,24 @@ def matmul(a, b):
     out = T.matmul(av, bv)
     if tape is None:
         return out
+    return _record(tape, out, (a, b), lambda g, j: _matmul_vjp(g, av, bv, j))
 
+
+def linear(a, w, b):
+    """``matmul(a, w) + b`` in one op, rounding as `add(matmul(a, w), b)`."""
+    tape = _tape(a, w, b)
+    av, wv, bv = value_of(a), value_of(w), value_of(b)
+    out = T.matmul(av, wv)
+    out += bv
+    if tape is None:
+        return out
+    return _record(tape, out, (a, w, b),
+                   lambda g, j: _unbroadcast(g, bv.shape) if j == 2 else _matmul_vjp(g, av, wv, j))
+
+
+def _matmul_vjp(g, av, bv, j):
     # `T.matmul` takes contiguous operands: numpy may run a transposed view through another loop
-    return _record(tape, out, (a, b), lambda g, j: T.matmul(g, np.ascontiguousarray(bv.T)) if j == 0
-                   else T.matmul(np.ascontiguousarray(av.T), g))
+    return T.matmul(g, np.ascontiguousarray(bv.T)) if j == 0 else T.matmul(np.ascontiguousarray(av.T), g)
 
 
 def stacked_matmul(a, b):
@@ -229,22 +257,33 @@ def reshape(a, shape):
     return _record(tape, out, (a,), lambda g, j: np.ascontiguousarray(g.reshape(av.shape)))
 
 
-def transpose_axes(a, axes):
+def transpose_axes(a, axes, shape=None):
+    """`a`, reshaped to `shape` first when one is given, with its axes
+    permuted, as a contiguous array.  Of model state that owns its memory (a
+    parameter's value) the copy is kept (`T.kept`) until the next state write."""
     tape = _tape(a)
     av = value_of(a)
-    out = np.ascontiguousarray(np.transpose(av, axes))
+    if av.base is None:
+        out = T.kept(av, ("transpose", axes, shape), lambda: _relaid(av, axes, shape))
+    else:
+        out = _relaid(av, axes, shape)
     if tape is None:
         return out
     inv = np.argsort(axes)
-    return _record(tape, out, (a,), lambda g, j: np.ascontiguousarray(np.transpose(g, inv)))
+    return _record(tape, out, (a,), lambda g, j: np.ascontiguousarray(np.transpose(g, inv)).reshape(av.shape))
 
 
-def narrow(a, axis: int, start: int, stop: int):
-    """Contiguous slice along one axis."""
+def _relaid(av, axes, shape):
+    """A copy, never a view: a kept view would keep its state array alive."""
+    return np.transpose(av if shape is None else av.reshape(shape), axes).copy()
+
+
+def narrow(a, axis: int, start: int, stop: int, plus: float = 0.0):
+    """Contiguous slice along one axis, plus `plus` when that is non-zero."""
     tape = _tape(a)
     av = value_of(a)
     sl = (slice(None),) * axis + (slice(start, stop),)
-    out = np.ascontiguousarray(av[sl])
+    out = av[sl] + plus if plus else np.ascontiguousarray(av[sl])
     if tape is None:
         return out
 

@@ -25,9 +25,13 @@ FC is zero-initialized, so W(x) = W0 exactly at initialization and every
 DCD layer starts bit-identical to its static counterpart.
 
 ``DcdConv._conv`` runs one of two plans, whichever `materialises` picks
-from the layer's shape and input size.  The factored plan is
-Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx): the static conv its twin runs, one scale,
-and a residual of convs through the L-channel latent space.  The
+from the layer's shape and input size (once per layer and size).  The
+factored plan is Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx): the static conv its twin
+runs, one scale, and a residual of convs through the L-channel latent
+space.  For ``pointwise``, ``block_sparse`` and ``channel_only_kxk`` (whose
+residual is a 1×1 conv at the centre tap) the residual Qᵀx → Φ·z → P·z is
+three 1×1 convs, and each one at stride 1 without padding is a bare
+product on the (N, C, H·W) view of its input (`tensor.conv2d`).  The
 materialised plan assembles W(x) = Λ ⊙ W0 + residual with ``weight_for``'s
 stacked products, in conv layout (N, C_out, C_in/groups, k, k), and runs
 one conv with it.  ``depthwise`` always materialises (its W(x) is one C×k²
@@ -38,6 +42,11 @@ other's outputs and gradients to 1e-10 relative.
 
 ``pointwise`` and ``block_sparse`` store P (C_out × L) and Q (C_in × L) in
 one layout: B stacked row blocks (B = 1 for pointwise), run as grouped convs.
+Both plans read Qᵀ in blocks, (B, L, C_in/B), a transposed copy of Q kept
+until the next state write (`autodiff.transpose_axes` keeps the transpose of
+any parameter value, Rᵀ too).  The branch's two FCs are one op each, matmul
+and bias (`autodiff.linear`), and Λ and Φ are one copy each of the branch
+output, Λ's + 1 included.
 
 All math goes through ``dynconv.autodiff`` ops, which run eagerly on
 plain arrays and record adjoints when handed tape nodes.  No forward takes
@@ -51,8 +60,8 @@ Each parameter value and batch-norm running buffer is read-only model state
 `tensor.write_state`: train-mode batch norm's running buffers and the
 vanilla branch's second FC at construction here.  What a forward derives
 from state alone is kept until the next write: eval batch norm's scale and
-shift, and the window conv's live window of W0, which a DCD layer and its
-static twin share (see `dynconv.tensor`).
+shift, Qᵀ, and the window conv's live window of W0, which a DCD layer and
+its static twin share (see `dynconv.tensor`).
 
 No op checks its result for NaN or ±inf; each layer checks its values at
 fixed points, each before an op that could hide a non-finite value: the
@@ -259,15 +268,15 @@ class DynamicBranch:
     def forward(self, pooled, lift):
         """ReLU(pooled·W1 + b1)·W2 + b2; the hidden layer is checked before
         the ReLU, which would turn -inf into 0."""
-        pre = ad.add(ad.matmul(pooled, lift(self.w1)), lift(self.b1))
+        pre = ad.linear(pooled, lift(self.w1), lift(self.b1))
         T.check_finite(ad.value_of(pre), "branch hidden layer")
-        return ad.add(ad.matmul(ad.relu(pre), lift(self.w2)), lift(self.b2))
+        return ad.linear(ad.relu(pre), lift(self.w2), lift(self.b2))
 
 
 def _lifter(x, layer):
     """Map each of the layer's Parameters to a leaf on x's tape that names
     the layer, or to its raw value when x is untaped."""
-    if not isinstance(x, ad.Node):
+    if type(x) is not ad.Node:
         return lambda p: p.value
     nodes = {}
     for p in layer.parameters():
@@ -420,9 +429,7 @@ class DcdConv(_ConvLayer):
         if squeeze is None:
             squeeze = max(int(c_in / r), 1)
         self.branch = DynamicBranch(f"{name}.branch.", c_in, d_out, squeeze, rng)
-        # optional callback(layer, pooled, lam, phi) fed plain arrays on every
-        # forward pass; used by coefficient-statistics analyses
-        self.observer = None
+        self._plans: dict[tuple[int, int], bool] = {}  # a pointwise layer's `materialises`, by input size
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -436,7 +443,7 @@ class DcdConv(_ConvLayer):
         raw = self.branch.forward(pooled, lift)
         if not self.lambda_enabled:
             return None, raw
-        return ad.add(ad.narrow(raw, 1, 0, self.c_out), 1.0), ad.narrow(raw, 1, self.c_out, self.c_out + self.phi_len)
+        return ad.narrow(raw, 1, 0, self.c_out, plus=1.0), ad.narrow(raw, 1, self.c_out, self.c_out + self.phi_len)
 
     # -- per-variant weight generation ----------------------------------
 
@@ -469,7 +476,7 @@ class DcdConv(_ConvLayer):
         else:  # P_b·Φ_b·Q_bᵀ per diagonal block (B = 1 outside block_sparse)
             co, ci = self.c_out // g, self.c_in // g
             p = ad.reshape(lift(self.p), (g, co, l))
-            qt = ad.transpose_axes(ad.reshape(lift(self.q), (g, ci, l)), (0, 2, 1))
+            qt = self._qt(lift)
             phi = ad.reshape(phi, (n, g, l, l))
             res = mm(mm(p, phi), qt) if co <= ci else mm(p, mm(phi, qt))
             if g > 1:  # (n, B, C_out/B, C_in/B) onto the block diagonal of (n, C_out, C_in)
@@ -486,11 +493,7 @@ class DcdConv(_ConvLayer):
         """W(x) ∗ x on the plan `materialises` picks for x's size: one conv
         with the per-sample kernel, or the factored chain."""
         n, _, h, w = ad.value_of(x).shape
-        pooled = ad.global_avg_pool(x)
-        lam, phi = self.coefficients(pooled, lift)
-        if self.observer is not None:
-            self.observer(self, ad.value_of(pooled),
-                          None if lam is None else ad.value_of(lam), ad.value_of(phi))
+        lam, phi = self.coefficients(ad.global_avg_pool(x), lift)
         if materialises(self, h, w):
             return ad.conv2d(x, self._kernel(lam, phi, lift), self.stride, self.padding, self.groups)
         out = ad.conv2d(x, self._w0_kernel(lift), stride=self.stride, padding=self.padding)
@@ -500,6 +503,12 @@ class DcdConv(_ConvLayer):
     def _w0_kernel(self, lift):
         """W0 in conv layout (C_out, C_in/groups, k, k): a view of the stored W0."""
         return ad.reshape(lift(self.w0), (self.c_out, self.c_in // self.groups, self.k, self.k))
+
+    def _qt(self, lift):
+        """Qᵀ as B blocks (B, L, C_in/B), the layout its products read; a
+        copy of the stored Q, kept until the next state write."""
+        g = self.blocks
+        return ad.transpose_axes(lift(self.q), (0, 2, 1), (g, self.c_in // g, self.dims.l))
 
     def _residual(self, x, phi, lift):
         """Dynamic part of the factored plan's output, P·Φ(x)·(Qᵀx), as a
@@ -511,7 +520,7 @@ class DcdConv(_ConvLayer):
             return ad.transpose_axes(lift(p), (1, 0))
 
         g, ci = self.blocks, self.c_in // self.blocks  # the B diagonal blocks run as grouped convs
-        qt = ad.reshape(ad.transpose_axes(ad.reshape(lift(self.q), (g, ci, l)), (0, 2, 1)), (g * l, ci, 1, 1))
+        qt = ad.reshape(self._qt(lift), (g * l, ci, 1, 1))
         if self.variant == "full_kxk":  # Qᵀ, then the per-sample k×k kernel Φ_i ×₃ R on L channels
             z = ad.conv2d(x, qt)
             phi_r = ad.reshape(ad.matmul(ad.reshape(phi, (n * l * l, l_k)), t(self.r_mat)), (n, l, l, k, k))
@@ -588,11 +597,15 @@ def plan_madds(layer: DcdConv, h: int, w: int) -> tuple[int | None, int]:
 def materialises(layer: DcdConv, h: int, w: int) -> bool:
     """Whether `DcdConv._conv` convolves an h×w input with W(x) itself:
     always for depthwise, for pointwise where `plan_madds` counts fewer
-    MAdds that way, and never for the other variants."""
+    MAdds that way, and never for the other variants.  Decided once per
+    layer and input size."""
     if layer.variant != "pointwise":
         return layer.variant == "depthwise"
-    factored, materialised = plan_madds(layer, h, w)
-    return materialised < factored
+    plan = layer._plans.get((h, w))
+    if plan is None:
+        factored, materialised = plan_madds(layer, h, w)
+        plan = layer._plans[(h, w)] = materialised < factored
+    return plan
 
 
 class StaticConv(_ConvLayer):

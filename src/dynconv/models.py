@@ -30,6 +30,8 @@ builder's policy, fixed here so parameter budgets are reproducible:
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -100,12 +102,33 @@ def _rename(layer_name: str, exc: T.NonFiniteError):
     raise T.NonFiniteError(f"{layer_name}: {exc}", layer=layer_name) from exc
 
 
-def _run(layer, x, train: bool):
-    """`layer.forward` under the layer's name.  No op checks its result; the
-    layer checks its values at fixed points (see `dynconv.layers`), so an
-    error names the layer and the check point."""
+_layer_hook = None  # set by `layer_hook`
+
+
+@contextlib.contextmanager
+def layer_hook(hook):
+    """Within the block, each layer call of a forward is ``hook(layer, x,
+    run)``, in forward order (the downsample and the classifier included):
+    ``run()`` runs the layer's forward on its input `x` and returns the
+    output, which the hook returns.  The hook that was set before is set
+    again on exit, an exception's too."""
+    global _layer_hook
+    outer, _layer_hook = _layer_hook, hook
     try:
-        return layer.forward(x, train=train)
+        yield
+    finally:
+        _layer_hook = outer
+
+
+def _run(layer, x, train: bool):
+    """`layer.forward`, through `layer_hook`'s hook when one is set, under
+    the layer's name.  No op checks its result; the layer checks its values
+    at fixed points (see `dynconv.layers`), so an error names the layer and
+    the check point."""
+    try:
+        if _layer_hook is None:
+            return layer.forward(x, train=train)
+        return _layer_hook(layer, x, functools.partial(layer.forward, x, train=train))
     except T.NonFiniteError as exc:
         _rename(layer.name, exc)
 

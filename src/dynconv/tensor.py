@@ -22,7 +22,10 @@ its raw input.
 The contractions run as ``np.matmul`` with the sample (and, in conv2d, the
 group) as a stack axis, through `stacked_matmul`, so each sample's product
 is the same block calls on the same memory whatever the batch size: a
-large shared operand is cut into blocks by its shape alone.  The blocks, or
+large shared operand is cut into blocks by its shape alone.  A 1×1
+stride-1 unpadded ``conv2d`` with more than one input channel per group
+goes straight to its product, with ``x`` as its own patch matrix, and
+takes no plan and no im2col.  The blocks, or
 the samples of another large product, are divided among the process's CPUs
 and make those same per-sample calls, so the bits do not depend on the
 worker count either.  Two kinds of contract rest on this:
@@ -51,11 +54,13 @@ read-only: `lock_state` locks an array when it becomes state, and
 `write_states` is its one writer (`write_state` writes one array through
 it), which bumps a module-level state epoch once per call.
 A write that skips it raises numpy's read-only ``ValueError``.  `kept`
-keeps a value derived from a state array until the epoch moves, in an
-entry that lives only as long as that array.  Its one user here is the
-window conv: a shared kernel's contiguous live window, which a DCD layer's
-W0 and its static twin's kernel, a view of it, share.  A kept value is the
-copy a fresh derivation would make, so no output moves by a bit.
+keeps a value derived from a state array, read-only, until the epoch moves,
+in an entry that lives only as long as that array.  It has two users: the
+window conv here (a shared kernel's contiguous live window, which a DCD
+layer's W0 and its static twin's kernel, a view of it, share), and
+`autodiff.transpose_axes` (a parameter's transposed copy, such as a DCD
+layer's Qᵀ).  A kept value is the copy a fresh derivation would make, so no
+output moves by a bit.
 """
 
 from __future__ import annotations
@@ -189,9 +194,9 @@ def write_state(dst: np.ndarray, src, index=Ellipsis) -> None:
 
 
 def kept(source: np.ndarray, key, derive):
-    """``derive()``, a value computed from `source` alone, kept with the
-    state array that owns `source`'s memory under `key` until the next
-    state write.  Where `lock_state` did not lock that array, nothing is
+    """``derive()``, a value computed from `source` alone, kept read-only
+    with the state array that owns `source`'s memory under `key` until the
+    next state write.  Where `lock_state` did not lock that array, nothing is
     kept.  The entry holds that array weakly and leaves with it, so a kept
     value never keeps a dropped model alive."""
     owner = _owner(source)
@@ -201,6 +206,7 @@ def kept(source: np.ndarray, key, derive):
     hit = entry[1].get(key)
     if hit is None or hit[0] != _epoch:
         hit = entry[1][key] = (_epoch, derive())
+        hit[1].flags.writeable = False
     return hit[1]
 
 
@@ -444,9 +450,10 @@ def conv2d(
     stack axes, so each sample's output is the same block calls at any batch
     size (a shared kernel of more than `BLOCK_ELEMENTS` is cut into blocks
     of output channels; a per-sample kernel is not cut).  For a 1×1 stride-1
-    unpadded conv the patch matrix is a reshaped view of `x`, so the product
-    is one reshape and those calls.  `conv_plan` takes two kinds of
-    conv off the full patch matrix, by shape alone: a depthwise conv with at
+    unpadded conv the patch matrix is a reshaped view of `x`; with more than
+    one input channel per group, such a conv goes to the product without
+    `conv_plan` (whose rules leave it there) or `im2col`.  `conv_plan` takes
+    two kinds of conv off the full patch matrix, by shape alone: a depthwise conv with at
     least `DEPTHWISE_TAP_RATIO` channels per output position runs as
     `_depthwise_taps`, and a conv whose one output position reads fewer real
     pixels than it has taps runs as the conv of those pixels (a contiguous
@@ -457,26 +464,27 @@ def conv2d(
     (`kept`) until the next state write.
     """
     n, c_out, c_in_g, kh, kw, ho, wo = _conv_shapes(x, weight, stride, padding, groups)
-    plan = conv_plan(x.shape[2], x.shape[3], ho, wo, c_out, c_in_g, groups, kh, kw, stride, padding)
-    if plan is not None and plan[0] == "depthwise":
-        return _depthwise_taps(x, weight, stride, padding, ho, wo, *plan[1:])
-    if plan is not None:  # the live window, from (padding, padding) on: see conv_plan
-        _, ys, xs = plan
-        x = np.ascontiguousarray(x[:, :, :len(ys), :len(xs)])
-        weight = kept(weight, (weight.ctypes.data, weight.shape, weight.strides, ys, xs),
-                      functools.partial(_window, weight, ys, xs))  # kept while a state kernel is unwritten
-        kh, kw, stride, padding = len(ys), len(xs), 1, 0
-    cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
+    if kh == kw == stride == 1 and not padding and c_in_g > 1:  # one channel per group may be depthwise
+        cols = x.reshape(n, groups, c_in_g, ho * wo)
+    else:
+        plan = conv_plan(x.shape[2], x.shape[3], ho, wo, c_out, c_in_g, groups, kh, kw, stride, padding)
+        if plan is not None and plan[0] == "depthwise":
+            return _depthwise_taps(x, weight, stride, padding, ho, wo, *plan[1:])
+        if plan is not None:  # the live window, from (padding, padding) on: see conv_plan
+            _, ys, xs = plan
+            x = np.ascontiguousarray(x[:, :, :len(ys), :len(xs)])
+            weight = kept(weight, (weight.ctypes.data, weight.shape, weight.strides, ys, xs),
+                          functools.partial(_window, weight, ys, xs))  # kept while a state kernel is unwritten
+            kh, kw, stride, padding = len(ys), len(xs), 1, 0
+        cols = im2col(x, kh, kw, stride, padding).reshape(n, groups, c_in_g * kh * kw, ho * wo)
     wmat = weight.reshape(weight.shape[:-4] + (groups, c_out // groups, c_in_g * kh * kw))
     out = np.matmul(wmat, cols) if n < 2 and wmat.size <= BLOCK_ELEMENTS else stacked_matmul(wmat, cols, n)
     return out.reshape(n, c_out, ho, wo)
 
 
 def _window(weight: np.ndarray, ys: range, xs: range) -> np.ndarray:
-    """A read-only contiguous copy of the kernel window ``weight[..., ys, xs]``."""
-    window = weight[..., ys.start:ys.stop, xs.start:xs.stop].copy()
-    window.flags.writeable = False
-    return window
+    """A contiguous copy of the kernel window ``weight[..., ys, xs]``."""
+    return weight[..., ys.start:ys.stop, xs.start:xs.stop].copy()
 
 
 def _depthwise_taps(x, weight, stride, padding, ho, wo, ys, xs):

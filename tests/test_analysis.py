@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynconv import models
 from dynconv.analysis import PhiReport, phi_statistics, two_pass_std
 from dynconv.task import build_task_model
 
@@ -30,15 +31,21 @@ def _woken_model(seed=0):
     return model, mix
 
 
-def test_phi_statistics_matches_manual_observer_capture():
+def test_phi_statistics_reads_the_coefficients_the_forward_computes():
     model, mix = _woken_model()
     rng = np.random.default_rng(1)
     x = rng.normal(size=(9, 8, 16, 16))
 
-    captured = {}
-    mix.observer = lambda layer, pooled, lam, phi: captured.update(pooled=pooled, phi=phi)
+    captured, coefficients = {}, mix.coefficients
+
+    def spy(pooled, lift):
+        lam, phi = coefficients(pooled, lift)
+        captured.update(pooled=pooled, phi=phi)
+        return lam, phi
+
+    mix.coefficients = spy
     model.forward(x, train=False)
-    mix.observer = None
+    del mix.coefficients
 
     report = phi_statistics(model, x)
     assert len(report.rows) == 1
@@ -48,8 +55,7 @@ def test_phi_statistics_matches_manual_observer_capture():
 
     sigma = float(two_pass_std(captured["phi"]).mean())
     norm = float(two_pass_std(captured["pooled"]).mean())
-    assert abs(row.sigma_raw - sigma) < 1e-10
-    assert abs(row.sigma_normalized - sigma / norm) < 1e-10
+    assert row.sigma_raw == sigma and row.sigma_normalized == sigma / norm
     assert row.sigma_raw > 0.0
 
 
@@ -74,11 +80,21 @@ def test_phi_statistics_refuses_an_empty_batch():
         phi_statistics(model, np.zeros((0, 8, 16, 16)))
 
 
-def test_phi_statistics_clears_observers():
-    model, mix = _woken_model()
+def test_phi_statistics_sets_the_layer_hook_it_found_again():
+    model, _ = _woken_model()
     x = np.random.default_rng(3).normal(size=(2, 8, 16, 16))
-    phi_statistics(model, x)
-    assert mix.observer is None
+    seen = []
+
+    def hook(layer, h, run):
+        seen.append(layer.name)
+        return run()
+
+    with models.layer_hook(hook):
+        phi_statistics(model, x)
+        with pytest.raises(ValueError, match="expects"):
+            phi_statistics(model, x[:, :4])
+        assert models._layer_hook is hook and not seen
+    assert models._layer_hook is None
 
 
 def test_csv_lines_carry_metadata_then_header():

@@ -42,6 +42,18 @@ def test_eager_dispatch_matches_kernels():
     assert np.array_equal(ad.global_avg_pool(x), x.reshape(2, 3, 36).sum(axis=2) / 36.0)
 
 
+def test_value_of_coerces_raw_operands_and_returns_float64_arrays_as_they_are():
+    c = np.arange(6.0).reshape(2, 3)
+    assert ad.value_of(c) is c
+    node = ad.Tape().leaf(c)
+    assert ad.value_of(node) is node.value
+    for raw, want in ((c.astype(np.float32), c), (c[:, ::2], c[:, ::2]), (c.T, c.T), (2, np.asarray(2.0)),
+                      ([[1, 2], [3, 4]], np.array([[1.0, 2.0], [3.0, 4.0]]))):
+        out = ad.value_of(raw)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.shape == want.shape and np.array_equal(out, want) and not np.shares_memory(out, c)
+
+
 def test_taped_forward_bit_identical_to_eager():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 3, 8, 8))
@@ -75,6 +87,9 @@ RECORD_CASES = {
     "conv2d": (lambda x, w: ad.conv2d(x, w, padding=1), [(2, 3, 5, 5), (4, 3, 3, 3)]),
     "batchnorm_train": (lambda x, g, b: ad.batchnorm_train(x, g, b)[0], [(2, 3, 4, 4), (3,), (3,)]),
     "stacked_matmul": (ad.stacked_matmul, [(3, 4), (2, 4, 5)]),
+    "linear": (ad.linear, [(3, 4), (4, 2), (2,)]),
+    "conv2d_1x1_grouped": (lambda x, w: ad.conv2d(x, w, groups=2), [(2, 4, 3, 3), (6, 2, 1, 1)]),
+    "conv2d_1x1_per_sample": (lambda x, w: ad.conv2d(x, w, groups=2), [(2, 4, 3, 3), (2, 6, 2, 1, 1)]),
 }
 RECORD_VALUES = {name: [_RNG.standard_normal(shape) for shape in shapes]
                  for name, (_, shapes) in RECORD_CASES.items()}
@@ -102,6 +117,8 @@ EAGER_CASES = RECORD_CASES | {
     "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
     "transpose_axes": (lambda a: ad.transpose_axes(a, (2, 0, 1)), [(2, 3, 4)]),
     "narrow": (lambda a: ad.narrow(a, 1, 1, 3), [(3, 4)]),
+    "narrow_plus": (lambda a: ad.narrow(a, 1, 1, 3, plus=1.0), [(3, 4)]),
+    "transpose_reshaped": (lambda a: ad.transpose_axes(a, (0, 2, 1), (2, 3, 2)), [(6, 2)]),
     "sum_all": (ad.sum_all, [(3, 4)]),
     "global_avg_pool": (ad.global_avg_pool, [(2, 3, 4, 4)]),
     "max_pool2d": (lambda a: ad.max_pool2d(a, 3, 2, 1), [(2, 3, 5, 5)]),
@@ -457,6 +474,20 @@ def test_grad_stacked_matmul(spec):
     check_grads(lambda: ad.sum_all(ad.mul(run(), c)), params)
 
 
+def test_grad_linear_and_narrow_plus():
+    rng = np.random.default_rng(11)
+    x = ad.Parameter("x", rng.standard_normal((3, 4)))
+    fc, b = ad.Parameter("fc", rng.standard_normal((4, 3))), ad.Parameter("b", rng.standard_normal(3))
+
+    def loss():
+        tape = ad.Tape()
+        pooled = ad.narrow(tape.leaf(x.value, param=x), 1, 0, 2, plus=1.0)
+        return ad.sum_all(ad.linear(ad.mul(pooled, pooled), ad.narrow(tape.leaf(fc.value, param=fc), 0, 0, 2),
+                                    tape.leaf(b.value, param=b)))
+
+    check_grads(loss, [x, fc, b])
+
+
 def test_grad_block_diag_narrow_concat_transpose():
     rng = np.random.default_rng(9)
     z = ad.Parameter("z", rng.standard_normal((4, 6)))
@@ -478,6 +509,13 @@ def test_grad_block_diag_narrow_concat_transpose():
         return ad.sum_all(ad.mul(moved, c3))
 
     check_grads(loss_tr, [t3])
+
+    def loss_reshaped():
+        tape = ad.Tape()
+        moved = ad.transpose_axes(tape.leaf(t3.value, param=t3), (0, 2, 1), (4, 3, 2))
+        return ad.sum_all(ad.mul(moved, c3.reshape(4, 2, 3)))
+
+    check_grads(loss_reshaped, [t3])
 
 
 def test_grad_cross_entropy():

@@ -251,7 +251,7 @@ def test_every_committed_bench_file_has_the_keys_bench_out_writes(tmp_path, caps
     files = sorted((Path(__file__).resolve().parents[1]).glob("BENCH_*.json"))
     assert {"BENCH_baseline.json", "BENCH_depthwise.json", "BENCH_onetap.json", "BENCH_blocks.json",
             "BENCH_derived.json", "BENCH_split.json", "BENCH_serial.json",
-            "BENCH_window.json"} <= {path.name for path in files}
+            "BENCH_window.json", "BENCH_fixedcost.json"} <= {path.name for path in files}
     for path in files:
         top, env, rows, sides = _schema(json.loads(path.read_text()))
         if path.name == "BENCH_serial.json":

@@ -20,6 +20,7 @@ from dynconv.layers import (
     latent_dim_pow2,
     validate_latent_dims,
 )
+from reference_kernels import dcd_conv_reference
 
 
 # ---------------------------------------------------------------------------
@@ -551,31 +552,66 @@ POINTWISE_PLANS = [  # (name, cfg, input size, whether the forward materialises 
                          ids=[f"{name}-{h}x{h}" for name, _, h, _ in POINTWISE_PLANS])
 def test_a_pointwise_layer_runs_the_plan_that_counts_fewer_madds(name, cfg, h, materialised, monkeypatch):
     """On each side of the rule the forward runs the plan `materialises`
-    picks: one conv with W(x), or the four of the factored chain (W0, Qᵀ, Φ,
-    P).  The other plan, forced, gives the same outputs and every parameter
-    and input gradient to 1e-10 relative, and under either plan batch 4
-    equals the stacked batch-1 outputs bit for bit."""
+    picks: one conv with W(x), which `_kernel` assembles, or the four of
+    the factored chain (W0, Qᵀ, Φ, P) and no `_kernel`.  The other
+    plan, forced, gives the same outputs and every parameter and input
+    gradient to 1e-10 relative, and under either plan batch 4 equals the
+    stacked batch-1 outputs bit for bit."""
     layer = _factored_layer(cfg, 40)
     rng = np.random.default_rng(41)
     x = rng.standard_normal((4, cfg["c_in"], h, h))
     target = rng.standard_normal((4, cfg["c_out"]) + (layer.out_size(h),) * 2)
     a, b = layers.plan_madds(layer, h, h)
     assert layers.materialises(layer, h, h) == materialised == (b < a)
-    convs, conv2d = [], ad.conv2d
-    monkeypatch.setattr(ad, "conv2d", lambda *args, **kw: convs.append(1) or conv2d(*args, **kw))
+    calls, conv2d, kernel = [], ad.conv2d, DcdConv._kernel
+    monkeypatch.setattr(ad, "conv2d", lambda *args, **kw: calls.append("conv") or conv2d(*args, **kw))
+    monkeypatch.setattr(DcdConv, "_kernel", lambda *args: calls.append("kernel") or kernel(*args))
     runs = []
     for plan in (materialised, not materialised):  # the forward's own choice first, then the other one
         if plan != materialised:
             _on_plan(monkeypatch, plan)
-        convs.clear()
+        calls.clear()
         out = layer.forward(x)
-        assert len(convs) == (1 if plan else 4)
+        assert calls == (["kernel", "conv"] if plan else ["conv"] * 4)
         assert np.array_equal(out, np.concatenate([layer.forward(x[i : i + 1]) for i in range(4)]))
         runs.append((out, _plan_grads(layer, x, target)))
     (out, grads), (ref, ref_grads) = runs
     assert _rel_err(out, ref) <= 1e-10
     for pname, g in grads.items():
         assert _rel_err(g, ref_grads[pname]) <= 1e-10, f"{name}: gradient of {pname}"
+
+
+CHAIN_LAYERS = [  # (name, cfg, map sizes): the variants whose factored chain is three 1×1 convs
+    ("pointwise", dict(c_in=16, c_out=12, variant="pointwise"), (2, 5)),
+    ("pointwise-no-lambda", dict(c_in=12, c_out=16, variant="pointwise", lambda_enabled=False), (2, 5)),
+    ("block_sparse-B2", dict(c_in=16, c_out=16, variant="block_sparse", blocks=2, dims=LatentDims(2, 1)), (2, 5)),
+    ("channel_only-pad1", dict(c_in=16, c_out=12, k=3, variant="channel_only_kxk", padding=1), (2, 5)),
+    ("channel_only-pad0", dict(c_in=16, c_out=16, k=3, variant="channel_only_kxk"), (3, 5)),  # d = -1
+    ("channel_only-pad2-no-lambda", dict(c_in=16, c_out=16, k=3, variant="channel_only_kxk", padding=2,
+                                         lambda_enabled=False), (2, 5)),  # d = 1
+]
+
+
+@pytest.mark.parametrize("materialised", [False, True], ids=["factored", "materialised"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("name,cfg,sizes", CHAIN_LAYERS, ids=[name for name, *_ in CHAIN_LAYERS])
+def test_dcd_conv_keeps_the_bits_of_its_op_per_step_form(name, cfg, sizes, stride, materialised, monkeypatch):
+    """Each plan, forced, equals `dcd_conv_reference` (the branch, Λ and Qᵀ
+    one op per step, the factored chain as three 1×1 convs) bit for bit at
+    batch 1 and 8, on maps where stride 2 leaves one output position and
+    where it leaves several, on the forward that keeps Qᵀ and on one that
+    reads it kept."""
+    monkeypatch.setattr(layers, "materialises", lambda layer, h, w: materialised)
+    layer = DcdConv("f", with_bn=False, activation=None, stride=stride, rng=np.random.default_rng(70), **cfg)
+    randomize_branch(layer, np.random.default_rng(71))
+    rng = np.random.default_rng(72)
+    for h in sizes:
+        x = rng.standard_normal((8, cfg["c_in"], h, h))
+        for batch in (x[:1], x):
+            want = dcd_conv_reference(layer, batch, materialised)
+            for _ in range(2):
+                out = layer.forward(batch)
+                assert out.shape == want.shape and np.array_equal(out, want) and out.tobytes() == want.tobytes()
 
 
 def _bn_layer(cfg, seed):
@@ -641,21 +677,20 @@ def test_fused_tails_equal_mul_then_add(name, cfg, monkeypatch):
     assert len(fused) == len(unfused) and all(np.array_equal(f, u) for f, u in zip(fused, unfused))
 
 
-def test_observer_sees_the_forward_coefficients_without_changing_outputs():
-    layer = DcdConv("o", 16, 16, k=3, variant="full_kxk", padding=1, rng=np.random.default_rng(44))
+def test_coefficients_are_one_branch_forward_split_into_lambda_plus_one_and_phi():
+    """Λ is the branch output's first C_out entries plus 1 and Φ the rest,
+    each a contiguous array of its own, from one branch forward."""
+    layer = DcdConv("o", 16, 12, k=3, variant="full_kxk", padding=1, rng=np.random.default_rng(44))
     randomize_branch(layer, np.random.default_rng(45))
-    x = np.random.default_rng(46).standard_normal((3, 16, 6, 6))
-    plain = layer.forward(x)
-    seen, branch_runs, branch_forward = [], [], layer.branch.forward
-    layer.branch.forward = lambda *a: branch_runs.append(1) or branch_forward(*a)
-    layer.observer = lambda lay, pooled, lam, phi: seen.append((pooled, lam, phi))
-    observed = layer.forward(x)
-    layer.observer = None
-    del layer.branch.forward
-    assert np.array_equal(observed, plain)
-    assert len(seen) == 1 and len(branch_runs) == 1
-    lam, phi = layer.coefficients(ad.global_avg_pool(x), lambda p: p.value)
-    assert np.array_equal(seen[0][1], lam) and np.array_equal(seen[0][2], phi)
+    pooled = np.random.default_rng(46).standard_normal((3, 16))
+    raw = layer.branch.forward(pooled, lambda p: p.value)
+    runs, branch_forward = [], layer.branch.forward
+    layer.branch.forward = lambda *a: runs.append(1) or branch_forward(*a)
+    lam, phi = layer.coefficients(pooled, lambda p: p.value)
+    assert len(runs) == 1
+    assert lam.tobytes() == (np.ascontiguousarray(raw[:, :12]) + 1.0).tobytes() and lam.shape == (3, 12)
+    assert phi.tobytes() == np.ascontiguousarray(raw[:, 12:]).tobytes() and phi.shape == (3, layer.phi_len)
+    assert lam.flags.c_contiguous and phi.flags.c_contiguous and not np.shares_memory(lam, phi)
 
 
 def test_identical_samples_get_identical_outputs():

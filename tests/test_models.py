@@ -12,6 +12,7 @@ import pytest
 
 import dynconv
 import dynconv.autodiff as ad
+import dynconv.models as models
 import dynconv.tensor as T
 from dynconv.cli import resolve_model
 from dynconv.config import ConfigError
@@ -295,6 +296,58 @@ def _seeded_resnet10():
             layer.branch.w2.value = rng.normal(size=layer.branch.w2.value.shape) * 0.1
             layer.branch.b2.value = rng.normal(size=layer.branch.b2.value.shape) * 0.1
     return graph
+
+
+@pytest.mark.parametrize("name", ["task_dcd", "resnet10_dcd", "mobilenetv2_x0.5_dcd"])
+def test_layer_hook_sees_every_layer_once_per_forward_in_order(name):
+    """Under `layer_hook`, a forward of the model and of its twin calls the
+    hook once per layer, downsamples and classifier included, in the order
+    and at the input sizes `iter_layers` lists; the outputs are the hook's
+    and keep their bits."""
+    graph = resolve_model(name, seed=0, resolution=None if name.startswith("task") else 16)
+    twin = graph.static_twin()
+    x = np.random.default_rng(0).normal(size=(2, graph.input_channels, graph.resolution, graph.resolution))
+    plain = graph.forward(x), twin.forward(x)
+    seen = []
+
+    def hook(layer, h, run):
+        seen.append((layer, ad.value_of(h).shape[2]))
+        return run()
+
+    for model, out in zip((graph, twin), plain):
+        seen.clear()
+        with models.layer_hook(hook):
+            assert np.array_equal(model.forward(x), out)
+        assert seen == [(layer, h_in) for layer, _, h_in, _ in model.iter_layers()]
+    roles = [role for _, role, *_ in graph.iter_layers()]
+    assert "classifier" in roles and ("downsample" in roles) == (name == "resnet10_dcd")
+    assert models._layer_hook is None
+
+
+def test_layer_hook_is_set_again_on_exit_and_errors_still_name_the_layer():
+    graph = build_task_model(kind="dcd", seed=0)
+    x = np.random.default_rng(0).normal(size=(1, 8, 16, 16))
+    outer, inner = [], []
+
+    def hook_into(calls):
+        return lambda layer, h, run: calls.append(layer.name) or run()
+
+    def poisoned(layer, h, run):
+        out = run()
+        if layer.name == "mix":
+            T.check_finite(np.array([np.nan]), "hooked value")
+        return out
+
+    with models.layer_hook(hook_into(outer)):
+        with models.layer_hook(hook_into(inner)):
+            graph.forward(x)
+        with pytest.raises(T.NonFiniteError, match="^mix: non-finite values in hooked value$"):
+            with models.layer_hook(poisoned):
+                graph.forward(x)
+        assert models._layer_hook is not None and not outer
+        graph.forward(x)
+    assert models._layer_hook is None
+    assert inner == outer == ["mix", "pool", "fc"]
 
 
 def test_taped_forward_takes_its_tape_from_the_input():

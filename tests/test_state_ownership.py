@@ -37,10 +37,10 @@ def _task_dcd(seed):
     return _wake(build_task_model(kind="dcd", seed=seed), seed)
 
 
-def _channel_only_3x3(seed):
+def _channel_only_3x3(seed, l=4):
     """Channel-only 3×3 DCD layer → pool → linear, on the task's 8 channels."""
     rng = np.random.default_rng(seed)
-    mix = DcdConv("mix", 8, 8, k=3, variant="channel_only_kxk", dims=LatentDims(l=4), r=2.0,
+    mix = DcdConv("mix", 8, 8, k=3, variant="channel_only_kxk", dims=LatentDims(l=l), r=2.0,
                   padding=1, rng=rng)
     fc = StaticConv("fc", 8, 4, bias=True, with_bn=False, activation=None, rng=rng)
     steps = [(mix, "mix"), (GlobalPool("pool", 8), "global_pool"), (fc, "classifier")]
@@ -251,13 +251,16 @@ INVALIDATION_CASES = [(build, writer) for build in (_one_tap_1x1, _resnet10_dcd_
 @pytest.mark.parametrize("build,writer", INVALIDATION_CASES,
                          ids=[f"{b.__name__[1:]}-{w.__name__[1:]}" for b, w in INVALIDATION_CASES])
 def test_kept_one_tap_tap_and_batchnorm_pair_follow_every_writer(build, writer, tmp_path):
-    """After a forward has kept its one-tap taps and batch-norm pairs, each
-    writer's change reaches the next forward of the model and of its twin
-    bit for bit, as in a model built anew with the same state."""
+    """After a forward has kept its one-tap taps, batch-norm pairs and DCD
+    layers' Qᵀ, each writer's change reaches the next forward of the model
+    and of its twin bit for bit, as in a model built anew with the same
+    state."""
     graph, x, conv = build(0)
     early = graph.static_twin()
     before = graph.forward(x), early.forward(x)
-    assert len(_kept(_layers(graph)[conv].w0.value)) == 1
+    layer = _layers(graph)[conv]
+    assert len(_kept(layer.w0.value)) == 1
+    assert list(_kept(layer.q.value)) == [("transpose", (0, 2, 1), (1, layer.c_in, layer.dims.l))]
     if build is _resnet10_dcd_32:  # and stage 4's stride-2 conv, 2×2 → 1×1, its 2×2 window
         assert [key[-2:] for key in _kept(_layers(graph)["s4b0.conv1"].w0.value)] == [(range(1, 3), range(1, 3))]
     writer(graph, x, conv, lambda seed: build(seed)[0], tmp_path)
@@ -275,13 +278,27 @@ def test_kept_taps_keep_no_dropped_model_alive():
     graph, x, conv = _one_tap_1x1(0)
     twin = graph.static_twin()
     graph.forward(x), twin.forward(x)
-    value = _layers(graph)[conv].w0.value
-    w0 = weakref.ref(value if value.base is None else value.base)  # the array that owns W0's memory
-    assert len(_kept(w0())) == 1
-    del graph, twin, value
+    values = [_layers(graph)[conv].w0.value, _layers(graph)[conv].q.value]
+    owners = [weakref.ref(v if v.base is None else v.base) for v in values]  # the arrays that own W0's and Q's memory
+    assert [len(_kept(ref())) for ref in owners] == [1, 1]
+    del graph, twin, values
     gc.collect()
-    assert w0() is None
+    assert [ref() for ref in owners] == [None, None]
     assert all(ref() is not None for ref, _ in T._owners.values())
+
+
+def test_kept_qt_of_one_latent_channel_keeps_no_dropped_model_alive():
+    """With L = 1, Qᵀ has Q's memory layout; the kept value is still a copy,
+    which holds no reference to Q."""
+    graph = _channel_only_3x3(0, l=1)
+    graph.forward(np.random.default_rng(5).normal(size=(4, 8, 3, 3)))
+    q = _layers(graph)["mix"].q.value
+    (qt,) = _kept(q).values()
+    assert qt[1].base is None and np.array_equal(qt[1].ravel(), q.ravel())
+    owner = weakref.ref(q)
+    del graph, q, qt
+    gc.collect()
+    assert owner() is None
 
 
 ZOO_IDS = ["task_static", "task_dcd", "task_vanilla", "resnet10", "resnet10_dcd", "mobilenetv2_x0.35",

@@ -308,6 +308,22 @@ def test_pointwise_conv_is_one_matmul_on_a_view_of_x(wshape, groups):
     assert np.array_equal(got, np.concatenate(rows))
 
 
+def test_a_1x1_conv_takes_no_plan_unless_it_has_one_channel_per_group(monkeypatch):
+    """With more than one input channel per group a 1×1 stride-1 unpadded
+    conv skips `conv_plan` and `im2col`; with one it may be depthwise, and
+    `conv_plan` still sends a depthwise one to `_depthwise_taps`."""
+    calls, taps = [], T._depthwise_taps
+    monkeypatch.setattr(T, "conv_plan", lambda *a, plan=T.conv_plan: calls.append("plan") or plan(*a))
+    monkeypatch.setattr(T, "im2col", lambda *a, cols=T.im2col: calls.append("im2col") or cols(*a))
+    monkeypatch.setattr(T, "_depthwise_taps", lambda *a: calls.append("taps") or taps(*a))
+    x = np.random.default_rng(68).standard_normal((2, 64, 1, 1))
+    for wshape, groups in [((8, 64, 1, 1), 1), ((8, 32, 1, 1), 2), ((2, 8, 32, 1, 1), 2)]:
+        T.conv2d(x, np.ones(wshape), groups=groups)
+    assert calls == []
+    T.conv2d(x, np.ones((64, 1, 1, 1)), groups=64)
+    assert calls == ["plan", "taps"]
+
+
 # (map size, k, stride, padding): 1×1 and 2×2 maps at every padding a k×k kernel allows, and two unpadded
 DEPTHWISE_TAP_SHAPES = [(h, k, s, p) for h in (1, 2) for k in (3, 5) for s in (1, 2) for p in (1, 2)
                         if h + 2 * p >= k] + [(3, 3, 1, 0), (5, 5, 2, 0)]
