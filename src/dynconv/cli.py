@@ -9,9 +9,9 @@ Subcommands:
 * ``analyze-phi``  — coefficient-variation statistics across a sample batch
 * ``bench``        — wall-clock forward timing against the static twin
 
-Common flags (``--config``, ``--seed``, ``--out``, ``--golden``) are accepted
-both before and after the subcommand.  Every failed check exits nonzero with
-a message on stderr.
+Common flags (``--config``, ``--seed``, ``--out``) are accepted both before
+and after the subcommand, and a subcommand refuses each one it does not read.
+Every failed check exits nonzero with a message on stderr.
 """
 
 from __future__ import annotations
@@ -82,6 +82,13 @@ def _model_from_args(args, cfg: dict[str, str], seed: int | None = None, name: s
     return resolve_model(name or "task_dcd", seed=seed or 0)
 
 
+def _refuse(what: str, args, *flags: str) -> None:
+    """Refuse each of `flags` that was given (one not given reads None), since
+    `what` does not read it; a name without dashes is a positional argument."""
+    if given := [flag for flag in flags if getattr(args, flag.lstrip("-"), None) is not None]:
+        raise ValueError(f"{what} takes no {', '.join(given)}")
+
+
 def _out_dir(args, default: str = "out") -> Path:
     out = Path(getattr(args, "out", None) or default)
     out.mkdir(parents=True, exist_ok=True)
@@ -104,6 +111,8 @@ def _write_or_print(args, name: str, lines: list[str]) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.sweep:  # every task model, for seeds 0, 1 and 2
+        _refuse("train --sweep", args, "--model", "--seed")
     cfg_map = _load_cfg(args)
     run_cfg = RunConfig.from_mapping(cfg_map)
     if getattr(args, "seed", None) is not None:
@@ -141,6 +150,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _refuse("gradcheck", args, "--config", "--out")
     variants = [args.variant] if args.variant else list(VARIANTS)
     seed = getattr(args, "seed", None) or 0
     failed = False
@@ -156,47 +166,10 @@ def cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-def _equivalence_checks(trials: int, seed: int) -> list[tuple[str, float, float]]:
-    """(check name, max abs error, tolerance) over random instances."""
-    rng = np.random.default_rng(seed)
-    direct_err = 0.0
-    kc_err = 0.0
-    l2_err = 0.0
-    for _ in range(trials):
-        c, k = int(rng.choice([4, 8, 16])), int(rng.choice([2, 4]))
-        kernels = rng.standard_normal((k, c, c))
-        att = np.exp(rng.standard_normal((1, k)))
-        att /= att.sum(axis=1, keepdims=True)
-        direct = np.einsum("nk,kij->nij", att, kernels)
-        d = decompose.residual_decompose(kernels)
-        reformed = decompose.aggregate_decomposed(att, d)
-        direct_err = max(direct_err, float(np.abs(direct - reformed).max()))
-
-        residual = reformed[0] - d.w0
-        expanded = decompose.rank1_expand(att[0], d)
-        kc_err = max(kc_err, float(np.abs(expanded - residual).max()))
-
-        l = int(rng.integers(2, 5))
-        p = rng.standard_normal((c, l))
-        q = rng.standard_normal((c, l))
-        phi = rng.standard_normal((l, l))
-        product = p @ phi @ q.T
-        summed = np.zeros((c, c))
-        for i in range(l):
-            for j in range(l):
-                summed += phi[i, j] * np.outer(p[:, i], q[:, j])
-        l2_err = max(l2_err, float(np.abs(summed - product).max()))
-    return [
-        ("direct_vs_reformulated", direct_err, 1e-8),
-        ("rank1_expansion_kernel_terms", kc_err, 1e-9),
-        ("rank1_expansion_latent_terms", l2_err, 1e-9),
-    ]
-
-
 def cmd_equivalence(args) -> int:
-    seed = getattr(args, "seed", None) or 0
-    checks = _equivalence_checks(args.trials, seed)
-    rows = decompose.compare_aggregation_mechanisms(c=args.channels, k=args.kernels, l=args.latent, seed=seed)
+    _refuse("equivalence", args, "--config")
+    checks, rows = decompose.compare_aggregation_mechanisms(
+        c=args.channels, k=args.kernels, l=args.latent, trials=args.trials, seed=getattr(args, "seed", None) or 0)
     out = _out_dir(args)
     failed = False
     for name, err, tol in checks:
@@ -217,7 +190,8 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if getattr(args, "golden", False):
+    if args.golden:
+        _refuse("count --golden", args, "model", "--csv", "--resolution", "--config", "--out", "--seed")
         results = check_golden() + [STATIC_ROW.check()]
         for result in results:
             print(result.line())
@@ -293,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, help="run configuration file")
     common.add_argument("--seed", type=_at_least(0), help="override the RNG seed")
     common.add_argument("--out", type=Path, help="output file or directory")
-    common.add_argument("--golden", action="store_true",
-                        help="check reference budgets (count subcommand)")
 
     parser = argparse.ArgumentParser(prog="dynconv", parents=[common],
                                      description=__doc__.split("\n\n")[0])
@@ -323,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[common], help="parameter and MAdds tables")
     p.add_argument("model", nargs="?", default=None, help="zoo id")
-    p.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
+    p.add_argument("--csv", action="store_true", default=None, help="emit CSV instead of a table")
+    p.add_argument("--golden", action="store_true", help="check the reference budgets; takes no other argument")
     p.add_argument("--resolution", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_count)
 

@@ -9,8 +9,8 @@ SVD factors of the per-kernel residuals:
 where U = [U_1 … U_K], S = diag(S_1 … S_K), V = [V_1 … V_K] collect the
 SVDs of ΔW_k = W_k − W0 and Π(x) repeats each attention score C times on
 the diagonal.  This module implements the rewrite, its rank-1 expansion
-(KC outer products), and a side-by-side accounting of this mechanism
-versus latent channel fusion (L² outer products).
+(KC outer products), and one suite that checks it against latent channel
+fusion (L² outer products) on the same instances.
 """
 
 from __future__ import annotations
@@ -89,21 +89,33 @@ def aggregate_decomposed(attention: np.ndarray, d: DecomposedResidual) -> np.nda
     return out
 
 
-def rank1_expand(attention_row: np.ndarray, d: DecomposedResidual) -> np.ndarray:
-    """The dynamic residual as an explicit sum of K·C rank-1 outer products.
-
-    Term i (1-based) is π_⌈i/C⌉ · u_i s_i v_iᵀ; summation is left-to-right.
-    Returns the residual only (add W0 for the full kernel).
-    """
+def kernel_terms(attention_row: np.ndarray, d: DecomposedResidual) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dynamic residual's K·C rank-1 terms as (coefficients, left, right)
+    columns: term i (1-based) is π_⌈i/C⌉ s_i · u_i v_iᵀ."""
     attention_row = T.as_tensor(attention_row).reshape(-1)
     if attention_row.shape[0] != d.k:
         raise ValueError(f"attention row must have {d.k} entries, got {attention_row.shape[0]}")
-    c = d.c
-    res = np.zeros((c, c))
-    for i in range(d.k * c):
-        pi = attention_row[i // c]  # ⌈(i+1)/C⌉ in 1-based terms
-        res += pi * d.s[i] * np.outer(d.u[:, i], d.v[:, i])
+    return np.repeat(attention_row, d.c) * d.s, d.u, d.v
+
+
+def latent_terms(p: np.ndarray, phi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P·Φ·Qᵀ's L² rank-1 terms, like `kernel_terms`: term (i, j), i major, is φ_ij · p_i q_jᵀ."""
+    l = phi.shape[0]
+    return phi.reshape(-1), np.repeat(p, l, axis=1), np.tile(q, (1, l))
+
+
+def rank1_sum(coeffs: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Σ_t coeffs[t] · left[:, t] right[:, t]ᵀ, one outer product per term, summed left to right."""
+    res = np.zeros((left.shape[0], right.shape[0]))
+    for coeff, a, b in zip(coeffs, left.T, right.T):
+        res += coeff * np.outer(a, b)
     return res
+
+
+def rank1_expand(attention_row: np.ndarray, d: DecomposedResidual) -> np.ndarray:
+    """The dynamic residual as the sum of its K·C rank-1 `kernel_terms`.
+    Returns the residual only (add W0 for the full kernel)."""
+    return rank1_sum(*kernel_terms(attention_row, d))
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = 1e-10) -> int:
@@ -121,38 +133,50 @@ class MechanismRow:
     mechanism: str
     rank: int  # max residual rank observed
     rank_bound: int
-    term_count: int  # rank-1 terms in the expansion
+    term_count: int  # length of the rank-1 sum the suite checks
     static_params: int  # scalars in the static factors (U,V vs P,Q)
+
+
+IDENTITY_TOLS = {"direct_vs_reformulated": 1e-8, "rank1_expansion_kernel_terms": 1e-9,
+                 "rank1_expansion_latent_terms": 1e-9}
 
 
 def compare_aggregation_mechanisms(
     c: int, k: int, l: int, trials: int = 8, seed: int = 0
-) -> list[MechanismRow]:
-    """Attention over K kernels vs latent channel fusion, on matched random instances.
+) -> tuple[list[tuple[str, float, float]], list[MechanismRow]]:
+    """The identity suite: attention over K kernels vs latent channel fusion,
+    on `trials` random instances, each drawn once at C, K and L.
 
-    Reports the observed residual rank, its bound (C vs L), the rank-1
-    term count (K·C vs L²), and static factor parameter counts
-    (2·K·C² for U,V vs 2·C·L for P,Q).
+    Returns the checks as (name, max abs error over the trials, tolerance):
+    Σ_k π_k W_k against W0 + U·Π(x)·S·Vᵀ, that residual against the sum of
+    its `kernel_terms`, and P·Φ·Qᵀ against the sum of its `latent_terms`.
+    Then one row per mechanism: the observed residual rank, its bound (C vs
+    L), the length of the rank-1 sum checked (K·C vs L²), and static factor
+    parameter counts (2·K·C² for U,V vs 2·C·L for P,Q).
     """
     for quantity, value in (("channel count", c), ("kernel count", k), ("latent size", l), ("trial count", trials)):
         if value < 1:
             raise ValueError(f"{quantity} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
-    att_rank = 0
-    fusion_rank = 0
+    errs = dict.fromkeys(IDENTITY_TOLS, 0.0)
+    att_rank = fusion_rank = 0
     for _ in range(trials):
         kernels = rng.standard_normal((k, c, c))
-        d = residual_decompose(kernels)
         att = ad.softmax_rows(rng.standard_normal((1, k)))
-        res = aggregate_decomposed(att, d)[0] - d.w0
+        d = residual_decompose(kernels)
+        reformed = aggregate_decomposed(att, d)
+        res = reformed[0] - d.w0
         att_rank = max(att_rank, numerical_rank(res))
-
-        p = rng.standard_normal((c, l))
-        q = rng.standard_normal((c, l))
-        phi = rng.standard_normal((l, l))
+        kc = kernel_terms(att[0], d)
+        p, q, phi = rng.standard_normal((c, l)), rng.standard_normal((c, l)), rng.standard_normal((l, l))
         res2 = T.matmul(p, T.matmul(phi, np.ascontiguousarray(q.T)))
         fusion_rank = max(fusion_rank, numerical_rank(res2))
-    return [
-        MechanismRow("attention_over_kernels", att_rank, c, k * c, 2 * k * c * c),
-        MechanismRow("latent_channel_fusion", fusion_rank, l, l * l, 2 * c * l),
+        l2 = latent_terms(p, phi, q)
+        pairs = ((np.einsum("nk,kij->nij", att, kernels), reformed), (rank1_sum(*kc), res), (rank1_sum(*l2), res2))
+        for name, (a, b) in zip(errs, pairs):
+            errs[name] = max(errs[name], float(np.abs(a - b).max()))
+    checks = [(name, err, IDENTITY_TOLS[name]) for name, err in errs.items()]
+    return checks, [
+        MechanismRow("attention_over_kernels", att_rank, c, len(kc[0]), 2 * k * c * c),
+        MechanismRow("latent_channel_fusion", fusion_rank, l, len(l2[0]), 2 * c * l),
     ]

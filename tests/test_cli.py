@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dynconv import decompose
 from dynconv import tensor as T
 from dynconv.cli import build_parser, main, resolve_model
 from dynconv.layers import DcdConv, StaticConv
@@ -56,10 +57,39 @@ def test_unknown_model_exits_nonzero(capsys):
 def test_equivalence_writes_mechanism_csv(tmp_path, capsys):
     assert main(["equivalence", "--trials", "5", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "mechanisms.csv").read_text().splitlines()
-    assert lines[0] == "mechanism,rank,term_count,static_params"
+    assert lines[0] == MECHANISMS_HEADER
     assert len(lines) == 3
     out = capsys.readouterr().out
     assert out.count("[ok]") == 3
+
+
+MECHANISMS_HEADER = "mechanism,rank,term_count,static_params"
+
+
+@pytest.mark.parametrize("flags,c,k,l,trials,rows", [
+    ([], 16, 4, 4, 25, ["attention_over_kernels,16,64,2048", "latent_channel_fusion,4,16,128"]),
+    (["--channels", "8", "--kernels", "2", "--latent", "2", "--trials", "3"], 8, 2, 2, 3,
+     ["attention_over_kernels,8,16,256", "latent_channel_fusion,2,4,32"]),
+    (["--channels", "64", "--kernels", "2", "--latent", "8", "--trials", "3"], 64, 2, 8, 3,
+     ["attention_over_kernels,64,128,16384", "latent_channel_fusion,8,64,1024"]),
+], ids=["defaults", "c8-k2-l2", "c64-k2-l8"])
+def test_equivalence_checks_and_table_share_the_instances_the_flags_set(tmp_path, capsys, monkeypatch,
+                                                                         flags, c, k, l, trials, rows):
+    """Each trial draws one instance at --channels/--kernels/--latent, and
+    both the identity checks and the table read it: the decomposition sees
+    --trials (K, C, C) stacks, and each trial sums K·C kernel terms and L²
+    latent terms, the term counts the CSV reports."""
+    kernels, sums = [], []
+    decompose_once, sum_once = decompose.residual_decompose, decompose.rank1_sum
+    monkeypatch.setattr(decompose, "residual_decompose", lambda w: kernels.append(w.shape) or decompose_once(w))
+    monkeypatch.setattr(decompose, "rank1_sum",
+                        lambda coeffs, a, b: sums.append((len(coeffs), a.shape, b.shape)) or sum_once(coeffs, a, b))
+    assert main(["equivalence", *flags, "--out", str(tmp_path)]) == 0
+    assert kernels == [(k, c, c)] * trials
+    assert sums == [(k * c, (c, k * c), (c, k * c)), (l * l, (c, l * l), (c, l * l))] * trials
+    assert (tmp_path / "mechanisms.csv").read_text() == "\n".join([MECHANISMS_HEADER, *rows]) + "\n"
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:3]] == [
+        "[ok] direct_vs_reformulated", "[ok] rank1_expansion_kernel_terms", "[ok] rank1_expansion_latent_terms"]
 
 
 def test_gradcheck_single_variant(capsys):
@@ -473,14 +503,66 @@ def test_train_refuses_an_empty_task_split(tmp_path, capsys, key):
 def test_an_empty_timing_or_phi_run_is_refused(tmp_path, capsys, argv, error):
     """A count out of its flag's range is refused by argparse at the flag,
     with the usage and exit 2; a value only the run can judge, with an
-    error line and exit 1.  Neither writes its --out file."""
+    error line and exit 1.  Neither writes its --out file.  `gradcheck`
+    takes no --out, so its cases run without one."""
     out = tmp_path / "out.csv"
+    out_flag = [] if argv[0] == "gradcheck" else ["--out", str(out)]
     if error.startswith("argument "):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(out)])
+            main(argv + out_flag)
         err = capsys.readouterr().err
         assert exc.value.code == 2 and err.startswith("usage: ") and err.endswith(f" error: {error}\n")
     else:
-        assert main(argv + ["--out", str(out)]) == 1
+        assert main(argv + out_flag) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
+
+
+OUT, CFG = "<out>", "<cfg>"  # stand for a path under tmp_path: the --out file and a config file never written
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (["count", "--golden", "resnet18"], 1, "count --golden takes no model"),
+    (["count", "--golden", "--csv"], 1, "count --golden takes no --csv"),
+    (["count", "--golden", "--resolution", "32"], 1, "count --golden takes no --resolution"),
+    (["count", "--golden", "--config", CFG], 1, "count --golden takes no --config"),
+    (["count", "--golden", "--out", OUT], 1, "count --golden takes no --out"),
+    (["count", "--golden", "--seed", "0"], 1, "count --golden takes no --seed"),
+    (["count", "--golden", "resnet18", "--csv", "--resolution", "32", "--out", OUT], 1,
+     "count --golden takes no model, --csv, --resolution, --out"),
+    (["--seed", "1", "count", "--golden"], 1, "count --golden takes no --seed"),
+    (["train", "--golden", "--out", OUT], 2, "unrecognized arguments: --golden"),
+    (["gradcheck", "--golden"], 2, "unrecognized arguments: --golden"),
+    (["equivalence", "--golden", "--out", OUT], 2, "unrecognized arguments: --golden"),
+    (["analyze-phi", "--golden", "--out", OUT], 2, "unrecognized arguments: --golden"),
+    (["bench", "--golden", "--out", OUT], 2, "unrecognized arguments: --golden"),
+    (["--golden", "count"], 2, "unrecognized arguments: --golden"),
+    (["train", "--sweep", "--model", "resnet10", "--epochs", "0", "--out", OUT], 1, "train --sweep takes no --model"),
+    (["train", "--sweep", "--seed", "5", "--epochs", "0", "--out", OUT], 1, "train --sweep takes no --seed"),
+    (["gradcheck", "--config", CFG], 1, "gradcheck takes no --config"),
+    (["gradcheck", "--variant", "dcd_pointwise", "--out", OUT], 1, "gradcheck takes no --out"),
+    (["--config", CFG, "--out", OUT, "gradcheck"], 1, "gradcheck takes no --config, --out"),
+    (["equivalence", "--config", CFG, "--out", OUT], 1, "equivalence takes no --config"),
+    (["--config", CFG, "equivalence", "--out", OUT], 1, "equivalence takes no --config"),
+], ids=["golden-model", "golden-csv", "golden-resolution", "golden-config", "golden-out", "golden-seed",
+        "golden-all", "golden-seed-before", "train-golden", "gradcheck-golden", "equivalence-golden",
+        "analyze-phi-golden", "bench-golden", "golden-before", "sweep-model", "sweep-seed", "gradcheck-config",
+        "gradcheck-out", "gradcheck-config-out-before", "equivalence-config", "equivalence-config-before"])
+def test_a_flag_the_subcommand_does_not_read_is_refused(tmp_path, capsys, argv, code, error):
+    """A flag its subcommand would ignore is refused: by argparse, with the
+    usage and exit 2, where the subcommand lacks the flag; by the run, with
+    an error line and exit 1, where a common flag or a mode would go unread.
+    Nothing is read or written: the config file does not exist, and the
+    --out path is never made."""
+    out = tmp_path / "out"
+    argv = [{OUT: str(out), CFG: str(tmp_path / "run.cfg")}.get(arg, arg) for arg in argv]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith("usage: dynconv") and err.endswith(f"dynconv: error: {error}\n")
+    else:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {error}\n"
+    assert "Traceback" not in err and not out.exists()

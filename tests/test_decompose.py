@@ -116,18 +116,18 @@ def test_rank1_expand_degenerate_cases():
 
 
 def test_mechanism_comparison_counts():
-    rows = compare_aggregation_mechanisms(c=8, k=4, l=2, trials=4, seed=0)
+    _, rows = compare_aggregation_mechanisms(c=8, k=4, l=2, trials=4, seed=0)
     att, fusion = rows
     assert att.mechanism == "attention_over_kernels"
     assert (att.term_count, fusion.term_count) == (32, 4)
     assert att.rank <= att.rank_bound == 8
     assert fusion.rank <= fusion.rank_bound == 2
 
-    rows = compare_aggregation_mechanisms(c=64, k=4, l=8, trials=2, seed=1)
+    _, rows = compare_aggregation_mechanisms(c=64, k=4, l=8, trials=2, seed=1)
     assert rows[0].static_params == 32768  # 2·K·C²
     assert rows[1].static_params == 1024  # 2·C·L
 
-    rows = compare_aggregation_mechanisms(c=6, k=1, l=6, trials=2, seed=2)
+    _, rows = compare_aggregation_mechanisms(c=6, k=1, l=6, trials=2, seed=2)
     assert rows[0].rank_bound == rows[1].rank_bound == 6
 
 
