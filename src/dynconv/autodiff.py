@@ -15,14 +15,23 @@ intermediates; batch norm's three adjoints share the two reductions Σg and
 through its inputs.  Only a parameter leaf needs a gradient, and so does a
 node with a taped input that needs one; any other node stays on the tape
 with no parents and no VJP, so no adjoint is formed toward the data.
-Every op returns a C-contiguous float64 array, so `value_of` is the one
-place where an operand is coerced; an operand that already is one it
-returns as it is, without a call, as it returns a node's value.  Some ops
-round exactly as the ops they fuse: `affine`, ``a * w + b``, is the tail of
-eval batch norm and of the DCD layer, Λ ⊙ (W0∗x) + residual; `linear`,
-``matmul(a, w) + b``, is each FC of the dynamic branch; `narrow` with
-``plus`` is Λ, a slice of the branch output plus 1.  `transpose_axes` keeps
-its copy of a parameter value until the next state write (`tensor.kept`).
+Every op returns a C-contiguous float64 array.  An op finds its tape and
+coerces its operands in one pass, `_inputs`, which gives each operand's
+value as `value_of` does: a node's value, or a raw operand as
+`T.as_tensor` makes it, an array that already is one as it is.
+
+Some ops round, forward and VJP, exactly as the ops they fuse, so that a
+layer pays one dispatch and records one node where it would pay several:
+`affine`, ``a * w + b``, is the tail of eval batch norm and of the DCD
+layer, Λ ⊙ (W0∗x) + residual; `linear`, ``matmul(a, w) + b``, is the first
+FC of the dynamic branch; `relu_linear` is the branch's tail, ReLU then
+the second FC, split into DCD's Λ (plus 1) and Φ as `narrow` slices them;
+`lowrank_kernel` is the materialised DCD kernel Λ ⊙ W0 + P·Φ·Qᵀ, and
+`latent_chain` the factored residual P·Φ·(Qᵀx), three 1×1 convs.  A fused
+op's VJP is the composition of its parts' VJPs; the adjoints of its
+intermediates, which several inputs read, are formed once per output
+gradient (`_last`).  `transpose_axes` keeps its copy of a parameter value
+until the next state write (`tensor.kept`).
 
 No op checks its result for NaN or ±inf, forward or VJP: the layers check
 their values at fixed points (`dynconv.layers`), and `backward` checks each
@@ -33,6 +42,8 @@ parameter gradient.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -92,25 +103,27 @@ _F64 = np.dtype(np.float64)
 
 
 def value_of(x):
-    """A node's value as it is, or a raw operand coerced by `T.as_tensor`;
-    a C-contiguous float64 ndarray, which `T.as_tensor` would return as it
-    is, is returned without the call."""
-    if type(x) is Node:
-        return x.value
-    if type(x) is np.ndarray and x.dtype is _F64 and x.flags.c_contiguous:
-        return x
-    return T.as_tensor(x)
+    """A node's value as it is, or a raw operand coerced as `T.as_tensor`
+    coerces it; ``np.asarray`` returns a C-contiguous float64 ndarray as it
+    is, at less cost than a check that would skip the call."""
+    return x.value if type(x) is Node else np.asarray(x, _F64, "C")
 
 
-def _tape(*xs) -> Tape | None:
-    tape = None
+def _inputs(*xs) -> list:
+    """An op's operands in one pass: the tape they are recorded on (None
+    when no operand is a node), then each operand's value as `value_of`
+    gives it; a None operand stays None."""
+    out = [None]
     for x in xs:
         if type(x) is Node:
-            if tape is None:
-                tape = x.tape
-            elif tape is not x.tape:
+            if out[0] is None:
+                out[0] = x.tape
+            elif out[0] is not x.tape:
                 raise ValueError("inputs recorded on different tapes")
-    return tape
+            out.append(x.value)
+        else:
+            out.append(x if x is None else np.asarray(x, _F64, "C"))
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -140,9 +153,22 @@ def _record(tape: Tape, out, inputs, vjp) -> Node:
     return node
 
 
+def _last(fn):
+    """`fn` of an output gradient, computed once for all the VJPs of one
+    op's inputs that read it: the adjoints of a fused op share the adjoints
+    of its intermediates."""
+    memo = [None, None]
+
+    def call(g):
+        if memo[0] is not g:
+            memo[:] = [g, fn(g)]
+        return memo[1]
+
+    return call
+
+
 def add(a, b):
-    tape = _tape(a, b)
-    av, bv = value_of(a), value_of(b)
+    tape, av, bv = _inputs(a, b)
     out = av + bv
     if tape is None:
         return out
@@ -150,8 +176,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    tape = _tape(a, b)
-    av, bv = value_of(a), value_of(b)
+    tape, av, bv = _inputs(a, b)
     out = av * bv
     if tape is None:
         return out
@@ -162,8 +187,7 @@ def mul(a, b):
 def affine(a, w, b):
     """``a * w + b`` in one op, rounding exactly as `add(mul(a, w), b)`;
     `b` is added in place, so it must broadcast to the shape of ``a * w``."""
-    tape = _tape(a, w, b)
-    av, wv, bv = value_of(a), value_of(w), value_of(b)
+    tape, av, wv, bv = _inputs(a, w, b)
     out = av * wv
     out += bv
     if tape is None:
@@ -173,8 +197,7 @@ def affine(a, w, b):
 
 
 def matmul(a, b):
-    tape = _tape(a, b)
-    av, bv = value_of(a), value_of(b)
+    tape, av, bv = _inputs(a, b)
     out = T.matmul(av, bv)
     if tape is None:
         return out
@@ -183,14 +206,36 @@ def matmul(a, b):
 
 def linear(a, w, b):
     """``matmul(a, w) + b`` in one op, rounding as `add(matmul(a, w), b)`."""
-    tape = _tape(a, w, b)
-    av, wv, bv = value_of(a), value_of(w), value_of(b)
+    tape, av, wv, bv = _inputs(a, w, b)
     out = T.matmul(av, wv)
     out += bv
     if tape is None:
         return out
     return _record(tape, out, (a, w, b),
                    lambda g, j: _unbroadcast(g, bv.shape) if j == 2 else _matmul_vjp(g, av, wv, j))
+
+
+def relu_linear(a, w, b, split: int | None = None):
+    """``linear(relu(a), w, b)`` in one op, rounding as the two ops: the
+    tail of the dynamic branch.  With `split`, the output comes apart into
+    DCD's (Λ, Φ), its columns ``:split`` plus 1 and ``split:``, each as
+    `narrow` takes it; taped, those are two `narrow` nodes of the one output."""
+    tape, av, wv, bv = _inputs(a, w, b)
+    hidden = np.maximum(av, 0.0)
+    raw = T.matmul(hidden, wv)
+    raw += bv
+    out = raw
+    if tape is not None:
+        mask = av > 0
+        out = _record(tape, raw, (a, w, b), lambda g, j: _unbroadcast(g, bv.shape) if j == 2
+                      else _matmul_vjp(g, hidden, wv, 1) if j == 1 else _matmul_vjp(g, hidden, wv, 0) * mask)
+    if split is None:
+        return out
+    lam, phi = raw[:, :split] + 1.0, np.ascontiguousarray(raw[:, split:])
+    if tape is None:
+        return lam, phi
+    return (_record(tape, lam, (out,), _into(raw.shape, (slice(None), slice(0, split)))),
+            _record(tape, phi, (out,), _into(raw.shape, (slice(None), slice(split, raw.shape[1])))))
 
 
 def _matmul_vjp(g, av, bv, j):
@@ -203,19 +248,82 @@ def stacked_matmul(a, b):
     of the broadcast leading (stack) axes, so a stack of N samples gives the
     stacked one-sample results bit for bit.  Each adjoint is the swapped
     product, summed over the axes its operand was broadcast along."""
-    tape = _tape(a, b)
-    av, bv = value_of(a), value_of(b)
+    tape, av, bv = _inputs(a, b)
     out = np.matmul(av, bv)
     if tape is None:
         return out
-    return _record(tape, out, (a, b),
-                   lambda g, j: _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape) if j == 0
-                   else _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape))
+    return _record(tape, out, (a, b), lambda g, j: _stacked_vjp(g, av, bv, j))
+
+
+def _stacked_vjp(g, av, bv, j):
+    if j == 0:
+        return _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)
+    return _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
+
+
+def lowrank_kernel(w0, lam, p, phi, qt, taps=None):
+    """The materialised DCD kernel W(x) = Λ ⊙ W0 + P·Φ·Qᵀ, (N, C_out,
+    C_in, k, k), in one op that rounds, forward and VJP, as the ops it
+    replaces: the stacked products P_b·Φ_b·Q_bᵀ per diagonal block in the
+    cheaper association order, (P·Φ)·Qᵀ when C_out/B ≤ C_in/B and
+    P·(Φ·Qᵀ) otherwise; for B > 1 a product with the block-diagonal mask;
+    at B = 1 with `taps`, a (k²,) one-hot, a product that puts the residual
+    on that kernel element alone (k = 1 without); then `affine` with W0 and Λ, or
+    `add` of W0 when `lam` is None (Λ = 1).
+
+    `w0` holds C_out·C_in·k² values, `p` is P as B stacked row blocks
+    (C_out, L), `phi` Φ as (N, B·L·L) and `qt` Qᵀ as B blocks (B, L,
+    C_in/B).  Every product has the sample as a stack axis, so batch N
+    gives the stacked batch-1 kernels bit for bit."""
+    tape, w0v, lamv, pv, phiv, qtv = _inputs(w0, lam, p, phi, qt)
+    b, l, ci = qtv.shape
+    n, c_out = phiv.shape[0], pv.shape[0]
+    co, kk = c_out // b, 1 if taps is None else taps.size
+    shape = (c_out, b * ci) + (math.isqrt(kk),) * 2
+    w0k, p3, phi4 = w0v.reshape(shape), pv.reshape(b, co, l), phiv.reshape(n, b, l, l)
+    left = co <= ci  # (P·Φ)·Qᵀ, else P·(Φ·Qᵀ)
+    t = np.matmul(p3, phi4) if left else np.matmul(phi4, qtv)
+    res = np.matmul(t, qtv) if left else np.matmul(p3, t)
+    if b > 1:  # (N, B, C_out/B, C_in/B) onto the block diagonal of (N, C_out, C_in)
+        mask = (n, b, co, 1, ci), np.eye(b).reshape(b, 1, b, 1)
+    else:  # at B = 1, the residual on the one kernel element `taps` selects, if any
+        mask = None if taps is None else ((n, c_out, ci, 1), taps)
+    masked = res if mask is None else res.reshape(mask[0]) * mask[1]
+    kernel = masked.reshape((n,) + shape)
+    lam5 = None if lamv is None else lamv.reshape(n, c_out, 1, 1, 1)
+    if lam5 is None:
+        out = w0k + kernel
+    else:
+        out = w0k * lam5
+        out += kernel
+    if tape is None:
+        return out
+
+    @_last
+    def products(g):  # the adjoints of P, Φ and Qᵀ, through the masks and the two stacked products
+        if mask is not None:
+            g = _unbroadcast(np.ascontiguousarray(g.reshape(masked.shape)) * mask[1], mask[0])
+        g = np.ascontiguousarray(g.reshape(res.shape))
+        if left:
+            gt, gqt = _stacked_vjp(g, t, qtv, 0), _stacked_vjp(g, t, qtv, 1)
+            gp, gphi = _stacked_vjp(gt, p3, phi4, 0), _stacked_vjp(gt, p3, phi4, 1)
+        else:
+            gp, gt = _stacked_vjp(g, p3, t, 0), _stacked_vjp(g, p3, t, 1)
+            gphi, gqt = _stacked_vjp(gt, phi4, qtv, 0), _stacked_vjp(gt, phi4, qtv, 1)
+        return [np.ascontiguousarray(gp.reshape(pv.shape)), np.ascontiguousarray(gphi.reshape(phiv.shape)), gqt]
+
+    def vjp(g, j):
+        if j == 0:
+            return np.ascontiguousarray(_unbroadcast(g if lam5 is None else g * lam5, shape).reshape(w0v.shape))
+        if j == 1:
+            return np.ascontiguousarray(_unbroadcast(g * w0k, lam5.shape).reshape(lamv.shape))
+        return products(g)[j - 2]
+
+    return _record(tape, out, (w0, lam, p, phi, qt), vjp)
 
 
 def relu(a):
-    tape = _tape(a)
-    av = value_of(a)
+    tape, av = _inputs(a)
     out = np.maximum(av, 0.0)
     if tape is None:
         return out
@@ -224,8 +332,7 @@ def relu(a):
 
 
 def sigmoid(a):
-    tape = _tape(a)
-    av = value_of(a)
+    tape, av = _inputs(a)
     # split by sign to stay stable for large |a|
     out = np.empty_like(av)
     pos = av >= 0
@@ -238,8 +345,7 @@ def sigmoid(a):
 
 
 def softmax_rows(a):
-    tape = _tape(a)
-    z = value_of(a)
+    tape, z = _inputs(a)
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
     out = e / np.sum(e, axis=-1, keepdims=True)
@@ -249,8 +355,7 @@ def softmax_rows(a):
 
 
 def reshape(a, shape):
-    tape = _tape(a)
-    av = value_of(a)
+    tape, av = _inputs(a)
     out = av.reshape(shape)
     if tape is None:
         return out
@@ -261,8 +366,7 @@ def transpose_axes(a, axes, shape=None):
     """`a`, reshaped to `shape` first when one is given, with its axes
     permuted, as a contiguous array.  Of model state that owns its memory (a
     parameter's value) the copy is kept (`T.kept`) until the next state write."""
-    tape = _tape(a)
-    av = value_of(a)
+    tape, av = _inputs(a)
     if av.base is None:
         out = T.kept(av, ("transpose", axes, shape), lambda: _relaid(av, axes, shape))
     else:
@@ -280,24 +384,26 @@ def _relaid(av, axes, shape):
 
 def narrow(a, axis: int, start: int, stop: int, plus: float = 0.0):
     """Contiguous slice along one axis, plus `plus` when that is non-zero."""
-    tape = _tape(a)
-    av = value_of(a)
+    tape, av = _inputs(a)
     sl = (slice(None),) * axis + (slice(start, stop),)
     out = av[sl] + plus if plus else np.ascontiguousarray(av[sl])
     if tape is None:
         return out
+    return _record(tape, out, (a,), _into(av.shape, sl))
 
+
+def _into(shape, index):
+    """The VJP of a slice: its output gradient at `index` in zeros of `shape`."""
     def vjp(g, j):
-        full = np.zeros(av.shape)
-        full[sl] = g
+        full = np.zeros(shape)
+        full[index] = g
         return full
 
-    return _record(tape, out, (a,), vjp)
+    return vjp
 
 
 def sum_all(a):
-    tape = _tape(a)
-    av = value_of(a)
+    tape, av = _inputs(a)
     out = np.asarray(av.sum())
     if tape is None:
         return out
@@ -307,8 +413,7 @@ def sum_all(a):
 
 def global_avg_pool(a):
     """(N,C,H,W) -> (N,C) spatial mean."""
-    tape = _tape(a)
-    av = value_of(a)
+    tape, av = _inputs(a)
     if av.ndim != 4:
         raise ValueError(f"expected NCHW, got shape {av.shape}")
     n, c, h, w = av.shape
@@ -325,8 +430,7 @@ def max_pool2d(a, k: int, stride: int, padding: int = 0):
     The VJP reuses the forward's padded input and pooled result: it sends
     each output gradient to the first window position, in (dy, dx) scan
     order, that attains the maximum, the deterministic tie-break."""
-    tape = _tape(a)
-    av = value_of(a)
+    tape, av = _inputs(a)
     n, c, h, w = av.shape
     ho, wo = T.conv_out_size(h, k, stride, padding), T.conv_out_size(w, k, stride, padding)
     padded = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf)
@@ -352,8 +456,7 @@ def max_pool2d(a, k: int, stride: int, padding: int = 0):
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1):
-    tape = _tape(x, weight)
-    xv, wv = value_of(x), value_of(weight)
+    tape, xv, wv = _inputs(x, weight)
     out = T.conv2d(xv, wv, stride=stride, padding=padding, groups=groups)
     if tape is None:
         return out
@@ -399,6 +502,44 @@ def _conv2d_input_grad(g, xshape, wv, stride, padding, groups):
     return dxp
 
 
+def latent_chain(x, qt, phi, p, stride: int = 1, padding: int = 0):
+    """The factored DCD residual P·Φ(x)·(Qᵀx), (N, C_out, H', W'), in one op
+    that rounds, forward and VJP, as the three grouped 1×1 convs it
+    replaces: Qᵀ at `stride` and `padding`, then each sample's Φ, then P,
+    each of the B diagonal blocks a group.  A negative `padding` crops
+    that many pixels off each border of `x` instead (a 1×1 conv at the
+    centre tap of a k×k kernel with less than (k - 1)/2 padding).
+
+    `qt` is Qᵀ as B blocks (B, L, C_in/B), `phi` Φ as (N, B·L·L) and `p`
+    P as B stacked row blocks (C_out, L)."""
+    tape, xv, qtv, phiv, pv = _inputs(x, qt, phi, p)
+    b, l, ci = qtv.shape
+    n, _, h, w = xv.shape
+    crop = (..., slice(-padding, h + padding), slice(-padding, w + padding)) if padding < 0 else None
+    xc, padding = (xv, padding) if crop is None else (np.ascontiguousarray(xv[crop]), 0)
+    q4, phi5, p4 = qtv.reshape(b * l, ci, 1, 1), phiv.reshape(n, b * l, l, 1, 1), pv.reshape(-1, l, 1, 1)
+    z1 = T.conv2d(xc, q4, stride, padding, b)
+    z2 = T.conv2d(z1, phi5, 1, 0, b)
+    out = T.conv2d(z2, p4, 1, 0, b)
+    if tape is None:
+        return out
+    gz2 = _last(lambda g: _conv2d_input_grad(g, z2.shape, p4, 1, 0, b))
+    gz1 = _last(lambda g: _conv2d_input_grad(gz2(g), z1.shape, phi5, 1, 0, b))
+
+    def vjp(g, j):
+        if j == 3:
+            return np.ascontiguousarray(_conv2d_weight_grad(g, z2, p4.shape, 1, 0, b).reshape(pv.shape))
+        if j == 2:
+            return np.ascontiguousarray(_conv2d_weight_grad(gz2(g), z1, phi5.shape, 1, 0, b).reshape(phiv.shape))
+        if j == 1:
+            gq = _conv2d_weight_grad(gz1(g), xc, q4.shape, stride, padding, b)
+            return np.ascontiguousarray(gq.reshape(qtv.shape))
+        gx = _conv2d_input_grad(gz1(g), xc.shape, q4, stride, padding, b)
+        return gx if crop is None else _into(xv.shape, crop)(gx, 0)
+
+    return _record(tape, out, (x, qt, phi, p), vjp)
+
+
 def batchnorm_train(x, gamma, beta):
     """Batch-stat normalization; returns (out, batch_mean, batch_var), the
     per-channel mean and biased variance over (N,H,W).
@@ -409,8 +550,7 @@ def batchnorm_train(x, gamma, beta):
     The returned stats are plain arrays (running-average bookkeeping is the
     caller's job and carries no gradient).
     """
-    tape = _tape(x, gamma, beta)
-    xv, gv, bv = value_of(x), value_of(gamma), value_of(beta)
+    tape, xv, gv, bv = _inputs(x, gamma, beta)
     n, c, h, w = xv.shape
     m = float(n * h * w)
     with np.errstate(over="ignore", invalid="ignore"):  # a finite x can overflow them; the layer checks the stats
@@ -423,12 +563,10 @@ def batchnorm_train(x, gamma, beta):
         out += bv.reshape(1, c, 1, 1)
     if tape is None:
         return out, mean, var
-    sums = []  # [g, dβ, dγ] for the last output gradient g, which its three adjoints share
+    sums = _last(lambda g: (np.einsum("nchw->c", g), np.einsum("nchw,nchw->c", g, xhat)))
 
     def vjp(g, j):
-        if not sums or sums[0] is not g:
-            sums[:] = [g, np.einsum("nchw->c", g), np.einsum("nchw,nchw->c", g, xhat)]
-        _, dbeta, dgamma = sums
+        dbeta, dgamma = sums(g)
         if j == 2:
             return dbeta
         if j == 1:
@@ -444,8 +582,7 @@ def batchnorm_train(x, gamma, beta):
 
 def cross_entropy(logits, labels: np.ndarray):
     """Mean softmax cross-entropy over the batch; labels are int indices."""
-    tape = _tape(logits)
-    zv = value_of(logits)
+    tape, zv = _inputs(logits)
     labels = np.asarray(labels, dtype=np.int64)
     n = zv.shape[0]
     zmax = zv.max(axis=1, keepdims=True)

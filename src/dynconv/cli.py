@@ -7,7 +7,8 @@ Subcommands:
 * ``equivalence``  — algebraic identity checks + mechanism comparison CSV
 * ``count``        — parameter/MAdds tables; ``--golden`` checks reference budgets
 * ``analyze-phi``  — coefficient-variation statistics across a sample batch
-* ``bench``        — wall-clock forward timing against the static twin
+* ``bench``        — wall-clock forward timing against the static twin, and
+                     with ``--against DIR`` against another source tree
 
 Common flags (``--config``, ``--seed``, ``--out``) are accepted both before
 and after the subcommand, and a subcommand refuses each one it does not read.
@@ -28,7 +29,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import decompose
 from .analysis import phi_statistics
-from .bench import bench_pairs, environment
+from .bench import bench_against, bench_pairs, environment, load_tree, source_hash
 from .config import ConfigError, RunConfig, load_config
 from .counting import count_model
 from .gradcheck import VARIANTS, variant_gradcheck
@@ -114,20 +115,22 @@ def cmd_train(args) -> int:
     if args.sweep:  # every task model, for seeds 0, 1 and 2
         _refuse("train --sweep", args, "--model", "--seed")
     cfg_map = _load_cfg(args)
+    if args.sweep and (seeds := [key for key in ("train.seed", "model.seed", "task.seed") if key in cfg_map]):
+        raise ConfigError(f"train --sweep takes no {', '.join(seeds)}: it sets the seeds of its runs")
     run_cfg = RunConfig.from_mapping(cfg_map)
     if getattr(args, "seed", None) is not None:
         run_cfg = dataclasses.replace(run_cfg, seed=args.seed)
     if args.epochs is not None:
         run_cfg = dataclasses.replace(run_cfg, epochs=args.epochs)
-    out = _out_dir(args, run_cfg.out or "out")
 
-    if args.sweep:
-        results = run_sweep(out, cfg=run_cfg)
+    if args.sweep:  # `run_sweep` makes the directory once it has checked the config
+        results = run_sweep(Path(getattr(args, "out", None) or run_cfg.out or "out"), cfg=run_cfg)
         for arm, accs in results.items():
             fmt = ", ".join(f"{a:.4f}" for a in accs)
             print(f"{arm}: final val acc [{fmt}]")
         return 0
 
+    out = _out_dir(args, run_cfg.out or "out")
     model = _model_from_args(args, cfg_map, seed=run_cfg.seed)
     train_set, val_set = make_task_from_config(dict(cfg_map) | {"task.seed": str(run_cfg.seed)}, model)
 
@@ -225,26 +228,45 @@ def cmd_analyze_phi(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     seed = getattr(args, "seed", None) or 0
+    parent = None if args.against is None else load_tree(args.against)
     cases = []
     for spec in args.model or [""]:  # no model: the config's, or task_dcd
         name, at, res = spec.partition("@")
         if at and not res.isdigit():
             raise ValueError(f"{spec!r}: expected MODEL or MODEL@RESOLUTION")
-        model = _model_from_args(args, cfg, name=name)
-        cases += [(model, batch, int(res) if at else args.resolution) for batch in args.batch]
-    rows = [report.row() for report in bench_pairs(cases, repeats=args.repeats, warmup=args.warmup, seed=seed)]
-    for row in rows:
-        print(f"== {row['model']}, {row['resolution']}×{row['resolution']}, batch {row['batch']}")
+        models = [_model_from_args(args, cfg, name=name)]
+        if parent is not None:  # the same model, built by the other tree's own front end
+            models.append(parent._model_from_args(args, cfg, name=name))
+        cases += [(*models, batch, int(res) if at else args.resolution) for batch in args.batch]
+    doc = {"environment": environment()}
+    if parent is None:
+        doc["rows"] = [report.row() for report in bench_pairs(cases, args.repeats, args.warmup, seed)]
+    else:
+        doc["against"] = {"path": str(args.against), "src_sha256": source_hash(args.against / "src" / "dynconv")}
+        doc["rows"] = bench_against(cases, args.repeats, args.warmup, seed)
+    for row in doc["rows"]:
+        head = f"== {row['model']}, {row['resolution']}×{row['resolution']}, batch {row['batch']}"
+        if parent is None:
+            print(head)
+            for side in ("dyn", "twin"):
+                print(f"{side}: " + ", ".join(f"{key[:-2]} {row[side][key] * 1e3:.3f} ms" for key in row[side]))
+            print(f"dyn/twin median ratio: {row['dyn_over_twin_median']:.3f}")
+            continue
+        logits = row["logits"] if row["logits"] == "bit-equal" else f"max rel diff {row['logits']:.3e}"
+        print(f"{head}: logits {logits}")
         for side in ("dyn", "twin"):
-            print(f"{side}: " + ", ".join(f"{key[:-2]} {row[side][key] * 1e3:.3f} ms" for key in row[side]))
-        print(f"dyn/twin median ratio: {row['dyn_over_twin_median']:.3f}")
-    env = environment()
+            change, base = (row[side][tree]["median_s"] * 1e3 for tree in ("change", "parent"))
+            print(f"{side}: median {change:.3f} ms, parent {base:.3f} ms, change/parent {row[side]['ratio']:.3f}, "
+                  f"won {row[side]['won']}/{row['repeats']}")
+    env = doc["environment"]
     blas = "unknown" if env["blas_threads"] is None else env["blas_threads"]
     print(f"contraction workers: {env['contraction_workers']}, BLAS threads: {blas}")
+    if parent is not None:
+        print(f"source: {env['src_sha256']}, parent source: {doc['against']['src_sha256']}")
     out = getattr(args, "out", None)
     if out:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps({"environment": env, "rows": rows}, indent=2) + "\n")
+        out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -318,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=_at_least(0), default=3)
     p.add_argument("--resolution", type=_at_least(1), default=None,
                    help="input size of a MODEL without @RESOLUTION (default: its own)")
+    p.add_argument("--against", type=Path, default=None, metavar="DIR",
+                   help="time each model against the same model built by the source tree DIR, in this process")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -30,23 +30,28 @@ factored plan is Λ(x) ⊙ (W0 ∗ x) + P·Φ(x)·(Qᵀx): the static conv its t
 runs, one scale, and a residual of convs through the L-channel latent
 space.  For ``pointwise``, ``block_sparse`` and ``channel_only_kxk`` (whose
 residual is a 1×1 conv at the centre tap) the residual Qᵀx → Φ·z → P·z is
-three 1×1 convs, and each one at stride 1 without padding is a bare
-product on the (N, C, H·W) view of its input (`tensor.conv2d`).  The
-materialised plan assembles W(x) = Λ ⊙ W0 + residual with ``weight_for``'s
-stacked products, in conv layout (N, C_out, C_in/groups, k, k), and runs
-one conv with it.  ``depthwise`` always materialises (its W(x) is one C×k²
-kernel per sample); ``pointwise`` materialises where that counts fewer
-MAdds (`plan_madds`), which at 1×1 comes down to H'·W'·(C_in + C_out) >
-C_in·C_out; the other variants stay factored.  Either plan gives the
-other's outputs and gradients to 1e-10 relative.
+one op, `autodiff.latent_chain`, three 1×1 convs, each one at stride 1
+without padding a bare product on the (N, C, H·W) view of its input
+(`tensor.conv2d`).  The materialised plan assembles W(x) = Λ ⊙ W0 +
+residual with ``weight_for``'s stacked products, in conv layout (N, C_out,
+C_in/groups, k, k), and runs one conv with it; for those three variants
+the assembly is one op, `autodiff.lowrank_kernel`.  ``depthwise`` always
+materialises (its W(x) is one C×k² kernel per sample); ``pointwise``
+materialises where that counts fewer MAdds (`plan_madds`), which at 1×1
+comes down to H'·W'·(C_in + C_out) > C_in·C_out; the other variants stay
+factored.  Either plan gives the other's outputs and gradients to 1e-10
+relative.
 
 ``pointwise`` and ``block_sparse`` store P (C_out × L) and Q (C_in × L) in
 one layout: B stacked row blocks (B = 1 for pointwise), run as grouped convs.
 Both plans read Qᵀ in blocks, (B, L, C_in/B), a transposed copy of Q kept
 until the next state write (`autodiff.transpose_axes` keeps the transpose of
-any parameter value, Rᵀ too).  The branch's two FCs are one op each, matmul
-and bias (`autodiff.linear`), and Λ and Φ are one copy each of the branch
-output, Λ's + 1 included.
+any parameter value, Rᵀ too).  The branch is two ops: the first FC, matmul
+and bias (`autodiff.linear`), and after the hidden layer's check its tail,
+ReLU, the second FC and, in DCD, Λ and Φ as one copy each of the FC's
+output, Λ's + 1 included (`autodiff.relu_linear`).  A pointwise DCD layer
+on the materialised plan thus runs eight ops: the pooling, the two branch
+ops, Qᵀ, the kernel, its conv, eval batch norm and the ReLU.
 
 All math goes through ``dynconv.autodiff`` ops, which run eagerly on
 plain arrays and record adjoints when handed tape nodes.  No forward takes
@@ -265,12 +270,13 @@ class DynamicBranch:
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def forward(self, pooled, lift):
-        """ReLU(pooled·W1 + b1)·W2 + b2; the hidden layer is checked before
-        the ReLU, which would turn -inf into 0."""
+    def forward(self, pooled, lift, split: int | None = None):
+        """ReLU(pooled·W1 + b1)·W2 + b2, or with `split` its columns ``:split``
+        plus 1 and ``split:`` (`autodiff.relu_linear`); the hidden layer is
+        checked before the ReLU, which would turn -inf into 0."""
         pre = ad.linear(pooled, lift(self.w1), lift(self.b1))
         T.check_finite(ad.value_of(pre), "branch hidden layer")
-        return ad.linear(ad.relu(pre), lift(self.w2), lift(self.b2))
+        return ad.relu_linear(pre, lift(self.w2), lift(self.b2), split)
 
 
 def _lifter(x, layer):
@@ -440,10 +446,9 @@ class DcdConv(_ConvLayer):
 
     def coefficients(self, pooled, lift):
         """(Λ, Φ-raw) from the branch; Λ is None when disabled (implicit 1)."""
-        raw = self.branch.forward(pooled, lift)
         if not self.lambda_enabled:
-            return None, raw
-        return ad.narrow(raw, 1, 0, self.c_out, plus=1.0), ad.narrow(raw, 1, self.c_out, self.c_out + self.phi_len)
+            return None, self.branch.forward(pooled, lift)
+        return self.branch.forward(pooled, lift, self.c_out)
 
     # -- per-variant weight generation ----------------------------------
 
@@ -455,12 +460,15 @@ class DcdConv(_ConvLayer):
         return self._kernel(*self.coefficients(pooled, lift), lift)
 
     def _kernel(self, lam, phi, lift):
-        """W(x) from the coefficients, P·Φ·Qᵀ in the cheaper association
-        order that `_assembly_madds` counts.  Every residual product has the
-        sample as a stack axis, so batch N gives the stacked batch-1 kernels
-        bit for bit."""
+        """W(x) from the coefficients, the residual in the association order
+        that `_assembly_madds` counts: one `autodiff.lowrank_kernel` for
+        the P·Φ·Qᵀ variants.  Every residual product has the sample as a
+        stack axis, so batch N gives the stacked batch-1 kernels bit for bit."""
+        if self.variant not in ("depthwise", "full_kxk"):
+            taps = self.center.reshape(-1) if self.variant == "channel_only_kxk" else None
+            return ad.lowrank_kernel(lift(self.w0), lam, lift(self.p), phi, self._qt(lift), taps)
         n = ad.value_of(phi).shape[0]
-        l, l_k, kk, g = self.dims.l, self.dims.l_k, self.k * self.k, self.blocks
+        l, l_k, kk = self.dims.l, self.dims.l_k, self.k * self.k
         mm = ad.stacked_matmul
 
         def t(p):
@@ -468,21 +476,11 @@ class DcdConv(_ConvLayer):
 
         if self.variant == "depthwise":  # P·(Φ·Rᵀ)
             res = mm(lift(self.p), mm(ad.reshape(phi, (n, l_k, l_k)), t(self.r_mat)))
-        elif self.variant == "full_kxk":  # Φ ×₁ Q ×₃ R ×₂ P: (n, C_in, l·l_k), (n, C_in·l, k²), (n, C_out, C_in·k²)
+        else:  # Φ ×₁ Q ×₃ R ×₂ P: (n, C_in, l·l_k), (n, C_in·l, k²), (n, C_out, C_in·k²)
             res = mm(lift(self.q), ad.reshape(phi, (n, l, l * l_k)))
             res = mm(ad.reshape(res, (n, self.c_in * l, l_k)), t(self.r_mat))
             res = ad.transpose_axes(ad.reshape(res, (n, self.c_in, l, kk)), (0, 2, 1, 3))
             res = mm(lift(self.p), ad.reshape(res, (n, l, self.c_in * kk)))
-        else:  # P_b·Φ_b·Q_bᵀ per diagonal block (B = 1 outside block_sparse)
-            co, ci = self.c_out // g, self.c_in // g
-            p = ad.reshape(lift(self.p), (g, co, l))
-            qt = self._qt(lift)
-            phi = ad.reshape(phi, (n, g, l, l))
-            res = mm(mm(p, phi), qt) if co <= ci else mm(p, mm(phi, qt))
-            if g > 1:  # (n, B, C_out/B, C_in/B) onto the block diagonal of (n, C_out, C_in)
-                res = ad.mul(ad.reshape(res, (n, g, co, 1, ci)), np.eye(g).reshape(g, 1, g, 1))
-            if self.variant == "channel_only_kxk":  # at the centre kernel element only
-                res = ad.mul(ad.reshape(res, (n, self.c_out, self.c_in, 1)), self.center.reshape(kk))
         w0 = self._w0_kernel(lift)
         res = ad.reshape(res, (n,) + ad.value_of(w0).shape)
         return ad.add(w0, res) if lam is None else ad.affine(w0, ad.reshape(lam, (n, self.c_out, 1, 1, 1)), res)
@@ -511,31 +509,20 @@ class DcdConv(_ConvLayer):
         return ad.transpose_axes(lift(self.q), (0, 2, 1), (g, self.c_in // g, self.dims.l))
 
     def _residual(self, x, phi, lift):
-        """Dynamic part of the factored plan's output, P·Φ(x)·(Qᵀx), as a
-        chain of small convs (every variant but depthwise)."""
+        """Dynamic part of the factored plan's output, P·Φ(x)·(Qᵀx) (every
+        variant but depthwise): one `autodiff.latent_chain` of 1×1 convs, at
+        the centre tap for ``channel_only_kxk``, offset by d = padding - (k -
+        1)/2; for ``full_kxk``, Qᵀ, then a per-sample k×k conv on L channels."""
+        if self.variant != "full_kxk":
+            d = self.padding - (self.k - 1) // 2
+            return ad.latent_chain(x, self._qt(lift), phi, lift(self.p), self.stride, d)
         n = ad.value_of(x).shape[0]
-        l, l_k, k, s = self.dims.l, self.dims.l_k, self.k, self.stride
-
-        def t(p):
-            return ad.transpose_axes(lift(p), (1, 0))
-
-        g, ci = self.blocks, self.c_in // self.blocks  # the B diagonal blocks run as grouped convs
-        qt = ad.reshape(self._qt(lift), (g * l, ci, 1, 1))
-        if self.variant == "full_kxk":  # Qᵀ, then the per-sample k×k kernel Φ_i ×₃ R on L channels
-            z = ad.conv2d(x, qt)
-            phi_r = ad.reshape(ad.matmul(ad.reshape(phi, (n * l * l, l_k)), t(self.r_mat)), (n, l, l, k, k))
-            z = ad.conv2d(z, ad.transpose_axes(phi_r, (0, 2, 1, 3, 4)), s, self.padding)
-        else:
-            padding = self.padding
-            if self.variant == "channel_only_kxk":  # the centre tap is a 1×1 conv offset by d
-                d = self.padding - (k - 1) // 2
-                if d < 0:
-                    h, w = ad.value_of(x).shape[2:]
-                    x = ad.narrow(ad.narrow(x, 2, -d, h + d), 3, -d, w + d)
-                padding = max(d, 0)
-            z = ad.conv2d(x, qt, s, padding, g)
-            z = ad.conv2d(z, ad.reshape(phi, (n, g * l, l, 1, 1)), groups=g)
-        return ad.conv2d(z, ad.reshape(lift(self.p), (self.c_out, l, 1, 1)), groups=g)
+        l, l_k, k = self.dims.l, self.dims.l_k, self.k
+        qt = ad.reshape(self._qt(lift), (l, self.c_in, 1, 1))
+        z = ad.conv2d(x, qt)
+        phi_r = ad.matmul(ad.reshape(phi, (n * l * l, l_k)), ad.transpose_axes(lift(self.r_mat), (1, 0)))
+        z = ad.conv2d(z, ad.transpose_axes(ad.reshape(phi_r, (n, l, l, k, k)), (0, 2, 1, 3, 4)), self.stride, self.padding)
+        return ad.conv2d(z, ad.reshape(lift(self.p), (self.c_out, l, 1, 1)))
 
     def static_equivalent(self) -> "StaticConv":
         """Static layer sharing this layer's W0 / bias / batch-norm state."""

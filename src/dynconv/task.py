@@ -47,9 +47,10 @@ class Dataset:
         return self.inputs.shape[0]
 
     def batches(self, batch_size: int, order: np.ndarray | None = None):
-        idx = np.arange(len(self)) if order is None else order
-        for start in range(0, len(idx), batch_size):
-            sel = idx[start : start + batch_size]
+        """(inputs, labels) batches of `batch_size`: in stored order, as
+        slices that view the arrays, or in `order`, as gathered copies."""
+        for start in range(0, len(self) if order is None else len(order), batch_size):
+            sel = slice(start, start + batch_size) if order is None else order[start : start + batch_size]
             yield self.inputs[sel], self.labels[sel]
 
 

@@ -2,10 +2,14 @@
 against: a matmul and a shared-kernel conv2d whose sums run left to right
 over the contraction axis, so naive loop oracles reproduce them bit for bit.
 Also the op-per-step forms of the 1×1 conv and of a DCD layer's conv, which
-the fused paths must equal bit for bit."""
+the fused paths must equal bit for bit, and the DCD layer's three fused
+autodiff ops as the ops they replace."""
+
+import math
 
 import numpy as np
 
+from dynconv import autodiff as ad
 from dynconv.tensor import BLOCK_ELEMENTS, _conv_shapes, as_tensor, conv2d, im2col, matmul, stacked_matmul
 
 
@@ -110,3 +114,46 @@ def dcd_conv_reference(layer, x: np.ndarray, materialised: bool) -> np.ndarray:
     out = out * lam.reshape(n, layer.c_out, 1, 1)
     out += res
     return out
+
+
+# ---------------------------------------------------------------------------
+# the DCD layer's fused autodiff ops, as the ops they replace
+
+
+def composed_relu_linear(a, w, b, split=None):
+    """`autodiff.relu_linear` as relu, then linear, then (with `split`) Λ and
+    Φ as two narrows of its output, Λ's plus 1."""
+    out = ad.linear(ad.relu(a), w, b)
+    if split is None:
+        return out
+    return ad.narrow(out, 1, 0, split, plus=1.0), ad.narrow(out, 1, split, ad.value_of(out).shape[1])
+
+
+def composed_lowrank_kernel(w0, lam, p, phi, qt, taps=None):
+    """`autodiff.lowrank_kernel` as reshapes, two stacked products, a masking
+    product, and `affine` (or `add` without Λ)."""
+    b, l, ci = ad.value_of(qt).shape
+    n, c_out = ad.value_of(phi).shape[0], ad.value_of(p).shape[0]
+    co, kk = c_out // b, 1 if taps is None else taps.size
+    mm = ad.stacked_matmul
+    p3, phi4 = ad.reshape(p, (b, co, l)), ad.reshape(phi, (n, b, l, l))
+    res = mm(mm(p3, phi4), qt) if co <= ci else mm(p3, mm(phi4, qt))
+    if b > 1:
+        res = ad.mul(ad.reshape(res, (n, b, co, 1, ci)), np.eye(b).reshape(b, 1, b, 1))
+    if taps is not None:
+        res = ad.mul(ad.reshape(res, (n, c_out, b * ci, 1)), taps)
+    shape = (c_out, b * ci) + (math.isqrt(kk),) * 2
+    w0k, res = ad.reshape(w0, shape), ad.reshape(res, (n,) + shape)
+    return ad.add(w0k, res) if lam is None else ad.affine(w0k, ad.reshape(lam, (n, c_out, 1, 1, 1)), res)
+
+
+def composed_latent_chain(x, qt, phi, p, stride=1, padding=0):
+    """`autodiff.latent_chain` as two narrows for a negative padding, then
+    three grouped 1×1 convs with reshaped weights."""
+    b, l, ci = ad.value_of(qt).shape
+    n, _, h, w = ad.value_of(x).shape
+    if padding < 0:
+        x = ad.narrow(ad.narrow(x, 2, -padding, h + padding), 3, -padding, w + padding)
+    z = ad.conv2d(x, ad.reshape(qt, (b * l, ci, 1, 1)), stride, max(padding, 0), b)
+    z = ad.conv2d(z, ad.reshape(phi, (n, b * l, l, 1, 1)), groups=b)
+    return ad.conv2d(z, ad.reshape(p, (ad.value_of(p).shape[0], l, 1, 1)), groups=b)

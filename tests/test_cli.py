@@ -167,6 +167,25 @@ def test_sweep_reads_the_config_task_and_model_keys(tmp_path, capsys):
     assert "error: the sweep trains task models, not model.family = resnet" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,error", [
+    ("train.seed = 5\n", "train --sweep takes no train.seed: it sets the seeds of its runs"),
+    ("model.seed = 7\n", "train --sweep takes no model.seed: it sets the seeds of its runs"),
+    ("task.seed = 9\nmodel.seed = 7\ntrain.seed = 5\n",
+     "train --sweep takes no train.seed, model.seed, task.seed: it sets the seeds of its runs"),
+    ("model.family = resnet\n", "the sweep trains task models, not model.family = resnet"),
+], ids=["train.seed", "model.seed", "all-seeds", "resnet"])
+def test_the_sweep_refuses_a_config_it_would_not_follow_before_making_out(tmp_path, capsys, text, error):
+    """A seed key the sweep would overwrite is refused by name, and a family
+    other than task is refused, each with one error line and before --out
+    is made."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text + "train.epochs = 0\n")
+    out = tmp_path / "sweep"
+    assert main(["train", "--sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,text,key", [
     (["count"], "model.family = mobilenetv2\nmodel.widht = 0.25\n", "model.widht"),
     (["train"], "task.fooo = 1\ntrain.epochs = 0\n", "task.fooo"),
@@ -273,21 +292,54 @@ def _schema(doc):
             {frozenset(row[side]) for row in doc["rows"] for side in ("dyn", "twin")})
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_every_committed_bench_file_has_the_keys_bench_out_writes(tmp_path, capsys):
     """`BENCH_serial.json` was written by a tree with the worker split deleted,
     to measure the split against it, so its environment lacks the worker
-    count, ``contraction_workers``; no other key may differ."""
+    count, ``contraction_workers``; no other key may differ.  A file written
+    with ``--against`` has the keys an ``--against`` run writes."""
     written = _schema(_bench_doc(tmp_path, ["task_dcd", "--repeats", "1", "--warmup", "0"]))
-    files = sorted((Path(__file__).resolve().parents[1]).glob("BENCH_*.json"))
+    against = _schema(_bench_doc(tmp_path, ["task_dcd", "--repeats", "1", "--warmup", "0", "--against", str(ROOT)]))
+    files = sorted(ROOT.glob("BENCH_*.json"))
     assert {"BENCH_baseline.json", "BENCH_depthwise.json", "BENCH_onetap.json", "BENCH_blocks.json",
-            "BENCH_derived.json", "BENCH_split.json", "BENCH_serial.json",
-            "BENCH_window.json", "BENCH_fixedcost.json"} <= {path.name for path in files}
+            "BENCH_derived.json", "BENCH_split.json", "BENCH_serial.json", "BENCH_window.json",
+            "BENCH_fixedcost.json", "BENCH_against_self.json", "BENCH_fused.json"} <= {path.name for path in files}
     for path in files:
-        top, env, rows, sides = _schema(json.loads(path.read_text()))
+        doc = json.loads(path.read_text())
+        top, env, rows, sides = _schema(doc)
         if path.name == "BENCH_serial.json":
             assert "contraction_workers" not in env
             env = env | {"contraction_workers"}
-        assert (top, env, rows, sides) == written, path.name
+        assert (top, env, rows, sides) == (against if "against" in doc else written), path.name
+
+
+def test_bench_against_a_tree_times_both_trees_on_bit_equal_logits(tmp_path, capsys):
+    """Against this tree itself (the A/A control) each row has bit-equal
+    logits, each side's summary in both trees, the change/parent ratio of
+    medians and the rounds the change won; the document names both sources,
+    and the printed rows are the written ones."""
+    doc = _bench_doc(tmp_path, ["task_dcd", "task_static@8", "--batch", "1", "2", "--repeats", "3",
+                                "--warmup", "0", "--against", str(ROOT)])
+    out = capsys.readouterr().out
+    assert doc["against"] == {"path": str(ROOT), "src_sha256": doc["environment"]["src_sha256"]}
+    assert [(row["model"], row["resolution"], row["batch"]) for row in doc["rows"]] == [
+        ("task/dcd", 16, 1), ("task/dcd", 16, 2), ("task/static", 8, 1), ("task/static", 8, 2)]
+    for row in doc["rows"]:
+        assert row["logits"] == "bit-equal" and row["repeats"] == 3
+        for side in ("dyn", "twin"):
+            change, parent = row[side]["change"], row[side]["parent"]
+            assert set(change) == set(parent) == {"median_s", "q25_s", "q75_s", "p95_s"}
+            assert row[side]["ratio"] == change["median_s"] / parent["median_s"] and 0 <= row[side]["won"] <= 3
+            assert (f"{side}: median {change['median_s'] * 1e3:.3f} ms, parent {parent['median_s'] * 1e3:.3f} ms, "
+                    f"change/parent {row[side]['ratio']:.3f}, won {row[side]['won']}/3") in out
+    assert out.count(": logits bit-equal\n") == 4
+
+
+def test_bench_against_refuses_a_directory_without_the_package(tmp_path, capsys):
+    assert main(["bench", "task_dcd", "--repeats", "1", "--against", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: --against {tmp_path}: no src/dynconv package there\n"
 
 
 @pytest.mark.parametrize("argv,flag", [(["--seed", "-1", "count", "task_dcd"], "--seed"),

@@ -20,7 +20,12 @@ from dynconv.layers import (
     latent_dim_pow2,
     validate_latent_dims,
 )
-from reference_kernels import dcd_conv_reference
+from reference_kernels import (
+    composed_latent_chain,
+    composed_lowrank_kernel,
+    composed_relu_linear,
+    dcd_conv_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +568,8 @@ def test_a_pointwise_layer_runs_the_plan_that_counts_fewer_madds(name, cfg, h, m
     target = rng.standard_normal((4, cfg["c_out"]) + (layer.out_size(h),) * 2)
     a, b = layers.plan_madds(layer, h, h)
     assert layers.materialises(layer, h, h) == materialised == (b < a)
-    calls, conv2d, kernel = [], ad.conv2d, DcdConv._kernel
-    monkeypatch.setattr(ad, "conv2d", lambda *args, **kw: calls.append("conv") or conv2d(*args, **kw))
+    calls, conv2d, kernel = [], T.conv2d, DcdConv._kernel
+    monkeypatch.setattr(T, "conv2d", lambda *args, **kw: calls.append("conv") or conv2d(*args, **kw))
     monkeypatch.setattr(DcdConv, "_kernel", lambda *args: calls.append("kernel") or kernel(*args))
     runs = []
     for plan in (materialised, not materialised):  # the forward's own choice first, then the other one
@@ -612,6 +617,43 @@ def test_dcd_conv_keeps_the_bits_of_its_op_per_step_form(name, cfg, sizes, strid
             for _ in range(2):
                 out = layer.forward(batch)
                 assert out.shape == want.shape and np.array_equal(out, want) and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("materialised", [False, True], ids=["factored", "materialised"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("name,cfg,sizes", CHAIN_LAYERS, ids=[name for name, *_ in CHAIN_LAYERS])
+def test_the_fused_ops_keep_the_bits_of_the_ops_they_replace(name, cfg, sizes, stride, materialised, monkeypatch):
+    """`relu_linear`, `lowrank_kernel` and `latent_chain` give the bytes of
+    the ops they replace (`reference_kernels.composed_*`): eager outputs at
+    batch 1 and 8, and for eval and train-mode taped forwards the outputs,
+    every parameter and input gradient, and the batch-norm buffers."""
+    monkeypatch.setattr(layers, "materialises", lambda layer, h, w: materialised)
+
+    def run():
+        layer = DcdConv("f", stride=stride, rng=np.random.default_rng(80), **cfg)
+        randomize_branch(layer, np.random.default_rng(81))
+        rng = np.random.default_rng(82)
+        values = []
+        for h in sizes:
+            x = rng.standard_normal((8, cfg["c_in"], h, h))
+            for batch in (x[:1], x):
+                values.append(layer.forward(batch))
+                for train in (False, True):
+                    tape = ad.Tape()
+                    x_param = ad.Parameter("x", batch)
+                    y = layer.forward(tape.leaf(batch, param=x_param), train=train)
+                    grads = ad.backward(ad.sum_all(ad.mul(y, rng.standard_normal(y.shape))))
+                    values += [y.value] + [grads.get(p, np.zeros(0)) for p in layer.parameters() + [x_param]]
+                    values += [buffer for _, buffer in layer.buffers()]
+        return values
+
+    fused = run()
+    for op, composed in (("relu_linear", composed_relu_linear), ("lowrank_kernel", composed_lowrank_kernel),
+                         ("latent_chain", composed_latent_chain)):
+        monkeypatch.setattr(ad, op, composed)
+    replaced = run()
+    assert len(fused) == len(replaced)
+    assert all(f.shape == r.shape and f.tobytes() == r.tobytes() for f, r in zip(fused, replaced))
 
 
 def _bn_layer(cfg, seed):

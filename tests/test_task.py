@@ -25,6 +25,8 @@ def test_dataset_batches_cover_everything_in_order():
                    np.arange(10, dtype=np.int64))
     batches = list(data.batches(4))
     assert [b[1].tolist() for b in batches] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    # in stored order a batch is a view of the arrays, not a copy
+    assert all(np.shares_memory(xb, data.inputs) and np.shares_memory(yb, data.labels) for xb, yb in batches)
     order = np.array([3, 1, 2, 0])
     xb, yb = next(iter(data.batches(4, order)))
     assert yb.tolist() == [3, 1, 2, 0]
