@@ -521,7 +521,8 @@ class DcdConv(_ConvLayer):
         qt = ad.reshape(self._qt(lift), (l, self.c_in, 1, 1))
         z = ad.conv2d(x, qt)
         phi_r = ad.matmul(ad.reshape(phi, (n * l * l, l_k)), ad.transpose_axes(lift(self.r_mat), (1, 0)))
-        z = ad.conv2d(z, ad.transpose_axes(ad.reshape(phi_r, (n, l, l, k, k)), (0, 2, 1, 3, 4)), self.stride, self.padding)
+        phi_r = ad.transpose_axes(ad.reshape(phi_r, (n, l, l, k, k)), (0, 2, 1, 3, 4))
+        z = ad.conv2d(z, phi_r, self.stride, self.padding)
         return ad.conv2d(z, ad.reshape(lift(self.p), (self.c_out, l, 1, 1)))
 
     def static_equivalent(self) -> "StaticConv":
