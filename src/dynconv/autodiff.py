@@ -26,12 +26,12 @@ layer pays one dispatch and records one node where it would pay several:
 layer, Λ ⊙ (W0∗x) + residual; `linear`, ``matmul(a, w) + b``, is the first
 FC of the dynamic branch; `relu_linear` is the branch's tail, ReLU then
 the second FC, split into DCD's Λ (plus 1) and Φ as `narrow` slices them;
-`lowrank_kernel` is the materialised DCD kernel Λ ⊙ W0 + P·Φ·Qᵀ, and
-`latent_chain` the factored residual P·Φ·(Qᵀx), three 1×1 convs.  A fused
-op's VJP is the composition of its parts' VJPs; the adjoints of its
-intermediates, which several inputs read, are formed once per output
-gradient (`_last`).  `transpose_axes` keeps its copy of a parameter value
-until the next state write (`tensor.kept`).
+`lowrank_kernel` is the materialised DCD kernel Λ ⊙ W0 + P·Φ·Qᵀ (Rᵀ in
+Qᵀ's place for depthwise DCD), and `latent_chain` the factored residual
+P·Φ·(Qᵀx), three 1×1 convs.  A fused op's VJP is the composition of its
+parts' VJPs; the adjoints of its intermediates, which several inputs read,
+are formed once per output gradient (`_last`).  `transpose_axes` keeps its
+copy of a parameter value until the next state write (`tensor.kept`).
 
 No op checks its result for NaN or ±inf, forward or VJP: the layers check
 their values at fixed points (`dynconv.layers`), and `backward` checks each
@@ -42,8 +42,6 @@ parameter gradient.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -261,25 +259,26 @@ def _stacked_vjp(g, av, bv, j):
     return _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
 
 
-def lowrank_kernel(w0, lam, p, phi, qt, taps=None):
-    """The materialised DCD kernel W(x) = Λ ⊙ W0 + P·Φ·Qᵀ, (N, C_out,
-    C_in, k, k), in one op that rounds, forward and VJP, as the ops it
-    replaces: the stacked products P_b·Φ_b·Q_bᵀ per diagonal block in the
-    cheaper association order, (P·Φ)·Qᵀ when C_out/B ≤ C_in/B and
-    P·(Φ·Qᵀ) otherwise; for B > 1 a product with the block-diagonal mask;
-    at B = 1 with `taps`, a (k²,) one-hot, a product that puts the residual
-    on that kernel element alone (k = 1 without); then `affine` with W0 and Λ, or
-    `add` of W0 when `lam` is None (Λ = 1).
+def lowrank_kernel(w0, lam, p, phi, qt, shape, taps=None):
+    """The materialised DCD kernel W(x) = Λ ⊙ W0 + P·Φ·Qᵀ, (N,) + `shape`,
+    W(x)'s conv layout (C_out, C_in/groups, k, k), in one op that rounds,
+    forward and VJP, as the ops it replaces: the stacked products
+    P_b·Φ_b·Q_bᵀ per diagonal block in the cheaper association order,
+    (P·Φ)·Qᵀ when C_out/B ≤ C_in/B and P·(Φ·Qᵀ) otherwise; for B > 1 a
+    product with the block-diagonal mask; at B = 1 with `taps`, a (k²,)
+    one-hot, a product that puts the residual on that kernel element alone;
+    then `affine` with W0 and Λ, or `add` of W0 when `lam` is None (Λ = 1).
 
-    `w0` holds C_out·C_in·k² values, `p` is P as B stacked row blocks
-    (C_out, L), `phi` Φ as (N, B·L·L) and `qt` Qᵀ as B blocks (B, L,
-    C_in/B).  Every product has the sample as a stack axis, so batch N
-    gives the stacked batch-1 kernels bit for bit."""
+    `w0` holds the kernel's C_out·C_in/groups·k² values, `p` is P as B
+    stacked row blocks (C_out, L), `phi` Φ as (N, B·L·L) and `qt` Qᵀ as B
+    blocks (B, L, C_in/B); depthwise DCD passes Rᵀ as one (1, L_k, k²)
+    block, so each channel's k² taps are its Qᵀ columns.  Every product has
+    the sample as a stack axis, so batch N gives the stacked batch-1
+    kernels bit for bit."""
     tape, w0v, lamv, pv, phiv, qtv = _inputs(w0, lam, p, phi, qt)
     b, l, ci = qtv.shape
     n, c_out = phiv.shape[0], pv.shape[0]
-    co, kk = c_out // b, 1 if taps is None else taps.size
-    shape = (c_out, b * ci) + (math.isqrt(kk),) * 2
+    co = c_out // b
     w0k, p3, phi4 = w0v.reshape(shape), pv.reshape(b, co, l), phiv.reshape(n, b, l, l)
     left = co <= ci  # (P·Φ)·Qᵀ, else P·(Φ·Qᵀ)
     t = np.matmul(p3, phi4) if left else np.matmul(phi4, qtv)

@@ -1,16 +1,12 @@
 """Wall-clock comparison of a dynamic model against its static twin, and
-of this source tree against another.
-
-Times eval forwards at given batch sizes and input resolutions, in rounds
-that alternate the models, excluding warmup rounds.  `BenchReport.row` gives
-each side's median, quartiles and 95th percentile and the dynamic/static
-ratio of medians; `environment` gives what the timings ran with: numpy and
-its BLAS, the BLAS thread count, the contraction worker count, the CPU count
-and a source hash.  `bench_against` times the same cases built by this tree
-and by another one, which `load_tree` imports into the same process, and
-gives per case the change/parent ratio of medians and the rounds each side
-won: between processes on a shared host a median moves by more than a 10 %
-change.
+of this source tree against another, in one timing loop, `bench_rows`:
+eval forwards at given batch sizes and input resolutions, in rounds that
+alternate the models, excluding warmup rounds.  Between processes on a
+shared host a median moves by more than a 10 % change, so `load_tree`
+imports the other tree into this process, whose models then run round by
+round beside this tree's.  `environment` gives what the timings ran with:
+numpy and its BLAS, the BLAS thread count, the contraction worker count,
+the CPU count and a source hash.
 """
 
 from __future__ import annotations
@@ -18,9 +14,9 @@ from __future__ import annotations
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +53,9 @@ def load_tree(root: Path):
     """The ``cli`` module of the `dynconv` package in ``root/src/dynconv``,
     imported under a private name, so that the other tree's modules keep
     their own state epoch, kept values and worker pool beside this one's.
-    The tree itself loads as a second copy: the A/A control."""
+    The tree itself loads as a second copy: the A/A control.  A tree whose
+    ``cli._model_from_args`` takes no ``name=``, by which each case's
+    model is built, is refused."""
     package = Path(root) / "src" / "dynconv"
     if not (package / "__init__.py").is_file():
         raise ValueError(f"--against {root}: no src/dynconv package there")
@@ -68,32 +66,17 @@ def load_tree(root: Path):
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.cli")
+    cli = importlib.import_module(f"{name}.cli")
+    build = getattr(cli, "_model_from_args", None)
+    if build is None or "name" not in inspect.signature(build).parameters:
+        raise ValueError(f"--against {root}: its cli._model_from_args takes no name=")
+    return cli
 
 
 def _summary(times: list[float]) -> dict[str, float]:
     """Median, quartiles and p95 in seconds."""
     q25, median, q75, p95 = np.percentile(times, [25, 50, 75, 95])
     return {"median_s": float(median), "q25_s": float(q25), "q75_s": float(q75), "p95_s": float(p95)}
-
-
-@dataclass
-class BenchReport:
-    model: str
-    resolution: int
-    batch: int
-    dyn: list[float] = field(default_factory=list)
-    twin: list[float] = field(default_factory=list)
-
-    def row(self) -> dict:
-        """One JSON row: the model, its input, the repeat count, each side's
-        median, quartiles and p95, and the dynamic/static ratio of medians."""
-        dyn, twin = _summary(self.dyn), _summary(self.twin)
-        return {
-            "model": self.model, "resolution": self.resolution, "batch": self.batch,
-            "repeats": len(self.dyn), "dyn": dyn, "twin": twin,
-            "dyn_over_twin_median": dyn["median_s"] / twin["median_s"],
-        }
 
 
 def _second_forward_s(graph, x: np.ndarray) -> float:
@@ -115,33 +98,6 @@ def _case_input(graph, batch: int, resolution: int | None, seed: int) -> np.ndar
     return np.random.default_rng(seed).normal(size=(batch, graph.input_channels, res, res))
 
 
-def bench_pairs(cases, repeats: int = 20, warmup: int = 3, seed: int = 0) -> list[BenchReport]:
-    """Time each ``(graph, batch, resolution)`` case against its static twin
-    on one random input per case (``resolution`` None: the graph's own).
-
-    Each warmup and each repeat is a round over the cases: case by case, the
-    graph, then its twin, each timed on its second of two forwards.  Every
-    case's timings thus spread over the whole run, and a slow stretch of a
-    shared host lands on all cases and both sides alike, not on one case or
-    one side.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    runs = []
-    for graph, batch, resolution in cases:
-        x = _case_input(graph, batch, resolution, seed)
-        runs.append((graph, graph.static_twin(), x, BenchReport(graph.name, x.shape[2], batch)))
-    for i in range(warmup + repeats):
-        for graph, twin, x, report in runs:
-            dyn, static = _second_forward_s(graph, x), _second_forward_s(twin, x)
-            if i >= warmup:
-                report.dyn.append(dyn)
-                report.twin.append(static)
-    return [report for *_, report in runs]
-
-
 def _draw_zeros(graph, rng: np.random.Generator) -> None:
     """Draw each all-zero parameter (the branches' second FCs, biases and
     batch-norm shifts) from `rng`, so that Λ(x) and Φ(x) vary with x."""
@@ -152,52 +108,60 @@ def _draw_zeros(graph, rng: np.random.Generator) -> None:
 
 def _logits_match(a: np.ndarray, b: np.ndarray) -> str | float:
     """"bit-equal", or the largest difference relative to the largest |b|."""
-    if a.shape == b.shape and a.tobytes() == b.tobytes():
-        return "bit-equal"
     if a.shape != b.shape:
         return float("inf")
+    if a.tobytes() == b.tobytes():
+        return "bit-equal"
     return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), np.finfo(float).tiny))
 
 
-def bench_against(cases, repeats: int = 20, warmup: int = 3, seed: int = 0) -> list[dict]:
-    """Time each ``(graph, parent graph, batch, resolution)`` case, the same
-    model built by this tree and by the parent tree from one seed, dyn and
-    twin, on one random input per case (``resolution`` None: the graph's own).
+def bench_rows(cases, repeats: int = 20, warmup: int = 3, seed: int = 0) -> list[dict]:
+    """One row per case, ``(graph, batch, resolution)`` or ``(graph, parent
+    graph, batch, resolution)``, timed on one random input per case
+    (``resolution`` None: the graph's own).
 
-    The all-zero parameters of both graphs are drawn from one stream
-    (`_draw_zeros`), and each row says whether their logits are bit-equal.
-    Each warmup and each repeat is a round over the cases; each case runs
-    both trees, each tree its dyn graph then its twin, on the second of two
-    forwards, and the tree that runs first alternates by round.  A row gives
-    each side's summary in each tree, the change/parent ratio of medians,
-    and in how many rounds the change was faster (ties count for neither).
+    A one-graph row gives each side's median, quartiles and p95, dyn (the
+    graph) and twin (its static twin), and the dyn/twin ratio of medians.
+    A two-graph case is the same model built by this tree and by the parent
+    tree from one seed, with the all-zero parameters of both drawn from one
+    stream (`_draw_zeros`); its row says whether their logits are bit-equal
+    and gives per side each tree's summary, the change/parent ratio of
+    medians and the rounds the change was faster in (ties count for neither).
+
+    Each warmup and each repeat is a round over the cases: case by case,
+    each tree runs its graph, then its twin, each timed on its second of two
+    forwards, and with two trees the tree that runs first alternates by
+    round.  A slow stretch of a shared host thus lands on all cases, sides
+    and trees alike.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     runs = []
-    for graph, parent, batch, resolution in cases:
-        x = _case_input(graph, batch, resolution, seed)
-        for g in (graph, parent):
-            _draw_zeros(g, np.random.default_rng(seed))
-        logits = _logits_match(np.asarray(graph.forward(x)), np.asarray(parent.forward(x)))
-        trees = [(graph, graph.static_twin()), (parent, parent.static_twin())]
-        row = {"model": graph.name, "resolution": x.shape[2], "batch": batch, "logits": logits}
-        runs.append((trees, x, row, [[[], []], [[], []]]))  # times[tree][side]
-    for i in range(warmup + repeats):
-        for trees, x, _, times in runs:
-            for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-                dyn, twin = (_second_forward_s(g, x) for g in trees[k])
-                if i >= warmup:
-                    times[k][0].append(dyn)
-                    times[k][1].append(twin)
-    rows = []
-    for _, _, row, times in runs:
+    for *graphs, batch, resolution in cases:
+        x = _case_input(graphs[0], batch, resolution, seed)
+        row = {"model": graphs[0].name, "resolution": x.shape[2], "batch": batch}
+        if len(graphs) > 1:
+            for g in graphs:
+                _draw_zeros(g, np.random.default_rng(seed))
+            row["logits"] = _logits_match(*(np.asarray(g.forward(x)) for g in graphs))
         row["repeats"] = repeats
+        runs.append(([(g, g.static_twin()) for g in graphs], [([], []) for _ in graphs], x, row))
+    for i in range(warmup + repeats):
+        for pairs, times, x, _ in runs:
+            trees = list(zip(pairs, times))
+            for pair, (dyn, twin) in (trees if i % 2 == 0 else trees[::-1]):
+                dyn_s, twin_s = (_second_forward_s(g, x) for g in pair)
+                if i >= warmup:
+                    dyn.append(dyn_s)
+                    twin.append(twin_s)
+    for _, times, _, row in runs:  # times[tree][side]
         for s, side in enumerate(("dyn", "twin")):
-            change, parent = _summary(times[0][s]), _summary(times[1][s])
-            row[side] = {"change": change, "parent": parent, "ratio": change["median_s"] / parent["median_s"],
-                         "won": sum(a < b for a, b in zip(times[0][s], times[1][s]))}
-        rows.append(row)
-    return rows
+            change, *parent = (_summary(t[s]) for t in times)
+            row[side] = change if not parent else {
+                "change": change, "parent": parent[0], "ratio": change["median_s"] / parent[0]["median_s"],
+                "won": sum(a < b for a, b in zip(times[0][s], times[1][s]))}
+        if len(times) == 1:
+            row["dyn_over_twin_median"] = row["dyn"]["median_s"] / row["twin"]["median_s"]
+    return [row for *_, row in runs]

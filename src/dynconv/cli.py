@@ -29,7 +29,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import decompose
 from .analysis import phi_statistics
-from .bench import bench_against, bench_pairs, environment, load_tree, source_hash
+from .bench import bench_rows, environment, load_tree, source_hash
 from .config import ConfigError, RunConfig, load_config
 from .counting import count_model
 from .gradcheck import VARIANTS, variant_gradcheck
@@ -239,11 +239,9 @@ def cmd_bench(args) -> int:
             models.append(parent._model_from_args(args, cfg, name=name))
         cases += [(*models, batch, int(res) if at else args.resolution) for batch in args.batch]
     doc = {"environment": environment()}
-    if parent is None:
-        doc["rows"] = [report.row() for report in bench_pairs(cases, args.repeats, args.warmup, seed)]
-    else:
+    if parent is not None:
         doc["against"] = {"path": str(args.against), "src_sha256": source_hash(args.against / "src" / "dynconv")}
-        doc["rows"] = bench_against(cases, args.repeats, args.warmup, seed)
+    doc["rows"] = bench_rows(cases, args.repeats, args.warmup, seed)
     for row in doc["rows"]:
         head = f"== {row['model']}, {row['resolution']}×{row['resolution']}, batch {row['batch']}"
         if parent is None:

@@ -11,9 +11,10 @@ them):
   - the branch FCs (C_in·s and s·d_out) plus the pooling read (C_in);
   - kernel assembly for the low-rank residual: the large product
     C_out·L·C_in plus the cheaper association order for the small one,
-    min(L²·C_in, C_out·L²), for matrix forms (per diagonal block for
-    the block-sparse form); L_k²·k² + C·L_k·k² for depthwise; and the
-    three-step mode-product chain for the full k×k tensor form;
+    min(L²·C_in, C_out·L²), for the four matrix forms (per diagonal block
+    for the block-sparse form; for depthwise, P·Φ·Rᵀ with L = L_k,
+    C_in = k² and C_out = C); and the three-step mode-product chain for
+    the full k×k tensor form;
   - the channel scale Λ at min(C_in·C_out·k², H'·W'·C_out) — fold it
     into whichever of kernel or output is cheaper;
   - except for a 1×1 kernel on a 1×1 input (classifier head), where the

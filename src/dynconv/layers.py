@@ -35,8 +35,8 @@ without padding a bare product on the (N, C, H·W) view of its input
 (`tensor.conv2d`).  The materialised plan assembles W(x) = Λ ⊙ W0 +
 residual with ``weight_for``'s stacked products, in conv layout (N, C_out,
 C_in/groups, k, k), and runs one conv with it; for those three variants
-the assembly is one op, `autodiff.lowrank_kernel`.  ``depthwise`` always
-materialises (its W(x) is one C×k² kernel per sample); ``pointwise``
+and ``depthwise`` (Rᵀ in Qᵀ's place) the assembly is one op,
+`autodiff.lowrank_kernel`.  ``depthwise`` always materialises; ``pointwise``
 materialises where that counts fewer MAdds (`plan_madds`), which at 1×1
 comes down to H'·W'·(C_in + C_out) > C_in·C_out; the other variants stay
 factored.  Either plan gives the other's outputs and gradients to 1e-10
@@ -462,25 +462,21 @@ class DcdConv(_ConvLayer):
     def _kernel(self, lam, phi, lift):
         """W(x) from the coefficients, the residual in the association order
         that `_assembly_madds` counts: one `autodiff.lowrank_kernel` for
-        the P·Φ·Qᵀ variants.  Every residual product has the sample as a
-        stack axis, so batch N gives the stacked batch-1 kernels bit for bit."""
-        if self.variant not in ("depthwise", "full_kxk"):
+        the P·Φ·Qᵀ variants and depthwise's P·Φ·Rᵀ, the mode products for
+        full k×k.  Every residual product has the sample as a stack axis, so
+        batch N gives the stacked batch-1 kernels bit for bit."""
+        if self.variant != "full_kxk":
             taps = self.center.reshape(-1) if self.variant == "channel_only_kxk" else None
-            return ad.lowrank_kernel(lift(self.w0), lam, lift(self.p), phi, self._qt(lift), taps)
+            shape = (self.c_out, self.c_in // self.groups, self.k, self.k)
+            return ad.lowrank_kernel(lift(self.w0), lam, lift(self.p), phi, self._qt(lift), shape, taps)
         n = ad.value_of(phi).shape[0]
         l, l_k, kk = self.dims.l, self.dims.l_k, self.k * self.k
         mm = ad.stacked_matmul
-
-        def t(p):
-            return ad.transpose_axes(lift(p), (1, 0))
-
-        if self.variant == "depthwise":  # P·(Φ·Rᵀ)
-            res = mm(lift(self.p), mm(ad.reshape(phi, (n, l_k, l_k)), t(self.r_mat)))
-        else:  # Φ ×₁ Q ×₃ R ×₂ P: (n, C_in, l·l_k), (n, C_in·l, k²), (n, C_out, C_in·k²)
-            res = mm(lift(self.q), ad.reshape(phi, (n, l, l * l_k)))
-            res = mm(ad.reshape(res, (n, self.c_in * l, l_k)), t(self.r_mat))
-            res = ad.transpose_axes(ad.reshape(res, (n, self.c_in, l, kk)), (0, 2, 1, 3))
-            res = mm(lift(self.p), ad.reshape(res, (n, l, self.c_in * kk)))
+        # Φ ×₁ Q ×₃ R ×₂ P: (n, C_in, l·l_k), (n, C_in·l, k²), (n, C_out, C_in·k²)
+        res = mm(lift(self.q), ad.reshape(phi, (n, l, l * l_k)))
+        res = mm(ad.reshape(res, (n, self.c_in * l, l_k)), ad.transpose_axes(lift(self.r_mat), (1, 0)))
+        res = ad.transpose_axes(ad.reshape(res, (n, self.c_in, l, kk)), (0, 2, 1, 3))
+        res = mm(lift(self.p), ad.reshape(res, (n, l, self.c_in * kk)))
         w0 = self._w0_kernel(lift)
         res = ad.reshape(res, (n,) + ad.value_of(w0).shape)
         return ad.add(w0, res) if lam is None else ad.affine(w0, ad.reshape(lam, (n, self.c_out, 1, 1, 1)), res)
@@ -503,8 +499,11 @@ class DcdConv(_ConvLayer):
         return ad.reshape(lift(self.w0), (self.c_out, self.c_in // self.groups, self.k, self.k))
 
     def _qt(self, lift):
-        """Qᵀ as B blocks (B, L, C_in/B), the layout its products read; a
-        copy of the stored Q, kept until the next state write."""
+        """Qᵀ as B blocks (B, L, C_in/B), the layout its products read, and
+        for depthwise Rᵀ as one block (1, L_k, k²); a copy of the stored Q
+        or R, kept until the next state write."""
+        if self.variant == "depthwise":
+            return ad.transpose_axes(lift(self.r_mat), (0, 2, 1), (1, self.k * self.k, self.dims.l_k))
         g = self.blocks
         return ad.transpose_axes(lift(self.q), (0, 2, 1), (g, self.c_in // g, self.dims.l))
 
@@ -546,16 +545,18 @@ class DcdConv(_ConvLayer):
 def _assembly_madds(layer: DcdConv) -> int:
     """MAdds per sample that assemble the low-rank residual of W(x): the
     cheaper association order of P·Φ·Qᵀ per diagonal block (B = 1 outside
-    block_sparse); P·(Φ·Rᵀ) for depthwise; the mode-product chain ×₁Q, ×₂P,
-    ×₃R for full k×k (which runs ×₁Q, ×₃R, ×₂P when it materialises)."""
+    block_sparse), and of depthwise's P·Φ·Rᵀ, Rᵀ in Qᵀ's place; the
+    mode-product chain ×₁Q, ×₂P, ×₃R for full k×k (which runs ×₁Q, ×₃R,
+    ×₂P when it materialises)."""
     l, l_k, g = layer.dims.l, layer.dims.l_k, layer.blocks
     kk = layer.k * layer.k
-    if layer.variant in ("pointwise", "block_sparse", "channel_only_kxk"):
-        ci, co = layer.c_in // g, layer.c_out // g
-        return g * (min(l * l * ci, co * l * l) + co * l * ci)
+    if layer.variant == "full_kxk":
+        return layer.c_in * l * l * l_k + layer.c_out * layer.c_in * l * l_k + layer.c_in * layer.c_out * l_k * kk
     if layer.variant == "depthwise":
-        return l_k * l_k * kk + layer.c_in * l_k * kk
-    return layer.c_in * l * l * l_k + layer.c_out * layer.c_in * l * l_k + layer.c_in * layer.c_out * l_k * kk
+        l, ci, co = l_k, kk, layer.c_out
+    else:
+        ci, co = layer.c_in // g, layer.c_out // g
+    return g * (min(l * l * ci, co * l * l) + co * l * ci)
 
 
 def plan_madds(layer: DcdConv, h: int, w: int) -> tuple[int | None, int]:

@@ -2,10 +2,9 @@
 against: a matmul and a shared-kernel conv2d whose sums run left to right
 over the contraction axis, so naive loop oracles reproduce them bit for bit.
 Also the op-per-step forms of the 1×1 conv and of a DCD layer's conv, which
-the fused paths must equal bit for bit, and the DCD layer's three fused
-autodiff ops as the ops they replace."""
-
-import math
+the fused paths must equal bit for bit, the DCD layer's three fused
+autodiff ops as the ops they replace, and the depthwise DCD kernel as the
+layer composed it."""
 
 import numpy as np
 
@@ -129,12 +128,12 @@ def composed_relu_linear(a, w, b, split=None):
     return ad.narrow(out, 1, 0, split, plus=1.0), ad.narrow(out, 1, split, ad.value_of(out).shape[1])
 
 
-def composed_lowrank_kernel(w0, lam, p, phi, qt, taps=None):
+def composed_lowrank_kernel(w0, lam, p, phi, qt, shape, taps=None):
     """`autodiff.lowrank_kernel` as reshapes, two stacked products, a masking
     product, and `affine` (or `add` without Λ)."""
     b, l, ci = ad.value_of(qt).shape
     n, c_out = ad.value_of(phi).shape[0], ad.value_of(p).shape[0]
-    co, kk = c_out // b, 1 if taps is None else taps.size
+    co = c_out // b
     mm = ad.stacked_matmul
     p3, phi4 = ad.reshape(p, (b, co, l)), ad.reshape(phi, (n, b, l, l))
     res = mm(mm(p3, phi4), qt) if co <= ci else mm(p3, mm(phi4, qt))
@@ -142,9 +141,21 @@ def composed_lowrank_kernel(w0, lam, p, phi, qt, taps=None):
         res = ad.mul(ad.reshape(res, (n, b, co, 1, ci)), np.eye(b).reshape(b, 1, b, 1))
     if taps is not None:
         res = ad.mul(ad.reshape(res, (n, c_out, b * ci, 1)), taps)
-    shape = (c_out, b * ci) + (math.isqrt(kk),) * 2
     w0k, res = ad.reshape(w0, shape), ad.reshape(res, (n,) + shape)
     return ad.add(w0k, res) if lam is None else ad.affine(w0k, ad.reshape(lam, (n, c_out, 1, 1, 1)), res)
+
+
+def composed_depthwise_kernel(layer, lam, phi, lift):
+    """A depthwise `DcdConv._kernel` as the layer composed it before
+    `autodiff.lowrank_kernel` took it: P·(Φ·Rᵀ) as two stacked products
+    with a transposed Rᵀ at every channel count, then reshapes and `affine`
+    (or `add` without Λ)."""
+    n, l_k = ad.value_of(phi).shape[0], layer.dims.l_k
+    mm = ad.stacked_matmul
+    res = mm(lift(layer.p), mm(ad.reshape(phi, (n, l_k, l_k)), ad.transpose_axes(lift(layer.r_mat), (1, 0))))
+    w0 = layer._w0_kernel(lift)
+    res = ad.reshape(res, (n,) + ad.value_of(w0).shape)
+    return ad.add(w0, res) if lam is None else ad.affine(w0, ad.reshape(lam, (n, layer.c_out, 1, 1, 1)), res)
 
 
 def composed_latent_chain(x, qt, phi, p, stride=1, padding=0):

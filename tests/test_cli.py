@@ -305,7 +305,8 @@ def test_every_committed_bench_file_has_the_keys_bench_out_writes(tmp_path, caps
     files = sorted(ROOT.glob("BENCH_*.json"))
     assert {"BENCH_baseline.json", "BENCH_depthwise.json", "BENCH_onetap.json", "BENCH_blocks.json",
             "BENCH_derived.json", "BENCH_split.json", "BENCH_serial.json", "BENCH_window.json",
-            "BENCH_fixedcost.json", "BENCH_against_self.json", "BENCH_fused.json"} <= {path.name for path in files}
+            "BENCH_fixedcost.json", "BENCH_against_self.json", "BENCH_fused.json",
+            "BENCH_pr33.json"} <= {path.name for path in files}
     for path in files:
         doc = json.loads(path.read_text())
         top, env, rows, sides = _schema(doc)
@@ -340,6 +341,17 @@ def test_bench_against_a_tree_times_both_trees_on_bit_equal_logits(tmp_path, cap
 def test_bench_against_refuses_a_directory_without_the_package(tmp_path, capsys):
     assert main(["bench", "task_dcd", "--repeats", "1", "--against", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: --against {tmp_path}: no src/dynconv package there\n"
+
+
+def test_bench_against_refuses_a_tree_that_builds_no_model_by_name(tmp_path, capsys):
+    """A tree whose front end predates ``_model_from_args(..., name=)`` is
+    refused with one error line that names it, before any model is built."""
+    package = tmp_path / "src" / "dynconv"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("def _model_from_args(args, cfg, seed=None):\n    raise AssertionError\n")
+    assert main(["bench", "task_dcd", "--repeats", "1", "--against", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: --against {tmp_path}: its cli._model_from_args takes no name=\n"
 
 
 @pytest.mark.parametrize("argv,flag", [(["--seed", "-1", "count", "task_dcd"], "--seed"),

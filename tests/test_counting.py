@@ -151,6 +151,11 @@ def test_dcd_assembly_uses_cheaper_association_order():
 
     assert _assembly_madds(wide) == 4 * 4 * 8 + 64 * 4 * 8     # Φ·Qᵀ first
     assert _assembly_madds(narrow) == 8 * 4 * 4 + 8 * 4 * 64   # P·Φ first
+    # depthwise's P·Φ·Rᵀ by the same rule, Rᵀ (L_k × k²) in Qᵀ's place: Φ·Rᵀ first above k² = 9 channels
+    for c, small in ((16, 4 * 4 * 9), (8, 8 * 4 * 4)):
+        layer = DcdConv("d", c, c, k=3, variant="depthwise", dims=LatentDims(l=1, l_k=4), padding=1,
+                        rng=np.random.default_rng(2))
+        assert _assembly_madds(layer) == small + c * 4 * 9
 
 
 def test_dcd_lambda_uses_cheaper_of_kernel_and_output_side():

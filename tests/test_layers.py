@@ -21,6 +21,7 @@ from dynconv.layers import (
     validate_latent_dims,
 )
 from reference_kernels import (
+    composed_depthwise_kernel,
     composed_latent_chain,
     composed_lowrank_kernel,
     composed_relu_linear,
@@ -619,14 +620,29 @@ def test_dcd_conv_keeps_the_bits_of_its_op_per_step_form(name, cfg, sizes, strid
                 assert out.shape == want.shape and np.array_equal(out, want) and out.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("materialised", [False, True], ids=["factored", "materialised"])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("name,cfg,sizes", CHAIN_LAYERS, ids=[name for name, *_ in CHAIN_LAYERS])
-def test_the_fused_ops_keep_the_bits_of_the_ops_they_replace(name, cfg, sizes, stride, materialised, monkeypatch):
+DEPTHWISE_LAYERS = [  # (name, cfg, bit-equal): P·(Φ·Rᵀ) at C > k² as before, (P·Φ)·Rᵀ at C ≤ k²
+    ("depthwise-C16", dict(c_in=16, c_out=16, k=3, variant="depthwise", padding=1), True),
+    ("depthwise-C16-no-lambda", dict(c_in=16, c_out=16, k=3, variant="depthwise", padding=1,
+                                     lambda_enabled=False), True),
+    ("depthwise-C8", dict(c_in=8, c_out=8, k=3, variant="depthwise", padding=1), False),
+]
+FUSED_CASES = [pytest.param(name, cfg, sizes, stride, plan, True,
+                            id=f"{name}-{stride}-{'materialised' if plan else 'factored'}")
+               for name, cfg, sizes in CHAIN_LAYERS for stride in (1, 2) for plan in (False, True)]
+FUSED_CASES += [pytest.param(name, cfg, (2, 5), stride, True, exact, id=f"{name}-{stride}-materialised")
+                for name, cfg, exact in DEPTHWISE_LAYERS for stride in (1, 2)]
+
+
+@pytest.mark.parametrize("name,cfg,sizes,stride,materialised,exact", FUSED_CASES)
+def test_the_fused_ops_keep_the_bits_of_the_ops_they_replace(name, cfg, sizes, stride, materialised, exact,
+                                                             monkeypatch):
     """`relu_linear`, `lowrank_kernel` and `latent_chain` give the bytes of
     the ops they replace (`reference_kernels.composed_*`): eager outputs at
     batch 1 and 8, and for eval and train-mode taped forwards the outputs,
-    every parameter and input gradient, and the batch-norm buffers."""
+    every parameter and input gradient, and the batch-norm buffers.  A
+    depthwise kernel equals the composed one it replaced bit for bit at
+    C > k², where both run P·(Φ·Rᵀ), and to 1e-12 relative at C ≤ k², where
+    `lowrank_kernel` runs the cheaper (P·Φ)·Rᵀ."""
     monkeypatch.setattr(layers, "materialises", lambda layer, h, w: materialised)
 
     def run():
@@ -651,9 +667,15 @@ def test_the_fused_ops_keep_the_bits_of_the_ops_they_replace(name, cfg, sizes, s
     for op, composed in (("relu_linear", composed_relu_linear), ("lowrank_kernel", composed_lowrank_kernel),
                          ("latent_chain", composed_latent_chain)):
         monkeypatch.setattr(ad, op, composed)
+    if cfg["variant"] == "depthwise":
+        monkeypatch.setattr(DcdConv, "_kernel", composed_depthwise_kernel)
     replaced = run()
-    assert len(fused) == len(replaced)
-    assert all(f.shape == r.shape and f.tobytes() == r.tobytes() for f, r in zip(fused, replaced))
+    assert len(fused) == len(replaced) and all(f.shape == r.shape for f, r in zip(fused, replaced))
+    if exact:
+        assert all(f.tobytes() == r.tobytes() for f, r in zip(fused, replaced))
+    else:
+        assert any(f.tobytes() != r.tobytes() for f, r in zip(fused, replaced))
+        assert all(_rel_err(f, r) <= 1e-12 for f, r in zip(fused, replaced) if r.size)
 
 
 def _bn_layer(cfg, seed):

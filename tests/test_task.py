@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynconv import bench
-from dynconv.bench import bench_pairs
+from dynconv.bench import bench_rows
 from dynconv.config import ConfigError, RunConfig
 from dynconv.counting import count_model
 from dynconv.layers import DcdConv, StaticConv, VanillaDynConv
@@ -113,7 +113,7 @@ def test_model_resolution_sizes_the_data_the_count_and_the_bench(monkeypatch):
     assert report.total_madds == count_model(graph, 8).total_madds < count_model(graph, 16).total_madds
     shapes = []
     monkeypatch.setattr(bench, "_second_forward_s", lambda g, x: shapes.append(x.shape) or 1.0)
-    assert bench_pairs([(graph, 1, None)], repeats=1, warmup=0)[0].resolution == 8
+    assert bench_rows([(graph, 1, None)], repeats=1, warmup=0)[0]["resolution"] == 8
     assert shapes == [(1, 8, 8, 8)] * 2
 
 
